@@ -315,18 +315,19 @@ def scaling_bound_eval(d: int, K: float, n: int, T: float) -> BoundReport:
         return BoundReport(
             "scaling_loss", "upper", params, None, False, "requires n >= 3, K >= 2"
         )
-    est = d * K * math.log1p(n / K) * (
-        math.log(math.e * 36.0 * T * K) + 2.0 / d * math.log(2.0 * n)
-    ) / (2.0 * T)
-    return BoundReport("scaling_loss", "upper", params, est + 3.0 * K / n, True)
+    return BoundReport("scaling_loss", "upper", params, _scaling_loss(d, K, n, T), True)
 
 
-def _scaling_value(d: int, K: float, n: float, C: float) -> float:
-    T = C / (d * n)
+def _scaling_loss(d: int, K: float, n: float, T: float) -> float:
     est = d * K * math.log1p(n / K) * (
         math.log(math.e * 36.0 * T * K) + 2.0 / d * math.log(2.0 * n)
     ) / (2.0 * T)
     return est + 3.0 * K / n
+
+
+def _scaling_value(d: int, K: float, n: float, C: float) -> float:
+    """The loss bound at width n when the whole budget C buys T = C / (d n) steps."""
+    return _scaling_loss(d, K, n, C / (d * n))
 
 
 def scaling_optimal_width(d: int, K: float, C: float) -> Tuple[int, float, float]:

@@ -27,16 +27,27 @@ def _apply_seed(config: harness.ScenarioConfig, seed: Optional[int]) -> harness.
     return config
 
 
+def _warn_if_unchecked(config: harness.ScenarioConfig) -> None:
+    if not config.bound_ids:
+        click.echo(
+            f"warning: scenario {config.scenario_id} names no bounds; "
+            "nothing to verify (trivial pass)"
+        )
+
+
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True))
 @click.option("--seed", type=int, default=None, help="Override the config master seed.")
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def simulate(config_path: str, seed: Optional[int], threads: int, out: str, fmt: str) -> None:
+def simulate(config_path: str, seed: Optional[int], out: str, fmt: str) -> None:
     """Run one scenario config and write curve/bound/verification files."""
-    config = _apply_seed(harness.load_config(config_path), seed)
-    result = harness.run_scenario(config, threads=threads)
+    try:
+        config = _apply_seed(harness.load_config(config_path), seed)
+    except ValueError as exc:
+        raise click.ClickException(f"{config_path}: {exc}")
+    _warn_if_unchecked(config)
+    result = harness.run_scenario(config)
     paths = harness.write_scenario_outputs(result, out, fmt)
     for p in paths:
         click.echo(p)
@@ -49,15 +60,11 @@ def simulate(config_path: str, seed: Optional[int], threads: int, out: str, fmt:
 @main.command()
 @click.argument("bound_id")
 @click.option("--params", required=True, help="JSON dict of bound parameters.")
-@click.option("--seed", type=int, default=None, help="Unused; accepted for uniformity.")
-@click.option("--threads", type=int, default=1, help="Unused; accepted for uniformity.")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def bounds(
     bound_id: str,
     params: str,
-    seed: Optional[int],
-    threads: int,
     out: Optional[str],
     fmt: str,
 ) -> None:
@@ -96,16 +103,20 @@ def bounds(
 @main.command()
 @click.argument("manifest")
 @click.option("--seed", type=int, default=20240817, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def verify(manifest: str, seed: int, threads: int, out: Optional[str], fmt: str) -> None:
+def verify(manifest: str, seed: int, out: Optional[str], fmt: str) -> None:
     """Run a manifest of scenarios; exit nonzero if any bound check fails."""
-    configs = harness.load_manifest(manifest, master_seed=seed)
+    try:
+        configs = harness.load_manifest(manifest, master_seed=seed)
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"{manifest}: {exc}")
     if not configs:
         click.echo("warning: empty manifest; nothing to verify (trivial pass)")
         return
-    ok, results = harness.verify_suite(configs, threads=threads)
+    for config in configs:
+        _warn_if_unchecked(config)
+    ok, results = harness.verify_suite(configs)
     for result in results:
         if out:
             harness.write_scenario_outputs(result, out, fmt)
@@ -127,8 +138,6 @@ def verify(manifest: str, seed: int, threads: int, out: Optional[str], fmt: str)
 @click.option("--c-min", type=float, required=True)
 @click.option("--c-max", type=float, required=True)
 @click.option("--points", type=int, default=9, show_default=True)
-@click.option("--seed", type=int, default=None, help="Unused; accepted for uniformity.")
-@click.option("--threads", type=int, default=1, help="Unused; accepted for uniformity.")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def sweep_scaling_cmd(
@@ -137,8 +146,6 @@ def sweep_scaling_cmd(
     c_min: float,
     c_max: float,
     points: int,
-    seed: Optional[int],
-    threads: int,
     out: Optional[str],
     fmt: str,
 ) -> None:
@@ -156,10 +163,7 @@ def sweep_scaling_cmd(
 
 @main.command()
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
-@click.option("--out", type=click.Path(), default=None, help="Unused; accepted for uniformity.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def selftest(seed: int, threads: int, out: Optional[str], fmt: str) -> None:
+def selftest(seed: int) -> None:
     """Fast end-to-end sanity checks; exit nonzero on failure."""
     failures = []
 

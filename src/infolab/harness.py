@@ -13,8 +13,7 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,18 +35,7 @@ from .predictors import (
     PredictorKind,
     PriorEnsemble,
 )
-from .processes import (
-    BinaryARK,
-    DeepNet,
-    DirichletNet,
-    LinRep,
-    LinReg,
-    LogReg,
-    ProcessSpec,
-    Transformer,
-    irreducible_rate,
-    make_embeddings,
-)
+from .processes import PROCESS_KINDS, LinReg, ProcessSpec, irreducible_rate
 from .rng import RngStream, SeedSpec
 
 CONFIG_VERSION = 1
@@ -59,84 +47,22 @@ def _reject_unknown(payload: Dict, allowed: Sequence[str], context: str) -> None
         raise ValueError(f"unknown key(s) in {context}: {', '.join(unknown)}")
 
 
-def _default_ark_embeddings(d: int) -> Tuple[np.ndarray, np.ndarray]:
-    if d == 1:
-        return np.array([1.0]), np.array([-1.0])
-    phi0 = np.zeros(d)
-    phi1 = np.zeros(d)
-    phi0[0] = 1.0
-    phi1[1] = 1.0
-    return phi0, phi1
+def _require(payload: Dict, keys: Sequence[str], context: str) -> None:
+    missing = [k for k in keys if k not in payload]
+    if missing:
+        raise ValueError(f"missing key(s) in {context}: {', '.join(missing)}")
 
 
 def parse_process(payload: Dict) -> ProcessSpec:
-    """Build a process spec from its JSON form."""
+    """Build a process spec from its JSON form, using the spec's key table."""
     kind = payload.get("kind")
-    if kind == "linreg":
-        _reject_unknown(payload, ["kind", "d", "noise_var", "prior_var"], "process")
-        return LinReg(
-            d=int(payload["d"]),
-            noise_var=float(payload["noise_var"]),
-            prior_var=payload.get("prior_var"),
-        )
-    if kind == "logreg":
-        _reject_unknown(payload, ["kind", "d"], "process")
-        return LogReg(d=int(payload["d"]))
-    if kind == "deepnet":
-        _reject_unknown(payload, ["kind", "d", "width", "depth", "noise_var"], "process")
-        return DeepNet(
-            d=int(payload["d"]),
-            width=int(payload["width"]),
-            depth=int(payload["depth"]),
-            noise_var=float(payload["noise_var"]),
-        )
-    if kind == "dirichlet":
-        _reject_unknown(
-            payload,
-            ["kind", "d", "scale", "noise_var", "tail_tol", "plus_one_scaling"],
-            "process",
-        )
-        return DirichletNet(
-            d=int(payload["d"]),
-            scale=float(payload["scale"]),
-            noise_var=float(payload["noise_var"]),
-            tail_tol=float(payload.get("tail_tol", 1e-8)),
-            plus_one_scaling=bool(payload.get("plus_one_scaling", False)),
-        )
-    if kind == "ark":
-        _reject_unknown(payload, ["kind", "d", "context", "phi0", "phi1"], "process")
-        d = int(payload["d"])
-        if "phi0" in payload or "phi1" in payload:
-            phi0 = np.array(payload["phi0"], dtype=float)
-            phi1 = np.array(payload["phi1"], dtype=float)
-        else:
-            phi0, phi1 = _default_ark_embeddings(d)
-        return BinaryARK(d=d, context=int(payload["context"]), phi0=phi0, phi1=phi1)
-    if kind == "transformer":
-        _reject_unknown(
-            payload,
-            ["kind", "vocab", "attn_dim", "depth", "context", "v_prior", "embed_seed"],
-            "process",
-        )
-        vocab = int(payload["vocab"])
-        attn_dim = int(payload["attn_dim"])
-        emb = make_embeddings(
-            vocab,
-            attn_dim,
-            RngStream(SeedSpec(int(payload.get("embed_seed", 0)), (("embed", 0),))),
-        )
-        return Transformer(
-            vocab=vocab,
-            attn_dim=attn_dim,
-            depth=int(payload["depth"]),
-            context=int(payload["context"]),
-            embeddings=emb,
-            v_prior=payload.get("v_prior", "sphere_rows"),
-        )
-    if kind == "linrep":
-        _reject_unknown(payload, ["kind", "d", "r", "tasks"], "process")
-        return LinRep(d=int(payload["d"]), r=int(payload["r"]), tasks=int(payload["tasks"]))
-    raise ValueError(f"unknown process kind: {kind}")
+    if kind not in PROCESS_KINDS:
+        raise ValueError(f"unknown process kind: {kind}")
+    cls = PROCESS_KINDS[kind]
+    _reject_unknown(payload, ["kind", *cls.config], "process")
+    required = [f.name for f in fields(cls) if f.name in cls.config and f.default is MISSING]
+    _require(payload, required, f"process '{kind}'")
+    return cls.from_config({k: cv(payload[k]) for k, cv in cls.config.items() if k in payload})
 
 
 def parse_predictor(payload: Dict, spec: ProcessSpec) -> PredictorKind:
@@ -175,6 +101,7 @@ def parse_predictor(payload: Dict, spec: ProcessSpec) -> PredictorKind:
         )
     if kind == "misspecified_width":
         _reject_unknown(payload, ["kind", "n", "eps", "size"], "predictor")
+        _require(payload, ["n"], "predictor 'misspecified_width'")
         return MisspecifiedWidth(
             n=int(payload["n"]),
             eps=float(payload.get("eps", 0.0)),
@@ -197,8 +124,21 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.replicates < 2:
             raise ValueError("replicates must be >= 2")
+        if not self.horizons or self.horizons[0] < 1:
+            raise ValueError("horizons must be a non-empty list of positive integers")
         if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
             raise ValueError("horizons must be strictly increasing")
+        if self.spec.meta:
+            raise ValueError(
+                f"{type(self.spec).__name__} is a meta process and cannot run as a "
+                "scenario; use estimators.meta_error_split"
+            )
+        for bound_id in self.bound_ids:
+            if bound_id != self.spec.bound_id:
+                raise ValueError(
+                    f"bound '{bound_id}' does not apply to process '{self.spec.kind}' "
+                    f"(its bound family is '{self.spec.bound_id}')"
+                )
 
 
 CONFIG_KEYS = [
@@ -219,6 +159,11 @@ def parse_config(payload: Dict) -> ScenarioConfig:
     if payload.get("version") != CONFIG_VERSION:
         raise ValueError("config version missing or unsupported")
     _reject_unknown(payload, CONFIG_KEYS, "config")
+    _require(
+        payload,
+        ["scenario_id", "process", "predictor", "horizons", "replicates", "master_seed"],
+        "config",
+    )
     spec = parse_process(payload["process"])
     return ScenarioConfig(
         scenario_id=str(payload["scenario_id"]),
@@ -243,32 +188,13 @@ def load_config(path: str) -> ScenarioConfig:
 
 
 def bounds_for(spec: ProcessSpec, bound_id: str, T: int) -> List[bnd.BoundReport]:
-    """Evaluate a named bound family for this process at horizon T."""
-    if bound_id == "linreg_error" and isinstance(spec, LinReg):
-        reports = [bnd.linreg_error_upper(spec.d, spec.noise_var, T)]
-        lower = bnd.linreg_error_lower(spec.d, spec.noise_var, T)
-        if lower.valid:
-            reports.append(lower)
-        return reports
-    if bound_id == "logreg_error" and isinstance(spec, LogReg):
-        return [bnd.logreg_error_upper(spec.d, T)]
-    if bound_id == "deepnet_error" and isinstance(spec, DeepNet):
-        return [
-            bnd.deepnet_error_upper(spec.d, spec.width, spec.depth, spec.noise_var, T)
-        ]
-    if bound_id == "dirichlet_error" and isinstance(spec, DirichletNet):
-        return [bnd.dirichlet_error_upper(spec.d, spec.scale, spec.noise_var, T)]
-    if bound_id == "ark_error" and isinstance(spec, BinaryARK):
-        return [bnd.ark_error_upper(spec.d, spec.context, T)]
-    if bound_id == "transformer_error" and isinstance(spec, Transformer):
-        return [
-            bnd.transformer_error_upper(
-                spec.vocab, spec.attn_dim, spec.depth, spec.context, T
-            )
-        ]
-    if bound_id == "linrep_error" and isinstance(spec, LinRep):
-        return [bnd.linrep_error_upper(spec.d, spec.r, spec.tasks, T)]
-    raise ValueError(f"unknown or incompatible bound_id: {bound_id}")
+    """Evaluate the process's bound family at horizon T: upper side first,
+    then the lower side where it is valid."""
+    if bound_id != spec.bound_id:
+        raise ValueError(f"unknown or incompatible bound_id: {bound_id}")
+    reports = bnd.evaluate_bound(bound_id, {**spec.bound_params(), "T": T})
+    upper = [r for r in reports if r.side == "upper"]
+    return upper + [r for r in reports if r.side == "lower" and r.valid]
 
 
 @dataclass
@@ -341,17 +267,9 @@ def run_replicates(
     T: int,
     replicates: int,
     stream: RngStream,
-    threads: int = 1,
 ) -> List[ReplicateRecord]:
-    """Run replicates (optionally thread-parallel); order is deterministic."""
-
-    def one(i: int) -> ReplicateRecord:
-        return run_replicate(spec, kind, T, stream.derive(("rep", i)))
-
-    if threads <= 1:
-        return [one(i) for i in range(replicates)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(replicates)))
+    """Run replicates in order; replicate i draws from stream path ("rep", i)."""
+    return [run_replicate(spec, kind, T, stream.derive(("rep", i))) for i in range(replicates)]
 
 
 @dataclass
@@ -362,13 +280,11 @@ class ScenarioResult:
     verification: VerificationReport
 
 
-def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
+def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Simulate, aggregate, and verify one scenario."""
     stream = RngStream(SeedSpec(config.master_seed, (("scenario", 0),)))
     T = max(config.horizons)
-    records = run_replicates(
-        config.spec, config.predictor, T, config.replicates, stream, threads
-    )
+    records = run_replicates(config.spec, config.predictor, T, config.replicates, stream)
     irr = irreducible_rate(config.spec)
     curve = aggregate_error_curve(
         records, config.horizons, irreducible=irr, scenario_id=config.scenario_id
@@ -443,11 +359,9 @@ def load_manifest(name_or_path: str, master_seed: int = 20240817) -> List[Scenar
     return [parse_config(p) for p in payload["scenarios"]]
 
 
-def verify_suite(
-    configs: Sequence[ScenarioConfig], threads: int = 1
-) -> Tuple[bool, List[ScenarioResult]]:
+def verify_suite(configs: Sequence[ScenarioConfig]) -> Tuple[bool, List[ScenarioResult]]:
     """Run every scenario; overall pass iff every verification row passes."""
-    results = [run_scenario(c, threads=threads) for c in configs]
+    results = [run_scenario(c) for c in configs]
     ok = all(r.verification.passed for r in results)
     return ok, results
 

@@ -3,39 +3,45 @@
 Exact conjugate posterior for the linear-Gaussian model, exact enumeration
 posterior over finite latent supports, importance-weighted prior-ensemble
 posterior for everything else, the omniscient baseline, and misspecified
-variants (wrong conjugate prior; reduced-width function prior).
+variants (wrong conjugate prior; reduced-width function prior).  Each
+predictor kind builds its own state; the process spec supplies every
+family-specific piece (conditionals, particle statistics, predictives).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import processes as proc
+# The predictive types live with their output families in processes and are
+# re-exported here for callers of the predictors.
 from .processes import (
-    BinaryARK,
-    DeepNet,
+    BernoulliLogitPred,
+    CategoricalPred,
     DirichletNet,
+    GaussianMixturePred,
+    GaussianPred,
     History,
-    IclMixture,
     LatentParams,
     LinRep,
-    LinReg,
-    LogReg,
     Observation,
+    Particles,
+    PredictiveDistribution,
     ProcessSpec,
-    Transformer,
+    logsumexp,
 )
 from .rng import RngStream
 
-LOG_2PI = math.log(2.0 * math.pi)
+
+def _normalized_log_weights(logw: np.ndarray) -> np.ndarray:
+    return logw - logsumexp(logw)
 
 
 # ---------------------------------------------------------------------------
-# Predictor kinds (tagged union)
+# Predictor kinds (tagged union); each builds its own prior state
 # ---------------------------------------------------------------------------
 
 
@@ -44,6 +50,13 @@ class ConjugateLinReg:
     prior_mean: np.ndarray
     prior_cov: np.ndarray
     noise_var: float
+
+    def init(self, spec, latent, stream) -> "ConjugateState":
+        mean = np.asarray(self.prior_mean, dtype=float).copy()
+        cov = np.asarray(self.prior_cov, dtype=float).copy()
+        if np.min(np.linalg.eigvalsh(cov)) < -1e-10:
+            raise ValueError("prior covariance must be PSD")
+        return ConjugateState(kind=self, mean=mean, cov=cov)
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,10 @@ class Enumeration:
             raise ValueError("prior must be a pmf over the support")
         object.__setattr__(self, "prior", p)
 
+    def init(self, spec, latent, stream) -> "EnumerationState":
+        logp = np.where(self.prior > 0, np.log(np.maximum(self.prior, 1e-300)), -np.inf)
+        return EnumerationState(kind=self, log_weights=_normalized_log_weights(logp))
+
 
 @dataclass(frozen=True)
 class PriorEnsemble:
@@ -67,24 +84,33 @@ class PriorEnsemble:
         if self.size < 2 or not 0 < self.resample_ess_frac <= 1:
             raise ValueError("size >= 2 and 0 < resample_ess_frac <= 1 required")
 
+    def init(self, spec, latent, stream) -> "EnsembleState":
+        if stream is None:
+            raise ValueError("PriorEnsemble requires a stream")
+        particles = spec.sample_particles(self.size, stream.derive(("particles", 0)))
+        return EnsembleState.start(self, particles, stream)
+
 
 @dataclass(frozen=True)
 class Omniscient:
-    pass
+    def init(self, spec, latent, stream) -> "OmniscientState":
+        if latent is None:
+            raise ValueError("Omniscient requires the true latent")
+        return OmniscientState(latent=latent)
 
 
 @dataclass(frozen=True)
-class MisspecifiedConjugate:
+class MisspecifiedConjugate(ConjugateLinReg):
     """Conjugate updates under a wrong Gaussian prior; cov may be singular."""
-
-    prior_mean: np.ndarray
-    prior_cov: np.ndarray
-    noise_var: float
 
 
 @dataclass(frozen=True)
 class MisspecifiedWidth:
-    """Ensemble posterior whose particles come from the width-n snapped prior."""
+    """Ensemble posterior whose particles come from the width-n snapped prior.
+
+    The kind is also the particles' prior: it stacks the width-n nets and
+    evaluates their outputs.
+    """
 
     n: int
     eps: float
@@ -94,6 +120,33 @@ class MisspecifiedWidth:
     def __post_init__(self):
         if self.n < 1 or self.size < 2 or self.eps < 0:
             raise ValueError("n >= 1, size >= 2, eps >= 0 required")
+
+    def init(self, spec, latent, stream) -> "EnsembleState":
+        if stream is None:
+            raise ValueError("MisspecifiedWidth requires a stream")
+        if not isinstance(spec, DirichletNet):
+            raise TypeError("MisspecifiedWidth applies to the Dirichlet-process net")
+        from .quantizers import misspecified_width_prior_sample
+
+        nets = [
+            misspecified_width_prior_sample(
+                spec, self.n, self.eps, stream.derive(("particle", i))
+            )
+            for i in range(self.size)
+        ]
+        return EnsembleState.start(self, Particles.stack(self, nets), stream)
+
+    def stack_particles(self, nets):
+        return {
+            "net_atoms": np.stack([net.atoms for net in nets]),  # (S, n, d)
+            "net_signs": np.stack([net.signs for net in nets]),  # (S, n)
+        }
+
+    def particle_stat(self, particles, history, x, task):
+        # The nets share one width and scale.
+        scale = particles.latents[0].scale / particles.net_signs.shape[1]
+        acts = np.maximum(np.einsum("snd,d->sn", particles.net_atoms, x), 0.0)
+        return scale * np.einsum("sn,sn->s", particles.net_signs, acts)
 
 
 @dataclass(frozen=True)
@@ -107,6 +160,31 @@ class OracleMetaEnsemble:
     size: int = 2048
     resample_ess_frac: float = 0.5
 
+    def init(self, spec, latent, stream) -> "OracleMetaState":
+        if latent is None or stream is None or not isinstance(spec, LinRep):
+            raise ValueError("OracleMetaEnsemble requires a LinRep latent and stream")
+        xi = np.stack(
+            [
+                np.stack(
+                    [
+                        stream.derive(("task", m), ("particle", i)).gen.normal(
+                            0.0, math.sqrt(1.0 / spec.r), size=spec.r
+                        )
+                        for i in range(self.size)
+                    ]
+                )
+                for m in range(spec.tasks)
+            ]
+        )
+        return OracleMetaState(
+            kind=self,
+            spec=spec,
+            psi=latent.psi,
+            xi_particles=xi,
+            log_weights=np.full((spec.tasks, self.size), -math.log(self.size)),
+            stream=stream.derive(("sis", 0)),
+        )
+
 
 PredictorKind = Union[
     ConjugateLinReg,
@@ -117,235 +195,6 @@ PredictorKind = Union[
     MisspecifiedWidth,
     OracleMetaEnsemble,
 ]
-
-
-# ---------------------------------------------------------------------------
-# Predictive distributions (tagged union)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GaussianPred:
-    mean: float
-    variance: float
-
-
-@dataclass
-class GaussianMixturePred:
-    """Weighted Gaussian mixture with a shared component variance.
-
-    The exact posterior predictive of ensemble and enumeration predictors on
-    Gaussian-noise processes; collapsing it to a single moment-matched
-    Gaussian would misstate the log-loss, so it is kept as a mixture.
-    """
-
-    means: np.ndarray
-    variance: float
-    log_weights: np.ndarray
-
-
-@dataclass
-class BernoulliLogitPred:
-    logit: float
-
-    @property
-    def p1(self) -> float:
-        return 1.0 / (1.0 + math.exp(-self.logit)) if self.logit > -700 else 0.0
-
-
-@dataclass
-class CategoricalPred:
-    pmf: np.ndarray
-
-
-PredictiveDistribution = Union[
-    GaussianPred, GaussianMixturePred, BernoulliLogitPred, CategoricalPred
-]
-
-
-def log_loss(pred: PredictiveDistribution, y: Union[float, int]) -> float:
-    """Negative log-probability of y in nats (density for Gaussian kinds)."""
-    if isinstance(pred, GaussianPred):
-        return 0.5 * (LOG_2PI + math.log(pred.variance)) + (y - pred.mean) ** 2 / (
-            2.0 * pred.variance
-        )
-
-    if isinstance(pred, GaussianMixturePred):
-        comp = -0.5 * (LOG_2PI + math.log(pred.variance)) - (
-            (y - pred.means) ** 2
-        ) / (2.0 * pred.variance)
-        return float(-logsumexp(pred.log_weights + comp))
-    if isinstance(pred, BernoulliLogitPred):
-        z = pred.logit
-        return float(np.logaddexp(0.0, -z)) if y == 1 else float(np.logaddexp(0.0, z))
-    if isinstance(pred, CategoricalPred):
-        p = pred.pmf[int(y) - 1]
-        return math.inf if p <= 0.0 else -math.log(p)
-    raise TypeError(f"unknown predictive kind: {type(pred).__name__}")
-
-
-def logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(a - m))))
-
-
-def _normalized_log_weights(logw: np.ndarray) -> np.ndarray:
-    return logw - logsumexp(logw)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized per-particle likelihood/prediction helpers
-# ---------------------------------------------------------------------------
-
-
-class _Particles:
-    """Stacked latent draws for one process, with vectorized conditionals."""
-
-    def __init__(self, spec: ProcessSpec, size: int):
-        self.spec = spec
-        self.size = size
-        self.latents: Optional[List[LatentParams]] = None
-
-    @classmethod
-    def from_latents(cls, spec: ProcessSpec, latents: List[LatentParams]) -> "_Particles":
-        self = cls(spec, len(latents))
-        self.latents = latents
-        if isinstance(spec, (LinReg, LogReg)):
-            self.theta = np.stack([l.theta for l in latents])  # (S, d)
-        elif isinstance(spec, DeepNet):
-            self.weights = [
-                np.stack([l.weights[i] for l in latents]) for i in range(spec.depth)
-            ]  # each (S, out, in)
-        elif isinstance(spec, BinaryARK):
-            self.theta = np.stack([l.theta for l in latents])  # (S, K, d)
-        elif isinstance(spec, LinRep):
-            self.psi = np.stack([l.psi for l in latents])  # (S, d, r)
-            self.xi = np.stack([l.xi for l in latents])  # (S, M, r)
-        elif isinstance(spec, DirichletNet) and latents and hasattr(latents[0], "scale"):
-            # Reduced-width surrogate nets share a common width and scale.
-            self.net_atoms = np.stack([l.atoms for l in latents])  # (S, n, d)
-            self.net_signs = np.stack([l.signs for l in latents])  # (S, n)
-            self.net_scale = latents[0].scale / self.net_signs.shape[1]
-        return self
-
-    @classmethod
-    def sample(cls, spec: ProcessSpec, size: int, stream: RngStream) -> "_Particles":
-        """Draw `size` iid prior latents with batched array generation."""
-        self = cls(spec, size)
-        gen = stream.gen
-        if isinstance(spec, LinReg):
-            self.theta = gen.normal(0.0, math.sqrt(spec.prior_var), size=(size, spec.d))
-        elif isinstance(spec, LogReg):
-            self.theta = gen.normal(0.0, math.sqrt(1.0 / spec.d), size=(size, spec.d))
-        elif isinstance(spec, DeepNet):
-            d, n, depth = spec.d, spec.width, spec.depth
-            self.weights = []
-            for layer in range(depth):
-                if layer == 0:
-                    shape = (size, n if depth > 1 else 1, d)
-                    sd = math.sqrt(1.0 / d)
-                elif layer == depth - 1:
-                    shape, sd = (size, 1, n), math.sqrt(1.0 / n)
-                else:
-                    shape, sd = (size, n, n), math.sqrt(1.0 / n)
-                self.weights.append(gen.normal(0.0, sd, size=shape))
-        elif isinstance(spec, BinaryARK):
-            self.theta = gen.normal(
-                0.0, math.sqrt(1.0 / spec.context), size=(size, spec.context, spec.d)
-            )
-        elif isinstance(spec, LinRep):
-            g = gen.normal(size=(size, spec.d, spec.r))
-            q, r = np.linalg.qr(g)
-            signs = np.sign(np.einsum("sii->si", r))
-            signs[signs == 0] = 1.0
-            self.psi = q * signs[:, None, :]
-            self.xi = gen.normal(
-                0.0, math.sqrt(1.0 / spec.r), size=(size, spec.tasks, spec.r)
-            )
-        else:
-            return cls.from_latents(
-                spec,
-                [
-                    proc.sample_latent(spec, stream.derive(("particle", i)))
-                    for i in range(size)
-                ],
-            )
-        return self
-
-    def resample(self, indices: np.ndarray) -> "_Particles":
-        if self.latents is not None:
-            return _Particles.from_latents(
-                self.spec, [self.latents[i] for i in indices]
-            )
-        out = _Particles(self.spec, len(indices))
-        if hasattr(self, "theta"):
-            out.theta = self.theta[indices]
-        if hasattr(self, "weights"):
-            out.weights = [w[indices] for w in self.weights]
-        if hasattr(self, "psi"):
-            out.psi = self.psi[indices]
-            out.xi = self.xi[indices]
-        return out
-
-    # -- per-particle sufficient predictions ---------------------------------
-
-    def gaussian_means(self, x: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        if isinstance(spec, LinReg):
-            return self.theta @ x
-        if isinstance(spec, DeepNet):
-            u = np.broadcast_to(x, (self.size, len(x)))
-            for i, w in enumerate(self.weights):
-                u = np.einsum("soi,si->so", w, u)
-                if i < spec.depth - 1:
-                    u = np.maximum(u, 0.0)
-            return u[:, 0]
-        if isinstance(spec, DirichletNet):
-            if hasattr(self, "net_atoms"):
-                acts = np.maximum(np.einsum("snd,d->sn", self.net_atoms, x), 0.0)
-                return self.net_scale * np.einsum("sn,sn->s", self.net_signs, acts)
-            return np.array(
-                [proc.dirichlet_net_output(spec, l, x) for l in self.latents]
-            )
-        raise TypeError("gaussian_means undefined for this process")
-
-    def bernoulli_logits(self, history: History, x: Optional[np.ndarray]) -> np.ndarray:
-        spec = self.spec
-        if isinstance(spec, LogReg):
-            return self.theta @ x
-        if isinstance(spec, BinaryARK):
-            bits = [int(b) for b in history.labels()]
-            ctx = bits[-spec.context:]
-            phis = np.stack(
-                [spec.phi1 if ctx[-k] == 1 else spec.phi0
-                 for k in range(1, spec.context + 1)]
-            )  # (K, d)
-            return np.einsum("skd,kd->s", self.theta, phis)
-        raise TypeError("bernoulli_logits undefined for this process")
-
-    def categorical_pmfs(self, history: History, task: Optional[int]) -> np.ndarray:
-        spec = self.spec
-        if isinstance(spec, LinRep):
-            logits = np.einsum("sdr,sr->sd", self.psi, self.xi[:, task])
-            logits -= logits.max(axis=1, keepdims=True)
-            e = np.exp(logits)
-            return e / e.sum(axis=1, keepdims=True)
-        if isinstance(spec, Transformer):
-            tokens = [int(t) for t in history.labels()]
-            return np.stack(
-                [proc.transformer_next_pmf(spec, l, tokens) for l in self.latents]
-            )
-        raise TypeError("categorical_pmfs undefined for this process")
-
-
-def _gaussian_loglik(means: np.ndarray, noise_var: float, y: float) -> np.ndarray:
-    return -0.5 * (LOG_2PI + math.log(noise_var)) - (y - means) ** 2 / (2.0 * noise_var)
-
-
-def _bernoulli_loglik(logits: np.ndarray, y: int) -> np.ndarray:
-    return -np.logaddexp(0.0, -logits) if y == 1 else -np.logaddexp(0.0, logits)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +216,9 @@ class ConjugateState:
         self.mean = self.mean + cx * ((y - float(self.mean @ x)) / s)
         self.cov = self.cov - np.outer(cx, cx) / s
 
-    def predict(self, spec: ProcessSpec, x: np.ndarray) -> GaussianPred:
+    def predict(
+        self, spec: ProcessSpec, x: np.ndarray, task: Optional[int] = None
+    ) -> GaussianPred:
         return GaussianPred(
             mean=float(self.mean @ x),
             variance=self.kind.noise_var + float(x @ self.cov @ x),
@@ -381,58 +232,45 @@ class EnumerationState:
     history: History = field(default_factory=History)
 
     def observe(self, spec: ProcessSpec, obs: Observation) -> None:
-        if isinstance(spec, (BinaryARK, Transformer)) and len(self.history) < spec.context:
+        if len(self.history) < spec.seed_tokens:
             # Seed context tokens are prior-independent; no reweighting.
             self.history.append(obs)
             return
         ll = np.array(
             [
-                proc.cond_logprob(spec, latent, self.history, obs.x, obs.y)
+                spec.logprob(latent, self.history, obs.x, obs.y, obs.task)
                 for latent in self.kind.support
             ]
         )
         self.log_weights = _normalized_log_weights(self.log_weights + ll)
         self.history.append(obs)
 
-    def predict(self, spec: ProcessSpec, x: Optional[np.ndarray]) -> PredictiveDistribution:
-        w = np.exp(self.log_weights)
-        if isinstance(spec, (LinReg, DeepNet, DirichletNet)):
-            parts = _Particles.from_latents(spec, list(self.kind.support))
-            return GaussianMixturePred(
-                means=parts.gaussian_means(x),
-                variance=spec.noise_var,
-                log_weights=self.log_weights.copy(),
-            )
-        if isinstance(spec, (LogReg, BinaryARK)):
-            probs = np.array(
-                [
-                    math.exp(proc.cond_logprob(spec, latent, self.history, x, 1))
-                    for latent in self.kind.support
-                ]
-            )
-            p1 = float(w @ probs)
-            p1 = min(max(p1, 1e-300), 1.0 - 1e-16)
-            return BernoulliLogitPred(logit=math.log(p1 / (1.0 - p1)))
-        if isinstance(spec, Transformer):
-            tokens = [int(t) for t in self.history.labels()]
-            pmfs = np.stack(
-                [
-                    proc.transformer_next_pmf(spec, latent, tokens)
-                    for latent in self.kind.support
-                ]
-            )
-            return CategoricalPred(pmf=w @ pmfs)
-        raise TypeError(f"predict undefined for {type(spec).__name__}")
+    def predict(
+        self, spec: ProcessSpec, x: Optional[np.ndarray], task: Optional[int] = None
+    ) -> PredictiveDistribution:
+        return spec.support_predictive(
+            self.kind.support, self.history, x, task, self.log_weights
+        )
 
 
 @dataclass
 class EnsembleState:
     kind: Union[PriorEnsemble, MisspecifiedWidth]
-    particles: _Particles
+    particles: Particles
     log_weights: np.ndarray
     stream: RngStream
     history: History = field(default_factory=History)
     resamples: int = 0
+
+    @classmethod
+    def start(cls, kind, particles: Particles, stream: RngStream) -> "EnsembleState":
+        """Uniform weights over fresh particles; resampling draws from stream."""
+        return cls(
+            kind=kind,
+            particles=particles,
+            log_weights=np.full(particles.size, -math.log(particles.size)),
+            stream=stream.derive(("sis", 0)),
+        )
 
     def _maybe_resample(self) -> None:
         w = np.exp(self.log_weights)
@@ -451,23 +289,11 @@ class EnsembleState:
             self.resamples += 1
 
     def observe(self, spec: ProcessSpec, obs: Observation) -> None:
-        if isinstance(spec, (BinaryARK, Transformer)) and len(self.history) < spec.context:
+        if len(self.history) < spec.seed_tokens:
             # Seed context tokens are prior-independent; no reweighting.
             self.history.append(obs)
             return
-        if isinstance(spec, (LinReg, DeepNet, DirichletNet)):
-            ll = _gaussian_loglik(
-                self.particles.gaussian_means(obs.x), spec.noise_var, float(obs.y)
-            )
-        elif isinstance(spec, (LogReg, BinaryARK)):
-            ll = _bernoulli_loglik(
-                self.particles.bernoulli_logits(self.history, obs.x), int(obs.y)
-            )
-        elif isinstance(spec, (LinRep, Transformer)):
-            pmfs = self.particles.categorical_pmfs(self.history, obs.task)
-            ll = np.log(np.maximum(pmfs[:, int(obs.y) - 1], 1e-300))
-        else:
-            raise TypeError(f"observe undefined for {type(spec).__name__}")
+        ll = spec.loglik(self.particles.stat(self.history, obs.x, obs.task), obs.y)
         self.log_weights = _normalized_log_weights(self.log_weights + ll)
         self.history.append(obs)
         self._maybe_resample()
@@ -478,22 +304,7 @@ class EnsembleState:
         x: Optional[np.ndarray],
         task: Optional[int] = None,
     ) -> PredictiveDistribution:
-        w = np.exp(self.log_weights)
-        if isinstance(spec, (LinReg, DeepNet, DirichletNet)):
-            return GaussianMixturePred(
-                means=self.particles.gaussian_means(x),
-                variance=spec.noise_var,
-                log_weights=self.log_weights.copy(),
-            )
-        if isinstance(spec, (LogReg, BinaryARK)):
-            logits = self.particles.bernoulli_logits(self.history, x)
-            p1 = float(w @ (1.0 / (1.0 + np.exp(-logits))))
-            p1 = min(max(p1, 1e-300), 1.0 - 1e-16)
-            return BernoulliLogitPred(logit=math.log(p1 / (1.0 - p1)))
-        if isinstance(spec, (LinRep, Transformer)):
-            pmfs = self.particles.categorical_pmfs(self.history, task)
-            return CategoricalPred(pmf=w @ pmfs)
-        raise TypeError(f"predict undefined for {type(spec).__name__}")
+        return spec.mixture(self.particles.stat(self.history, x, task), self.log_weights)
 
 
 @dataclass
@@ -510,31 +321,7 @@ class OmniscientState:
         x: Optional[np.ndarray],
         task: Optional[int] = None,
     ) -> PredictiveDistribution:
-        if isinstance(spec, LinReg):
-            return GaussianPred(float(self.latent.theta @ x), spec.noise_var)
-        if isinstance(spec, DeepNet):
-            return GaussianPred(
-                proc.relu_forward(self.latent.weights, x), spec.noise_var
-            )
-        if isinstance(spec, DirichletNet):
-            return GaussianPred(
-                proc.dirichlet_net_output(spec, self.latent, x), spec.noise_var
-            )
-        if isinstance(spec, LogReg):
-            return BernoulliLogitPred(float(self.latent.theta @ x))
-        if isinstance(spec, BinaryARK):
-            bits = [int(b) for b in self.history.labels()]
-            return BernoulliLogitPred(proc.ark_logit(spec, self.latent, bits))
-        if isinstance(spec, Transformer):
-            tokens = [int(t) for t in self.history.labels()]
-            return CategoricalPred(proc.transformer_next_pmf(spec, self.latent, tokens))
-        if isinstance(spec, LinRep):
-            return CategoricalPred(proc.linrep_task_pmf(self.latent, task))
-        if isinstance(spec, IclMixture):
-            comp = self.latent.components[int(self.latent.assignments[task])]
-            tokens = [int(o.y) for o in self.history.observations if o.task == task]
-            return CategoricalPred(proc.transformer_next_pmf(spec.inner, comp, tokens))
-        raise TypeError(f"predict undefined for {type(spec).__name__}")
+        return spec.point(spec.conditional(self.latent, self.history, x, task))
 
 
 @dataclass
@@ -602,72 +389,7 @@ def init_predictor(
     stream: Optional[RngStream] = None,
 ) -> PredictorState:
     """Build the prior state of a predictor (no observations seen)."""
-    if isinstance(kind, (ConjugateLinReg, MisspecifiedConjugate)):
-        mean = np.asarray(kind.prior_mean, dtype=float).copy()
-        cov = np.asarray(kind.prior_cov, dtype=float).copy()
-        if np.min(np.linalg.eigvalsh(cov)) < -1e-10:
-            raise ValueError("prior covariance must be PSD")
-        return ConjugateState(kind=kind, mean=mean, cov=cov)
-    if isinstance(kind, Enumeration):
-        logp = np.where(kind.prior > 0, np.log(np.maximum(kind.prior, 1e-300)), -np.inf)
-        return EnumerationState(kind=kind, log_weights=_normalized_log_weights(logp))
-    if isinstance(kind, PriorEnsemble):
-        if stream is None:
-            raise ValueError("PriorEnsemble requires a stream")
-        return EnsembleState(
-            kind=kind,
-            particles=_Particles.sample(spec, kind.size, stream.derive(("particles", 0))),
-            log_weights=np.full(kind.size, -math.log(kind.size)),
-            stream=stream.derive(("sis", 0)),
-        )
-    if isinstance(kind, MisspecifiedWidth):
-        if stream is None:
-            raise ValueError("MisspecifiedWidth requires a stream")
-        if not isinstance(spec, DirichletNet):
-            raise TypeError("MisspecifiedWidth applies to the Dirichlet-process net")
-        from .quantizers import misspecified_width_prior_sample
-
-        latents = [
-            misspecified_width_prior_sample(
-                spec, kind.n, kind.eps, stream.derive(("particle", i))
-            )
-            for i in range(kind.size)
-        ]
-        return EnsembleState(
-            kind=kind,
-            particles=_Particles.from_latents(spec, latents),
-            log_weights=np.full(kind.size, -math.log(kind.size)),
-            stream=stream.derive(("sis", 0)),
-        )
-    if isinstance(kind, Omniscient):
-        if latent is None:
-            raise ValueError("Omniscient requires the true latent")
-        return OmniscientState(latent=latent)
-    if isinstance(kind, OracleMetaEnsemble):
-        if latent is None or stream is None or not isinstance(spec, LinRep):
-            raise ValueError("OracleMetaEnsemble requires a LinRep latent and stream")
-        xi = np.stack(
-            [
-                np.stack(
-                    [
-                        stream.derive(("task", m), ("particle", i)).gen.normal(
-                            0.0, math.sqrt(1.0 / spec.r), size=spec.r
-                        )
-                        for i in range(kind.size)
-                    ]
-                )
-                for m in range(spec.tasks)
-            ]
-        )
-        return OracleMetaState(
-            kind=kind,
-            spec=spec,
-            psi=latent.psi,
-            xi_particles=xi,
-            log_weights=np.full((spec.tasks, kind.size), -math.log(kind.size)),
-            stream=stream.derive(("sis", 0)),
-        )
-    raise TypeError(f"unknown predictor kind: {type(kind).__name__}")
+    return kind.init(spec, latent, stream)
 
 
 def observe(state: PredictorState, spec: ProcessSpec, obs: Observation) -> PredictorState:
@@ -683,8 +405,9 @@ def predict(
     task: Optional[int] = None,
 ) -> PredictiveDistribution:
     """Posterior (or prior) predictive distribution for the next label."""
-    if isinstance(state, ConjugateState):
-        return state.predict(spec, x)
-    if isinstance(state, EnumerationState):
-        return state.predict(spec, x)
     return state.predict(spec, x, task)
+
+
+def log_loss(pred: PredictiveDistribution, y: Union[float, int]) -> float:
+    """Negative log-probability of y in nats (density for Gaussian kinds)."""
+    return pred.log_loss(y)

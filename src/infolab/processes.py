@@ -1,8 +1,12 @@
-"""Data-generating processes behind one generator interface.
+"""Data-generating processes behind one process protocol.
 
-Each process exposes: prior sampling of latent parameters, initial history,
-single-step generation, and exact conditional log-likelihood of a label given
-latent and history.
+Every process spec owns what differs between processes: its config keys,
+prior sampling (one latent, or a batch of particles), the true conditional
+of the next label given latent and history, the per-particle form of that
+conditional, and the parameters of its bound family.  The output family a
+spec derives from (Gaussian, Bernoulli or categorical) turns the conditional
+into a draw, a log-likelihood and a predictive distribution, so predictors
+and the harness never ask which process they hold.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 
 from .rng import (
     RngStream,
+    SeedSpec,
     StickBreakingDraw,
     sample_categorical,
     sample_gaussian,
@@ -27,7 +32,278 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# Process specifications (tagged union)
+# Predictive distributions
+# ---------------------------------------------------------------------------
+
+
+def logsumexp(a: np.ndarray) -> float:
+    m = np.max(a)
+    if not np.isfinite(m):
+        return float(m)
+    return float(m + np.log(np.sum(np.exp(a - m))))
+
+
+@dataclass
+class GaussianPred:
+    mean: float
+    variance: float
+
+    def log_loss(self, y: float) -> float:
+        return 0.5 * (LOG_2PI + math.log(self.variance)) + (y - self.mean) ** 2 / (
+            2.0 * self.variance
+        )
+
+
+@dataclass
+class GaussianMixturePred:
+    """Weighted Gaussian mixture with a shared component variance.
+
+    The exact posterior predictive of ensemble and enumeration predictors on
+    Gaussian-noise processes; collapsing it to a single moment-matched
+    Gaussian would misstate the log-loss, so it is kept as a mixture.
+    """
+
+    means: np.ndarray
+    variance: float
+    log_weights: np.ndarray
+
+    def log_loss(self, y: float) -> float:
+        comp = -0.5 * (LOG_2PI + math.log(self.variance)) - (
+            (y - self.means) ** 2
+        ) / (2.0 * self.variance)
+        return float(-logsumexp(self.log_weights + comp))
+
+
+@dataclass
+class BernoulliLogitPred:
+    logit: float
+
+    @property
+    def p1(self) -> float:
+        return 1.0 / (1.0 + math.exp(-self.logit)) if self.logit > -700 else 0.0
+
+    def log_loss(self, y: int) -> float:
+        z = self.logit
+        return float(np.logaddexp(0.0, -z)) if y == 1 else float(np.logaddexp(0.0, z))
+
+
+@dataclass
+class CategoricalPred:
+    pmf: np.ndarray
+
+    def log_loss(self, y: int) -> float:
+        p = self.pmf[int(y) - 1]
+        return math.inf if p <= 0.0 else -math.log(p)
+
+
+PredictiveDistribution = Union[
+    GaussianPred, GaussianMixturePred, BernoulliLogitPred, CategoricalPred
+]
+
+
+def _bernoulli_mixture(p1: float) -> BernoulliLogitPred:
+    p1 = min(max(float(p1), 1e-300), 1.0 - 1e-16)
+    return BernoulliLogitPred(logit=math.log(p1 / (1.0 - p1)))
+
+
+# ---------------------------------------------------------------------------
+# Particles: batches of prior draws
+# ---------------------------------------------------------------------------
+
+
+class Particles:
+    """Prior draws as a latent list, stacked per-particle arrays, or both.
+
+    `prior` (a process spec, or a predictor kind with its own prior) gives
+    the per-particle statistic.  Every array in `arrays` has the particle
+    axis first, so resampling indexes them all alike; each is also an
+    attribute of the same name.
+    """
+
+    def __init__(self, prior, size: int, latents: Optional[List] = None, **arrays):
+        self.prior = prior
+        self.size = size
+        self.latents = latents
+        self.arrays = arrays
+        for name, value in arrays.items():
+            setattr(self, name, value)
+
+    @classmethod
+    def stack(cls, prior, latents: List) -> "Particles":
+        return cls(prior, len(latents), latents, **prior.stack_particles(latents))
+
+    def resample(self, indices: np.ndarray) -> "Particles":
+        latents = None if self.latents is None else [self.latents[i] for i in indices]
+        arrays = {name: a[indices] for name, a in self.arrays.items()}
+        return Particles(self.prior, len(indices), latents, **arrays)
+
+    def stat(self, history: "History", x, task: Optional[int]) -> np.ndarray:
+        """Per-particle conditional statistic (means, logits or pmfs)."""
+        return self.prior.particle_stat(self, history, x, task)
+
+
+# ---------------------------------------------------------------------------
+# The process protocol and its output families
+# ---------------------------------------------------------------------------
+
+
+class Process:
+    """Generator interface shared by every process spec.
+
+    A spec sets `kind` and `config` (config key -> conversion; absent keys
+    take the dataclass defaults), `bound_id` and `bound_args` (bound
+    parameter -> attribute).  It implements `sample_latent` and
+    `conditional`: the statistic of the next label given latent, history,
+    input and task.  Specs with array latents batch `sample_particles` and
+    vectorize `particle_stat`; sequence processes set `seed_tokens` and
+    `seed_label`.  The output family supplies `draw`, `logprob`, `loglik`,
+    `point` and `mixture`.
+    """
+
+    meta = False
+    seed_tokens = 0  # leading uniform labels (seed_label) that open the history
+
+    @classmethod
+    def from_config(cls, values: Dict) -> "Process":
+        return cls(**values)
+
+    def bound_params(self) -> Dict:
+        return {name: getattr(self, attr) for name, attr in self.bound_args.items()}
+
+    def draw_input(self, stream: RngStream) -> Optional[np.ndarray]:
+        return stream.gen.normal(size=self.d)
+
+    def initial_history(self, latent, stream: RngStream) -> "History":
+        labels = [self.seed_label(stream) for _ in range(self.seed_tokens)]
+        return History([Observation(x=None, y=y) for y in labels])
+
+    def irreducible_rate(self) -> Optional[float]:
+        return None
+
+    def step(self, latent, history: "History", stream: RngStream) -> "Observation":
+        return self.draw(latent, history, stream, None)
+
+    def cond_logprob(self, latent, history: "History", x, y) -> float:
+        return self.logprob(latent, history, x, y, None)
+
+    def sample_particles(self, size: int, stream: RngStream) -> Particles:
+        """`size` iid prior draws; processes with array latents batch this."""
+        return Particles.stack(
+            self, [self.sample_latent(stream.derive(("particle", i))) for i in range(size)]
+        )
+
+    def stack_particles(self, latents: List) -> Dict[str, np.ndarray]:
+        """Per-particle arrays for given latents, e.g. an enumeration support."""
+        return {}
+
+    def particle_stat(self, particles: Particles, history, x, task) -> np.ndarray:
+        # Latent-list particles, e.g. Dirichlet draws whose atom counts differ.
+        return np.array([self.conditional(l, history, x, task) for l in particles.latents])
+
+    def support_predictive(self, support, history, x, task, log_weights) -> PredictiveDistribution:
+        """Posterior predictive of a finite support under normalized log weights."""
+        stats = Particles.stack(self, list(support)).stat(history, x, task)
+        return self.mixture(stats, log_weights)
+
+
+class _Gaussian(Process):
+    """Y = conditional mean + N(0, noise_var), inputs X ~ N(0, I_d)."""
+
+    def draw(self, latent, history, stream, task):
+        x = self.draw_input(stream)
+        y = self.conditional(latent, history, x, task) + float(
+            stream.gen.normal(0.0, math.sqrt(self.noise_var))
+        )
+        return Observation(x=x, y=y)
+
+    def logprob(self, latent, history, x, y, task) -> float:
+        return self.loglik(self.conditional(latent, history, x, task), y)
+
+    def loglik(self, means, y):
+        return -0.5 * (LOG_2PI + math.log(self.noise_var)) - (float(y) - means) ** 2 / (
+            2.0 * self.noise_var
+        )
+
+    def irreducible_rate(self) -> float:
+        return 0.5 * math.log(2.0 * math.pi * math.e * self.noise_var)
+
+    def point(self, mean: float) -> GaussianPred:
+        return GaussianPred(mean, self.noise_var)
+
+    def mixture(self, means: np.ndarray, log_weights: np.ndarray) -> GaussianMixturePred:
+        return GaussianMixturePred(
+            means=means, variance=self.noise_var, log_weights=log_weights.copy()
+        )
+
+
+class _Bernoulli(Process):
+    """Binary labels with P(Y = 1) = sigmoid(conditional logit)."""
+
+    def draw(self, latent, history, stream, task):
+        x = self.draw_input(stream)
+        p1 = _sigmoid(self.conditional(latent, history, x, task))
+        return Observation(x=x, y=int(stream.gen.random() < p1))
+
+    def logprob(self, latent, history, x, y, task) -> float:
+        return float(self.loglik(self.conditional(latent, history, x, task), y))
+
+    def loglik(self, logits, y):
+        return -np.logaddexp(0.0, -logits) if y == 1 else -np.logaddexp(0.0, logits)
+
+    def point(self, logit: float) -> BernoulliLogitPred:
+        return BernoulliLogitPred(logit)
+
+    def mixture(self, logits: np.ndarray, log_weights: np.ndarray) -> BernoulliLogitPred:
+        return _bernoulli_mixture(np.exp(log_weights) @ (1.0 / (1.0 + np.exp(-logits))))
+
+    def support_predictive(self, support, history, x, task, log_weights) -> BernoulliLogitPred:
+        probs = np.array(
+            [math.exp(self.logprob(latent, history, x, 1, task)) for latent in support]
+        )
+        return _bernoulli_mixture(np.exp(log_weights) @ probs)
+
+
+class _Categorical(Process):
+    """Labels 1..V drawn from the conditional pmf; inputs are absent."""
+
+    def draw(self, latent, history, stream, task):
+        pmf = self.conditional(latent, history, None, task)
+        return Observation(x=None, y=sample_categorical(stream, pmf) + 1, task=task)
+
+    def logprob(self, latent, history, x, y, task) -> float:
+        return float(np.log(self.conditional(latent, history, x, task)[int(y) - 1]))
+
+    def loglik(self, pmfs, y):
+        return np.log(np.maximum(pmfs[:, int(y) - 1], 1e-300))
+
+    def point(self, pmf: np.ndarray) -> CategoricalPred:
+        return CategoricalPred(pmf)
+
+    def mixture(self, pmfs: np.ndarray, log_weights: np.ndarray) -> CategoricalPred:
+        return CategoricalPred(pmf=np.exp(log_weights) @ pmfs)
+
+
+class _MetaCategorical(_Categorical):
+    """Categorical processes over `tasks` tasks, generated one task at a time."""
+
+    meta = True
+
+    def step(self, latent, history, stream):
+        raise TypeError(
+            f"step is undefined for {type(self).__name__}; use meta_step for meta processes"
+        )
+
+    def meta_step(self, latent, m, history, stream):
+        if not 0 <= m < self.tasks:
+            raise ValueError("task index out of range")
+        return self.draw(latent, history, stream, m)
+
+    def meta_cond_logprob(self, latent, m, history, y):
+        return self.logprob(latent, history, None, y, m)
+
+
+# ---------------------------------------------------------------------------
+# Process specifications
 # ---------------------------------------------------------------------------
 
 
@@ -37,13 +313,22 @@ def _check_unit_rows(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} rows must have unit norm")
 
 
+def _float_array(value) -> np.ndarray:
+    return np.array(value, dtype=float)
+
+
 @dataclass(frozen=True)
-class LinReg:
+class LinReg(_Gaussian):
     """Linear regression: theta ~ N(0, prior_var I_d), Y = theta^T X + W."""
 
     d: int
     noise_var: float
     prior_var: Optional[float] = None
+
+    kind = "linreg"
+    config = {"d": int, "noise_var": float, "prior_var": float}
+    bound_id = "linreg_error"
+    bound_args = {"d": "d", "noise_var": "noise_var"}
 
     def __post_init__(self):
         if self.d < 1 or self.noise_var <= 0:
@@ -51,20 +336,54 @@ class LinReg:
         if self.prior_var is None:
             object.__setattr__(self, "prior_var", 1.0 / self.d)
 
+    def sample_latent(self, stream: RngStream) -> "LinRegLatent":
+        return LinRegLatent(theta=sample_gaussian(stream, self.d, self.prior_var))
+
+    def sample_particles(self, size: int, stream: RngStream) -> Particles:
+        theta = stream.gen.normal(0.0, math.sqrt(self.prior_var), size=(size, self.d))
+        return Particles(self, size, theta=theta)
+
+    def stack_particles(self, latents):
+        return {"theta": np.stack([l.theta for l in latents])}  # (S, d)
+
+    def conditional(self, latent, history, x, task) -> float:
+        return float(latent.theta @ x)
+
+    def particle_stat(self, particles, history, x, task):
+        return particles.theta @ x
+
 
 @dataclass(frozen=True)
-class LogReg:
+class LogReg(_Bernoulli):
     """Logistic regression: theta ~ N(0, I_d/d), P(Y=1) = sigmoid(theta^T X)."""
 
     d: int
+
+    kind = "logreg"
+    config = {"d": int}
+    bound_id = "logreg_error"
+    bound_args = {"d": "d"}
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d >= 1 required")
 
+    def sample_latent(self, stream: RngStream) -> "LogRegLatent":
+        return LogRegLatent(theta=sample_gaussian(stream, self.d, 1.0 / self.d))
+
+    def sample_particles(self, size: int, stream: RngStream) -> Particles:
+        theta = stream.gen.normal(0.0, math.sqrt(1.0 / self.d), size=(size, self.d))
+        return Particles(self, size, theta=theta)
+
+    def conditional(self, latent, history, x, task) -> float:
+        return float(latent.theta @ x)
+
+    def particle_stat(self, particles, history, x, task):
+        return particles.theta @ x
+
 
 @dataclass(frozen=True)
-class DeepNet:
+class DeepNet(_Gaussian):
     """ReLU stack with Gaussian weight priors and linear scalar output."""
 
     d: int
@@ -72,13 +391,56 @@ class DeepNet:
     depth: int
     noise_var: float
 
+    kind = "deepnet"
+    config = {"d": int, "width": int, "depth": int, "noise_var": float}
+    bound_id = "deepnet_error"
+    bound_args = {"d": "d", "width": "width", "depth": "depth", "noise_var": "noise_var"}
+
     def __post_init__(self):
         if min(self.d, self.width, self.depth) < 1 or self.noise_var <= 0:
             raise ValueError("dimensions >= 1 and noise_var > 0 required")
 
+    def _layers(self):
+        """(shape, prior standard deviation) of each weight matrix, input first."""
+        d, n = self.d, self.width
+        if self.depth == 1:
+            return [((1, d), math.sqrt(1.0 / d))]
+        hidden = [((n, n), math.sqrt(1.0 / n))] * (self.depth - 2)
+        return [((n, d), math.sqrt(1.0 / d))] + hidden + [((1, n), math.sqrt(1.0 / n))]
+
+    def sample_latent(self, stream: RngStream) -> "DeepNetLatent":
+        weights = []
+        for layer, (shape, sd) in enumerate(self._layers()):
+            weights.append(stream.derive(("layer", layer)).gen.normal(0.0, sd, size=shape))
+        return DeepNetLatent(weights=weights)
+
+    def sample_particles(self, size: int, stream: RngStream) -> Particles:
+        # Layer i is the array w{i}, shaped (S, out, in); arrays keep layer order.
+        weights = {
+            f"w{i}": stream.gen.normal(0.0, sd, size=(size,) + shape)
+            for i, (shape, sd) in enumerate(self._layers())
+        }
+        return Particles(self, size, **weights)
+
+    def stack_particles(self, latents):
+        return {
+            f"w{i}": np.stack([l.weights[i] for l in latents]) for i in range(self.depth)
+        }
+
+    def conditional(self, latent, history, x, task) -> float:
+        return relu_forward(latent.weights, x)
+
+    def particle_stat(self, particles, history, x, task):
+        u = np.broadcast_to(x, (particles.size, len(x)))
+        for i, w in enumerate(particles.arrays.values()):
+            u = np.einsum("soi,si->so", w, u)
+            if i < self.depth - 1:
+                u = np.maximum(u, 0.0)
+        return u[:, 0]
+
 
 @dataclass(frozen=True)
-class DirichletNet:
+class DirichletNet(_Gaussian):
     """Infinite-width net drawn from a Dirichlet process over sphere atoms.
 
     Y = W + c sum_w theta_w ReLU(w^T X) with c = sqrt(scale) by default or
@@ -92,6 +454,13 @@ class DirichletNet:
     tail_tol: float = 1e-8
     plus_one_scaling: bool = False
 
+    kind = "dirichlet"
+    config = {
+        "d": int, "scale": float, "noise_var": float, "tail_tol": float, "plus_one_scaling": bool
+    }
+    bound_id = "dirichlet_error"
+    bound_args = {"d": "d", "K": "scale", "noise_var": "noise_var"}
+
     def __post_init__(self):
         if self.d < 1 or self.scale <= 0 or self.noise_var <= 0:
             raise ValueError("d >= 1, scale > 0, noise_var > 0 required")
@@ -100,17 +469,44 @@ class DirichletNet:
     def output_scale(self) -> float:
         return math.sqrt(self.scale + 1.0 if self.plus_one_scaling else self.scale)
 
+    def sample_latent(self, stream: RngStream) -> "DirichletNetLatent":
+        draw = sample_stick_breaking(stream, self.scale, self.d, self.tail_tol)
+        signs = np.where(stream.gen.random(len(draw.weights)) < 0.5, 1.0, -1.0)
+        return DirichletNetLatent(draw=draw, signs=signs)
+
+    def conditional(self, latent, history, x, task) -> float:
+        return dirichlet_net_output(self, latent, x)
+
+
+def _default_ark_embeddings(d: int):
+    if d == 1:
+        return np.array([1.0]), np.array([-1.0])
+    phi0 = np.zeros(d)
+    phi1 = np.zeros(d)
+    phi0[0] = 1.0
+    phi1[1] = 1.0
+    return phi0, phi1
+
 
 @dataclass(frozen=True)
-class BinaryARK:
+class BinaryARK(_Bernoulli):
     """Binary AR(K): P(X_{t+1}=1) = sigmoid(sum_k theta_k^T phi_{t-k+1})."""
 
     d: int
     context: int
-    phi0: np.ndarray
-    phi1: np.ndarray
+    phi0: Optional[np.ndarray] = None  # both default to _default_ark_embeddings(d)
+    phi1: Optional[np.ndarray] = None
+
+    kind = "ark"
+    config = {"d": int, "context": int, "phi0": _float_array, "phi1": _float_array}
+    bound_id = "ark_error"
+    bound_args = {"d": "d", "K": "context"}
 
     def __post_init__(self):
+        if self.phi0 is None and self.phi1 is None:
+            phi0, phi1 = _default_ark_embeddings(self.d)
+            object.__setattr__(self, "phi0", phi0)
+            object.__setattr__(self, "phi1", phi1)
         object.__setattr__(self, "phi0", np.asarray(self.phi0, dtype=float))
         object.__setattr__(self, "phi1", np.asarray(self.phi1, dtype=float))
         if self.d < 1 or self.context < 1:
@@ -120,9 +516,39 @@ class BinaryARK:
         _check_unit_rows(self.phi0, "phi0")
         _check_unit_rows(self.phi1, "phi1")
 
+    @property
+    def seed_tokens(self) -> int:
+        return self.context
+
+    def draw_input(self, stream: RngStream) -> None:
+        return None
+
+    def seed_label(self, stream: RngStream) -> int:
+        return int(stream.gen.integers(2))
+
+    def sample_latent(self, stream: RngStream) -> "ARKLatent":
+        theta = stream.gen.normal(0.0, math.sqrt(1.0 / self.context), size=(self.context, self.d))
+        return ARKLatent(theta=theta)
+
+    def sample_particles(self, size: int, stream: RngStream) -> Particles:
+        theta = stream.gen.normal(
+            0.0, math.sqrt(1.0 / self.context), size=(size, self.context, self.d)
+        )
+        return Particles(self, size, theta=theta)
+
+    def conditional(self, latent, history, x, task) -> float:
+        return ark_logit(self, latent, [int(b) for b in history.labels()])
+
+    def particle_stat(self, particles, history, x, task):
+        ctx = [int(b) for b in history.labels()][-self.context:]
+        phis = np.stack(
+            [self.phi1 if ctx[-k] == 1 else self.phi0 for k in range(1, self.context + 1)]
+        )  # (K, d)
+        return np.einsum("skd,kd->s", particles.theta, phis)
+
 
 @dataclass(frozen=True)
-class Transformer:
+class Transformer(_Categorical):
     """Autoregressive token process driven by a clipped softmax-attention stack.
 
     embeddings has shape (vocab, attn_dim) with unit-norm rows; v_prior selects
@@ -137,6 +563,15 @@ class Transformer:
     embeddings: np.ndarray
     v_prior: str = "sphere_rows"
 
+    kind = "transformer"
+    # embed_seed (default 0) seeds the embeddings built by from_config.
+    config = {
+        "vocab": int, "attn_dim": int, "depth": int, "context": int,
+        "v_prior": str, "embed_seed": int,
+    }
+    bound_id = "transformer_error"
+    bound_args = {"d": "vocab", "r": "attn_dim", "L": "depth", "K": "context"}
+
     def __post_init__(self):
         object.__setattr__(self, "embeddings", np.asarray(self.embeddings, dtype=float))
         if min(self.vocab, self.attn_dim, self.depth, self.context) < 1:
@@ -147,14 +582,55 @@ class Transformer:
         if self.v_prior not in ("sphere_rows", "gaussian"):
             raise ValueError("v_prior must be 'sphere_rows' or 'gaussian'")
 
+    @classmethod
+    def from_config(cls, values: Dict) -> "Transformer":
+        seed = values.pop("embed_seed", 0)
+        stream = RngStream(SeedSpec(seed, (("embed", 0),)))
+        emb = make_embeddings(values["vocab"], values["attn_dim"], stream)
+        return cls(embeddings=emb, **values)
+
+    @property
+    def seed_tokens(self) -> int:
+        return self.context
+
+    def seed_label(self, stream: RngStream) -> int:
+        return int(stream.gen.integers(self.vocab)) + 1
+
+    def sample_latent(self, stream: RngStream) -> "TransformerLatent":
+        attn = []
+        value = []
+        r = self.attn_dim
+        for layer in range(self.depth):
+            sub = stream.derive(("layer", layer))
+            attn.append(sub.gen.normal(size=(r, r)))
+            out_rows = self.vocab if layer == self.depth - 1 else r
+            if self.v_prior == "sphere_rows":
+                rows = [sample_unit_sphere(sub, r) for _ in range(out_rows)]
+                value.append(np.array(rows))
+            else:
+                value.append(sub.gen.normal(0.0, math.sqrt(1.0 / r), size=(out_rows, r)))
+        return TransformerLatent(attn=attn, value=value)
+
+    def conditional(self, latent, history, x, task) -> np.ndarray:
+        return transformer_next_pmf(self, latent, [int(t) for t in history.labels()])
+
+    def particle_stat(self, particles, history, x, task):
+        tokens = [int(t) for t in history.labels()]  # once per step, not per particle
+        return np.stack([transformer_next_pmf(self, l, tokens) for l in particles.latents])
+
 
 @dataclass(frozen=True)
-class LinRep:
+class LinRep(_MetaCategorical):
     """Linear representation learning: theta_m = psi xi_m, iid softmax draws."""
 
     d: int
     r: int
     tasks: int
+
+    kind = "linrep"
+    config = {"d": int, "r": int, "tasks": int}
+    bound_id = "linrep_error"
+    bound_args = {"d": "d", "r": "r", "M": "tasks"}
 
     def __post_init__(self):
         if self.r < 1 or self.tasks < 1:
@@ -162,9 +638,43 @@ class LinRep:
         if self.d <= self.r:
             raise ValueError("LinRep requires d > r")
 
+    def sample_latent(self, stream: RngStream) -> "LinRepLatent":
+        psi = _sample_orthonormal(self.d, self.r, stream.derive(("psi", 0)))
+        xi = np.stack(
+            [
+                sample_gaussian(stream.derive(("xi", m)), self.r, 1.0 / self.r)
+                for m in range(self.tasks)
+            ]
+        )
+        return LinRepLatent(psi=psi, xi=xi)
+
+    def sample_particles(self, size: int, stream: RngStream) -> Particles:
+        gen = stream.gen
+        g = gen.normal(size=(size, self.d, self.r))
+        q, r = np.linalg.qr(g)
+        signs = np.sign(np.einsum("sii->si", r))
+        signs[signs == 0] = 1.0
+        xi = gen.normal(0.0, math.sqrt(1.0 / self.r), size=(size, self.tasks, self.r))
+        return Particles(self, size, psi=q * signs[:, None, :], xi=xi)
+
+    def stack_particles(self, latents):
+        return {
+            "psi": np.stack([l.psi for l in latents]),  # (S, d, r)
+            "xi": np.stack([l.xi for l in latents]),  # (S, M, r)
+        }
+
+    def conditional(self, latent, history, x, task) -> np.ndarray:
+        return linrep_task_pmf(latent, task)
+
+    def particle_stat(self, particles, history, x, task):
+        logits = np.einsum("sdr,sr->sd", particles.psi, particles.xi[:, task])
+        logits -= logits.max(axis=1, keepdims=True)
+        e = np.exp(logits)
+        return e / e.sum(axis=1, keepdims=True)
+
 
 @dataclass(frozen=True)
-class IclMixture:
+class IclMixture(_MetaCategorical):
     """Mixture of transformers with Dirichlet(R/N, ..., R/N) mixing weights."""
 
     mixture_size: int
@@ -179,10 +689,30 @@ class IclMixture:
         if self.scale > self.mixture_size:
             raise ValueError("scale R must satisfy R <= N")
 
+    def sample_latent(self, stream: RngStream) -> "IclLatent":
+        assignments = _polya_urn_assignments(
+            self.tasks, self.scale, self.mixture_size, stream.derive(("urn", 0))
+        )
+        components: Dict[int, TransformerLatent] = {}
+        for cls in sorted(set(int(a) for a in assignments)):
+            components[cls] = self.inner.sample_latent(stream.derive(("component", cls)))
+        return IclLatent(assignments=assignments, components=components)
+
+    def conditional(self, latent, history, x, task) -> np.ndarray:
+        comp = latent.components[int(latent.assignments[task])]
+        tokens = [int(o.y) for o in history.observations if o.task == task]
+        return transformer_next_pmf(self.inner, comp, tokens)
+
 
 ProcessSpec = Union[
     LinReg, LogReg, DeepNet, DirichletNet, BinaryARK, Transformer, LinRep, IclMixture
 ]
+
+# Config "kind" -> spec class, for every process a scenario config can name.
+PROCESS_KINDS = {
+    cls.kind: cls
+    for cls in (LinReg, LogReg, DeepNet, DirichletNet, BinaryARK, Transformer, LinRep)
+}
 
 
 def make_embeddings(vocab: int, attn_dim: int, stream: RngStream) -> np.ndarray:
@@ -293,24 +823,8 @@ class History:
 
 
 # ---------------------------------------------------------------------------
-# Prior sampling
+# Prior sampling helpers
 # ---------------------------------------------------------------------------
-
-
-def _sample_transformer_latent(spec: Transformer, stream: RngStream) -> TransformerLatent:
-    attn = []
-    value = []
-    r = spec.attn_dim
-    for layer in range(spec.depth):
-        sub = stream.derive(("layer", layer))
-        attn.append(sub.gen.normal(size=(r, r)))
-        out_rows = spec.vocab if layer == spec.depth - 1 else r
-        if spec.v_prior == "sphere_rows":
-            rows = [sample_unit_sphere(sub, r) for _ in range(out_rows)]
-            value.append(np.array(rows))
-        else:
-            value.append(sub.gen.normal(0.0, math.sqrt(1.0 / r), size=(out_rows, r)))
-    return TransformerLatent(attn=attn, value=value)
 
 
 def _sample_orthonormal(d: int, r: int, stream: RngStream) -> np.ndarray:
@@ -354,59 +868,6 @@ def _polya_urn_assignments(n: int, scale: float, classes: int, stream: RngStream
         counts[chosen] = counts.get(chosen, 0.0) + 1.0
         out[i] = chosen
     return out
-
-
-def sample_latent(spec: ProcessSpec, stream: RngStream) -> LatentParams:
-    """Draw latent parameters exactly from the process prior."""
-    if isinstance(spec, LinReg):
-        return LinRegLatent(theta=sample_gaussian(stream, spec.d, spec.prior_var))
-    if isinstance(spec, LogReg):
-        return LogRegLatent(theta=sample_gaussian(stream, spec.d, 1.0 / spec.d))
-    if isinstance(spec, DeepNet):
-        d, n, depth = spec.d, spec.width, spec.depth
-        weights = []
-        for layer in range(depth):
-            sub = stream.derive(("layer", layer))
-            if layer == 0:
-                weights.append(
-                    sub.gen.normal(0.0, math.sqrt(1.0 / d), size=(n if depth > 1 else 1, d))
-                )
-            elif layer == depth - 1:
-                weights.append(sub.gen.normal(0.0, math.sqrt(1.0 / n), size=(1, n)))
-            else:
-                weights.append(sub.gen.normal(0.0, math.sqrt(1.0 / n), size=(n, n)))
-        return DeepNetLatent(weights=weights)
-    if isinstance(spec, DirichletNet):
-        draw = sample_stick_breaking(stream, spec.scale, spec.d, spec.tail_tol)
-        signs = np.where(stream.gen.random(len(draw.weights)) < 0.5, 1.0, -1.0)
-        return DirichletNetLatent(draw=draw, signs=signs)
-    if isinstance(spec, BinaryARK):
-        theta = stream.gen.normal(
-            0.0, math.sqrt(1.0 / spec.context), size=(spec.context, spec.d)
-        )
-        return ARKLatent(theta=theta)
-    if isinstance(spec, Transformer):
-        return _sample_transformer_latent(spec, stream)
-    if isinstance(spec, LinRep):
-        psi = _sample_orthonormal(spec.d, spec.r, stream.derive(("psi", 0)))
-        xi = np.stack(
-            [
-                sample_gaussian(stream.derive(("xi", m)), spec.r, 1.0 / spec.r)
-                for m in range(spec.tasks)
-            ]
-        )
-        return LinRepLatent(psi=psi, xi=xi)
-    if isinstance(spec, IclMixture):
-        assignments = _polya_urn_assignments(
-            spec.tasks, spec.scale, spec.mixture_size, stream.derive(("urn", 0))
-        )
-        components: Dict[int, TransformerLatent] = {}
-        for cls in sorted(set(int(a) for a in assignments)):
-            components[cls] = _sample_transformer_latent(
-                spec.inner, stream.derive(("component", cls))
-            )
-        return IclLatent(assignments=assignments, components=components)
-    raise TypeError(f"unknown process spec: {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +937,6 @@ def _sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def _log_sigmoid(z: float) -> float:
-    # ln sigmoid(z) = -softplus(-z)
-    return -float(np.logaddexp(0.0, -z))
-
-
 def ark_logit(spec: BinaryARK, latent: ARKLatent, bits: List[int]) -> float:
     """Logit of P(next bit = 1) given the last `context` bits."""
     ctx = bits[-spec.context:]
@@ -505,59 +961,21 @@ def linrep_task_pmf(latent: LinRepLatent, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def sample_latent(spec: ProcessSpec, stream: RngStream) -> LatentParams:
+    """Draw latent parameters exactly from the process prior."""
+    return spec.sample_latent(stream)
+
+
 def initial_history(spec: ProcessSpec, latent: LatentParams, stream: RngStream) -> History:
     """Seed history: K uniform bits/tokens for sequence processes, else empty."""
-    hist = History()
-    if isinstance(spec, BinaryARK):
-        for _ in range(spec.context):
-            hist.append(Observation(x=None, y=int(stream.gen.integers(2))))
-    elif isinstance(spec, Transformer):
-        for _ in range(spec.context):
-            hist.append(Observation(x=None, y=int(stream.gen.integers(spec.vocab)) + 1))
-    return hist
+    return spec.initial_history(latent, stream)
 
 
 def step(
     spec: ProcessSpec, latent: LatentParams, history: History, stream: RngStream
 ) -> Observation:
     """Generate one observation from the true process."""
-    if isinstance(spec, LinReg):
-        x = stream.gen.normal(size=spec.d)
-        y = float(latent.theta @ x) + float(
-            stream.gen.normal(0.0, math.sqrt(spec.noise_var))
-        )
-        return Observation(x=x, y=y)
-    if isinstance(spec, LogReg):
-        x = stream.gen.normal(size=spec.d)
-        p1 = _sigmoid(float(latent.theta @ x))
-        return Observation(x=x, y=int(stream.gen.random() < p1))
-    if isinstance(spec, DeepNet):
-        x = stream.gen.normal(size=spec.d)
-        y = relu_forward(latent.weights, x) + float(
-            stream.gen.normal(0.0, math.sqrt(spec.noise_var))
-        )
-        return Observation(x=x, y=y)
-    if isinstance(spec, DirichletNet):
-        x = stream.gen.normal(size=spec.d)
-        y = dirichlet_net_output(spec, latent, x) + float(
-            stream.gen.normal(0.0, math.sqrt(spec.noise_var))
-        )
-        return Observation(x=x, y=y)
-    if isinstance(spec, BinaryARK):
-        bits = [int(b) for b in history.labels()]
-        if len(bits) < spec.context:
-            raise ValueError("history must contain the initial context bits")
-        p1 = _sigmoid(ark_logit(spec, latent, bits))
-        return Observation(x=None, y=int(stream.gen.random() < p1))
-    if isinstance(spec, Transformer):
-        tokens = [int(t) for t in history.labels()]
-        if len(tokens) < spec.context:
-            raise ValueError("history must contain the initial context tokens")
-        pmf = transformer_next_pmf(spec, latent, tokens)
-        return Observation(x=None, y=sample_categorical(stream, pmf) + 1)
-    raise TypeError(
-        f"step is undefined for {type(spec).__name__}; use meta_step for meta processes"
-    )
+    return spec.step(latent, history, stream)
 
 
 def meta_step(
@@ -568,20 +986,7 @@ def meta_step(
     stream: RngStream,
 ) -> Observation:
     """Generate one observation for task m of a meta process."""
-    if isinstance(spec, LinRep):
-        if not 0 <= m < spec.tasks:
-            raise ValueError("task index out of range")
-        pmf = linrep_task_pmf(latent, m)
-        return Observation(x=None, y=sample_categorical(stream, pmf) + 1, task=m)
-    if isinstance(spec, IclMixture):
-        if not 0 <= m < spec.tasks:
-            raise ValueError("task index out of range")
-        comp = latent.components[int(latent.assignments[m])]
-        tokens = [int(o.y) for o in history.observations if o.task == m]
-        pmf = transformer_next_pmf(spec.inner, comp, tokens)
-        obs = Observation(x=None, y=sample_categorical(stream, pmf) + 1, task=m)
-        return obs
-    raise TypeError("meta_step requires a LinRep or IclMixture spec")
+    return spec.meta_step(latent, m, history, stream)
 
 
 def cond_logprob(
@@ -592,33 +997,7 @@ def cond_logprob(
     y: Union[float, int],
 ) -> float:
     """Exact log-density/log-mass of y under the true process."""
-    if isinstance(spec, LinReg):
-        mean = float(latent.theta @ x)
-        return -0.5 * (LOG_2PI + math.log(spec.noise_var)) - (y - mean) ** 2 / (
-            2.0 * spec.noise_var
-        )
-    if isinstance(spec, LogReg):
-        z = float(latent.theta @ x)
-        return _log_sigmoid(z) if y == 1 else _log_sigmoid(-z)
-    if isinstance(spec, DeepNet):
-        mean = relu_forward(latent.weights, x)
-        return -0.5 * (LOG_2PI + math.log(spec.noise_var)) - (y - mean) ** 2 / (
-            2.0 * spec.noise_var
-        )
-    if isinstance(spec, DirichletNet):
-        mean = dirichlet_net_output(spec, latent, x)
-        return -0.5 * (LOG_2PI + math.log(spec.noise_var)) - (y - mean) ** 2 / (
-            2.0 * spec.noise_var
-        )
-    if isinstance(spec, BinaryARK):
-        bits = [int(b) for b in history.labels()]
-        z = ark_logit(spec, latent, bits)
-        return _log_sigmoid(z) if y == 1 else _log_sigmoid(-z)
-    if isinstance(spec, Transformer):
-        tokens = [int(t) for t in history.labels()]
-        pmf = transformer_next_pmf(spec, latent, tokens)
-        return float(np.log(pmf[int(y) - 1]))
-    raise TypeError(f"cond_logprob is undefined for {type(spec).__name__}")
+    return spec.cond_logprob(latent, history, x, y)
 
 
 def meta_cond_logprob(
@@ -629,15 +1008,7 @@ def meta_cond_logprob(
     y: int,
 ) -> float:
     """Exact log-mass of the next label of task m under the true process."""
-    if isinstance(spec, LinRep):
-        pmf = linrep_task_pmf(latent, m)
-        return float(np.log(pmf[int(y) - 1]))
-    if isinstance(spec, IclMixture):
-        comp = latent.components[int(latent.assignments[m])]
-        tokens = [int(o.y) for o in history.observations if o.task == m]
-        pmf = transformer_next_pmf(spec.inner, comp, tokens)
-        return float(np.log(pmf[int(y) - 1]))
-    raise TypeError("meta_cond_logprob requires a LinRep or IclMixture spec")
+    return spec.meta_cond_logprob(latent, m, history, y)
 
 
 def irreducible_rate(spec: ProcessSpec) -> Optional[float]:
@@ -647,9 +1018,7 @@ def irreducible_rate(spec: ProcessSpec) -> Optional[float]:
     processes whose irreducible rate must be estimated via the omniscient
     predictor's Monte-Carlo loss.
     """
-    if isinstance(spec, (LinReg, DeepNet, DirichletNet)):
-        return 0.5 * math.log(2.0 * math.pi * math.e * spec.noise_var)
-    return None
+    return spec.irreducible_rate()
 
 
 # ---------------------------------------------------------------------------

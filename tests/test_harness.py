@@ -12,7 +12,6 @@ from infolab import harness
 from infolab.cli import main as cli_main
 from infolab.predictors import ConjugateLinReg, Omniscient
 from infolab.processes import BinaryARK, LinRep, LinReg, Transformer
-from infolab.rng import RngStream, SeedSpec
 
 
 def _tiny_config(seed=11, replicates=16):
@@ -118,16 +117,6 @@ def test_bounds_for_incompatible_id():
 # ---------------------------------------------------------------------------
 # execution and determinism
 # ---------------------------------------------------------------------------
-
-
-def test_run_replicates_thread_invariant():
-    spec = LinReg(d=2, noise_var=0.25)
-    kind = harness.parse_predictor({"kind": "conjugate"}, spec)
-    stream = RngStream(SeedSpec(3, (("scenario", 0),)))
-    seq = harness.run_replicates(spec, kind, 6, 8, stream, threads=1)
-    par = harness.run_replicates(spec, kind, 6, 8, stream, threads=4)
-    for a, b in zip(seq, par):
-        assert np.array_equal(a.losses, b.losses)
 
 
 def test_scenario_outputs_deterministic_and_atomic(tmp_path):
@@ -303,3 +292,76 @@ def test_cli_selftest():
     res = CliRunner().invoke(cli_main, ["selftest", "--seed", "7"])
     assert res.exit_code == 0, res.output
     assert res.output.count("pass") >= 4 and "FAIL" not in res.output
+
+
+# ---------------------------------------------------------------------------
+# bad configs fail at parse time with one line
+# ---------------------------------------------------------------------------
+
+
+def _config_payload(**changes):
+    payload = {
+        "version": 1,
+        "scenario_id": "bad",
+        "process": {"kind": "linreg", "d": 2, "noise_var": 0.25},
+        "predictor": {"kind": "conjugate"},
+        "horizons": [3, 6],
+        "replicates": 4,
+        "master_seed": 1,
+        "bounds": ["linreg_error"],
+    }
+    payload.update(changes)
+    return payload
+
+
+BAD_CONFIGS = {
+    "missing_process_key": (
+        _config_payload(process={"kind": "linreg", "noise_var": 0.25}),
+        "missing key.*: d",
+    ),
+    "zero_horizon": (_config_payload(horizons=[0]), "horizons"),
+    "foreign_bound": (_config_payload(bounds=["logreg_error"]), "logreg_error"),
+    "meta_process": (
+        _config_payload(
+            process={"kind": "linrep", "d": 6, "r": 2, "tasks": 4},
+            predictor={"kind": "ensemble", "size": 16},
+            bounds=[],
+        ),
+        "meta_error_split",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_parse_config_rejects_bad_config(case):
+    payload, message = BAD_CONFIGS[case]
+    with pytest.raises(ValueError, match=message):
+        harness.parse_config(payload)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_cli_bad_config_is_one_line_error(case, tmp_path):
+    payload, message = BAD_CONFIGS[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"version": 1, "scenarios": [payload]}))
+    runner = CliRunner()
+    for args in (["simulate", str(cfg_path), "--out", str(tmp_path)], ["verify", str(manifest)]):
+        res = runner.invoke(cli_main, args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # a ClickException, not a traceback
+        assert res.output.startswith("Error: ") and len(res.output.splitlines()) == 1
+
+
+def test_cli_warns_on_config_without_bounds(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    payload = _config_payload(bounds=[])
+    cfg_path.write_text(json.dumps(payload))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"version": 1, "scenarios": [payload]}))
+    runner = CliRunner()
+    for args in (["simulate", str(cfg_path), "--out", str(tmp_path)], ["verify", str(manifest)]):
+        res = runner.invoke(cli_main, args)
+        assert res.exit_code == 0, res.output
+        assert "warning: scenario bad names no bounds" in res.output

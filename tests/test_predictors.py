@@ -13,6 +13,7 @@ from infolab.predictors import (
     GaussianMixturePred,
     GaussianPred,
     MisspecifiedConjugate,
+    MisspecifiedWidth,
     Omniscient,
     PriorEnsemble,
     init_predictor,
@@ -21,14 +22,20 @@ from infolab.predictors import (
     observe,
     predict,
 )
+from infolab.estimators import run_replicate
 from infolab.processes import (
+    BinaryARK,
+    DeepNet,
+    DirichletNet,
     History,
     LinReg,
     LinRegLatent,
     LogReg,
     LogRegLatent,
     Observation,
+    Transformer,
     cond_logprob,
+    initial_history,
     sample_latent,
     step,
 )
@@ -364,3 +371,70 @@ def test_change_of_measure_dominance():
                     )
                 )
         assert mix_err <= plug_err + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# every process family through the enumeration and ensemble predictors
+# ---------------------------------------------------------------------------
+
+
+def _family_specs():
+    from infolab.processes import make_embeddings
+
+    return [
+        LinReg(d=3, noise_var=0.5),
+        LogReg(d=3),
+        DeepNet(d=2, width=3, depth=3, noise_var=0.5),
+        DirichletNet(d=2, scale=2.0, noise_var=0.5),
+        BinaryARK(d=2, context=2, phi0=np.array([1.0, 0.0]), phi1=np.array([0.0, 1.0])),
+        Transformer(
+            vocab=4, attn_dim=4, depth=2, context=2,
+            embeddings=make_embeddings(4, 4, stream(0)),
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "index, spec",
+    enumerate(_family_specs()),
+    ids=[type(s).__name__ for s in _family_specs()],
+)
+def test_point_mass_enumeration_matches_omniscient(index, spec):
+    rep_stream = stream(31, ("family", index))
+    latent = sample_latent(spec, rep_stream.derive(("latent", 0)))
+    kind = Enumeration(support=[latent], prior=np.array([1.0]))
+    rec = run_replicate(spec, kind, 12, rep_stream)
+    assert np.all(np.isfinite(rec.losses))
+    assert np.max(np.abs(rec.losses - rec.omniscient_losses)) < 1e-9
+
+
+def _ensemble_rollout(spec, kind, T, seed):
+    s = stream(seed)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    hist = initial_history(spec, latent, s.derive(("init", 0)))
+    state = init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0)))
+    for obs in hist.observations:
+        state.observe(spec, obs)
+    losses = []
+    for t in range(T):
+        obs = step(spec, latent, hist, s.derive(("step", t)))
+        losses.append(log_loss(predict(state, spec, obs.x), obs.y))
+        observe(state, spec, obs)
+        hist.append(obs)
+        assert logsumexp(state.log_weights) == pytest.approx(0.0, abs=1e-9)
+    assert np.all(np.isfinite(losses))
+    return state
+
+
+@pytest.mark.parametrize(
+    "spec, kind",
+    [
+        (_family_specs()[3], PriorEnsemble(size=32)),
+        (_family_specs()[5], PriorEnsemble(size=32)),
+        (DirichletNet(d=2, scale=2.0, noise_var=0.1), MisspecifiedWidth(n=3, eps=0.3, size=32)),
+    ],
+    ids=["dirichlet", "transformer", "misspecified_width"],
+)
+def test_latent_list_ensembles_stay_finite_and_normalized(spec, kind):
+    state = _ensemble_rollout(spec, kind, 10, 32)
+    assert state.particles.size == kind.size
