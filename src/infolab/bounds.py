@@ -6,9 +6,10 @@ checks.  All values are in nats per step unless stated otherwise.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,11 +34,22 @@ class BoundReport:
 
     def csv_row(self) -> List[str]:
         params_json = json.dumps(self.params, sort_keys=True)
-        value = "" if self.value is None else f"{self.value:.17g}"
-        return [self.bound_id, self.side, params_json, value, str(self.valid).lower()]
+        cells = (self.bound_id, self.side, params_json, self.value, self.valid)
+        return [csv_cell(v) for v in cells]
 
 
 BOUND_REPORT_HEADER = ["bound_id", "side", "params_json", "value", "valid"]
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: true/false, floats with 17 significant digits, None empty."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
 
 def _pos(x: float) -> float:
@@ -234,38 +246,9 @@ def icl_rd_upper(
 
 def rd_bound_eval(kind: str, params: Dict[str, float], eps: float) -> float:
     """Dispatch a rate-distortion bound by name."""
-    table = {
-        "linreg_upper": lambda: linreg_rd_upper(
-            int(params["d"]), params["noise_var"], eps
-        ),
-        "linreg_lower": lambda: linreg_rd_lower(
-            int(params["d"]), params["noise_var"], eps
-        ),
-        "logreg": lambda: logreg_rd_upper(int(params["d"]), eps),
-        "deepnet": lambda: deepnet_rd_upper(
-            int(params["d"]), int(params["width"]), int(params["depth"]),
-            params["noise_var"], eps,
-        ),
-        "dirichlet": lambda: dirichlet_rd_upper(
-            int(params["d"]), params["K"], params["noise_var"], eps
-        ),
-        "ark": lambda: ark_rd_upper(int(params["d"]), int(params["K"]), eps),
-        "transformer": lambda: transformer_rd_upper(
-            int(params["d"]), int(params["r"]), int(params["L"]),
-            int(params["K"]), int(params["T"]), eps,
-        ),
-        "linrep_meta": lambda: linrep_meta_rd_upper(
-            int(params["d"]), int(params["r"]), int(params["M"]), int(params["T"]), eps
-        ),
-        "linrep_intra": lambda: linrep_intra_rd_upper(int(params["r"]), eps),
-        "icl": lambda: icl_rd_upper(
-            int(params["d"]), int(params["r"]), int(params["L"]), int(params["K"]),
-            params["R"], int(params["N"]), int(params["M"]), int(params["T"]), eps,
-        ),
-    }
-    if kind not in table:
+    if kind not in _RD_BOUNDS:
         raise KeyError(f"unknown rate-distortion bound: {kind}")
-    return table[kind]()
+    return _call(_RD_BOUNDS[kind], params, eps)
 
 
 def eps_grid(
@@ -369,8 +352,67 @@ def scaling_optimal_width(d: int, K: float, C: float) -> Tuple[int, float, float
 
 
 # ---------------------------------------------------------------------------
-# Name-based dispatch (CLI entry point)
+# Name-based dispatch
 # ---------------------------------------------------------------------------
+
+
+def _bound_function(fn, *given: str):
+    """fn and its (parameter name, cast) pairs, read from its signature once.
+
+    Parameters annotated int are cast with int(); the others pass as given.
+    Names in `given` (eps) are supplied by the caller, not the params dict.
+    """
+    args = tuple(
+        (p.name, int if p.annotation == "int" else None)
+        for p in inspect.signature(fn).parameters.values()
+        if p.name not in given
+    )
+    return fn, args
+
+
+def _missing_feature_report(d: int, noise_var: float, T: int) -> BoundReport:
+    return missing_feature_upper(d, noise_var, T)[0]
+
+
+# Estimation-error bound id -> the functions giving its reports, in order.
+_ERROR_BOUNDS = {
+    bound_id: [_bound_function(fn) for fn in fns]
+    for bound_id, fns in {
+        "linreg_error": (linreg_error_lower, linreg_error_upper),
+        "logreg_error": (logreg_error_upper,),
+        "deepnet_error": (deepnet_error_upper,),
+        "dirichlet_error": (dirichlet_error_upper,),
+        "ark_error": (ark_error_upper,),
+        "transformer_error": (transformer_error_upper,),
+        "linrep_error": (linrep_error_upper,),
+        "icl_error": (icl_error_upper,),
+        "misspec_mean": (misspec_mean_upper,),
+        "missing_feature": (_missing_feature_report,),
+        "scaling_loss": (scaling_bound_eval,),
+    }.items()
+}
+
+# Rate-distortion kind (bound id without its rd_ prefix) -> rate function of eps.
+_RD_BOUNDS = {
+    kind: _bound_function(fn, "eps")
+    for kind, fn in {
+        "linreg_upper": linreg_rd_upper,
+        "linreg_lower": linreg_rd_lower,
+        "logreg": logreg_rd_upper,
+        "deepnet": deepnet_rd_upper,
+        "dirichlet": dirichlet_rd_upper,
+        "ark": ark_rd_upper,
+        "transformer": transformer_rd_upper,
+        "linrep_meta": linrep_meta_rd_upper,
+        "linrep_intra": linrep_intra_rd_upper,
+        "icl": icl_rd_upper,
+    }.items()
+}
+
+
+def _call(entry, params: Dict[str, float], *given):
+    fn, args = entry
+    return fn(*[params[n] if cast is None else cast(params[n]) for n, cast in args], *given)
 
 
 def evaluate_bound(bound_id: str, params: Dict[str, float]) -> List[BoundReport]:
@@ -379,51 +421,19 @@ def evaluate_bound(bound_id: str, params: Dict[str, float]) -> List[BoundReport]
     Estimation-error ids: linreg_error, logreg_error, deepnet_error,
     dirichlet_error, ark_error, transformer_error, linrep_error, icl_error,
     misspec_mean, missing_feature, scaling_loss.  Rate-distortion ids use the
-    prefix rd_ (e.g. rd_linreg_upper) and require an "eps" entry.
+    prefix rd_ (e.g. rd_linreg_upper) and require an "eps" entry.  Unknown ids
+    and missing parameters raise KeyError; the message names the missing keys.
     """
-    p = params
-    if bound_id.startswith("rd_"):
-        kind = bound_id[len("rd_"):]
-        eps = float(p["eps"])
-        value = rd_bound_eval(kind, p, eps)
-        side = "lower" if kind.endswith("_lower") else "upper"
-        return [BoundReport(bound_id, side, dict(p), value, True)]
-    if bound_id == "linreg_error":
-        return [
-            linreg_error_lower(int(p["d"]), p["noise_var"], int(p["T"])),
-            linreg_error_upper(int(p["d"]), p["noise_var"], int(p["T"])),
-        ]
-    if bound_id == "logreg_error":
-        return [logreg_error_upper(int(p["d"]), int(p["T"]))]
-    if bound_id == "deepnet_error":
-        return [
-            deepnet_error_upper(
-                int(p["d"]), int(p["width"]), int(p["depth"]), p["noise_var"], int(p["T"])
-            )
-        ]
-    if bound_id == "dirichlet_error":
-        return [dirichlet_error_upper(int(p["d"]), p["K"], p["noise_var"], int(p["T"]))]
-    if bound_id == "ark_error":
-        return [ark_error_upper(int(p["d"]), int(p["K"]), int(p["T"]))]
-    if bound_id == "transformer_error":
-        return [
-            transformer_error_upper(
-                int(p["d"]), int(p["r"]), int(p["L"]), int(p["K"]), int(p["T"])
-            )
-        ]
-    if bound_id == "linrep_error":
-        return [linrep_error_upper(int(p["d"]), int(p["r"]), int(p["M"]), int(p["T"]))]
-    if bound_id == "icl_error":
-        return [
-            icl_error_upper(
-                int(p["d"]), int(p["r"]), int(p["L"]), int(p["K"]),
-                p["R"], int(p["N"]), int(p["M"]), int(p["T"]),
-            )
-        ]
-    if bound_id == "misspec_mean":
-        return [misspec_mean_upper(p["mu_sq_norm"], int(p["T"]))]
-    if bound_id == "missing_feature":
-        return [missing_feature_upper(int(p["d"]), p["noise_var"], int(p["T"]))[0]]
-    if bound_id == "scaling_loss":
-        return [scaling_bound_eval(int(p["d"]), p["K"], int(p["n"]), p["T"])]
-    raise KeyError(f"unknown bound_id: {bound_id}")
+    kind = bound_id[len("rd_"):] if bound_id.startswith("rd_") else None
+    entries = [_RD_BOUNDS[kind]] if kind in _RD_BOUNDS else _ERROR_BOUNDS.get(bound_id)
+    if entries is None:
+        raise KeyError(f"unknown bound_id: {bound_id}")
+    needed = [n for _, args in entries for n, _ in args] + (["eps"] if kind else [])
+    missing = [n for n in dict.fromkeys(needed) if n not in params]
+    if missing:
+        raise KeyError(f"bound '{bound_id}' needs parameter(s): {', '.join(missing)}")
+    if kind is None:
+        return [_call(entry, params) for entry in entries]
+    value = rd_bound_eval(kind, params, float(params["eps"]))
+    side = "lower" if kind.endswith("_lower") else "upper"
+    return [BoundReport(bound_id, side, dict(params), value, True)]

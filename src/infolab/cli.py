@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 import click
@@ -70,29 +72,22 @@ def bounds(
 ) -> None:
     """Evaluate a closed-form bound family at the given parameters."""
     try:
-        reports = bnd.evaluate_bound(bound_id, json.loads(params))
+        values = json.loads(params)
+    except json.JSONDecodeError as exc:
+        raise click.ClickException(f"--params is not valid JSON: {exc}")
+    if not isinstance(values, dict):
+        raise click.ClickException("--params must be a JSON object of bound parameters")
+    try:
+        reports = bnd.evaluate_bound(bound_id, values)
     except KeyError as exc:
-        raise click.ClickException(str(exc))
+        raise click.ClickException(exc.args[0])
+    except (TypeError, ValueError) as exc:
+        raise click.ClickException(f"bound '{bound_id}': {exc}")
     if fmt == "json":
-        text = json.dumps(
-            [
-                {
-                    "bound_id": r.bound_id,
-                    "side": r.side,
-                    "params": r.params,
-                    "value": r.value,
-                    "valid": r.valid,
-                    "note": r.note,
-                }
-                for r in reports
-            ],
-            indent=2,
-        )
+        text = json.dumps([asdict(r) for r in reports], indent=2)
     else:
         text = harness._csv_text(bnd.BOUND_REPORT_HEADER, [r.csv_row() for r in reports])
     if out:
-        import os
-
         path = os.path.join(out, f"bound_{bound_id}.{fmt}")
         harness.atomic_write_text(path, text)
         click.echo(path)

@@ -9,29 +9,24 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import predictors as pred
-from . import processes as proc
+from .bounds import csv_cell
 from .info import linreg_mi_given_inputs
 from .predictors import (
     Omniscient,
     OracleMetaEnsemble,
-    PredictorKind,
     PriorEnsemble,
     init_predictor,
     log_loss,
     predict,
 )
 from .processes import (
-    History,
-    IclMixture,
     LinRep,
-    LinReg,
-    ProcessSpec,
+    Process,
     initial_history,
     irreducible_rate,
     meta_step,
@@ -75,12 +70,15 @@ class ErrorCurve:
             raise ValueError("standard errors must be nonnegative")
 
 
-def run_replicate(
-    spec: ProcessSpec, kind: PredictorKind, T: int, stream: RngStream
-) -> ReplicateRecord:
-    """Roll out one replicate: fresh latent, T observations, paired losses."""
+def run_replicate(spec: Process, kind, T: int, stream: RngStream) -> ReplicateRecord:
+    """Roll out one replicate: fresh latent, T observations, paired losses.
+
+    Meta processes visit their tasks round-robin, T observations per task;
+    step i of either kind draws from stream path ("step", i).
+    """
     if T < 1:
         raise ValueError("T must be >= 1")
+    tasks = spec.tasks if spec.meta else 1
     latent = sample_latent(spec, stream.derive(("latent", 0)))
     history = initial_history(spec, latent, stream.derive(("init", 0)))
     state = init_predictor(kind, spec, latent=latent, stream=stream.derive(("pred", 0)))
@@ -88,39 +86,21 @@ def run_replicate(
     for obs in history.observations:
         state.observe(spec, obs)
         omni.observe(spec, obs)
-    losses = np.empty(T)
-    omni_losses = np.empty(T)
-    for t in range(T):
-        obs = step(spec, latent, history, stream.derive(("step", t)))
-        losses[t] = log_loss(predict(state, spec, obs.x), obs.y)
-        omni_losses[t] = log_loss(predict(omni, spec, obs.x), obs.y)
+    losses = np.empty(T * tasks)
+    omni_losses = np.empty(T * tasks)
+    for i in range(T * tasks):
+        sub = stream.derive(("step", i))
+        if spec.meta:
+            m = i % tasks
+            obs = meta_step(spec, latent, m, history, sub)
+        else:
+            m = None
+            obs = step(spec, latent, history, sub)
+        losses[i] = log_loss(predict(state, spec, obs.x, m), obs.y)
+        omni_losses[i] = log_loss(predict(omni, spec, obs.x, m), obs.y)
         state.observe(spec, obs)
         omni.observe(spec, obs)
         history.append(obs)
-    return ReplicateRecord(losses=losses, omniscient_losses=omni_losses, latent=latent)
-
-
-def run_meta_replicate(
-    spec: LinRep, kind: PredictorKind, T: int, stream: RngStream
-) -> ReplicateRecord:
-    """Meta rollout: tasks visited round-robin, T observations per task."""
-    latent = sample_latent(spec, stream.derive(("latent", 0)))
-    state = init_predictor(kind, spec, latent=latent, stream=stream.derive(("pred", 0)))
-    omni = init_predictor(Omniscient(), spec, latent=latent)
-    history = History()
-    total = spec.tasks * T
-    losses = np.empty(total)
-    omni_losses = np.empty(total)
-    i = 0
-    for t in range(T):
-        for m in range(spec.tasks):
-            obs = meta_step(spec, latent, m, history, stream.derive(("step", i)))
-            losses[i] = log_loss(predict(state, spec, task=m), obs.y)
-            omni_losses[i] = log_loss(predict(omni, spec, task=m), obs.y)
-            state.observe(spec, obs)
-            omni.observe(spec, obs)
-            history.append(obs)
-            i += 1
     return ReplicateRecord(losses=losses, omniscient_losses=omni_losses, latent=latent)
 
 
@@ -168,18 +148,10 @@ def aggregate_error_curve(
 
 def error_curve_rows(curve: ErrorCurve) -> List[List[str]]:
     """CSV rows (without header) for an error curve."""
-    rows = []
-    for i, t in enumerate(curve.horizons):
-        rows.append(
-            [
-                str(t),
-                f"{curve.mean_error[i]:.17g}",
-                f"{curve.std_err[i]:.17g}",
-                str(curve.replicates),
-                curve.scenario_id,
-            ]
-        )
-    return rows
+    return [
+        [csv_cell(v) for v in (t, mean, se, curve.replicates, curve.scenario_id)]
+        for t, mean, se in zip(curve.horizons, curve.mean_error, curve.std_err)
+    ]
 
 
 ERROR_CURVE_HEADER = ["horizon", "mean_error", "std_err", "replicates", "scenario_id"]
@@ -431,9 +403,9 @@ def meta_error_split(
     n = spec.tasks * T
     for i in range(replicates):
         sub = stream.derive(("rep", i))
-        rec_total = run_meta_replicate(spec, kind_total, T, sub.derive(("total", 0)))
+        rec_total = run_replicate(spec, kind_total, T, sub.derive(("total", 0)))
         totals[i] = float(np.sum(rec_total.losses - rec_total.omniscient_losses)) / n
-        rec_intra = run_meta_replicate(spec, kind_intra, T, sub.derive(("total", 0)))
+        rec_intra = run_replicate(spec, kind_intra, T, sub.derive(("total", 0)))
         intras[i] = float(np.sum(rec_intra.losses - rec_intra.omniscient_losses)) / n
     diffs = totals - intras
     rse = lambda v: float(np.std(v, ddof=1) / math.sqrt(replicates))

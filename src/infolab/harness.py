@@ -13,7 +13,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,10 +32,9 @@ from .predictors import (
     MisspecifiedConjugate,
     MisspecifiedWidth,
     Omniscient,
-    PredictorKind,
     PriorEnsemble,
 )
-from .processes import PROCESS_KINDS, LinReg, ProcessSpec, irreducible_rate
+from .processes import PROCESS_KINDS, LinReg, Process, irreducible_rate
 from .rng import RngStream, SeedSpec
 
 CONFIG_VERSION = 1
@@ -53,7 +52,7 @@ def _require(payload: Dict, keys: Sequence[str], context: str) -> None:
         raise ValueError(f"missing key(s) in {context}: {', '.join(missing)}")
 
 
-def parse_process(payload: Dict) -> ProcessSpec:
+def parse_process(payload: Dict) -> Process:
     """Build a process spec from its JSON form, using the spec's key table."""
     kind = payload.get("kind")
     if kind not in PROCESS_KINDS:
@@ -65,7 +64,7 @@ def parse_process(payload: Dict) -> ProcessSpec:
     return cls.from_config({k: cv(payload[k]) for k, cv in cls.config.items() if k in payload})
 
 
-def parse_predictor(payload: Dict, spec: ProcessSpec) -> PredictorKind:
+def parse_predictor(payload: Dict, spec: Process):
     """Build a predictor kind from its JSON form, given the process spec."""
     kind = payload.get("kind")
     if kind == "conjugate":
@@ -113,8 +112,8 @@ def parse_predictor(payload: Dict, spec: ProcessSpec) -> PredictorKind:
 @dataclass
 class ScenarioConfig:
     scenario_id: str
-    spec: ProcessSpec
-    predictor: PredictorKind
+    spec: Process
+    predictor: object  # a predictor kind from infolab.predictors
     horizons: List[int]
     replicates: int
     master_seed: int
@@ -187,7 +186,7 @@ def load_config(path: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def bounds_for(spec: ProcessSpec, bound_id: str, T: int) -> List[bnd.BoundReport]:
+def bounds_for(spec: Process, bound_id: str, T: int) -> List[bnd.BoundReport]:
     """Evaluate the process's bound family at horizon T: upper side first,
     then the lower side where it is valid."""
     if bound_id != spec.bound_id:
@@ -262,11 +261,7 @@ def verify_curve(
 
 
 def run_replicates(
-    spec: ProcessSpec,
-    kind: PredictorKind,
-    T: int,
-    replicates: int,
-    stream: RngStream,
+    spec: Process, kind, T: int, replicates: int, stream: RngStream
 ) -> List[ReplicateRecord]:
     """Run replicates in order; replicate i draws from stream path ("rep", i)."""
     return [run_replicate(spec, kind, T, stream.derive(("rep", i))) for i in range(replicates)]
@@ -432,135 +427,71 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(header: List[str], rows: List[List[str]]) -> str:
+def _csv_text(header: List[str], rows: List[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([bnd.csv_cell(v) for v in row] for row in rows)
     return buf.getvalue()
+
+
+def _record(obj, *drop: str) -> Dict:
+    """A dataclass as a JSON-ready dict, without the fields in `drop`."""
+    return {k: v for k, v in asdict(obj).items() if k not in drop}
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, default=lambda a: a.tolist())
 
 
 def write_scenario_outputs(result: ScenarioResult, out_dir: str, fmt: str = "csv") -> List[str]:
     """Write curve, bound, and verification files; returns written paths."""
     sid = result.config.scenario_id
-    paths = []
+    rows = result.verification.rows
     if fmt == "csv":
-        curve_path = os.path.join(out_dir, f"{sid}_curve.csv")
-        atomic_write_text(
-            curve_path, _csv_text(ERROR_CURVE_HEADER, error_curve_rows(result.curve))
-        )
-        paths.append(curve_path)
-        bounds_path = os.path.join(out_dir, f"{sid}_bounds.csv")
-        atomic_write_text(
-            bounds_path,
-            _csv_text(
+        header = [f.name for f in fields(VerificationRow)]
+        texts = {
+            f"{sid}_curve.csv": _csv_text(ERROR_CURVE_HEADER, error_curve_rows(result.curve)),
+            f"{sid}_bounds.csv": _csv_text(
                 bnd.BOUND_REPORT_HEADER, [r.csv_row() for r in result.bound_reports]
             ),
-        )
-        paths.append(bounds_path)
-        verif_path = os.path.join(out_dir, f"{sid}_verification.csv")
-        rows = [
-            [
-                r.scenario_id,
-                str(r.horizon),
-                r.bound_id,
-                r.side,
-                f"{r.empirical:.17g}",
-                f"{r.std_err:.17g}",
-                f"{r.bound:.17g}",
-                str(r.passed).lower(),
-                f"{r.margin:.17g}",
-            ]
-            for r in result.verification.rows
-        ]
-        atomic_write_text(
-            verif_path,
-            _csv_text(
-                [
-                    "scenario_id",
-                    "horizon",
-                    "bound_id",
-                    "side",
-                    "empirical",
-                    "std_err",
-                    "bound",
-                    "passed",
-                    "margin",
-                ],
-                rows,
+            f"{sid}_verification.csv": _csv_text(
+                header, [[getattr(r, name) for name in header] for r in rows]
             ),
-        )
-        paths.append(verif_path)
+        }
     elif fmt == "json":
         payload = {
             "version": CONFIG_VERSION,
             "scenario_id": sid,
-            "curve": {
-                "horizons": result.curve.horizons,
-                "mean_error": result.curve.mean_error.tolist(),
-                "std_err": result.curve.std_err.tolist(),
-                "replicates": result.curve.replicates,
-            },
-            "bounds": [
-                {
-                    "bound_id": r.bound_id,
-                    "side": r.side,
-                    "params": r.params,
-                    "value": r.value,
-                    "valid": r.valid,
-                }
-                for r in result.bound_reports
-            ],
-            "verification": [
-                {
-                    "horizon": r.horizon,
-                    "bound_id": r.bound_id,
-                    "side": r.side,
-                    "empirical": r.empirical,
-                    "std_err": r.std_err,
-                    "bound": r.bound,
-                    "passed": r.passed,
-                    "margin": r.margin,
-                }
-                for r in result.verification.rows
-            ],
+            "curve": _record(result.curve, "per_step_error", "scenario_id"),
+            "bounds": [_record(r, "note") for r in result.bound_reports],
+            "verification": [_record(r, "scenario_id") for r in rows],
         }
-        path = os.path.join(out_dir, f"{sid}.json")
-        atomic_write_text(path, json.dumps(payload, indent=2))
-        paths.append(path)
+        texts = {f"{sid}.json": _json_text(payload)}
     else:
         raise ValueError("format must be 'csv' or 'json'")
+    paths = [os.path.join(out_dir, name) for name in texts]
+    for path, text in zip(paths, texts.values()):
+        atomic_write_text(path, text)
     return paths
 
 
 def write_sweep_output(sweep: ScalingSweep, out_dir: str, fmt: str = "csv") -> str:
+    header = ["C", "n_star", "T_star", "bound"]
+    rows = [
+        [float(c), int(n), float(t), float(v)]
+        for c, n, t, v in zip(sweep.c_values, sweep.n_star, sweep.t_star, sweep.bound_value)
+    ]
+    path = os.path.join(out_dir, "scaling_sweep.json" if fmt == "json" else "scaling_sweep.csv")
     if fmt == "json":
         payload = {
             "version": CONFIG_VERSION,
-            "rows": [
-                {
-                    "C": float(c),
-                    "n_star": int(n),
-                    "T_star": float(t),
-                    "bound": float(v),
-                }
-                for c, n, t, v in zip(
-                    sweep.c_values, sweep.n_star, sweep.t_star, sweep.bound_value
-                )
-            ],
+            "rows": [dict(zip(header, row)) for row in rows],
             "slope": sweep.slope,
             "slope_half_width": sweep.slope_half_width,
         }
-        path = os.path.join(out_dir, "scaling_sweep.json")
-        atomic_write_text(path, json.dumps(payload, indent=2))
+        atomic_write_text(path, _json_text(payload))
         return path
-    rows = [
-        [f"{c:.17g}", str(int(n)), f"{t:.17g}", f"{v:.17g}"]
-        for c, n, t, v in zip(
-            sweep.c_values, sweep.n_star, sweep.t_star, sweep.bound_value
-        )
-    ]
-    rows.append(["slope", f"{sweep.slope:.17g}", "half_width", f"{sweep.slope_half_width:.17g}"])
-    path = os.path.join(out_dir, "scaling_sweep.csv")
-    atomic_write_text(path, _csv_text(["C", "n_star", "T_star", "bound"], rows))
+    rows.append(["slope", sweep.slope, "half_width", sweep.slope_half_width])
+    atomic_write_text(path, _csv_text(header, rows))
     return path

@@ -25,12 +25,10 @@ from .processes import (
     GaussianMixturePred,
     GaussianPred,
     History,
-    LatentParams,
     LinRep,
     Observation,
     Particles,
-    PredictiveDistribution,
-    ProcessSpec,
+    Process,
     logsumexp,
 )
 from .rng import RngStream
@@ -41,7 +39,7 @@ def _normalized_log_weights(logw: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Predictor kinds (tagged union); each builds its own prior state
+# Predictor kinds; each builds its own prior state
 # ---------------------------------------------------------------------------
 
 
@@ -61,7 +59,7 @@ class ConjugateLinReg:
 
 @dataclass(frozen=True)
 class Enumeration:
-    support: Sequence[LatentParams]
+    support: Sequence
     prior: np.ndarray
 
     def __post_init__(self):
@@ -186,17 +184,6 @@ class OracleMetaEnsemble:
         )
 
 
-PredictorKind = Union[
-    ConjugateLinReg,
-    Enumeration,
-    PriorEnsemble,
-    Omniscient,
-    MisspecifiedConjugate,
-    MisspecifiedWidth,
-    OracleMetaEnsemble,
-]
-
-
 # ---------------------------------------------------------------------------
 # Predictor states
 # ---------------------------------------------------------------------------
@@ -208,7 +195,7 @@ class ConjugateState:
     mean: np.ndarray
     cov: np.ndarray
 
-    def observe(self, spec: ProcessSpec, obs: Observation) -> None:
+    def observe(self, spec: Process, obs: Observation) -> None:
         x, y = obs.x, float(obs.y)
         noise_var = self.kind.noise_var
         cx = self.cov @ x
@@ -217,7 +204,7 @@ class ConjugateState:
         self.cov = self.cov - np.outer(cx, cx) / s
 
     def predict(
-        self, spec: ProcessSpec, x: np.ndarray, task: Optional[int] = None
+        self, spec: Process, x: np.ndarray, task: Optional[int] = None
     ) -> GaussianPred:
         return GaussianPred(
             mean=float(self.mean @ x),
@@ -231,7 +218,7 @@ class EnumerationState:
     log_weights: np.ndarray
     history: History = field(default_factory=History)
 
-    def observe(self, spec: ProcessSpec, obs: Observation) -> None:
+    def observe(self, spec: Process, obs: Observation) -> None:
         if len(self.history) < spec.seed_tokens:
             # Seed context tokens are prior-independent; no reweighting.
             self.history.append(obs)
@@ -245,9 +232,7 @@ class EnumerationState:
         self.log_weights = _normalized_log_weights(self.log_weights + ll)
         self.history.append(obs)
 
-    def predict(
-        self, spec: ProcessSpec, x: Optional[np.ndarray], task: Optional[int] = None
-    ) -> PredictiveDistribution:
+    def predict(self, spec: Process, x: Optional[np.ndarray], task: Optional[int] = None):
         return spec.support_predictive(
             self.kind.support, self.history, x, task, self.log_weights
         )
@@ -288,7 +273,7 @@ class EnsembleState:
             )
             self.resamples += 1
 
-    def observe(self, spec: ProcessSpec, obs: Observation) -> None:
+    def observe(self, spec: Process, obs: Observation) -> None:
         if len(self.history) < spec.seed_tokens:
             # Seed context tokens are prior-independent; no reweighting.
             self.history.append(obs)
@@ -298,29 +283,19 @@ class EnsembleState:
         self.history.append(obs)
         self._maybe_resample()
 
-    def predict(
-        self,
-        spec: ProcessSpec,
-        x: Optional[np.ndarray],
-        task: Optional[int] = None,
-    ) -> PredictiveDistribution:
+    def predict(self, spec: Process, x: Optional[np.ndarray], task: Optional[int] = None):
         return spec.mixture(self.particles.stat(self.history, x, task), self.log_weights)
 
 
 @dataclass
 class OmniscientState:
-    latent: LatentParams
+    latent: object
     history: History = field(default_factory=History)
 
-    def observe(self, spec: ProcessSpec, obs: Observation) -> None:
+    def observe(self, spec: Process, obs: Observation) -> None:
         self.history.append(obs)
 
-    def predict(
-        self,
-        spec: ProcessSpec,
-        x: Optional[np.ndarray],
-        task: Optional[int] = None,
-    ) -> PredictiveDistribution:
+    def predict(self, spec: Process, x: Optional[np.ndarray], task: Optional[int] = None):
         return spec.point(spec.conditional(self.latent, self.history, x, task))
 
 
@@ -336,7 +311,7 @@ class OracleMetaState:
     stream: RngStream
     resamples: int = 0
 
-    def observe(self, spec: ProcessSpec, obs: Observation) -> None:
+    def observe(self, spec: Process, obs: Observation) -> None:
         m = obs.task
         logits = self.xi_particles[m] @ self.psi.T  # (S, d)
         logits -= logits.max(axis=1, keepdims=True)
@@ -360,7 +335,7 @@ class OracleMetaState:
 
     def predict(
         self,
-        spec: ProcessSpec,
+        spec: Process,
         x: Optional[np.ndarray],
         task: Optional[int] = None,
     ) -> CategoricalPred:
@@ -372,42 +347,27 @@ class OracleMetaState:
         return CategoricalPred(pmf=w @ pmfs)
 
 
-PredictorState = Union[
-    ConjugateState, EnumerationState, EnsembleState, OmniscientState, OracleMetaState
-]
-
-
 # ---------------------------------------------------------------------------
 # Functional interface
 # ---------------------------------------------------------------------------
 
 
-def init_predictor(
-    kind: PredictorKind,
-    spec: ProcessSpec,
-    latent: Optional[LatentParams] = None,
-    stream: Optional[RngStream] = None,
-) -> PredictorState:
-    """Build the prior state of a predictor (no observations seen)."""
+def init_predictor(kind, spec: Process, latent=None, stream: Optional[RngStream] = None):
+    """Build the prior state of a predictor kind (no observations seen)."""
     return kind.init(spec, latent, stream)
 
 
-def observe(state: PredictorState, spec: ProcessSpec, obs: Observation) -> PredictorState:
+def observe(state, spec: Process, obs: Observation):
     """Advance the predictor state by one observation (in place; returned)."""
     state.observe(spec, obs)
     return state
 
 
-def predict(
-    state: PredictorState,
-    spec: ProcessSpec,
-    x: Optional[np.ndarray] = None,
-    task: Optional[int] = None,
-) -> PredictiveDistribution:
+def predict(state, spec: Process, x: Optional[np.ndarray] = None, task: Optional[int] = None):
     """Posterior (or prior) predictive distribution for the next label."""
     return state.predict(spec, x, task)
 
 
-def log_loss(pred: PredictiveDistribution, y: Union[float, int]) -> float:
+def log_loss(pred, y: Union[float, int]) -> float:
     """Negative log-probability of y in nats (density for Gaussian kinds)."""
     return pred.log_loss(y)

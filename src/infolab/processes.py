@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -94,11 +94,6 @@ class CategoricalPred:
     def log_loss(self, y: int) -> float:
         p = self.pmf[int(y) - 1]
         return math.inf if p <= 0.0 else -math.log(p)
-
-
-PredictiveDistribution = Union[
-    GaussianPred, GaussianMixturePred, BernoulliLogitPred, CategoricalPred
-]
 
 
 def _bernoulli_mixture(p1: float) -> BernoulliLogitPred:
@@ -200,7 +195,7 @@ class Process:
         # Latent-list particles, e.g. Dirichlet draws whose atom counts differ.
         return np.array([self.conditional(l, history, x, task) for l in particles.latents])
 
-    def support_predictive(self, support, history, x, task, log_weights) -> PredictiveDistribution:
+    def support_predictive(self, support, history, x, task, log_weights):
         """Posterior predictive of a finite support under normalized log weights."""
         stats = Particles.stack(self, list(support)).stat(history, x, task)
         return self.mixture(stats, log_weights)
@@ -537,10 +532,10 @@ class BinaryARK(_Bernoulli):
         return Particles(self, size, theta=theta)
 
     def conditional(self, latent, history, x, task) -> float:
-        return ark_logit(self, latent, [int(b) for b in history.labels()])
+        return ark_logit(self, latent, [int(b) for b in history.last_labels(self.context)])
 
     def particle_stat(self, particles, history, x, task):
-        ctx = [int(b) for b in history.labels()][-self.context:]
+        ctx = [int(b) for b in history.last_labels(self.context)]
         phis = np.stack(
             [self.phi1 if ctx[-k] == 1 else self.phi0 for k in range(1, self.context + 1)]
         )  # (K, d)
@@ -612,10 +607,11 @@ class Transformer(_Categorical):
         return TransformerLatent(attn=attn, value=value)
 
     def conditional(self, latent, history, x, task) -> np.ndarray:
-        return transformer_next_pmf(self, latent, [int(t) for t in history.labels()])
+        tokens = [int(t) for t in history.last_labels(self.context)]
+        return transformer_next_pmf(self, latent, tokens)
 
     def particle_stat(self, particles, history, x, task):
-        tokens = [int(t) for t in history.labels()]  # once per step, not per particle
+        tokens = [int(t) for t in history.last_labels(self.context)]  # once per step
         return np.stack([transformer_next_pmf(self, l, tokens) for l in particles.latents])
 
 
@@ -704,10 +700,6 @@ class IclMixture(_MetaCategorical):
         return transformer_next_pmf(self.inner, comp, tokens)
 
 
-ProcessSpec = Union[
-    LinReg, LogReg, DeepNet, DirichletNet, BinaryARK, Transformer, LinRep, IclMixture
-]
-
 # Config "kind" -> spec class, for every process a scenario config can name.
 PROCESS_KINDS = {
     cls.kind: cls
@@ -732,7 +724,7 @@ def make_embeddings(vocab: int, attn_dim: int, stream: RngStream) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Latent parameters (tagged union)
+# Latent parameters
 # ---------------------------------------------------------------------------
 
 
@@ -780,18 +772,6 @@ class IclLatent:
     components: Dict[int, TransformerLatent] = field(default_factory=dict)
 
 
-LatentParams = Union[
-    LinRegLatent,
-    LogRegLatent,
-    DeepNetLatent,
-    DirichletNetLatent,
-    ARKLatent,
-    TransformerLatent,
-    LinRepLatent,
-    IclLatent,
-]
-
-
 # ---------------------------------------------------------------------------
 # History
 # ---------------------------------------------------------------------------
@@ -817,6 +797,10 @@ class History:
 
     def labels(self) -> List[Union[float, int]]:
         return [o.y for o in self.observations]
+
+    def last_labels(self, k: int) -> List[Union[float, int]]:
+        """Labels of the last k >= 1 observations (fewer if the history is shorter)."""
+        return [o.y for o in self.observations[-k:]]
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -961,57 +945,43 @@ def linrep_task_pmf(latent: LinRepLatent, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sample_latent(spec: ProcessSpec, stream: RngStream) -> LatentParams:
+def sample_latent(spec: Process, stream: RngStream):
     """Draw latent parameters exactly from the process prior."""
     return spec.sample_latent(stream)
 
 
-def initial_history(spec: ProcessSpec, latent: LatentParams, stream: RngStream) -> History:
+def initial_history(spec: Process, latent, stream: RngStream) -> History:
     """Seed history: K uniform bits/tokens for sequence processes, else empty."""
     return spec.initial_history(latent, stream)
 
 
-def step(
-    spec: ProcessSpec, latent: LatentParams, history: History, stream: RngStream
-) -> Observation:
+def step(spec: Process, latent, history: History, stream: RngStream) -> Observation:
     """Generate one observation from the true process."""
     return spec.step(latent, history, stream)
 
 
 def meta_step(
-    spec: Union[LinRep, IclMixture],
-    latent: LatentParams,
-    m: int,
-    history: History,
-    stream: RngStream,
+    spec: Union[LinRep, IclMixture], latent, m: int, history: History, stream: RngStream
 ) -> Observation:
     """Generate one observation for task m of a meta process."""
     return spec.meta_step(latent, m, history, stream)
 
 
 def cond_logprob(
-    spec: ProcessSpec,
-    latent: LatentParams,
-    history: History,
-    x: Optional[np.ndarray],
-    y: Union[float, int],
+    spec: Process, latent, history: History, x: Optional[np.ndarray], y: Union[float, int]
 ) -> float:
     """Exact log-density/log-mass of y under the true process."""
     return spec.cond_logprob(latent, history, x, y)
 
 
 def meta_cond_logprob(
-    spec: Union[LinRep, IclMixture],
-    latent: LatentParams,
-    m: int,
-    history: History,
-    y: int,
+    spec: Union[LinRep, IclMixture], latent, m: int, history: History, y: int
 ) -> float:
     """Exact log-mass of the next label of task m under the true process."""
     return spec.meta_cond_logprob(latent, m, history, y)
 
 
-def irreducible_rate(spec: ProcessSpec) -> Optional[float]:
+def irreducible_rate(spec: Process) -> Optional[float]:
     """Per-step conditional entropy of labels given the latent.
 
     Closed form for Gaussian-noise processes; None marks discrete-label
@@ -1025,91 +995,60 @@ def irreducible_rate(spec: ProcessSpec) -> Optional[float]:
 # Versioned JSON serialization (replay and golden tests)
 # ---------------------------------------------------------------------------
 
-SERIALIZATION_VERSION = 1
+SERIALIZATION_VERSION = 2
+
+# Latent classes by name; JSON forms follow their dataclass fields.
+_LATENT_TYPES = {
+    cls.__name__: cls
+    for cls in (
+        LinRegLatent, LogRegLatent, DeepNetLatent, DirichletNetLatent, ARKLatent,
+        TransformerLatent, LinRepLatent, IclLatent, StickBreakingDraw,
+    )
+}
 
 
 def _fmt(value):
     if isinstance(value, float):
         return float(f"{value:.17g}")
     if isinstance(value, np.ndarray):
-        return [_fmt(v) for v in value.tolist()]
+        return _fmt(value.tolist())
     if isinstance(value, list):
         return [_fmt(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _fmt(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: _fmt(getattr(value, f.name)) for f in fields(value)}
     return value
 
 
-def latent_to_json(latent: LatentParams) -> str:
+def _unfmt(annotation: str, value):
+    """Rebuild a value from its JSON form, led by the annotation that declares it."""
+    if annotation in _LATENT_TYPES:
+        cls = _LATENT_TYPES[annotation]
+        return cls(**{f.name: _unfmt(f.type, value[f.name]) for f in fields(cls)})
+    if annotation.startswith("List["):
+        return [_unfmt(annotation[len("List["):-1], v) for v in value]
+    if annotation.startswith("Dict[int, "):
+        return {int(k): _unfmt(annotation[len("Dict[int, "):-1], v) for k, v in value.items()}
+    if annotation == "np.ndarray":
+        return np.array(value)
+    return value
+
+
+def latent_to_json(latent) -> str:
     """Serialize latent parameters to a versioned JSON string."""
-    kind = type(latent).__name__
-    payload: Dict[str, object] = {"version": SERIALIZATION_VERSION, "kind": kind}
-    if isinstance(latent, (LinRegLatent, LogRegLatent)):
-        payload["theta"] = _fmt(latent.theta)
-    elif isinstance(latent, DeepNetLatent):
-        payload["weights"] = [_fmt(w) for w in latent.weights]
-    elif isinstance(latent, DirichletNetLatent):
-        payload["weights"] = _fmt(latent.draw.weights)
-        payload["atoms"] = _fmt(latent.draw.atoms)
-        payload["tail_mass"] = _fmt(float(latent.draw.tail_mass))
-        payload["signs"] = _fmt(latent.signs)
-    elif isinstance(latent, ARKLatent):
-        payload["theta"] = _fmt(latent.theta)
-    elif isinstance(latent, TransformerLatent):
-        payload["attn"] = [_fmt(a) for a in latent.attn]
-        payload["value"] = [_fmt(v) for v in latent.value]
-    elif isinstance(latent, LinRepLatent):
-        payload["psi"] = _fmt(latent.psi)
-        payload["xi"] = _fmt(latent.xi)
-    elif isinstance(latent, IclLatent):
-        payload["assignments"] = [int(a) for a in latent.assignments]
-        payload["components"] = {
-            str(k): {"attn": [_fmt(a) for a in v.attn], "value": [_fmt(w) for w in v.value]}
-            for k, v in latent.components.items()
-        }
-    else:
-        raise TypeError(f"unknown latent kind: {kind}")
+    payload = {"version": SERIALIZATION_VERSION, "kind": type(latent).__name__, **_fmt(latent)}
     return json.dumps(payload, sort_keys=True)
 
 
-def latent_from_json(text: str) -> LatentParams:
+def latent_from_json(text: str):
     """Rebuild latent parameters from their JSON form."""
     payload = json.loads(text)
     if payload.get("version") != SERIALIZATION_VERSION:
         raise ValueError("unsupported serialization version")
-    kind = payload["kind"]
-    if kind == "LinRegLatent":
-        return LinRegLatent(theta=np.array(payload["theta"]))
-    if kind == "LogRegLatent":
-        return LogRegLatent(theta=np.array(payload["theta"]))
-    if kind == "DeepNetLatent":
-        return DeepNetLatent(weights=[np.array(w) for w in payload["weights"]])
-    if kind == "DirichletNetLatent":
-        draw = StickBreakingDraw(
-            weights=np.array(payload["weights"]),
-            atoms=np.array(payload["atoms"]),
-            tail_mass=float(payload["tail_mass"]),
-        )
-        return DirichletNetLatent(draw=draw, signs=np.array(payload["signs"]))
-    if kind == "ARKLatent":
-        return ARKLatent(theta=np.array(payload["theta"]))
-    if kind == "TransformerLatent":
-        return TransformerLatent(
-            attn=[np.array(a) for a in payload["attn"]],
-            value=[np.array(v) for v in payload["value"]],
-        )
-    if kind == "LinRepLatent":
-        return LinRepLatent(psi=np.array(payload["psi"]), xi=np.array(payload["xi"]))
-    if kind == "IclLatent":
-        return IclLatent(
-            assignments=np.array(payload["assignments"], dtype=int),
-            components={
-                int(k): TransformerLatent(
-                    attn=[np.array(a) for a in v["attn"]],
-                    value=[np.array(w) for w in v["value"]],
-                )
-                for k, v in payload["components"].items()
-            },
-        )
-    raise ValueError(f"unknown latent kind: {kind}")
+    if payload.get("kind") not in _LATENT_TYPES:
+        raise ValueError(f"unknown latent kind: {payload.get('kind')}")
+    return _unfmt(payload["kind"], payload)
 
 
 def history_to_json(history: History) -> str:
