@@ -13,7 +13,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,14 +27,8 @@ from .estimators import (
     error_curve_rows,
     run_replicate,
 )
-from .predictors import (
-    ConjugateLinReg,
-    MisspecifiedConjugate,
-    MisspecifiedWidth,
-    Omniscient,
-    PriorEnsemble,
-)
-from .processes import PROCESS_KINDS, LinReg, Process, irreducible_rate
+from .predictors import PREDICTOR_KINDS
+from .processes import PROCESS_KINDS, Process, irreducible_rate
 from .rng import RngStream, SeedSpec
 
 CONFIG_VERSION = 1
@@ -52,61 +46,29 @@ def _require(payload: Dict, keys: Sequence[str], context: str) -> None:
         raise ValueError(f"missing key(s) in {context}: {', '.join(missing)}")
 
 
-def parse_process(payload: Dict) -> Process:
-    """Build a process spec from its JSON form, using the spec's key table."""
+def _parse_kind(payload: Dict, kinds: Dict, context: str, *spec):
+    """Build the class that payload["kind"] names in `kinds` from its config table."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{context} must be a JSON object, not {payload!r}")
     kind = payload.get("kind")
-    if kind not in PROCESS_KINDS:
-        raise ValueError(f"unknown process kind: {kind}")
-    cls = PROCESS_KINDS[kind]
-    _reject_unknown(payload, ["kind", *cls.config], "process")
-    required = [f.name for f in fields(cls) if f.name in cls.config and f.default is MISSING]
-    _require(payload, required, f"process '{kind}'")
-    return cls.from_config({k: cv(payload[k]) for k, cv in cls.config.items() if k in payload})
+    if kind not in kinds:
+        raise ValueError(f"unknown {context} kind: {kind}")
+    cls = kinds[kind]
+    _reject_unknown(payload, ["kind", *cls.config], context)
+    _require(payload, cls.required(), f"{context} '{kind}'")
+    return cls.from_config(
+        {k: cv(payload[k]) for k, cv in cls.config.items() if k in payload}, *spec
+    )
+
+
+def parse_process(payload: Dict) -> Process:
+    """Build a process spec from its JSON form."""
+    return _parse_kind(payload, PROCESS_KINDS, "process")
 
 
 def parse_predictor(payload: Dict, spec: Process):
     """Build a predictor kind from its JSON form, given the process spec."""
-    kind = payload.get("kind")
-    if kind == "conjugate":
-        _reject_unknown(payload, ["kind"], "predictor")
-        if not isinstance(spec, LinReg):
-            raise ValueError("conjugate predictor applies to the linreg process")
-        return ConjugateLinReg(
-            prior_mean=np.zeros(spec.d),
-            prior_cov=spec.prior_var * np.eye(spec.d),
-            noise_var=spec.noise_var,
-        )
-    if kind == "ensemble":
-        _reject_unknown(payload, ["kind", "size", "resample_ess_frac"], "predictor")
-        return PriorEnsemble(
-            size=int(payload.get("size", 2048)),
-            resample_ess_frac=float(payload.get("resample_ess_frac", 0.5)),
-        )
-    if kind == "omniscient":
-        _reject_unknown(payload, ["kind"], "predictor")
-        return Omniscient()
-    if kind == "misspecified_conjugate":
-        _reject_unknown(
-            payload, ["kind", "prior_mean", "prior_diag"], "predictor"
-        )
-        if not isinstance(spec, LinReg):
-            raise ValueError("misspecified_conjugate applies to the linreg process")
-        mean = np.array(payload.get("prior_mean", [0.0] * spec.d), dtype=float)
-        diag = np.array(
-            payload.get("prior_diag", [spec.prior_var] * spec.d), dtype=float
-        )
-        return MisspecifiedConjugate(
-            prior_mean=mean, prior_cov=np.diag(diag), noise_var=spec.noise_var
-        )
-    if kind == "misspecified_width":
-        _reject_unknown(payload, ["kind", "n", "eps", "size"], "predictor")
-        _require(payload, ["n"], "predictor 'misspecified_width'")
-        return MisspecifiedWidth(
-            n=int(payload["n"]),
-            eps=float(payload.get("eps", 0.0)),
-            size=int(payload.get("size", 2048)),
-        )
-    raise ValueError(f"unknown predictor kind: {kind}")
+    return _parse_kind(payload, PREDICTOR_KINDS, "predictor", spec)
 
 
 @dataclass
@@ -295,51 +257,37 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
+# Built-in scenario -> (process, predictor, horizons, replicates, bound id).
+BUILTIN_SCENARIOS = {
+    "linreg_baseline": ({"kind": "linreg", "d": 5, "noise_var": 0.25}, {"kind": "conjugate"},
+                        [20, 100, 500], 2000, "linreg_error"),
+    "logreg_small": ({"kind": "logreg", "d": 3}, {"kind": "ensemble", "size": 1024},
+                     [50, 200], 200, "logreg_error"),
+    "ark_small": ({"kind": "ark", "d": 2, "context": 2}, {"kind": "ensemble", "size": 1024},
+                  [50, 200], 200, "ark_error"),
+}
+
+
 def builtin_scenario(name: str, master_seed: int = 20240817) -> ScenarioConfig:
     """Named scenario configs shipped with the library."""
-    if name == "linreg_baseline":
-        return parse_config(
-            {
-                "version": 1,
-                "scenario_id": "linreg_baseline",
-                "process": {"kind": "linreg", "d": 5, "noise_var": 0.25},
-                "predictor": {"kind": "conjugate"},
-                "horizons": [20, 100, 500],
-                "replicates": 2000,
-                "master_seed": master_seed,
-                "bounds": ["linreg_error"],
-            }
-        )
-    if name == "logreg_small":
-        return parse_config(
-            {
-                "version": 1,
-                "scenario_id": "logreg_small",
-                "process": {"kind": "logreg", "d": 3},
-                "predictor": {"kind": "ensemble", "size": 1024},
-                "horizons": [50, 200],
-                "replicates": 200,
-                "master_seed": master_seed,
-                "bounds": ["logreg_error"],
-            }
-        )
-    if name == "ark_small":
-        return parse_config(
-            {
-                "version": 1,
-                "scenario_id": "ark_small",
-                "process": {"kind": "ark", "d": 2, "context": 2},
-                "predictor": {"kind": "ensemble", "size": 1024},
-                "horizons": [50, 200],
-                "replicates": 200,
-                "master_seed": master_seed,
-                "bounds": ["ark_error"],
-            }
-        )
-    raise ValueError(f"unknown built-in scenario: {name}")
+    if name not in BUILTIN_SCENARIOS:
+        raise ValueError(f"unknown built-in scenario: {name}")
+    process, predictor, horizons, replicates, bound_id = BUILTIN_SCENARIOS[name]
+    return parse_config(
+        {
+            "version": CONFIG_VERSION,
+            "scenario_id": name,
+            "process": process,
+            "predictor": predictor,
+            "horizons": horizons,
+            "replicates": replicates,
+            "master_seed": master_seed,
+            "bounds": [bound_id],
+        }
+    )
 
 
-DESK_SUITE = ["linreg_baseline", "logreg_small", "ark_small"]
+DESK_SUITE = list(BUILTIN_SCENARIOS)
 
 
 def load_manifest(name_or_path: str, master_seed: int = 20240817) -> List[ScenarioConfig]:

@@ -6,13 +6,15 @@ posterior for everything else, the omniscient baseline, and misspecified
 variants (wrong conjugate prior; reduced-width function prior).  Each
 predictor kind builds its own state; the process spec supplies every
 family-specific piece (conditionals, particle statistics, predictives).
+Enumeration, ensembles and the oracle-meta filter all hold one kind of
+state: weighted particles (`EnsembleState`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,15 +23,19 @@ import numpy as np
 from .processes import (
     BernoulliLogitPred,
     CategoricalPred,
+    Configurable,
     DirichletNet,
     GaussianMixturePred,
     GaussianPred,
     History,
     LinRep,
+    LinReg,
     Observation,
     Particles,
     Process,
+    float_array,
     logsumexp,
+    softmax,
 )
 from .rng import RngStream
 
@@ -44,10 +50,26 @@ def _normalized_log_weights(logw: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConjugateLinReg:
+class ConjugateLinReg(Configurable):
     prior_mean: np.ndarray
     prior_cov: np.ndarray
     noise_var: float
+
+    kind = "conjugate"
+    config = {}
+
+    @classmethod
+    def required(cls):
+        return []  # from_config takes every default from the linreg spec
+
+    @classmethod
+    def from_config(cls, values, spec=None) -> "ConjugateLinReg":
+        """Prior N(prior_mean, diag(prior_diag)); both default to the spec's prior."""
+        if not isinstance(spec, LinReg):
+            raise ValueError(f"{cls.kind} predictor applies to the linreg process")
+        mean = values.get("prior_mean", np.zeros(spec.d))
+        diag = values.get("prior_diag", np.full(spec.d, spec.prior_var))
+        return cls(prior_mean=mean, prior_cov=np.diag(diag), noise_var=spec.noise_var)
 
     def init(self, spec, latent, stream) -> "ConjugateState":
         mean = np.asarray(self.prior_mean, dtype=float).copy()
@@ -68,15 +90,20 @@ class Enumeration:
             raise ValueError("prior must be a pmf over the support")
         object.__setattr__(self, "prior", p)
 
-    def init(self, spec, latent, stream) -> "EnumerationState":
+    def init(self, spec, latent, stream) -> "EnsembleState":
+        """The support as particles weighted by the prior; never resampled."""
         logp = np.where(self.prior > 0, np.log(np.maximum(self.prior, 1e-300)), -np.inf)
-        return EnumerationState(kind=self, log_weights=_normalized_log_weights(logp))
+        particles = Particles.stack(spec, list(self.support))
+        return EnsembleState(self, particles, _normalized_log_weights(logp), resampler=None)
 
 
 @dataclass(frozen=True)
-class PriorEnsemble:
+class PriorEnsemble(Configurable):
     size: int = 2048
     resample_ess_frac: float = 0.5
+
+    kind = "ensemble"
+    config = {"size": int, "resample_ess_frac": float}
 
     def __post_init__(self):
         if self.size < 2 or not 0 < self.resample_ess_frac <= 1:
@@ -90,7 +117,10 @@ class PriorEnsemble:
 
 
 @dataclass(frozen=True)
-class Omniscient:
+class Omniscient(Configurable):
+    kind = "omniscient"
+    config = {}
+
     def init(self, spec, latent, stream) -> "OmniscientState":
         if latent is None:
             raise ValueError("Omniscient requires the true latent")
@@ -101,9 +131,12 @@ class Omniscient:
 class MisspecifiedConjugate(ConjugateLinReg):
     """Conjugate updates under a wrong Gaussian prior; cov may be singular."""
 
+    kind = "misspecified_conjugate"
+    config = {"prior_mean": float_array, "prior_diag": float_array}
+
 
 @dataclass(frozen=True)
-class MisspecifiedWidth:
+class MisspecifiedWidth(Configurable):
     """Ensemble posterior whose particles come from the width-n snapped prior.
 
     The kind is also the particles' prior: it stacks the width-n nets and
@@ -111,9 +144,12 @@ class MisspecifiedWidth:
     """
 
     n: int
-    eps: float
+    eps: float = 0.0
     size: int = 2048
     resample_ess_frac: float = 0.5
+
+    kind = "misspecified_width"
+    config = {"n": int, "eps": float, "size": int}
 
     def __post_init__(self):
         if self.n < 1 or self.size < 2 or self.eps < 0:
@@ -147,6 +183,25 @@ class MisspecifiedWidth:
         return scale * np.einsum("sn,sn->s", particles.net_signs, acts)
 
 
+# Config "kind" -> predictor kind, for every predictor a scenario config can name.
+PREDICTOR_KINDS = {
+    cls.kind: cls
+    for cls in (
+        ConjugateLinReg, PriorEnsemble, Omniscient, MisspecifiedConjugate, MisspecifiedWidth
+    )
+}
+
+
+@dataclass(frozen=True)
+class _KnownRepresentation:
+    """Prior of the oracle's task particles xi: label pmfs under the true psi."""
+
+    psi: np.ndarray
+
+    def particle_stat(self, particles, history, x, task):
+        return softmax(particles.xi @ self.psi.T, axis=1)
+
+
 @dataclass(frozen=True)
 class OracleMetaEnsemble:
     """Per-task ensemble over task latents with the shared representation known.
@@ -161,26 +216,27 @@ class OracleMetaEnsemble:
     def init(self, spec, latent, stream) -> "OracleMetaState":
         if latent is None or stream is None or not isinstance(spec, LinRep):
             raise ValueError("OracleMetaEnsemble requires a LinRep latent and stream")
-        xi = np.stack(
-            [
-                np.stack(
-                    [
-                        stream.derive(("task", m), ("particle", i)).gen.normal(
-                            0.0, math.sqrt(1.0 / spec.r), size=spec.r
-                        )
-                        for i in range(self.size)
-                    ]
-                )
-                for m in range(spec.tasks)
-            ]
-        )
+        prior = _KnownRepresentation(psi=latent.psi)
+        xi = [
+            np.stack(
+                [
+                    stream.derive(("task", m), ("particle", i)).gen.normal(
+                        0.0, math.sqrt(1.0 / spec.r), size=spec.r
+                    )
+                    for i in range(self.size)
+                ]
+            )
+            for m in range(spec.tasks)
+        ]
+        # One resampler for all tasks: draw k reads ("resample", k) whichever
+        # task's filter asks for it.
+        resampler = Resampler(stream.derive(("sis", 0)))
+        uniform = np.full(self.size, -math.log(self.size))
         return OracleMetaState(
-            kind=self,
-            spec=spec,
-            psi=latent.psi,
-            xi_particles=xi,
-            log_weights=np.full((spec.tasks, self.size), -math.log(self.size)),
-            stream=stream.derive(("sis", 0)),
+            [
+                EnsembleState(self, Particles(prior, self.size, xi=x), uniform, resampler)
+                for x in xi
+            ]
         )
 
 
@@ -191,7 +247,7 @@ class OracleMetaEnsemble:
 
 @dataclass
 class ConjugateState:
-    kind: Union[ConjugateLinReg, MisspecifiedConjugate]
+    kind: ConjugateLinReg
     mean: np.ndarray
     cov: np.ndarray
 
@@ -212,40 +268,38 @@ class ConjugateState:
         )
 
 
-@dataclass
-class EnumerationState:
-    kind: Enumeration
-    log_weights: np.ndarray
-    history: History = field(default_factory=History)
+class Resampler:
+    """Multinomial resampling; draw k reads stream path ("resample", k).
 
-    def observe(self, spec: Process, obs: Observation) -> None:
-        if len(self.history) < spec.seed_tokens:
-            # Seed context tokens are prior-independent; no reweighting.
-            self.history.append(obs)
-            return
-        ll = np.array(
-            [
-                spec.logprob(latent, self.history, obs.x, obs.y, obs.task)
-                for latent in self.kind.support
-            ]
-        )
-        self.log_weights = _normalized_log_weights(self.log_weights + ll)
-        self.history.append(obs)
+    Filters that share one resampler share its draw counter.
+    """
 
-    def predict(self, spec: Process, x: Optional[np.ndarray], task: Optional[int] = None):
-        return spec.support_predictive(
-            self.kind.support, self.history, x, task, self.log_weights
-        )
+    def __init__(self, stream: RngStream):
+        self.stream = stream
+        self.count = 0
+
+    def indices(self, weights: np.ndarray) -> np.ndarray:
+        u = self.stream.derive(("resample", self.count)).gen.random(len(weights))
+        cdf = np.cumsum(weights)
+        cdf[-1] = 1.0
+        self.count += 1
+        return np.searchsorted(cdf, u, side="right")
 
 
 @dataclass
 class EnsembleState:
-    kind: Union[PriorEnsemble, MisspecifiedWidth]
+    """Weighted particles: the posterior of enumeration, ensemble and oracle kinds.
+
+    After each reweighting the particles are resampled when the effective
+    sample size falls below `kind.resample_ess_frac` of the ensemble; a
+    state without a resampler (exact enumeration) keeps its weights.
+    """
+
+    kind: object
     particles: Particles
     log_weights: np.ndarray
-    stream: RngStream
+    resampler: Optional[Resampler]
     history: History = field(default_factory=History)
-    resamples: int = 0
 
     @classmethod
     def start(cls, kind, particles: Particles, stream: RngStream) -> "EnsembleState":
@@ -254,24 +308,20 @@ class EnsembleState:
             kind=kind,
             particles=particles,
             log_weights=np.full(particles.size, -math.log(particles.size)),
-            stream=stream.derive(("sis", 0)),
+            resampler=Resampler(stream.derive(("sis", 0))),
         )
+
+    @property
+    def resamples(self) -> int:
+        """Draws made by this state's resampler (shared ones count every sharer's)."""
+        return 0 if self.resampler is None else self.resampler.count
 
     def _maybe_resample(self) -> None:
         w = np.exp(self.log_weights)
-        ess = 1.0 / float(np.sum(w * w))
-        if ess < self.kind.resample_ess_frac * self.particles.size:
-            u = self.stream.derive(("resample", self.resamples)).gen.random(
-                self.particles.size
-            )
-            cdf = np.cumsum(w)
-            cdf[-1] = 1.0
-            idx = np.searchsorted(cdf, u, side="right")
-            self.particles = self.particles.resample(idx)
-            self.log_weights = np.full(
-                self.particles.size, -math.log(self.particles.size)
-            )
-            self.resamples += 1
+        size = self.particles.size
+        if 1.0 / float(np.sum(w * w)) < self.kind.resample_ess_frac * size:
+            self.particles = self.particles.resample(self.resampler.indices(w))
+            self.log_weights = np.full(size, -math.log(size))
 
     def observe(self, spec: Process, obs: Observation) -> None:
         if len(self.history) < spec.seed_tokens:
@@ -281,7 +331,8 @@ class EnsembleState:
         ll = spec.loglik(self.particles.stat(self.history, obs.x, obs.task), obs.y)
         self.log_weights = _normalized_log_weights(self.log_weights + ll)
         self.history.append(obs)
-        self._maybe_resample()
+        if self.resampler is not None:
+            self._maybe_resample()
 
     def predict(self, spec: Process, x: Optional[np.ndarray], task: Optional[int] = None):
         return spec.mixture(self.particles.stat(self.history, x, task), self.log_weights)
@@ -301,50 +352,28 @@ class OmniscientState:
 
 @dataclass
 class OracleMetaState:
-    """Independent per-task particle filters over task latents, shared psi known."""
+    """One weighted-particle filter per task over its latent xi, psi known."""
 
-    kind: OracleMetaEnsemble
-    spec: LinRep
-    psi: np.ndarray
-    xi_particles: np.ndarray  # (tasks, S, r)
-    log_weights: np.ndarray  # (tasks, S)
-    stream: RngStream
-    resamples: int = 0
+    tasks: List[EnsembleState]
 
     def observe(self, spec: Process, obs: Observation) -> None:
-        m = obs.task
-        logits = self.xi_particles[m] @ self.psi.T  # (S, d)
-        logits -= logits.max(axis=1, keepdims=True)
-        pmfs = np.exp(logits)
-        pmfs /= pmfs.sum(axis=1, keepdims=True)
-        ll = np.log(np.maximum(pmfs[:, int(obs.y) - 1], 1e-300))
-        lw = self.log_weights[m] + ll
-        lw -= logsumexp(lw)
-        w = np.exp(lw)
-        size = len(w)
-        ess = 1.0 / float(np.sum(w * w))
-        if ess < self.kind.resample_ess_frac * size:
-            u = self.stream.derive(("resample", self.resamples)).gen.random(size)
-            cdf = np.cumsum(w)
-            cdf[-1] = 1.0
-            idx = np.searchsorted(cdf, u, side="right")
-            self.xi_particles[m] = self.xi_particles[m][idx]
-            lw = np.full(size, -math.log(size))
-            self.resamples += 1
-        self.log_weights[m] = lw
+        self.tasks[obs.task].observe(spec, obs)
 
-    def predict(
-        self,
-        spec: Process,
-        x: Optional[np.ndarray],
-        task: Optional[int] = None,
-    ) -> CategoricalPred:
-        logits = self.xi_particles[task] @ self.psi.T
-        logits -= logits.max(axis=1, keepdims=True)
-        pmfs = np.exp(logits)
-        pmfs /= pmfs.sum(axis=1, keepdims=True)
-        w = np.exp(self.log_weights[task])
-        return CategoricalPred(pmf=w @ pmfs)
+    def predict(self, spec: Process, x: Optional[np.ndarray], task: Optional[int] = None):
+        return self.tasks[task].predict(spec, x, task)
+
+    # Read-only health views over all tasks.
+    @property
+    def resamples(self) -> int:
+        return self.tasks[0].resamples  # the tasks share one resampler
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        return np.stack([t.log_weights for t in self.tasks])  # (tasks, S)
+
+    @property
+    def xi_particles(self) -> np.ndarray:
+        return np.stack([t.particles.xi for t in self.tasks])  # (tasks, S, r)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +384,6 @@ class OracleMetaState:
 def init_predictor(kind, spec: Process, latent=None, stream: Optional[RngStream] = None):
     """Build the prior state of a predictor kind (no observations seen)."""
     return kind.init(spec, latent, stream)
-
-
-def observe(state, spec: Process, obs: Observation):
-    """Advance the predictor state by one observation (in place; returned)."""
-    state.observe(spec, obs)
-    return state
 
 
 def predict(state, spec: Process, x: Optional[np.ndarray] = None, task: Optional[int] = None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -41,6 +41,12 @@ def logsumexp(a: np.ndarray) -> float:
     if not np.isfinite(m):
         return float(m)
     return float(m + np.log(np.sum(np.exp(a - m))))
+
+
+def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """exp(a) normalized along `axis`, computed after subtracting the maximum."""
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 @dataclass
@@ -142,25 +148,40 @@ class Particles:
 # ---------------------------------------------------------------------------
 
 
-class Process:
+class Configurable:
+    """A class that a config table names.
+
+    `kind` is its name in configs and `config` maps each config key to its
+    conversion.  Keys naming a dataclass field without a default are required;
+    absent keys take the field defaults.  Predictor kinds are built for a
+    process spec, which `from_config` receives.
+    """
+
+    @classmethod
+    def required(cls) -> List[str]:
+        return [f.name for f in fields(cls) if f.name in cls.config and f.default is MISSING]
+
+    @classmethod
+    def from_config(cls, values: Dict, spec=None):
+        return cls(**values)
+
+
+class Process(Configurable):
     """Generator interface shared by every process spec.
 
-    A spec sets `kind` and `config` (config key -> conversion; absent keys
-    take the dataclass defaults), `bound_id` and `bound_args` (bound
-    parameter -> attribute).  It implements `sample_latent` and
-    `conditional`: the statistic of the next label given latent, history,
-    input and task.  Specs with array latents batch `sample_particles` and
-    vectorize `particle_stat`; sequence processes set `seed_tokens` and
-    `seed_label`.  The output family supplies `draw`, `logprob`, `loglik`,
-    `point` and `mixture`.
+    A spec sets `kind` and `config` (see `Configurable`), `bound_id` and
+    `bound_args` (bound parameter -> attribute).  It implements
+    `sample_latent` and `conditional`: the statistic of the next label given
+    latent, history, input and task.  Specs with array latents batch
+    `sample_particles`, vectorize `particle_stat` and name the latent fields
+    it reads stacked in `particle_arrays`; sequence processes set
+    `seed_tokens` and `seed_label`.  The output family supplies `draw`,
+    `logprob`, `loglik`, `point` and `mixture`.
     """
 
     meta = False
     seed_tokens = 0  # leading uniform labels (seed_label) that open the history
-
-    @classmethod
-    def from_config(cls, values: Dict) -> "Process":
-        return cls(**values)
+    particle_arrays = ()  # latent fields that particle_stat reads as stacked arrays
 
     def bound_params(self) -> Dict:
         return {name: getattr(self, attr) for name, attr in self.bound_args.items()}
@@ -188,17 +209,13 @@ class Process:
         )
 
     def stack_particles(self, latents: List) -> Dict[str, np.ndarray]:
-        """Per-particle arrays for given latents, e.g. an enumeration support."""
-        return {}
+        """Per-particle arrays for given latents, e.g. an enumeration support:
+        the latent fields named in `particle_arrays`, stacked."""
+        return {n: np.stack([getattr(l, n) for l in latents]) for n in self.particle_arrays}
 
     def particle_stat(self, particles: Particles, history, x, task) -> np.ndarray:
         # Latent-list particles, e.g. Dirichlet draws whose atom counts differ.
         return np.array([self.conditional(l, history, x, task) for l in particles.latents])
-
-    def support_predictive(self, support, history, x, task, log_weights):
-        """Posterior predictive of a finite support under normalized log weights."""
-        stats = Particles.stack(self, list(support)).stat(history, x, task)
-        return self.mixture(stats, log_weights)
 
 
 class _Gaussian(Process):
@@ -251,12 +268,6 @@ class _Bernoulli(Process):
     def mixture(self, logits: np.ndarray, log_weights: np.ndarray) -> BernoulliLogitPred:
         return _bernoulli_mixture(np.exp(log_weights) @ (1.0 / (1.0 + np.exp(-logits))))
 
-    def support_predictive(self, support, history, x, task, log_weights) -> BernoulliLogitPred:
-        probs = np.array(
-            [math.exp(self.logprob(latent, history, x, 1, task)) for latent in support]
-        )
-        return _bernoulli_mixture(np.exp(log_weights) @ probs)
-
 
 class _Categorical(Process):
     """Labels 1..V drawn from the conditional pmf; inputs are absent."""
@@ -308,7 +319,7 @@ def _check_unit_rows(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} rows must have unit norm")
 
 
-def _float_array(value) -> np.ndarray:
+def float_array(value) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
@@ -324,6 +335,7 @@ class LinReg(_Gaussian):
     config = {"d": int, "noise_var": float, "prior_var": float}
     bound_id = "linreg_error"
     bound_args = {"d": "d", "noise_var": "noise_var"}
+    particle_arrays = ("theta",)  # (S, d)
 
     def __post_init__(self):
         if self.d < 1 or self.noise_var <= 0:
@@ -337,9 +349,6 @@ class LinReg(_Gaussian):
     def sample_particles(self, size: int, stream: RngStream) -> Particles:
         theta = stream.gen.normal(0.0, math.sqrt(self.prior_var), size=(size, self.d))
         return Particles(self, size, theta=theta)
-
-    def stack_particles(self, latents):
-        return {"theta": np.stack([l.theta for l in latents])}  # (S, d)
 
     def conditional(self, latent, history, x, task) -> float:
         return float(latent.theta @ x)
@@ -358,6 +367,7 @@ class LogReg(_Bernoulli):
     config = {"d": int}
     bound_id = "logreg_error"
     bound_args = {"d": "d"}
+    particle_arrays = ("theta",)  # (S, d)
 
     def __post_init__(self):
         if self.d < 1:
@@ -493,9 +503,10 @@ class BinaryARK(_Bernoulli):
     phi1: Optional[np.ndarray] = None
 
     kind = "ark"
-    config = {"d": int, "context": int, "phi0": _float_array, "phi1": _float_array}
+    config = {"d": int, "context": int, "phi0": float_array, "phi1": float_array}
     bound_id = "ark_error"
     bound_args = {"d": "d", "K": "context"}
+    particle_arrays = ("theta",)  # (S, K, d)
 
     def __post_init__(self):
         if self.phi0 is None and self.phi1 is None:
@@ -578,7 +589,7 @@ class Transformer(_Categorical):
             raise ValueError("v_prior must be 'sphere_rows' or 'gaussian'")
 
     @classmethod
-    def from_config(cls, values: Dict) -> "Transformer":
+    def from_config(cls, values: Dict, spec=None) -> "Transformer":
         seed = values.pop("embed_seed", 0)
         stream = RngStream(SeedSpec(seed, (("embed", 0),)))
         emb = make_embeddings(values["vocab"], values["attn_dim"], stream)
@@ -627,6 +638,7 @@ class LinRep(_MetaCategorical):
     config = {"d": int, "r": int, "tasks": int}
     bound_id = "linrep_error"
     bound_args = {"d": "d", "r": "r", "M": "tasks"}
+    particle_arrays = ("psi", "xi")  # (S, d, r), (S, M, r)
 
     def __post_init__(self):
         if self.r < 1 or self.tasks < 1:
@@ -653,20 +665,11 @@ class LinRep(_MetaCategorical):
         xi = gen.normal(0.0, math.sqrt(1.0 / self.r), size=(size, self.tasks, self.r))
         return Particles(self, size, psi=q * signs[:, None, :], xi=xi)
 
-    def stack_particles(self, latents):
-        return {
-            "psi": np.stack([l.psi for l in latents]),  # (S, d, r)
-            "xi": np.stack([l.xi for l in latents]),  # (S, M, r)
-        }
-
     def conditional(self, latent, history, x, task) -> np.ndarray:
         return linrep_task_pmf(latent, task)
 
     def particle_stat(self, particles, history, x, task):
-        logits = np.einsum("sdr,sr->sd", particles.psi, particles.xi[:, task])
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(np.einsum("sdr,sr->sd", particles.psi, particles.xi[:, task]), axis=1)
 
 
 @dataclass(frozen=True)
@@ -684,6 +687,20 @@ class IclMixture(_MetaCategorical):
             raise ValueError("mixture_size, tasks, per_task must be >= 1")
         if self.scale > self.mixture_size:
             raise ValueError("scale R must satisfy R <= N")
+
+    @property
+    def seed_tokens(self) -> int:
+        return self.tasks * self.inner.context
+
+    def initial_history(self, latent, stream: RngStream) -> "History":
+        """Each task opens with `inner.context` uniform tokens tagged with it."""
+        k = self.inner.context
+        return History(
+            [
+                Observation(x=None, y=self.inner.seed_label(stream), task=i // k)
+                for i in range(self.seed_tokens)
+            ]
+        )
 
     def sample_latent(self, stream: RngStream) -> "IclLatent":
         assignments = _polya_urn_assignments(
@@ -877,12 +894,6 @@ def dirichlet_net_output(spec: DirichletNet, latent: DirichletNetLatent, x: np.n
     return float(spec.output_scale * np.sum(latent.signs * latent.draw.weights * acts))
 
 
-def _softmax_columns(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
-
-
 def _clip_columns(u: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(u, axis=0, keepdims=True)
     factor = np.minimum(1.0, 1.0 / np.maximum(norms, 1e-300))
@@ -894,7 +905,7 @@ def attention_layer(U: np.ndarray, A: np.ndarray, V: np.ndarray) -> np.ndarray:
     r = A.shape[0]
     if U.shape[0] != r or A.shape != (r, r) or V.shape[1] != U.shape[0]:
         raise ValueError("shape mismatch in attention layer")
-    attn = _softmax_columns((U.T @ A @ U) / math.sqrt(r))
+    attn = softmax((U.T @ A @ U) / math.sqrt(r), axis=0)
     return _clip_columns(V @ (U @ attn))
 
 
@@ -908,10 +919,7 @@ def transformer_next_pmf(
     u = spec.embeddings[np.array(ctx) - 1].T  # (r, K)
     for layer in range(spec.depth):
         u = attention_layer(u, latent.attn[layer], latent.value[layer])
-    logits = u[:, -1]
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return softmax(u[:, -1])
 
 
 def _sigmoid(z: float) -> float:
@@ -934,10 +942,7 @@ def ark_logit(spec: BinaryARK, latent: ARKLatent, bits: List[int]) -> float:
 
 
 def linrep_task_pmf(latent: LinRepLatent, m: int) -> np.ndarray:
-    logits = latent.psi @ latent.xi[m]
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return softmax(latent.psi @ latent.xi[m])
 
 
 # ---------------------------------------------------------------------------

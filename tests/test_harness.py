@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from infolab import harness
 from infolab.cli import main as cli_main
-from infolab.predictors import ConjugateLinReg, Omniscient
+from infolab.predictors import PREDICTOR_KINDS, ConjugateLinReg, Omniscient
 from infolab.processes import BinaryARK, LinRep, LinReg, Transformer
 
 
@@ -105,6 +105,38 @@ def test_parse_predictor_compatibility():
     pred = harness.parse_predictor({"kind": "conjugate"}, LinReg(d=3, noise_var=0.5))
     assert isinstance(pred, ConjugateLinReg)
     assert pred.prior_cov[0, 0] == pytest.approx(1.0 / 3.0)
+
+
+PARSED_PREDICTORS = {
+    "conjugate": (
+        {"kind": "conjugate"},
+        {"prior_mean": [0.0, 0.0], "prior_cov": [[0.5, 0.0], [0.0, 0.5]], "noise_var": 0.25},
+    ),
+    "ensemble": (
+        {"kind": "ensemble", "size": "64", "resample_ess_frac": 0.25},
+        {"size": 64, "resample_ess_frac": 0.25},
+    ),
+    "omniscient": ({"kind": "omniscient"}, {}),
+    "misspecified_conjugate": (
+        {"kind": "misspecified_conjugate", "prior_diag": [2.0, 0.0]},
+        {"prior_mean": [0.0, 0.0], "prior_cov": [[2.0, 0.0], [0.0, 0.0]], "noise_var": 0.25},
+    ),
+    "misspecified_width": (
+        {"kind": "misspecified_width", "n": 3},
+        {"n": 3, "eps": 0.0, "size": 2048, "resample_ess_frac": 0.5},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARSED_PREDICTORS))
+def test_parse_predictor_builds_each_kind(kind):
+    assert set(PARSED_PREDICTORS) == set(PREDICTOR_KINDS)
+    payload, expected = PARSED_PREDICTORS[kind]
+    pred = harness.parse_predictor(payload, LinReg(d=2, noise_var=0.25, prior_var=0.5))
+    assert type(pred) is PREDICTOR_KINDS[kind]
+    for name, value in expected.items():
+        got = np.asarray(getattr(pred, name))
+        assert np.array_equal(got, value) and got.dtype == np.asarray(value).dtype, name
 
 
 def test_bounds_for_incompatible_id():
@@ -320,6 +352,7 @@ BAD_CONFIGS = {
         "missing key.*: d",
     ),
     "zero_horizon": (_config_payload(horizons=[0]), "horizons"),
+    "predictor_not_object": (_config_payload(predictor="conjugate"), "predictor must be"),
     "foreign_bound": (_config_payload(bounds=["logreg_error"]), "logreg_error"),
     "meta_process": (
         _config_payload(

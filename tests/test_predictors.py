@@ -19,7 +19,6 @@ from infolab.predictors import (
     init_predictor,
     log_loss,
     logsumexp,
-    observe,
     predict,
 )
 from infolab.estimators import run_replicate
@@ -159,24 +158,40 @@ def test_misspecified_conjugate_singular_support_invariant():
 
 
 def test_enumeration_weights_are_prior_times_likelihood():
-    spec = LogReg(d=2)
-    support = [LogRegLatent(theta=np.array(t)) for t in
-               ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])]
-    prior = np.array([0.5, 0.3, 0.2])
-    state = init_predictor(Enumeration(support=support, prior=prior), spec)
+    """Also when low noise collapses the weights: enumeration never resamples."""
     gen = np.random.default_rng(4)
-    hist = History()
-    logw_hand = np.log(prior)
-    for _ in range(6):
-        x = gen.normal(size=2)
-        y = int(gen.random() < 0.5)
-        obs = Observation(x=x, y=y)
-        for h, lat in enumerate(support):
-            logw_hand[h] += cond_logprob(spec, lat, hist, x, y)
-        state.observe(spec, obs)
-        hist.append(obs)
-        hand = np.exp(logw_hand - logsumexp(logw_hand))
-        assert np.max(np.abs(np.exp(state.log_weights) - hand)) < 1e-12
+    cases = [
+        (
+            LogReg(d=2),
+            [LogRegLatent(theta=np.array(t)) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])],
+            np.array([0.5, 0.3, 0.2]),
+            lambda: int(gen.random() < 0.5),
+        ),
+        (
+            LinReg(d=2, noise_var=1e-3),
+            [LinRegLatent(theta=np.array(t)) for t in ([0.5, 0.0], [0.0, 0.5], [-0.5, 0.5])],
+            np.array([0.2, 0.3, 0.5]),
+            lambda: float(gen.normal()),
+        ),
+    ]
+    for spec, support, prior, draw_y in cases:
+        state = init_predictor(Enumeration(support=support, prior=prior), spec)
+        hist = History()
+        logw_hand = np.log(prior)
+        for _ in range(6):
+            x = gen.normal(size=2)
+            y = draw_y()
+            obs = Observation(x=x, y=y)
+            for h, lat in enumerate(support):
+                logw_hand[h] += cond_logprob(spec, lat, hist, x, y)
+            state.observe(spec, obs)
+            hist.append(obs)
+            hand = np.exp(logw_hand - logsumexp(logw_hand))
+            assert np.max(np.abs(np.exp(state.log_weights) - hand)) < 1e-12
+        assert state.resamples == 0 and state.particles.latents == support
+        assert np.array_equal(state.particles.theta, [lat.theta for lat in support])
+    w = np.exp(state.log_weights)
+    assert 1.0 / np.sum(w * w) < 1.0 + 1e-6  # the LinReg weights collapsed
 
 
 def test_enumeration_symmetric_prior_predicts_half():
@@ -419,7 +434,7 @@ def _ensemble_rollout(spec, kind, T, seed):
     for t in range(T):
         obs = step(spec, latent, hist, s.derive(("step", t)))
         losses.append(log_loss(predict(state, spec, obs.x), obs.y))
-        observe(state, spec, obs)
+        state.observe(spec, obs)
         hist.append(obs)
         assert logsumexp(state.log_weights) == pytest.approx(0.0, abs=1e-9)
     assert np.all(np.isfinite(losses))
@@ -438,3 +453,86 @@ def _ensemble_rollout(spec, kind, T, seed):
 def test_latent_list_ensembles_stay_finite_and_normalized(spec, kind):
     state = _ensemble_rollout(spec, kind, 10, 32)
     assert state.particles.size == kind.size
+
+
+def test_icl_mixture_rollouts_are_finite():
+    from infolab.processes import IclMixture, make_embeddings
+
+    inner = Transformer(
+        vocab=3, attn_dim=3, depth=1, context=2, embeddings=make_embeddings(3, 3, stream(0))
+    )
+    spec = IclMixture(mixture_size=4, scale=2.0, inner=inner, tasks=2, per_task=4)
+    for kind in (Omniscient(), PriorEnsemble(size=16)):
+        rec = run_replicate(spec, kind, 4, stream(33))
+        assert len(rec.losses) == 8
+        assert np.all(np.isfinite(rec.losses)) and np.all(np.isfinite(rec.omniscient_losses))
+
+
+# ---------------------------------------------------------------------------
+# rollout losses pinned to recorded values
+# ---------------------------------------------------------------------------
+
+
+def _pinned_cases():
+    from infolab.predictors import OracleMetaEnsemble
+    from infolab.processes import ARKLatent, LinRep
+
+    logreg_support = [
+        LogRegLatent(theta=np.array(t)) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])
+    ]
+    ark_support = [
+        ARKLatent(theta=np.array(t))
+        for t in (
+            [[1.0, -0.5], [0.2, 0.3]], [[-0.4, 0.8], [0.0, -1.0]], [[0.5, 0.5], [-0.5, 0.5]]
+        )
+    ]
+    return {
+        "enumeration_logreg": (
+            LogReg(d=2),
+            Enumeration(support=logreg_support, prior=np.array([0.5, 0.3, 0.2])),
+            [0.5196030009464161, 0.5629125335166987, 0.33823116832266853, 0.1997421501124759,
+             0.5991348543133852, 1.1776409641252163, 0.5442814338903266, 0.6543058062678982],
+        ),
+        "enumeration_ark": (
+            BinaryARK(d=2, context=2),
+            Enumeration(support=ark_support, prior=np.array([0.25, 0.25, 0.5])),
+            [0.7818893946132492, 0.6965118231856352, 0.7402580293297053, 0.8114113576762161,
+             0.9537630364060011, 0.7532043307131318, 0.5629505383322366, 0.8402569151258747],
+        ),
+        "ensemble_logreg": (
+            LogReg(d=3),
+            PriorEnsemble(size=64),
+            [0.7235576258465375, 0.7473047798294168, 0.8246798627060452, 0.7600350164521845,
+             0.8305262269487903, 0.7795372208164719, 0.7832113833616814, 0.7177849485016937],
+        ),
+        "ensemble_ark": (
+            BinaryARK(d=2, context=2),
+            PriorEnsemble(size=64),
+            [0.6316154860128357, 0.899333345133385, 0.5962879563382739, 0.7169759303499598,
+             0.5565728884722312, 1.0545640950743573, 0.8101115389735987, 0.5046716238842818],
+        ),
+        "misspecified_width": (
+            DirichletNet(d=2, scale=2.0, noise_var=0.1),
+            MisspecifiedWidth(n=3, eps=0.3, size=32),
+            [0.25178911435061524, 1.3629688802037894, 0.9010175549584831, 0.2909450975814458,
+             1.2244721447405489, -0.16121550481593205, 2.2113776214134635, 1.1352933355611596],
+        ),
+        "oracle_meta": (
+            LinRep(d=4, r=2, tasks=2),
+            OracleMetaEnsemble(size=64),
+            [1.3635482192016044, 1.3644453340740723, 1.365044881582943, 1.139716074893248,
+             1.4854798375410305, 0.9875650142687501, 1.2651331957060157, 1.7917368143555243,
+             1.1721326370651586, 1.3898337239971046, 1.4977274477627207, 1.625076511179259,
+             1.351554652238514, 1.1174643054699922, 1.1277391581910212, 1.841278653204494],
+        ),
+    }
+
+
+@pytest.mark.parametrize("index, case", enumerate(_pinned_cases()), ids=list(_pinned_cases()))
+def test_rollout_losses_match_recorded_values(index, case):
+    """Losses of fixed-seed rollouts, recorded before the predictor states were
+    merged into one weighted-particle state (the ensemble and oracle ones
+    resample during the rollout)."""
+    spec, kind, recorded = _pinned_cases()[case]
+    rec = run_replicate(spec, kind, 8, stream(41, ("pin", index)))
+    np.testing.assert_allclose(rec.losses, recorded, rtol=1e-9, atol=0)
