@@ -88,8 +88,7 @@ def run_replicate(spec: Process, kind, T: int, stream: RngStream) -> ReplicateRe
         omni.observe(spec, obs)
     losses = np.empty(T * tasks)
     omni_losses = np.empty(T * tasks)
-    for i in range(T * tasks):
-        sub = stream.derive(("step", i))
+    for i, sub in enumerate(stream.children("step", T * tasks)):
         if spec.meta:
             m = i % tasks
             obs = meta_step(spec, latent, m, history, sub)
@@ -367,8 +366,8 @@ def linreg_mi_mc(
     if prior_var is None:
         prior_var = 1.0 / d
     vals = np.empty(replicates)
-    for i in range(replicates):
-        X = stream.derive(("rep", i)).gen.normal(size=(T, d))
+    for i, sub in enumerate(stream.children("rep", replicates)):
+        X = sub.gen.normal(size=(T, d))
         vals[i] = linreg_mi_given_inputs(X, prior_var, noise_var)
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(replicates))
 

@@ -46,6 +46,16 @@ def _require(payload: Dict, keys: Sequence[str], context: str) -> None:
         raise ValueError(f"missing key(s) in {context}: {', '.join(missing)}")
 
 
+def _convert(convert, value, key: str, context: str):
+    """convert(value), failing with a ValueError that names the key."""
+    if value is None:
+        raise ValueError(f"{context} key '{key}' is null")
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{context} key '{key}': {exc}") from exc
+
+
 def _parse_kind(payload: Dict, kinds: Dict, context: str, *spec):
     """Build the class that payload["kind"] names in `kinds` from its config table."""
     if not isinstance(payload, dict):
@@ -55,9 +65,11 @@ def _parse_kind(payload: Dict, kinds: Dict, context: str, *spec):
         raise ValueError(f"unknown {context} kind: {kind}")
     cls = kinds[kind]
     _reject_unknown(payload, ["kind", *cls.config], context)
-    _require(payload, cls.required(), f"{context} '{kind}'")
+    context = f"{context} '{kind}'"
+    _require(payload, cls.required(), context)
     return cls.from_config(
-        {k: cv(payload[k]) for k, cv in cls.config.items() if k in payload}, *spec
+        {k: _convert(cv, payload[k], k, context) for k, cv in cls.config.items() if k in payload},
+        *spec,
     )
 
 
@@ -102,17 +114,16 @@ class ScenarioConfig:
                 )
 
 
-CONFIG_KEYS = [
-    "version",
-    "scenario_id",
-    "process",
-    "predictor",
-    "horizons",
-    "replicates",
-    "master_seed",
-    "bounds",
-    "se_multiplier",
-]
+# Conversions of the config's scalar and list values.
+CONFIG_VALUES = {
+    "scenario_id": str,
+    "horizons": lambda v: [int(t) for t in v],
+    "replicates": int,
+    "master_seed": int,
+    "bounds": lambda v: [str(b) for b in v],
+    "se_multiplier": float,
+}
+CONFIG_KEYS = ["version", "process", "predictor", *CONFIG_VALUES]
 
 
 def parse_config(payload: Dict) -> ScenarioConfig:
@@ -125,16 +136,19 @@ def parse_config(payload: Dict) -> ScenarioConfig:
         ["scenario_id", "process", "predictor", "horizons", "replicates", "master_seed"],
         "config",
     )
+    values = {
+        k: _convert(cv, payload[k], k, "config") for k, cv in CONFIG_VALUES.items() if k in payload
+    }
     spec = parse_process(payload["process"])
     return ScenarioConfig(
-        scenario_id=str(payload["scenario_id"]),
+        scenario_id=values["scenario_id"],
         spec=spec,
         predictor=parse_predictor(payload["predictor"], spec),
-        horizons=[int(t) for t in payload["horizons"]],
-        replicates=int(payload["replicates"]),
-        master_seed=int(payload["master_seed"]),
-        bound_ids=[str(b) for b in payload.get("bounds", [])],
-        se_multiplier=float(payload.get("se_multiplier", 3.0)),
+        horizons=values["horizons"],
+        replicates=values["replicates"],
+        master_seed=values["master_seed"],
+        bound_ids=values.get("bounds", []),
+        se_multiplier=values.get("se_multiplier", 3.0),
     )
 
 
@@ -299,6 +313,8 @@ def load_manifest(name_or_path: str, master_seed: int = 20240817) -> List[Scenar
     if payload.get("version") != CONFIG_VERSION:
         raise ValueError("manifest version missing or unsupported")
     _reject_unknown(payload, ["version", "scenarios"], "manifest")
+    if not isinstance(payload.get("scenarios"), list):
+        raise ValueError("manifest key 'scenarios' must be a list of scenario configs")
     return [parse_config(p) for p in payload["scenarios"]]
 
 

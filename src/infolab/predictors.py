@@ -69,6 +69,14 @@ class ConjugateLinReg(Configurable):
             raise ValueError(f"{cls.kind} predictor applies to the linreg process")
         mean = values.get("prior_mean", np.zeros(spec.d))
         diag = values.get("prior_diag", np.full(spec.d, spec.prior_var))
+        for key, value in (("prior_mean", mean), ("prior_diag", diag)):
+            if np.shape(value) != (spec.d,):
+                raise ValueError(
+                    f"{cls.kind} predictor key '{key}' must list d = {spec.d} numbers, "
+                    f"not {np.size(value)}"
+                )
+        if np.any(diag < 0):
+            raise ValueError(f"{cls.kind} predictor key 'prior_diag' must be nonnegative")
         return cls(prior_mean=mean, prior_cov=np.diag(diag), noise_var=spec.noise_var)
 
     def init(self, spec, latent, stream) -> "ConjugateState":
@@ -163,10 +171,8 @@ class MisspecifiedWidth(Configurable):
         from .quantizers import misspecified_width_prior_sample
 
         nets = [
-            misspecified_width_prior_sample(
-                spec, self.n, self.eps, stream.derive(("particle", i))
-            )
-            for i in range(self.size)
+            misspecified_width_prior_sample(spec, self.n, self.eps, sub)
+            for sub in stream.children("particle", self.size)
         ]
         return EnsembleState.start(self, Particles.stack(self, nets), stream)
 
@@ -217,13 +223,12 @@ class OracleMetaEnsemble:
         if latent is None or stream is None or not isinstance(spec, LinRep):
             raise ValueError("OracleMetaEnsemble requires a LinRep latent and stream")
         prior = _KnownRepresentation(psi=latent.psi)
+        sd = math.sqrt(1.0 / spec.r)
         xi = [
             np.stack(
                 [
-                    stream.derive(("task", m), ("particle", i)).gen.normal(
-                        0.0, math.sqrt(1.0 / spec.r), size=spec.r
-                    )
-                    for i in range(self.size)
+                    sub.gen.normal(0.0, sd, size=spec.r)
+                    for sub in stream.derive(("task", m)).children("particle", self.size)
                 ]
             )
             for m in range(spec.tasks)
@@ -292,7 +297,10 @@ class EnsembleState:
 
     After each reweighting the particles are resampled when the effective
     sample size falls below `kind.resample_ess_frac` of the ensemble; a
-    state without a resampler (exact enumeration) keeps its weights.
+    state without a resampler (exact enumeration) keeps its weights.  The
+    statistic that `predict` computes is kept as `(x, task, stat)` and
+    reused by the next `observe` at the same input object and task, so a
+    predict-then-observe step computes it once.
     """
 
     kind: object
@@ -300,6 +308,7 @@ class EnsembleState:
     log_weights: np.ndarray
     resampler: Optional[Resampler]
     history: History = field(default_factory=History)
+    _predicted: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @classmethod
     def start(cls, kind, particles: Particles, stream: RngStream) -> "EnsembleState":
@@ -324,18 +333,25 @@ class EnsembleState:
             self.log_weights = np.full(size, -math.log(size))
 
     def observe(self, spec: Process, obs: Observation) -> None:
+        predicted, self._predicted = self._predicted, None
         if len(self.history) < spec.seed_tokens:
             # Seed context tokens are prior-independent; no reweighting.
             self.history.append(obs)
             return
-        ll = spec.loglik(self.particles.stat(self.history, obs.x, obs.task), obs.y)
+        if predicted is not None and predicted[0] is obs.x and predicted[1] == obs.task:
+            stat = predicted[2]
+        else:
+            stat = self.particles.stat(self.history, obs.x, obs.task)
+        ll = spec.loglik(stat, obs.y)
         self.log_weights = _normalized_log_weights(self.log_weights + ll)
         self.history.append(obs)
         if self.resampler is not None:
             self._maybe_resample()
 
     def predict(self, spec: Process, x: Optional[np.ndarray], task: Optional[int] = None):
-        return spec.mixture(self.particles.stat(self.history, x, task), self.log_weights)
+        stat = self.particles.stat(self.history, x, task)
+        self._predicted = (x, task, stat)
+        return spec.mixture(stat, self.log_weights)
 
 
 @dataclass

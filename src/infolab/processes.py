@@ -205,7 +205,7 @@ class Process(Configurable):
     def sample_particles(self, size: int, stream: RngStream) -> Particles:
         """`size` iid prior draws; processes with array latents batch this."""
         return Particles.stack(
-            self, [self.sample_latent(stream.derive(("particle", i))) for i in range(size)]
+            self, [self.sample_latent(sub) for sub in stream.children("particle", size)]
         )
 
     def stack_particles(self, latents: List) -> Dict[str, np.ndarray]:
@@ -320,7 +320,10 @@ def _check_unit_rows(arr: np.ndarray, name: str) -> None:
 
 
 def float_array(value) -> np.ndarray:
-    return np.array(value, dtype=float)
+    arr = np.array(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{value!r} holds a value that is not a finite number")
+    return arr
 
 
 @dataclass(frozen=True)

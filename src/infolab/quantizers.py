@@ -166,8 +166,7 @@ def width_reduction_distortion(
     """
     cover = get_sphere_cover(spec.d, eps) if eps > 0 else None
     means = np.empty(n_latents)
-    for i in range(n_latents):
-        sub = stream.derive(("latent", i))
+    for i, sub in enumerate(stream.children("latent", n_latents)):
         latent = sample_latent(spec, sub.derive(("prior", 0)))
         net = width_reduce(spec, latent, m, sub.derive(("reduce", 0)))
         if cover is not None:

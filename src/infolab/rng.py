@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple, Union
+from functools import cached_property
+from typing import Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,11 +41,12 @@ class SeedSpec:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "path", _normalize_path(self.path))
 
-    def child(self, *entries: PathEntry) -> "SeedSpec":
-        return SeedSpec(self.master_seed, self.path + _normalize_path(entries))
-
     def key(self) -> np.ndarray:
-        """Hash (master_seed, path) into a 128-bit Philox key."""
+        """Hash (master_seed, path) into a 128-bit Philox key.
+
+        The reference definition of the seed contract; RngStream reaches the
+        same key by extending its parent's hash state.
+        """
         h = hashlib.blake2b(digest_size=16)
         h.update(int(self.master_seed).to_bytes(8, "little"))
         for label, idx in self.path:
@@ -54,20 +56,70 @@ class SeedSpec:
         return np.frombuffer(raw, dtype=np.uint64)
 
 
+def _hash_path(h, path: Tuple[Tuple[str, int], ...]):
+    """Extend a blake2b state by normalized path entries, as SeedSpec.key does."""
+    for label, idx in path:
+        h.update(label.encode("utf-8") + b"\x00")
+        h.update(int(idx).to_bytes(8, "little", signed=True))
+    return h
+
+
 class RngStream:
     """Single-owner stream of random draws backed by a counter-based PRNG.
 
     Advancing the stream (drawing from it) is the only mutation.  Independent
-    continuations are obtained via :meth:`derive`, never by copying.
+    continuations are obtained via :meth:`derive` or :meth:`children`, never
+    by copying.  The stream keeps the blake2b state of its path, so deriving
+    hashes only the new entries, and builds its generator `gen` on first use,
+    so streams that are only derived from never build one.
     """
 
     def __init__(self, seed: SeedSpec):
-        self.seed = seed
-        self.gen = np.random.Generator(np.random.Philox(key=seed.key()))
+        h = hashlib.blake2b(digest_size=16)
+        h.update(int(seed.master_seed).to_bytes(8, "little"))
+        self._hash = _hash_path(h, seed.path)
+
+    @cached_property
+    def gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self.key()))
+
+    def key(self) -> np.ndarray:
+        """The 128-bit Philox key; equals SeedSpec.key() of the stream's path."""
+        return np.frombuffer(self._hash.digest(), dtype=np.uint64)
+
+    def _extend(self, entries: Tuple[Tuple[str, int], ...]) -> "RngStream":
+        child = RngStream.__new__(RngStream)
+        child._hash = _hash_path(self._hash.copy(), entries)
+        return child
 
     def derive(self, *entries: PathEntry) -> "RngStream":
         """Return an independent child stream for an extended path."""
-        return RngStream(self.seed.child(*entries))
+        return self._extend(_normalize_path(entries))
+
+    def children(self, label: str, n: int) -> Iterator["RngStream"]:
+        """Yield the streams derive((label, i)) for i < n, in order.
+
+        The children share one Philox, re-keyed for each child (counter 0,
+        empty buffer), so their draws equal those of derived streams but skip
+        building a generator per child.  Each yielded child is valid only
+        until the next one is yielded; streams derived from it stay valid.
+        """
+        label = str(label)
+        gen = np.random.Generator(np.random.Philox(key=0))
+        bitgen = gen.bit_generator
+        zeros = np.zeros(4, np.uint64)  # the setter copies it
+        for i in range(n):
+            child = self._extend(((label, i),))
+            bitgen.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": zeros, "key": child.key()},
+                "buffer": zeros,
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            child.gen = gen
+            yield child
 
     def uniform(self, n: int = 1) -> np.ndarray:
         return self.gen.random(n)

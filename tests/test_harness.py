@@ -353,6 +353,23 @@ BAD_CONFIGS = {
     ),
     "zero_horizon": (_config_payload(horizons=[0]), "horizons"),
     "predictor_not_object": (_config_payload(predictor="conjugate"), "predictor must be"),
+    "null_value": (_config_payload(replicates=None), "key 'replicates' is null"),
+    "null_process_value": (
+        _config_payload(process={"kind": "linreg", "d": None, "noise_var": 0.25}),
+        "process 'linreg' key 'd' is null",
+    ),
+    "wrong_length_prior": (
+        _config_payload(predictor={"kind": "misspecified_conjugate", "prior_diag": [1.0]}),
+        "key 'prior_diag' must list d = 2 numbers",
+    ),
+    "null_in_prior": (
+        _config_payload(predictor={"kind": "misspecified_conjugate", "prior_mean": [0.0, None]}),
+        "key 'prior_mean'.*not a finite number",
+    ),
+    "negative_prior_variance": (
+        _config_payload(predictor={"kind": "misspecified_conjugate", "prior_diag": [1.0, -1.0]}),
+        "key 'prior_diag' must be nonnegative",
+    ),
     "foreign_bound": (_config_payload(bounds=["logreg_error"]), "logreg_error"),
     "meta_process": (
         _config_payload(
@@ -385,6 +402,15 @@ def test_cli_bad_config_is_one_line_error(case, tmp_path):
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)  # a ClickException, not a traceback
         assert res.output.startswith("Error: ") and len(res.output.splitlines()) == 1
+
+
+def test_cli_manifest_without_scenario_list_is_one_line_error(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"version": 1, "scenarios": None}))
+    res = CliRunner().invoke(cli_main, ["verify", str(manifest)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: ") and len(res.output.splitlines()) == 1
+    assert "'scenarios' must be a list" in res.output
 
 
 def test_cli_warns_on_config_without_bounds(tmp_path):

@@ -536,3 +536,70 @@ def test_rollout_losses_match_recorded_values(index, case):
     spec, kind, recorded = _pinned_cases()[case]
     rec = run_replicate(spec, kind, 8, stream(41, ("pin", index)))
     np.testing.assert_allclose(rec.losses, recorded, rtol=1e-9, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the statistic that predict computes is reused by observe only at its input
+# ---------------------------------------------------------------------------
+
+
+def _filter_rollout(spec, kind, T, seed, calls):
+    """Observe T steps per task; before observe i, call predict at the
+    (x, task) pairs that `calls(i, obs, task)` returns."""
+    from infolab.processes import meta_step
+
+    s = stream(seed)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    hist = initial_history(spec, latent, s.derive(("init", 0)))
+    state = init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0)))
+    for obs in hist.observations:
+        state.observe(spec, obs)
+    tasks = spec.tasks if spec.meta else 1
+    for i in range(T * tasks):
+        m = i % tasks if spec.meta else None
+        sub = s.derive(("step", i))
+        obs = meta_step(spec, latent, m, hist, sub) if spec.meta else step(spec, latent, hist, sub)
+        for x, task in calls(i, obs, m):
+            state.predict(spec, x, task)
+        state.observe(spec, obs)
+        hist.append(obs)
+    return state
+
+
+def _cache_cases():
+    from infolab.predictors import OracleMetaEnsemble
+    from infolab.processes import LinRep
+
+    support = [LogRegLatent(theta=np.array(t)) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])]
+    other_x = lambda obs, m: (obs.x + 1.0, m)
+    other_task = lambda obs, m: (obs.x, (m + 1) % 2)
+    return {
+        "ensemble_logreg": (LogReg(d=3), PriorEnsemble(size=64), other_x),
+        "ensemble_ark": (BinaryARK(d=2, context=2), PriorEnsemble(size=64), None),
+        "enumeration_logreg": (
+            LogReg(d=2), Enumeration(support=support, prior=np.array([0.5, 0.3, 0.2])), other_x
+        ),
+        "ensemble_linrep": (LinRep(d=4, r=2, tasks=2), PriorEnsemble(size=64), other_task),
+        "oracle_meta": (LinRep(d=4, r=2, tasks=2), OracleMetaEnsemble(size=64), None),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_cache_cases()))
+def test_predict_then_observe_equals_observe_only(case):
+    spec, kind, elsewhere = _cache_cases()[case]
+    runs = {
+        "observe_only": lambda i, obs, m: [],
+        "predict_first": lambda i, obs, m: [(obs.x, m)],
+        # A statistic must not outlive the observe that follows its predict.
+        "predict_every_other": lambda i, obs, m: [(obs.x, m)] if i % 2 == 0 else [],
+    }
+    if elsewhere is not None:
+        # The last predict is at another input or task, so observe must not reuse it.
+        runs["predict_elsewhere"] = lambda i, obs, m: [(obs.x, m), elsewhere(obs, m)]
+    states = {name: _filter_rollout(spec, kind, 30, 61, calls) for name, calls in runs.items()}
+    ref = states.pop("observe_only")
+    if case in ("ensemble_ark", "oracle_meta"):
+        assert ref.resamples > 0
+    for name, state in states.items():
+        assert np.array_equal(state.log_weights, ref.log_weights), name
+        assert state.resamples == ref.resamples, name

@@ -129,3 +129,99 @@ def test_stick_breaking_truncation_monotone():
         sample_stick_breaking(derive_stream(SeedSpec(8)), 2.0, 2, tail_tol=0.0)
     with pytest.raises(ValueError):
         sample_stick_breaking(derive_stream(SeedSpec(8)), 0.0, 2)
+
+
+# ---------------------------------------------------------------------------
+# The seed contract: derived keys, sibling streams, pinned draws
+# ---------------------------------------------------------------------------
+
+
+def _draws(stream):
+    """Draws touching every part of the Philox state; the odd count of 32-bit
+    integers leaves half a word buffered for the next draw."""
+    gen = stream.gen
+    return (
+        gen.random(5),
+        gen.integers(7, size=5, dtype=np.int32),
+        gen.integers(2**40, size=3),
+        gen.normal(size=4),
+    )
+
+
+def _assert_same_draws(a, b):
+    for x, y in zip(_draws(a), _draws(b)):
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 33])
+@pytest.mark.parametrize("label", ["step", "частица"], ids=["ascii", "non_ascii"])
+def test_children_draw_as_derived_siblings(n, label):
+    parent = RngStream(SeedSpec(11, (("rep", 4),)))
+    seen = 0
+    for i, child in enumerate(parent.children(label, n)):
+        assert child.key().tobytes() == SeedSpec(11, (("rep", 4), (label, i))).key().tobytes()
+        _assert_same_draws(child, parent.derive((label, i)))
+        seen += 1
+    assert seen == n
+
+
+def test_streams_derived_from_a_child_match_derive():
+    parent = RngStream(SeedSpec(12))
+    for i, child in enumerate(parent.children("particle", 4)):
+        first = child.gen.random()  # the shared generator is in use
+        grand = child.derive(("layer", 2))
+        _assert_same_draws(grand, parent.derive(("particle", i), ("layer", 2)))
+        assert first == parent.derive(("particle", i)).gen.random()
+
+
+PATHS = [
+    (0, ()),
+    (3, (("rep", 1),)),
+    (2**64 - 1, (("scenario", 0), ("rep", 7), ("step", 123456))),
+    (9, (5, ("", -2), ("tâche", 3), ("частица", 2**62))),
+]
+
+
+@pytest.mark.parametrize("master, path", PATHS)
+def test_derived_keys_equal_seed_spec_keys(master, path):
+    stream = RngStream(SeedSpec(master))
+    for cut in range(len(path)):
+        stream = stream.derive(path[cut])
+    spec = SeedSpec(master, path)
+    assert stream.key().tobytes() == spec.key().tobytes()
+    assert RngStream(spec).key().tobytes() == spec.key().tobytes()
+
+
+# First draws of three fixed paths, recorded before streams were re-keyed;
+# a change to the seed contract fails here instead of shifting every result.
+PINNED = [
+    (
+        SeedSpec(0),
+        ["0x1.0c97a3a720915p-1", "0x1.b692e6055206ep-1", "0x1.0f08df1c20725p-1"],
+        [222, 551, 193],
+        ["0x1.3c908a90a015fp-3", "0x1.a8759fcdd3d2cp-1"],
+    ),
+    (
+        SeedSpec(20240817, (("scenario", 0), ("rep", 3), ("step", 7))),
+        ["0x1.513d31374f436p-1", "0x1.78bd2fb972ea8p-2", "0x1.14f818bcb8aa4p-3"],
+        [710, 10, 417],
+        ["0x1.eed0c21edd84bp-2", "0x1.1d6209cd83fccp+0"],
+    ),
+    (
+        SeedSpec(2**64 - 1, (5, ("tâche", 2), ("particle", -1))),
+        ["0x1.353a9bbbdc0bap-2", "0x1.987e63e8088adp-1", "0x1.4e1d24d65dc72p-2"],
+        [549, 552, 666],
+        ["0x1.64d8fa1a3b68cp-1", "-0x1.588433a289809p-3"],
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, uniforms, ints, normals", PINNED)
+def test_pinned_first_draws(spec, uniforms, ints, normals):
+    root = RngStream(SeedSpec(spec.master_seed))
+    derived = root.derive(*spec.path) if spec.path else root
+    for stream in (RngStream(spec), derived):
+        gen = stream.gen
+        assert [float.hex(u) for u in gen.random(3)] == uniforms
+        assert gen.integers(1000, size=3).tolist() == ints
+        assert [float.hex(z) for z in gen.normal(size=2)] == normals
