@@ -1,13 +1,13 @@
 """Exact and Monte-Carlo estimation of predictive error and information.
 
-Replicate rollouts, error-curve aggregation, exact enumeration of small
-finite models (mutual information, per-step information, misspecification
-decomposition), the linear-model MI estimator, and the meta error split.
+Replicate rollouts, error-curve aggregation, exact enumeration of finite iid
+models over label-count vectors (mutual information, per-step information,
+misspecification decomposition), the linear-model MI estimator, and the meta
+error split.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -189,16 +189,61 @@ class EnumerationModel:
         return self.cond.shape[1]
 
 
-def _check_enum_size(model: EnumerationModel, T: int) -> None:
-    if model.alphabet**T > MAX_ENUM_STATES:
-        raise ResourceWarning("outcome space exceeds the exact-enumeration cap")
+def _safe_log(x: np.ndarray) -> np.ndarray:
+    """log(x) where x > 0, and 0 elsewhere."""
+    return np.log(np.where(x > 0, x, 1.0))
 
 
-def _irreducible_total(model: EnumerationModel, T: int) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logc = np.where(model.cond > 0, np.log(np.maximum(model.cond, 1e-300)), 0.0)
-    per_hyp = -np.sum(model.cond * logc, axis=1)
-    return T * float(model.prior @ per_hyp)
+def _normalise(log_w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-normalised exp(log_w) and the log row sums; all -inf rows stay zero."""
+    m = log_w.max(axis=1, keepdims=True)
+    w = np.exp(log_w - np.where(np.isfinite(m), m, 0.0))
+    z = w.sum(axis=1, keepdims=True)
+    return w / np.where(z > 0, z, 1.0), (m + _safe_log(z))[:, 0]
+
+
+def _count_pass(model: EnumerationModel, T: int, q: Optional[np.ndarray] = None):
+    """One forward pass over the label-count vectors n with |n| = t, t = 0..T.
+
+    An iid posterior depends on a sequence only through its counts, so each
+    count vector stands for its multinomial coefficient's worth of sequences.
+    Returns per-step arrays (information I(Y_{t+1}; theta | H_t), excess
+    log-loss of the posterior predictive and of q's, and the KL between
+    them) and the terminal I(theta; Y_{1:T}), checked against the excess.
+    """
+    H, A = model.n_hyp, model.alphabet
+    if H * math.comb(T + A - 1, A - 1) > MAX_ENUM_STATES:
+        raise ResourceWarning("label-count space exceeds the exact-enumeration cap")
+    cond, log_cond, zero = model.cond, _safe_log(model.cond), model.cond == 0
+    neg_ent = np.sum(cond * log_cond, axis=1)  # (H,)
+    irreducible = -float(model.prior @ neg_ent)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(T + 1)])
+    info, excess, excess_q, kl = (np.zeros(T) for _ in range(4))
+    counts = np.zeros((1, A), dtype=int)
+    for t in range(T + 1):
+        loglik = counts @ log_cond.T  # (S, H)
+        dead = ((counts > 0) @ zero.T) > 0  # the hypothesis forbids a label seen in n
+        log_joint = np.where(dead | (model.prior == 0), -np.inf, _safe_log(model.prior) + loglik)
+        live = np.isfinite(log_joint.max(axis=1))  # zero-mass counts have zero-mass extensions
+        counts, loglik, dead = counts[live], loglik[live], dead[live]
+        post, log_marg = _normalise(log_joint[live])
+        mass = np.exp(log_fact[t] - log_fact[counts].sum(axis=1) + log_marg)
+        if t == T:
+            mi = float(mass @ np.sum(post * (loglik - log_marg[:, None]), axis=1))
+            gap = float(np.sum(excess))
+            if abs(mi - gap) > 1e-9:
+                raise AssertionError(f"information/loss identity violated: {mi} vs {gap}")
+            return info, excess, excess_q, kl, mi
+        mix = post @ cond  # (S, A) posterior predictive
+        log_mix = _safe_log(mix)
+        info[t] = mass @ np.sum(post * (neg_ent - log_mix @ cond.T), axis=1)
+        excess[t] = -mass @ np.sum(mix * log_mix, axis=1) - irreducible
+        if q is not None:
+            post_q, _ = _normalise(np.where(dead | (q == 0), -np.inf, _safe_log(q) + loglik))
+            log_q = np.log(np.maximum(post_q @ cond, 1e-300))
+            excess_q[t] = -mass @ np.sum(mix * log_q, axis=1) - irreducible
+            kl[t] = mass @ np.sum(mix * (log_mix - log_q), axis=1)
+        counts = np.unique((counts[:, None, :] + np.eye(A, dtype=int)).reshape(-1, A), axis=0)
 
 
 def exact_mi_enumeration(model: EnumerationModel, T: int) -> Tuple[float, float]:
@@ -208,70 +253,13 @@ def exact_mi_enumeration(model: EnumerationModel, T: int) -> Tuple[float, float]
     predictive log-loss minus the irreducible entropy; the two agree to 1e-9
     (asserted).
     """
-    _check_enum_size(model, T)
-    H, A = model.n_hyp, model.alphabet
-    mi = 0.0
-    loss = 0.0
-    for seq in itertools.product(range(A), repeat=T):
-        lik = np.prod(model.cond[:, seq], axis=1)  # (H,)
-        marg = float(model.prior @ lik)
-        if marg <= 0:
-            continue
-        # Information route: joint * log(lik / marginal).
-        for h in range(H):
-            jh = model.prior[h] * lik[h]
-            if jh > 0:
-                mi += jh * (math.log(lik[h]) - math.log(marg))
-        # Loss route: per-step posterior predictive scored sequentially.
-        w = model.prior.copy()
-        seq_loss = 0.0
-        for y in seq:
-            py = float(w @ model.cond[:, y])
-            seq_loss += -math.log(py)
-            w = w * model.cond[:, y]
-            w = w / w.sum()
-        loss += marg * seq_loss
-    loss_gap = loss - _irreducible_total(model, T)
-    if abs(mi - loss_gap) > 1e-9:
-        raise AssertionError(
-            f"information/loss identity violated: {mi} vs {loss_gap}"
-        )
-    return mi, loss_gap
+    _, excess, _, _, mi = _count_pass(model, T)
+    return mi, float(np.sum(excess))
 
 
 def per_step_info(model: EnumerationModel, T: int) -> np.ndarray:
     """Exact I(Y_{t+1}; theta | H_t) for t = 0..T-1."""
-    _check_enum_size(model, T)
-    A = model.alphabet
-    out = np.empty(T)
-    for t in range(T):
-        total = 0.0
-        for prefix in itertools.product(range(A), repeat=t):
-            lik = (
-                np.prod(model.cond[:, prefix], axis=1)
-                if t > 0
-                else np.ones(model.n_hyp)
-            )
-            wj = model.prior * lik
-            pw = float(wj.sum())
-            if pw <= 0:
-                continue
-            post = wj / pw
-            mix = post @ model.cond  # (A,)
-            info = 0.0
-            for h in range(model.n_hyp):
-                if post[h] <= 0:
-                    continue
-                mask = model.cond[h] > 0
-                info += post[h] * float(
-                    np.sum(
-                        model.cond[h][mask]
-                        * (np.log(model.cond[h][mask]) - np.log(mix[mask]))
-                    )
-                )
-            total += pw * info
-        out[t] = total
-    return out
+    return _count_pass(model, T)[0]
 
 
 @dataclass
@@ -295,56 +283,15 @@ def misspec_decomposition(
     misspecification term (+inf when the misspecified prior kills a
     hypothesis of positive true mass).
     """
-    _check_enum_size(model, T)
     q = np.asarray(misspec_prior, dtype=float)
     if len(q) != model.n_hyp or np.any(q < 0) or abs(q.sum() - 1.0) > 1e-9:
         raise ValueError("misspecified prior must be a pmf over the same support")
-    A = model.alphabet
-    total = 0.0
-    misspec = 0.0
-    for seq in itertools.product(range(A), repeat=T):
-        lik = np.prod(model.cond[:, seq], axis=1)
-        marg = float(model.prior @ lik)
-        if marg <= 0:
-            continue
-        w = model.prior.copy()
-        wq = q.copy()
-        seq_loss = 0.0
-        seq_misspec = 0.0
-        for y in seq:
-            pt = w @ model.cond  # true posterior predictive
-            qt = wq @ model.cond  # misspecified posterior predictive
-            seq_loss += -math.log(max(float(qt[y]), 1e-300))
-            mask = pt > 0
-            seq_misspec += float(
-                np.sum(pt[mask] * (np.log(pt[mask]) - np.log(np.maximum(qt[mask], 1e-300))))
-            )
-            w = w * model.cond[:, y]
-            w = w / w.sum()
-            wq = wq * model.cond[:, y]
-            s = wq.sum()
-            if s > 0:
-                wq = wq / s
-        total += marg * seq_loss
-        misspec += marg * seq_misspec
-    mi, _ = exact_mi_enumeration(model, T)
-    total_excess = (total - _irreducible_total(model, T)) / T
-    info_term = mi / T
-    misspec_term = misspec / T
-    mask = model.prior > 0
-    if np.any(q[mask] == 0):
-        bound = math.inf
-    else:
-        bound = float(
-            np.sum(model.prior[mask] * (np.log(model.prior[mask]) - np.log(q[mask])))
-        ) / T
-    return DecompositionReport(
-        total_loss=total_excess,
-        information_term=info_term,
-        misspecification_term=misspec_term,
-        residual=total_excess - info_term - misspec_term,
-        prior_kl_bound=bound,
-    )
+    _, _, excess_q, kl, mi = _count_pass(model, T, q)
+    total, info, misspec = float(np.sum(excess_q)) / T, mi / T, float(np.sum(kl)) / T
+    p = model.prior
+    kills = np.any(q[p > 0] == 0)
+    bound = math.inf if kills else float(p @ (_safe_log(p) - _safe_log(q))) / T
+    return DecompositionReport(total, info, misspec, total - info - misspec, bound)
 
 
 # ---------------------------------------------------------------------------

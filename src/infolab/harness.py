@@ -28,7 +28,7 @@ from .estimators import (
     run_replicate,
 )
 from .predictors import PREDICTOR_KINDS
-from .processes import PROCESS_KINDS, Process, irreducible_rate
+from .processes import PROCESS_KINDS, Process, irreducible_rate, strict_int
 from .rng import RngStream, SeedSpec
 
 CONFIG_VERSION = 1
@@ -117,9 +117,9 @@ class ScenarioConfig:
 # Conversions of the config's scalar and list values.
 CONFIG_VALUES = {
     "scenario_id": str,
-    "horizons": lambda v: [int(t) for t in v],
-    "replicates": int,
-    "master_seed": int,
+    "horizons": lambda v: [strict_int(t) for t in v],
+    "replicates": strict_int,
+    "master_seed": strict_int,
     "bounds": lambda v: [str(b) for b in v],
     "se_multiplier": float,
 }

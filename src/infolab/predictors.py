@@ -36,6 +36,7 @@ from .processes import (
     float_array,
     logsumexp,
     softmax,
+    strict_int,
 )
 from .rng import RngStream
 
@@ -111,7 +112,7 @@ class PriorEnsemble(Configurable):
     resample_ess_frac: float = 0.5
 
     kind = "ensemble"
-    config = {"size": int, "resample_ess_frac": float}
+    config = {"size": strict_int, "resample_ess_frac": float}
 
     def __post_init__(self):
         if self.size < 2 or not 0 < self.resample_ess_frac <= 1:
@@ -157,7 +158,7 @@ class MisspecifiedWidth(Configurable):
     resample_ess_frac: float = 0.5
 
     kind = "misspecified_width"
-    config = {"n": int, "eps": float, "size": int}
+    config = {"n": strict_int, "eps": float, "size": strict_int}
 
     def __post_init__(self):
         if self.n < 1 or self.size < 2 or self.eps < 0:

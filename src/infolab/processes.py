@@ -11,9 +11,8 @@ and the harness never ask which process they hold.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -326,6 +325,20 @@ def float_array(value) -> np.ndarray:
     return arr
 
 
+def strict_int(value) -> int:
+    """int(value), refusing booleans and numbers with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def strict_bool(value) -> bool:
+    """A boolean config value: only true or false, never a string or number."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a boolean (true or false)")
+    return value
+
+
 @dataclass(frozen=True)
 class LinReg(_Gaussian):
     """Linear regression: theta ~ N(0, prior_var I_d), Y = theta^T X + W."""
@@ -335,7 +348,7 @@ class LinReg(_Gaussian):
     prior_var: Optional[float] = None
 
     kind = "linreg"
-    config = {"d": int, "noise_var": float, "prior_var": float}
+    config = {"d": strict_int, "noise_var": float, "prior_var": float}
     bound_id = "linreg_error"
     bound_args = {"d": "d", "noise_var": "noise_var"}
     particle_arrays = ("theta",)  # (S, d)
@@ -367,7 +380,7 @@ class LogReg(_Bernoulli):
     d: int
 
     kind = "logreg"
-    config = {"d": int}
+    config = {"d": strict_int}
     bound_id = "logreg_error"
     bound_args = {"d": "d"}
     particle_arrays = ("theta",)  # (S, d)
@@ -400,7 +413,7 @@ class DeepNet(_Gaussian):
     noise_var: float
 
     kind = "deepnet"
-    config = {"d": int, "width": int, "depth": int, "noise_var": float}
+    config = {"d": strict_int, "width": strict_int, "depth": strict_int, "noise_var": float}
     bound_id = "deepnet_error"
     bound_args = {"d": "d", "width": "width", "depth": "depth", "noise_var": "noise_var"}
 
@@ -464,7 +477,8 @@ class DirichletNet(_Gaussian):
 
     kind = "dirichlet"
     config = {
-        "d": int, "scale": float, "noise_var": float, "tail_tol": float, "plus_one_scaling": bool
+        "d": strict_int, "scale": float, "noise_var": float, "tail_tol": float,
+        "plus_one_scaling": strict_bool,
     }
     bound_id = "dirichlet_error"
     bound_args = {"d": "d", "K": "scale", "noise_var": "noise_var"}
@@ -506,7 +520,7 @@ class BinaryARK(_Bernoulli):
     phi1: Optional[np.ndarray] = None
 
     kind = "ark"
-    config = {"d": int, "context": int, "phi0": float_array, "phi1": float_array}
+    config = {"d": strict_int, "context": strict_int, "phi0": float_array, "phi1": float_array}
     bound_id = "ark_error"
     bound_args = {"d": "d", "K": "context"}
     particle_arrays = ("theta",)  # (S, K, d)
@@ -575,8 +589,8 @@ class Transformer(_Categorical):
     kind = "transformer"
     # embed_seed (default 0) seeds the embeddings built by from_config.
     config = {
-        "vocab": int, "attn_dim": int, "depth": int, "context": int,
-        "v_prior": str, "embed_seed": int,
+        "vocab": strict_int, "attn_dim": strict_int, "depth": strict_int, "context": strict_int,
+        "v_prior": str, "embed_seed": strict_int,
     }
     bound_id = "transformer_error"
     bound_args = {"d": "vocab", "r": "attn_dim", "L": "depth", "K": "context"}
@@ -638,7 +652,7 @@ class LinRep(_MetaCategorical):
     tasks: int
 
     kind = "linrep"
-    config = {"d": int, "r": int, "tasks": int}
+    config = {"d": strict_int, "r": strict_int, "tasks": strict_int}
     bound_id = "linrep_error"
     bound_args = {"d": "d", "r": "r", "M": "tasks"}
     particle_arrays = ("psi", "xi")  # (S, d, r), (S, M, r)
@@ -683,11 +697,10 @@ class IclMixture(_MetaCategorical):
     scale: float
     inner: Transformer
     tasks: int
-    per_task: int
 
     def __post_init__(self):
-        if self.mixture_size < 1 or self.tasks < 1 or self.per_task < 1:
-            raise ValueError("mixture_size, tasks, per_task must be >= 1")
+        if self.mixture_size < 1 or self.tasks < 1:
+            raise ValueError("mixture_size, tasks must be >= 1")
         if self.scale > self.mixture_size:
             raise ValueError("scale R must satisfy R <= N")
 
@@ -997,89 +1010,3 @@ def irreducible_rate(spec: Process) -> Optional[float]:
     predictor's Monte-Carlo loss.
     """
     return spec.irreducible_rate()
-
-
-# ---------------------------------------------------------------------------
-# Versioned JSON serialization (replay and golden tests)
-# ---------------------------------------------------------------------------
-
-SERIALIZATION_VERSION = 2
-
-# Latent classes by name; JSON forms follow their dataclass fields.
-_LATENT_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        LinRegLatent, LogRegLatent, DeepNetLatent, DirichletNetLatent, ARKLatent,
-        TransformerLatent, LinRepLatent, IclLatent, StickBreakingDraw,
-    )
-}
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return float(f"{value:.17g}")
-    if isinstance(value, np.ndarray):
-        return _fmt(value.tolist())
-    if isinstance(value, list):
-        return [_fmt(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _fmt(v) for k, v in value.items()}
-    if is_dataclass(value):
-        return {f.name: _fmt(getattr(value, f.name)) for f in fields(value)}
-    return value
-
-
-def _unfmt(annotation: str, value):
-    """Rebuild a value from its JSON form, led by the annotation that declares it."""
-    if annotation in _LATENT_TYPES:
-        cls = _LATENT_TYPES[annotation]
-        return cls(**{f.name: _unfmt(f.type, value[f.name]) for f in fields(cls)})
-    if annotation.startswith("List["):
-        return [_unfmt(annotation[len("List["):-1], v) for v in value]
-    if annotation.startswith("Dict[int, "):
-        return {int(k): _unfmt(annotation[len("Dict[int, "):-1], v) for k, v in value.items()}
-    if annotation == "np.ndarray":
-        return np.array(value)
-    return value
-
-
-def latent_to_json(latent) -> str:
-    """Serialize latent parameters to a versioned JSON string."""
-    payload = {"version": SERIALIZATION_VERSION, "kind": type(latent).__name__, **_fmt(latent)}
-    return json.dumps(payload, sort_keys=True)
-
-
-def latent_from_json(text: str):
-    """Rebuild latent parameters from their JSON form."""
-    payload = json.loads(text)
-    if payload.get("version") != SERIALIZATION_VERSION:
-        raise ValueError("unsupported serialization version")
-    if payload.get("kind") not in _LATENT_TYPES:
-        raise ValueError(f"unknown latent kind: {payload.get('kind')}")
-    return _unfmt(payload["kind"], payload)
-
-
-def history_to_json(history: History) -> str:
-    """Serialize a history to a versioned JSON string."""
-    rows = []
-    for obs in history.observations:
-        rows.append(
-            {
-                "x": None if obs.x is None else _fmt(np.asarray(obs.x)),
-                "y": _fmt(float(obs.y)) if isinstance(obs.y, float) else int(obs.y),
-                "task": obs.task,
-            }
-        )
-    return json.dumps({"version": SERIALIZATION_VERSION, "observations": rows})
-
-
-def history_from_json(text: str) -> History:
-    """Rebuild a history from its JSON form."""
-    payload = json.loads(text)
-    if payload.get("version") != SERIALIZATION_VERSION:
-        raise ValueError("unsupported serialization version")
-    hist = History()
-    for row in payload["observations"]:
-        x = None if row["x"] is None else np.array(row["x"])
-        hist.append(Observation(x=x, y=row["y"], task=row["task"]))
-    return hist

@@ -79,7 +79,110 @@ def test_enumeration_cap_enforced():
         cond=np.array([[0.25] * 4, [0.25] * 4]),
     )
     with pytest.raises(ResourceWarning):
-        exact_mi_enumeration(model, 13)  # 4^13 > 10^7
+        exact_mi_enumeration(model, 310)  # 2 * C(313, 3) > 10^7 count states
+
+
+# ---------------------------------------------------------------------------
+# label-count pass against an A^T sequence oracle
+# ---------------------------------------------------------------------------
+
+
+def _safe_log(x):
+    return np.log(np.where(x > 0, x, 1.0))
+
+
+def _sequence_oracle(model, T, q):
+    """Loop over all A^T label sequences, scoring each one step at a time.
+
+    Returns (mi, loss_gap, per-step information, misspecified total excess
+    per step, misspecification term per step).
+    """
+    prior, cond = model.prior, model.cond
+    irreducible = T * float(prior @ -np.sum(cond * _safe_log(cond), axis=1))
+    mi = loss = total = kl = 0.0
+    steps = np.zeros(T)
+    for seq in itertools.product(range(model.alphabet), repeat=T):
+        lik = np.prod(cond[:, list(seq)], axis=1)
+        marg = float(prior @ lik)
+        if marg <= 0:
+            continue
+        joint = prior * lik
+        mi += float(np.sum(joint * (_safe_log(lik) - math.log(marg))))
+        w, wq = prior.copy(), q.copy()
+        for t, y in enumerate(seq):
+            pt, qt = w @ cond, wq @ cond
+            loss -= marg * math.log(pt[y])
+            total -= marg * math.log(max(qt[y], 1e-300))
+            kl += marg * float(np.sum(pt * (_safe_log(pt) - np.log(np.maximum(qt, 1e-300)))))
+            kl_h = np.sum(cond * (_safe_log(cond) - _safe_log(pt)), axis=1)
+            steps[t] += marg * float(np.sum(w[w > 0] * kl_h[w > 0]))
+            w = w * cond[:, y] / (w @ cond[:, y])
+            wq = wq * cond[:, y]
+            if wq.sum() > 0:
+                wq = wq / wq.sum()
+    return mi, loss - irreducible, steps, (total - irreducible) / T, kl / T
+
+
+def _random_model(gen, H, A):
+    return EnumerationModel(prior=gen.dirichlet(np.ones(H)), cond=gen.dirichlet(np.ones(A), size=H))
+
+
+DEGENERATE_MODELS = {
+    "deterministic_reveal": ([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], [0.3, 0.7], 4),
+    "zero_prior_entry": ([0.6, 0.0, 0.4], [[0.2, 0.3, 0.5], [0.6, 0.2, 0.2], [0.1, 0.1, 0.8]],
+                         [0.2, 0.5, 0.3], 4),
+    "q_kills_hypothesis": ([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 6),
+    "labels_independent": ([0.3, 0.7], [[0.4, 0.6], [0.4, 0.6]], [0.9, 0.1], 6),
+    "partial_zeros": ([0.3, 0.3, 0.4], [[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.2, 0.0, 0.8]],
+                      [0.1, 0.0, 0.9], 5),
+}
+
+
+def _oracle_cases():
+    gen = np.random.default_rng(21)
+    cases = []
+    for i in range(20):
+        H, A = int(gen.integers(2, 9)), int(gen.integers(2, 5))
+        model, q = _random_model(gen, H, A), gen.dirichlet(np.ones(H))
+        cases.append(pytest.param(model, q, {2: 8, 3: 5, 4: 4}[A], id=f"random{i}"))
+    for H, A, T in [(6, 2, 11), (4, 3, 6), (8, 4, 5)]:  # perfbench's exact_and_bounds shapes
+        model, q = _random_model(gen, H, A), gen.dirichlet(np.ones(H))
+        cases.append(pytest.param(model, q, T, id=f"shape{H}x{A}x{T}"))
+    for name, (prior, cond, q, T) in DEGENERATE_MODELS.items():
+        model = EnumerationModel(prior=np.array(prior), cond=np.array(cond))
+        cases.append(pytest.param(model, np.array(q), T, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("model,q,T", _oracle_cases())
+def test_count_pass_matches_sequence_oracle(model, q, T):
+    mi, gap, steps, total, misspec = _sequence_oracle(model, T, q)
+    got_mi, got_gap = exact_mi_enumeration(model, T)
+    assert abs(got_mi - mi) <= 1e-12 and abs(got_gap - gap) <= 1e-12
+    assert np.max(np.abs(per_step_info(model, T) - steps)) <= 1e-12
+    rep = misspec_decomposition(model, q, T)
+    assert abs(rep.total_loss - total) <= 1e-12
+    assert abs(rep.information_term - mi / T) <= 1e-12
+    assert abs(rep.misspecification_term - misspec) <= 1e-12
+    assert abs(rep.residual) <= 1e-9
+
+
+def test_count_pass_beyond_sequence_cap():
+    """H=8, A=2, T=200: 2^200 sequences, 201 count vectors per hypothesis."""
+    gen = np.random.default_rng(22)
+    model = _random_model(gen, 8, 2)
+    T = 200
+    mi, gap = exact_mi_enumeration(model, T)
+    steps = per_step_info(model, T)
+    assert abs(mi - gap) <= 1e-9
+    assert abs(float(np.sum(steps)) - mi) <= 1e-9
+    assert np.all(np.diff(steps) <= 1e-12)
+    # Finite-hypothesis bound: I(theta; H_t) / t <= H(prior) / t at every t.
+    prior_entropy = float(-model.prior @ np.log(model.prior))
+    assert np.all(np.cumsum(steps) <= prior_entropy + 1e-12)
+    rep = misspec_decomposition(model, gen.dirichlet(np.ones(8)), T)
+    assert abs(rep.residual) <= 1e-9
+    assert rep.misspecification_term <= rep.prior_kl_bound + 1e-12
 
 
 # ---------------------------------------------------------------------------

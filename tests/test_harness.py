@@ -370,6 +370,20 @@ BAD_CONFIGS = {
         _config_payload(predictor={"kind": "misspecified_conjugate", "prior_diag": [1.0, -1.0]}),
         "key 'prior_diag' must be nonnegative",
     ),
+    "string_bool": (
+        _config_payload(
+            process={"kind": "dirichlet", "d": 3, "scale": 2.0, "noise_var": 1.0,
+                     "plus_one_scaling": "false"},
+        ),
+        "process 'dirichlet' key 'plus_one_scaling': 'false' is not a boolean",
+    ),
+    "fractional_int": (
+        _config_payload(process={"kind": "linreg", "d": 3.7, "noise_var": 0.25}),
+        "process 'linreg' key 'd': 3.7 is not an integer",
+    ),
+    "fractional_horizon": (
+        _config_payload(horizons=[3, 6.5]), "config key 'horizons': 6.5 is not an integer"
+    ),
     "foreign_bound": (_config_payload(bounds=["logreg_error"]), "logreg_error"),
     "meta_process": (
         _config_payload(

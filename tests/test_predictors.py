@@ -461,7 +461,7 @@ def test_icl_mixture_rollouts_are_finite():
     inner = Transformer(
         vocab=3, attn_dim=3, depth=1, context=2, embeddings=make_embeddings(3, 3, stream(0))
     )
-    spec = IclMixture(mixture_size=4, scale=2.0, inner=inner, tasks=2, per_task=4)
+    spec = IclMixture(mixture_size=4, scale=2.0, inner=inner, tasks=2)
     for kind in (Omniscient(), PriorEnsemble(size=16)):
         rec = run_replicate(spec, kind, 4, stream(33))
         assert len(rec.losses) == 8

@@ -22,12 +22,8 @@ from infolab.processes import (
     ark_logit,
     cond_logprob,
     dirichlet_net_output,
-    history_from_json,
-    history_to_json,
     initial_history,
     irreducible_rate,
-    latent_from_json,
-    latent_to_json,
     linrep_task_pmf,
     make_embeddings,
     meta_cond_logprob,
@@ -64,7 +60,7 @@ def test_spec_validation():
                     v_prior="bogus")
     inner = Transformer(vocab=4, attn_dim=4, depth=1, context=2, embeddings=tf_emb)
     with pytest.raises(ValueError):
-        IclMixture(mixture_size=2, scale=3.0, inner=inner, tasks=2, per_task=4)
+        IclMixture(mixture_size=2, scale=3.0, inner=inner, tasks=2)
 
 
 def test_linreg_default_prior_var():
@@ -150,7 +146,7 @@ def test_transformer_prior_value_rows():
 def test_icl_lazy_components_and_urn_marginal():
     emb = make_embeddings(4, 4, stream(0))
     inner = Transformer(vocab=4, attn_dim=4, depth=1, context=2, embeddings=emb)
-    spec = IclMixture(mixture_size=50, scale=2.0, inner=inner, tasks=6, per_task=4)
+    spec = IclMixture(mixture_size=50, scale=2.0, inner=inner, tasks=6)
     s = stream(7)
     uniques = []
     for i in range(400):
@@ -368,7 +364,7 @@ def test_icl_single_component_matches_plain_transformer():
     """N=1 mixture generates the same law as the inner transformer process."""
     emb = make_embeddings(5, 5, stream(0))
     tf = Transformer(vocab=5, attn_dim=5, depth=2, context=3, embeddings=emb)
-    spec = IclMixture(mixture_size=1, scale=1.0, inner=tf, tasks=1, per_task=12)
+    spec = IclMixture(mixture_size=1, scale=1.0, inner=tf, tasks=1)
     lat = sample_latent(spec, stream(31))
     assert list(lat.assignments) == [0] and set(lat.components) == {0}
     comp = lat.components[0]
@@ -384,59 +380,3 @@ def test_icl_single_component_matches_plain_transformer():
     for t in range(12):
         meta_hist.append(meta_step(spec, lat, 0, meta_hist, stream(33).derive(t)))
     assert plain.labels() == meta_hist.labels()
-
-
-# ---------------------------------------------------------------------------
-# serialization round trips
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "spec_factory",
-    [
-        lambda: LinReg(d=3, noise_var=0.5),
-        lambda: LogReg(d=4),
-        lambda: DeepNet(d=2, width=3, depth=3, noise_var=1.0),
-        lambda: DirichletNet(d=2, scale=2.0, noise_var=1.0),
-        lambda: BinaryARK(d=2, context=2, phi0=np.array([1.0, 0]),
-                          phi1=np.array([0, 1.0])),
-        lambda: Transformer(vocab=4, attn_dim=4, depth=2, context=2,
-                            embeddings=make_embeddings(4, 4, stream(0))),
-        lambda: LinRep(d=5, r=2, tasks=3),
-    ],
-)
-def test_latent_serialization_round_trip(spec_factory):
-    spec = spec_factory()
-    lat = sample_latent(spec, stream(34))
-    text = latent_to_json(lat)
-    back = latent_to_json(latent_from_json(text))
-    assert text == back
-
-
-def test_icl_latent_serialization_round_trip():
-    emb = make_embeddings(4, 4, stream(0))
-    inner = Transformer(vocab=4, attn_dim=4, depth=1, context=2, embeddings=emb)
-    spec = IclMixture(mixture_size=8, scale=2.0, inner=inner, tasks=4, per_task=4)
-    lat = sample_latent(spec, stream(35))
-    text = latent_to_json(lat)
-    assert latent_to_json(latent_from_json(text)) == text
-
-
-def test_history_serialization_round_trip():
-    h = History(
-        [
-            Observation(x=np.array([0.1, -2.0]), y=1.5),
-            Observation(x=None, y=3, task=1),
-        ]
-    )
-    text = history_to_json(h)
-    back = history_from_json(text)
-    assert history_to_json(back) == text
-    assert back.observations[1].task == 1
-
-
-def test_serialization_version_checked():
-    with pytest.raises(ValueError):
-        latent_from_json('{"version": 99, "kind": "LinRegLatent", "theta": [0.0]}')
-    with pytest.raises(ValueError):
-        history_from_json('{"version": 99, "observations": []}')
