@@ -28,7 +28,9 @@ from .estimators import (
     run_replicate,
 )
 from .predictors import PREDICTOR_KINDS
-from .processes import PROCESS_KINDS, Process, irreducible_rate, strict_int
+from .processes import (
+    PROCESS_KINDS, Process, irreducible_rate, strict_float, strict_int, strict_list, strict_str,
+)
 from .rng import RngStream, SeedSpec
 
 CONFIG_VERSION = 1
@@ -116,12 +118,12 @@ class ScenarioConfig:
 
 # Conversions of the config's scalar and list values.
 CONFIG_VALUES = {
-    "scenario_id": str,
-    "horizons": lambda v: [strict_int(t) for t in v],
+    "scenario_id": strict_str,
+    "horizons": lambda v: [strict_int(t) for t in strict_list(v)],
     "replicates": strict_int,
     "master_seed": strict_int,
-    "bounds": lambda v: [str(b) for b in v],
-    "se_multiplier": float,
+    "bounds": lambda v: [strict_str(b) for b in strict_list(v)],
+    "se_multiplier": strict_float,
 }
 CONFIG_KEYS = ["version", "process", "predictor", *CONFIG_VALUES]
 
@@ -140,16 +142,9 @@ def parse_config(payload: Dict) -> ScenarioConfig:
         k: _convert(cv, payload[k], k, "config") for k, cv in CONFIG_VALUES.items() if k in payload
     }
     spec = parse_process(payload["process"])
-    return ScenarioConfig(
-        scenario_id=values["scenario_id"],
-        spec=spec,
-        predictor=parse_predictor(payload["predictor"], spec),
-        horizons=values["horizons"],
-        replicates=values["replicates"],
-        master_seed=values["master_seed"],
-        bound_ids=values.get("bounds", []),
-        se_multiplier=values.get("se_multiplier", 3.0),
-    )
+    bound_ids = values.pop("bounds", [])
+    predictor = parse_predictor(payload["predictor"], spec)
+    return ScenarioConfig(spec=spec, predictor=predictor, bound_ids=bound_ids, **values)
 
 
 def load_config(path: str) -> ScenarioConfig:

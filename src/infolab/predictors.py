@@ -36,6 +36,7 @@ from .processes import (
     float_array,
     logsumexp,
     softmax,
+    strict_float,
     strict_int,
 )
 from .rng import RngStream
@@ -112,7 +113,7 @@ class PriorEnsemble(Configurable):
     resample_ess_frac: float = 0.5
 
     kind = "ensemble"
-    config = {"size": strict_int, "resample_ess_frac": float}
+    config = {"size": strict_int, "resample_ess_frac": strict_float}
 
     def __post_init__(self):
         if self.size < 2 or not 0 < self.resample_ess_frac <= 1:
@@ -158,7 +159,7 @@ class MisspecifiedWidth(Configurable):
     resample_ess_frac: float = 0.5
 
     kind = "misspecified_width"
-    config = {"n": strict_int, "eps": float, "size": strict_int}
+    config = {"n": strict_int, "eps": strict_float, "size": strict_int}
 
     def __post_init__(self):
         if self.n < 1 or self.size < 2 or self.eps < 0:
@@ -206,7 +207,7 @@ class _KnownRepresentation:
     psi: np.ndarray
 
     def particle_stat(self, particles, history, x, task):
-        return softmax(particles.xi @ self.psi.T, axis=1)
+        return particles.once(task, lambda: softmax(particles.xi @ self.psi.T, axis=1))
 
 
 @dataclass(frozen=True)
@@ -225,15 +226,10 @@ class OracleMetaEnsemble:
             raise ValueError("OracleMetaEnsemble requires a LinRep latent and stream")
         prior = _KnownRepresentation(psi=latent.psi)
         sd = math.sqrt(1.0 / spec.r)
-        xi = [
-            np.stack(
-                [
-                    sub.gen.normal(0.0, sd, size=spec.r)
-                    for sub in stream.derive(("task", m)).children("particle", self.size)
-                ]
-            )
-            for m in range(spec.tasks)
-        ]
+        xi = np.empty((spec.tasks, self.size, spec.r))
+        for m in range(spec.tasks):
+            for j, sub in enumerate(stream.derive(("task", m)).children("particle", self.size)):
+                xi[m, j] = sub.gen.normal(0.0, sd, size=spec.r)
         # One resampler for all tasks: draw k reads ("resample", k) whichever
         # task's filter asks for it.
         resampler = Resampler(stream.derive(("sis", 0)))

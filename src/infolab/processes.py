@@ -117,7 +117,8 @@ class Particles:
     `prior` (a process spec, or a predictor kind with its own prior) gives
     the per-particle statistic.  Every array in `arrays` has the particle
     axis first, so resampling indexes them all alike; each is also an
-    attribute of the same name.
+    attribute of the same name.  `once` keeps statistics that read only the
+    particles, read-only, until resampling builds new particles.
     """
 
     def __init__(self, prior, size: int, latents: Optional[List] = None, **arrays):
@@ -127,6 +128,14 @@ class Particles:
         self.arrays = arrays
         for name, value in arrays.items():
             setattr(self, name, value)
+        self._memo = {}
+
+    def once(self, key, compute) -> np.ndarray:
+        """compute(), computed on the first call per key and kept read-only."""
+        if key not in self._memo:
+            self._memo[key] = value = compute()
+            value.flags.writeable = False
+        return self._memo[key]
 
     @classmethod
     def stack(cls, prior, latents: List) -> "Particles":
@@ -332,11 +341,25 @@ def strict_int(value) -> int:
     return int(value)
 
 
-def strict_bool(value) -> bool:
-    """A boolean config value: only true or false, never a string or number."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a boolean (true or false)")
-    return value
+def strict_float(value) -> float:
+    """float(value), refusing booleans, infinities and NaN."""
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
+def _exactly(kind: type, what: str):
+    """The config conversion that accepts only values of `kind`, unchanged."""
+    def convert(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"{value!r} is not {what}")
+        return value
+    return convert
+
+
+strict_bool = _exactly(bool, "a boolean (true or false)")
+strict_str = _exactly(str, "a string")
+strict_list = _exactly(list, "a list")
 
 
 @dataclass(frozen=True)
@@ -348,7 +371,7 @@ class LinReg(_Gaussian):
     prior_var: Optional[float] = None
 
     kind = "linreg"
-    config = {"d": strict_int, "noise_var": float, "prior_var": float}
+    config = {"d": strict_int, "noise_var": strict_float, "prior_var": strict_float}
     bound_id = "linreg_error"
     bound_args = {"d": "d", "noise_var": "noise_var"}
     particle_arrays = ("theta",)  # (S, d)
@@ -413,7 +436,7 @@ class DeepNet(_Gaussian):
     noise_var: float
 
     kind = "deepnet"
-    config = {"d": strict_int, "width": strict_int, "depth": strict_int, "noise_var": float}
+    config = {"d": strict_int, "width": strict_int, "depth": strict_int, "noise_var": strict_float}
     bound_id = "deepnet_error"
     bound_args = {"d": "d", "width": "width", "depth": "depth", "noise_var": "noise_var"}
 
@@ -477,7 +500,7 @@ class DirichletNet(_Gaussian):
 
     kind = "dirichlet"
     config = {
-        "d": strict_int, "scale": float, "noise_var": float, "tail_tol": float,
+        "d": strict_int, "scale": strict_float, "noise_var": strict_float, "tail_tol": strict_float,
         "plus_one_scaling": strict_bool,
     }
     bound_id = "dirichlet_error"
@@ -590,7 +613,7 @@ class Transformer(_Categorical):
     # embed_seed (default 0) seeds the embeddings built by from_config.
     config = {
         "vocab": strict_int, "attn_dim": strict_int, "depth": strict_int, "context": strict_int,
-        "v_prior": str, "embed_seed": strict_int,
+        "v_prior": strict_str, "embed_seed": strict_int,
     }
     bound_id = "transformer_error"
     bound_args = {"d": "vocab", "r": "attn_dim", "L": "depth", "K": "context"}
@@ -686,7 +709,9 @@ class LinRep(_MetaCategorical):
         return linrep_task_pmf(latent, task)
 
     def particle_stat(self, particles, history, x, task):
-        return softmax(np.einsum("sdr,sr->sd", particles.psi, particles.xi[:, task]), axis=1)
+        return particles.once(task, lambda: softmax(
+            np.einsum("sdr,sr->sd", particles.psi, particles.xi[:, task]), axis=1
+        ))
 
 
 @dataclass(frozen=True)

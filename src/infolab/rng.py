@@ -99,25 +99,26 @@ class RngStream:
     def children(self, label: str, n: int) -> Iterator["RngStream"]:
         """Yield the streams derive((label, i)) for i < n, in order.
 
-        The children share one Philox, re-keyed for each child (counter 0,
-        empty buffer), so their draws equal those of derived streams but skip
-        building a generator per child.  Each yielded child is valid only
-        until the next one is yielded; streams derived from it stay valid.
+        The label is hashed once into a prefix state that each child copies
+        and extends by its index.  The children share one Philox, re-keyed
+        for each child (counter 0, empty buffer), so their draws equal those
+        of derived streams but skip building a generator per child.  Each
+        yielded child is valid only until the next one is yielded; streams
+        derived from it stay valid.
         """
-        label = str(label)
+        prefix = self._hash.copy()
+        prefix.update(str(label).encode("utf-8") + b"\x00")
         gen = np.random.Generator(np.random.Philox(key=0))
-        bitgen = gen.bit_generator
-        zeros = np.zeros(4, np.uint64)  # the setter copies it
+        zeros = np.zeros(4, np.uint64)
+        # The setter copies every value out, so one state dict serves all children.
+        state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": zeros},
+                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         for i in range(n):
-            child = self._extend(((label, i),))
-            bitgen.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": zeros, "key": child.key()},
-                "buffer": zeros,
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            child = RngStream.__new__(RngStream)
+            child._hash = prefix.copy()
+            child._hash.update(i.to_bytes(8, "little", signed=True))
+            state["state"]["key"] = child.key()
+            gen.bit_generator.state = state
             child.gen = gen
             yield child
 

@@ -487,6 +487,16 @@ def test_meta_split_single_task_closure():
     assert abs(split.meta[0]) <= max(3 * se, 3 * split.meta[1])
 
 
+def test_meta_split_matches_recorded_values():
+    """Both passes resample; recorded before particle statistics were kept per
+    task between resamples and before child streams hashed their label once."""
+    split = meta_error_split(LinRep(d=4, r=2, tasks=2), T=16, replicates=2, stream=stream(23),
+                             ensemble_size=64)
+    assert split.total == (0.06223351795476039, 0.03540108935368877)
+    assert split.intra == (0.011519490917254495, 0.0022521885752159465)
+    assert split.meta == (0.050714027037505896, 0.03765327792890472)
+
+
 def test_meta_split_intra_decays_with_horizon():
     spec = LinRep(d=4, r=2, tasks=2)
     vals = []

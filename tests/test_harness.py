@@ -384,6 +384,28 @@ BAD_CONFIGS = {
     "fractional_horizon": (
         _config_payload(horizons=[3, 6.5]), "config key 'horizons': 6.5 is not an integer"
     ),
+    "bool_float": (
+        _config_payload(process={"kind": "linreg", "d": 2, "noise_var": True}),
+        "process 'linreg' key 'noise_var': True is not a finite number",
+    ),
+    "nan_float": (
+        _config_payload(process={"kind": "linreg", "d": 2, "noise_var": "nan"}),
+        "process 'linreg' key 'noise_var': 'nan' is not a finite number",
+    ),
+    "infinite_predictor_float": (
+        _config_payload(predictor={"kind": "ensemble", "resample_ess_frac": "inf"}),
+        "predictor 'ensemble' key 'resample_ess_frac': 'inf' is not a finite number",
+    ),
+    "bool_se_multiplier": (
+        _config_payload(se_multiplier=False), "config key 'se_multiplier': False is not a finite"
+    ),
+    "numeric_scenario_id": (
+        _config_payload(scenario_id=7), "config key 'scenario_id': 7 is not a string"
+    ),
+    "numeric_bound_name": (_config_payload(bounds=[3]), "config key 'bounds': 3 is not a string"),
+    "string_horizons": (
+        _config_payload(horizons="36"), "config key 'horizons': '36' is not a list"
+    ),
     "foreign_bound": (_config_payload(bounds=["logreg_error"]), "logreg_error"),
     "meta_process": (
         _config_payload(
@@ -394,6 +416,14 @@ BAD_CONFIGS = {
         "meta_error_split",
     ),
 }
+
+
+def test_numeric_strings_parse_as_numbers():
+    payload = _config_payload(process={"kind": "linreg", "d": "2", "noise_var": "0.25"},
+                              se_multiplier="2.5")
+    config = harness.parse_config(payload)
+    assert config.spec == harness.parse_config(_config_payload()).spec
+    assert config.se_multiplier == 2.5
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))

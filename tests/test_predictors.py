@@ -525,6 +525,15 @@ def _pinned_cases():
              1.1721326370651586, 1.3898337239971046, 1.4977274477627207, 1.625076511179259,
              1.351554652238514, 1.1174643054699922, 1.1277391581910212, 1.841278653204494],
         ),
+        # Recorded before particle statistics were kept per task between resamples.
+        "ensemble_linrep": (
+            LinRep(d=4, r=2, tasks=2),
+            PriorEnsemble(size=64),
+            [1.2953916696683765, 1.4414690397869832, 1.469738093029821, 1.3998028583355673,
+             1.5688695761868783, 1.54318153248061, 1.529984322317052, 1.3904142921250258,
+             1.4210241444510265, 1.455096405792353, 1.4682368156238121, 1.3350496010874175,
+             1.369715315719033, 1.467024063425118, 1.3528813159773396, 1.593252572856702],
+        ),
     }
 
 
@@ -603,3 +612,40 @@ def test_predict_then_observe_equals_observe_only(case):
     for name, state in states.items():
         assert np.array_equal(state.log_weights, ref.log_weights), name
         assert state.resamples == ref.resamples, name
+
+
+# ---------------------------------------------------------------------------
+# statistics kept per task on the particles die with them at a resample
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["ensemble_linrep", "oracle_meta"])
+def test_memoised_statistics_match_fresh_ones_after_every_observe(oracle):
+    from infolab.predictors import OracleMetaEnsemble
+    from infolab.processes import LinRep, Particles, meta_step
+
+    spec = LinRep(d=4, r=2, tasks=2)
+    kind = OracleMetaEnsemble(size=64) if oracle else PriorEnsemble(size=64)
+    s = stream(67)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    state = init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0)))
+    # (filter, the tasks whose statistic its particles keep)
+    filters = list(zip(state.tasks, [[m] for m in range(spec.tasks)])) if oracle else [
+        (state, range(spec.tasks))
+    ]
+    hist = History()
+    for i, sub in enumerate(s.children("step", 40 * spec.tasks)):
+        m = i % spec.tasks
+        obs = meta_step(spec, latent, m, hist, sub)
+        state.predict(spec, None, m)
+        state.observe(spec, obs)
+        hist.append(obs)
+        for filt, tasks in filters:
+            parts = filt.particles
+            unmemoised = Particles(parts.prior, parts.size, parts.latents, **parts.arrays)
+            for task in tasks:
+                kept = parts.stat(filt.history, None, task)
+                fresh = parts.prior.particle_stat(unmemoised, filt.history, None, task)
+                assert np.array_equal(kept, fresh), (i, task)
+                assert not kept.flags.writeable
+    assert state.resamples > 0

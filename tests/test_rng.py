@@ -174,6 +174,20 @@ def test_streams_derived_from_a_child_match_derive():
         assert first == parent.derive(("particle", i)).gen.random()
 
 
+@pytest.mark.parametrize("labels", [("step", "particle"), ("step", "step")],
+                         ids=["different_labels", "same_label"])
+def test_interleaved_children_draw_as_derived_siblings(labels):
+    parent = RngStream(SeedSpec(13, (("rep", 2),)))
+    iterators = [parent.children(label, 6) for label in labels]
+    for i, pair in enumerate(zip(*iterators)):
+        firsts = [child.gen.random(3) for child in pair]  # both generators are mid-stream
+        for label, child, first in zip(labels, pair, firsts):
+            ref = parent.derive((label, i))
+            assert child.key().tobytes() == ref.key().tobytes()
+            assert first.tobytes() == ref.gen.random(3).tobytes()
+            _assert_same_draws(child, ref)
+
+
 PATHS = [
     (0, ()),
     (3, (("rep", 1),)),
