@@ -327,13 +327,6 @@ def _check_unit_rows(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} rows must have unit norm")
 
 
-def float_array(value) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{value!r} holds a value that is not a finite number")
-    return arr
-
-
 def strict_int(value) -> int:
     """int(value), refusing booleans and numbers with a fractional part."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -342,8 +335,9 @@ def strict_int(value) -> int:
 
 
 def strict_float(value) -> float:
-    """float(value), refusing booleans, infinities and NaN."""
-    if isinstance(value, bool) or not math.isfinite(float(value)):
+    """float(value) of a number or numeric string, refusing booleans, NaN and infinities."""
+    number = isinstance(value, (int, float, str)) and not isinstance(value, bool)
+    if not number or not math.isfinite(float(value)):
         raise ValueError(f"{value!r} is not a finite number")
     return float(value)
 
@@ -360,6 +354,11 @@ def _exactly(kind: type, what: str):
 strict_bool = _exactly(bool, "a boolean (true or false)")
 strict_str = _exactly(str, "a string")
 strict_list = _exactly(list, "a list")
+
+
+def float_array(value) -> np.ndarray:
+    """A list of finite numbers, each read as strict_float reads it."""
+    return np.array([strict_float(v) for v in strict_list(value)])
 
 
 @dataclass(frozen=True)

@@ -366,6 +366,10 @@ BAD_CONFIGS = {
         _config_payload(predictor={"kind": "misspecified_conjugate", "prior_mean": [0.0, None]}),
         "key 'prior_mean'.*not a finite number",
     ),
+    "bool_in_prior": (
+        _config_payload(predictor={"kind": "misspecified_conjugate", "prior_mean": [True, 0.0]}),
+        "key 'prior_mean': True is not a finite number",
+    ),
     "negative_prior_variance": (
         _config_payload(predictor={"kind": "misspecified_conjugate", "prior_diag": [1.0, -1.0]}),
         "key 'prior_diag' must be nonnegative",
