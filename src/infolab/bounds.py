@@ -7,7 +7,6 @@ checks.  All values are in nats per step unless stated otherwise.
 from __future__ import annotations
 
 import inspect
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -31,25 +30,6 @@ class BoundReport:
             raise ValueError("side must be 'upper' or 'lower'")
         if self.valid and (self.value is None or self.value < 0):
             raise ValueError("valid bounds must carry a nonnegative value")
-
-    def csv_row(self) -> List[str]:
-        params_json = json.dumps(self.params, sort_keys=True)
-        cells = (self.bound_id, self.side, params_json, self.value, self.valid)
-        return [csv_cell(v) for v in cells]
-
-
-BOUND_REPORT_HEADER = ["bound_id", "side", "params_json", "value", "valid"]
-
-
-def csv_cell(value) -> str:
-    """One CSV cell: true/false, floats with 17 significant digits, None empty."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
 
 
 def _pos(x: float) -> float:
@@ -251,36 +231,24 @@ def rd_bound_eval(kind: str, params: Dict[str, float], eps: float) -> float:
     return _call(_RD_BOUNDS[kind], params, eps)
 
 
-def eps_grid(
-    lo: float = 1e-6, hi: float = 10.0, per_decade: int = 64, extra: Tuple[float, ...] = ()
-) -> np.ndarray:
-    """Log-spaced distortion grid with optional mandatory members."""
-    decades = math.log10(hi / lo)
-    n = int(round(decades * per_decade)) + 1
-    grid = np.geomspace(lo, hi, n)
-    if extra:
-        grid = np.unique(np.concatenate([grid, np.array(extra)]))
-    return grid
+# Distortion grid of the sandwich bounds: 64 points per decade over [1e-6, 10].
+EPS_GRID = np.geomspace(1e-6, 10.0, 449)
 
 
-def rd_sandwich_upper(
-    kind: str, params: Dict[str, float], T: int, extra_eps: Tuple[float, ...] = ()
-) -> Tuple[float, float]:
+def rd_sandwich_upper(kind: str, params: Dict[str, float], T: int) -> Tuple[float, float]:
     """inf over the grid of H_eps/T + eps; returns (value, argmin eps)."""
     best, best_eps = math.inf, math.nan
-    for eps in eps_grid(extra=extra_eps):
+    for eps in EPS_GRID:
         v = rd_bound_eval(kind, params, float(eps)) / T + float(eps)
         if v < best:
             best, best_eps = v, float(eps)
     return best, best_eps
 
 
-def rd_sandwich_lower(
-    kind: str, params: Dict[str, float], T: int, extra_eps: Tuple[float, ...] = ()
-) -> float:
+def rd_sandwich_lower(kind: str, params: Dict[str, float], T: int) -> float:
     """sup over the grid of min(H_eps/T, eps)."""
     best = 0.0
-    for eps in eps_grid(extra=extra_eps):
+    for eps in EPS_GRID:
         v = min(rd_bound_eval(kind, params, float(eps)) / T, float(eps))
         best = max(best, v)
     return best

@@ -86,7 +86,7 @@ def bounds(
     if fmt == "json":
         text = json.dumps([asdict(r) for r in reports], indent=2)
     else:
-        text = harness._csv_text(bnd.BOUND_REPORT_HEADER, [r.csv_row() for r in reports])
+        text = harness.bounds_csv(reports)
     if out:
         path = os.path.join(out, f"bound_{bound_id}.{fmt}")
         harness.atomic_write_text(path, text)

@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import csv_cell
 from .info import linreg_mi_given_inputs
 from .predictors import (
     Omniscient,
@@ -29,7 +28,6 @@ from .processes import (
     Process,
     initial_history,
     irreducible_rate,
-    meta_step,
     sample_latent,
     step,
 )
@@ -49,7 +47,6 @@ class ReplicateRecord:
 
     losses: np.ndarray
     omniscient_losses: np.ndarray
-    latent: object
 
 
 @dataclass
@@ -59,7 +56,6 @@ class ErrorCurve:
     horizons: List[int]
     mean_error: np.ndarray
     std_err: np.ndarray
-    per_step_error: np.ndarray
     replicates: int
     scenario_id: str = ""
 
@@ -89,18 +85,14 @@ def run_replicate(spec: Process, kind, T: int, stream: RngStream) -> ReplicateRe
     losses = np.empty(T * tasks)
     omni_losses = np.empty(T * tasks)
     for i, sub in enumerate(stream.children("step", T * tasks)):
-        if spec.meta:
-            m = i % tasks
-            obs = meta_step(spec, latent, m, history, sub)
-        else:
-            m = None
-            obs = step(spec, latent, history, sub)
+        m = i % tasks if spec.meta else None
+        obs = step(spec, latent, history, sub, m)
         losses[i] = log_loss(predict(state, spec, obs.x, m), obs.y)
         omni_losses[i] = log_loss(predict(omni, spec, obs.x, m), obs.y)
         state.observe(spec, obs)
         omni.observe(spec, obs)
         history.append(obs)
-    return ReplicateRecord(losses=losses, omniscient_losses=omni_losses, latent=latent)
+    return ReplicateRecord(losses=losses, omniscient_losses=omni_losses)
 
 
 def aggregate_error_curve(
@@ -127,33 +119,20 @@ def aggregate_error_curve(
         excess = losses - irreducible
     cum = np.cumsum(excess, axis=1)
     R = len(records)
-    means, ses, steps = [], [], []
+    means, ses = [], []
     for t in horizons:
         if not 1 <= t <= T:
             raise ValueError("horizon outside the simulated range")
         per_rep = cum[:, t - 1] / t
         means.append(float(np.mean(per_rep)))
         ses.append(float(np.std(per_rep, ddof=1) / math.sqrt(R)))
-        steps.append(float(np.mean(excess[:, t - 1])))
     return ErrorCurve(
         horizons=horizons,
         mean_error=np.array(means),
         std_err=np.array(ses),
-        per_step_error=np.array(steps),
         replicates=R,
         scenario_id=scenario_id,
     )
-
-
-def error_curve_rows(curve: ErrorCurve) -> List[List[str]]:
-    """CSV rows (without header) for an error curve."""
-    return [
-        [csv_cell(v) for v in (t, mean, se, curve.replicates, curve.scenario_id)]
-        for t, mean, se in zip(curve.horizons, curve.mean_error, curve.std_err)
-    ]
-
-
-ERROR_CURVE_HEADER = ["horizon", "mean_error", "std_err", "replicates", "scenario_id"]
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bounds as bnd
-from .estimators import (
-    ERROR_CURVE_HEADER,
-    ErrorCurve,
-    ReplicateRecord,
-    aggregate_error_curve,
-    error_curve_rows,
-    run_replicate,
-)
+from .estimators import ErrorCurve, ReplicateRecord, aggregate_error_curve, run_replicate
 from .predictors import PREDICTOR_KINDS
 from .processes import (
     PROCESS_KINDS, Process, irreducible_rate, strict_float, strict_int, strict_list, strict_str,
@@ -386,12 +379,32 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def csv_cell(value) -> str:
+    """One CSV cell: true/false, floats with 17 significant digits, None empty."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
 def _csv_text(header: List[str], rows: List[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([bnd.csv_cell(v) for v in row] for row in rows)
+    writer.writerows([csv_cell(v) for v in row] for row in rows)
     return buf.getvalue()
+
+
+def bounds_csv(reports: Sequence[bnd.BoundReport]) -> str:
+    """Bound reports as CSV text, their parameters as one sorted JSON cell."""
+    return _csv_text(
+        ["bound_id", "side", "params_json", "value", "valid"],
+        [[r.bound_id, r.side, json.dumps(r.params, sort_keys=True), r.value, r.valid]
+         for r in reports],
+    )
 
 
 def _record(obj, *drop: str) -> Dict:
@@ -408,12 +421,15 @@ def write_scenario_outputs(result: ScenarioResult, out_dir: str, fmt: str = "csv
     sid = result.config.scenario_id
     rows = result.verification.rows
     if fmt == "csv":
+        curve = result.curve
         header = [f.name for f in fields(VerificationRow)]
         texts = {
-            f"{sid}_curve.csv": _csv_text(ERROR_CURVE_HEADER, error_curve_rows(result.curve)),
-            f"{sid}_bounds.csv": _csv_text(
-                bnd.BOUND_REPORT_HEADER, [r.csv_row() for r in result.bound_reports]
+            f"{sid}_curve.csv": _csv_text(
+                ["horizon", "mean_error", "std_err", "replicates", "scenario_id"],
+                [[t, mean, se, curve.replicates, curve.scenario_id]
+                 for t, mean, se in zip(curve.horizons, curve.mean_error, curve.std_err)],
             ),
+            f"{sid}_bounds.csv": bounds_csv(result.bound_reports),
             f"{sid}_verification.csv": _csv_text(
                 header, [[getattr(r, name) for name in header] for r in rows]
             ),
@@ -422,7 +438,7 @@ def write_scenario_outputs(result: ScenarioResult, out_dir: str, fmt: str = "csv
         payload = {
             "version": CONFIG_VERSION,
             "scenario_id": sid,
-            "curve": _record(result.curve, "per_step_error", "scenario_id"),
+            "curve": _record(result.curve, "scenario_id"),
             "bounds": [_record(r, "note") for r in result.bound_reports],
             "verification": [_record(r, "scenario_id") for r in rows],
         }

@@ -39,6 +39,7 @@ from .processes import (
     strict_float,
     strict_int,
 )
+from .quantizers import check_cover_domain, misspecified_width_prior_sample
 from .rng import RngStream
 
 
@@ -165,13 +166,20 @@ class MisspecifiedWidth(Configurable):
         if self.n < 1 or self.size < 2 or self.eps < 0:
             raise ValueError("n >= 1, size >= 2, eps >= 0 required")
 
+    @classmethod
+    def from_config(cls, values, spec=None) -> "MisspecifiedWidth":
+        if not isinstance(spec, DirichletNet):
+            raise ValueError(f"{cls.kind} predictor applies to the dirichlet process")
+        if values.get("eps", 0.0) > 0:
+            try:
+                check_cover_domain(spec.d, values["eps"])
+            except ValueError as exc:
+                raise ValueError(f"{cls.kind} predictor key 'eps': {exc}") from exc
+        return cls(**values)
+
     def init(self, spec, latent, stream) -> "EnsembleState":
         if stream is None:
             raise ValueError("MisspecifiedWidth requires a stream")
-        if not isinstance(spec, DirichletNet):
-            raise TypeError("MisspecifiedWidth applies to the Dirichlet-process net")
-        from .quantizers import misspecified_width_prior_sample
-
         nets = [
             misspecified_width_prior_sample(spec, self.n, self.eps, sub)
             for sub in stream.children("particle", self.size)

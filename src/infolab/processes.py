@@ -183,8 +183,9 @@ class Process(Configurable):
     latent, history, input and task.  Specs with array latents batch
     `sample_particles`, vectorize `particle_stat` and name the latent fields
     it reads stacked in `particle_arrays`; sequence processes set
-    `seed_tokens` and `seed_label`.  The output family supplies `draw`,
-    `logprob`, `loglik`, `point` and `mixture`.
+    `seed_tokens` and `seed_label`.  The output family supplies `step`,
+    `cond_logprob`, `loglik`, `point` and `mixture`; meta processes take the
+    task of each step and iid ones take none.
     """
 
     meta = False
@@ -203,12 +204,6 @@ class Process(Configurable):
 
     def irreducible_rate(self) -> Optional[float]:
         return None
-
-    def step(self, latent, history: "History", stream: RngStream) -> "Observation":
-        return self.draw(latent, history, stream, None)
-
-    def cond_logprob(self, latent, history: "History", x, y) -> float:
-        return self.logprob(latent, history, x, y, None)
 
     def sample_particles(self, size: int, stream: RngStream) -> Particles:
         """`size` iid prior draws; processes with array latents batch this."""
@@ -229,14 +224,14 @@ class Process(Configurable):
 class _Gaussian(Process):
     """Y = conditional mean + N(0, noise_var), inputs X ~ N(0, I_d)."""
 
-    def draw(self, latent, history, stream, task):
+    def step(self, latent, history, stream, task=None):
         x = self.draw_input(stream)
         y = self.conditional(latent, history, x, task) + float(
             stream.gen.normal(0.0, math.sqrt(self.noise_var))
         )
         return Observation(x=x, y=y)
 
-    def logprob(self, latent, history, x, y, task) -> float:
+    def cond_logprob(self, latent, history, x, y, task=None) -> float:
         return self.loglik(self.conditional(latent, history, x, task), y)
 
     def loglik(self, means, y):
@@ -259,12 +254,12 @@ class _Gaussian(Process):
 class _Bernoulli(Process):
     """Binary labels with P(Y = 1) = sigmoid(conditional logit)."""
 
-    def draw(self, latent, history, stream, task):
+    def step(self, latent, history, stream, task=None):
         x = self.draw_input(stream)
         p1 = _sigmoid(self.conditional(latent, history, x, task))
         return Observation(x=x, y=int(stream.gen.random() < p1))
 
-    def logprob(self, latent, history, x, y, task) -> float:
+    def cond_logprob(self, latent, history, x, y, task=None) -> float:
         return float(self.loglik(self.conditional(latent, history, x, task), y))
 
     def loglik(self, logits, y):
@@ -280,11 +275,11 @@ class _Bernoulli(Process):
 class _Categorical(Process):
     """Labels 1..V drawn from the conditional pmf; inputs are absent."""
 
-    def draw(self, latent, history, stream, task):
+    def step(self, latent, history, stream, task=None):
         pmf = self.conditional(latent, history, None, task)
         return Observation(x=None, y=sample_categorical(stream, pmf) + 1, task=task)
 
-    def logprob(self, latent, history, x, y, task) -> float:
+    def cond_logprob(self, latent, history, x, y, task=None) -> float:
         return float(np.log(self.conditional(latent, history, x, task)[int(y) - 1]))
 
     def loglik(self, pmfs, y):
@@ -302,23 +297,44 @@ class _MetaCategorical(_Categorical):
 
     meta = True
 
-    def step(self, latent, history, stream):
-        raise TypeError(
-            f"step is undefined for {type(self).__name__}; use meta_step for meta processes"
-        )
-
-    def meta_step(self, latent, m, history, stream):
-        if not 0 <= m < self.tasks:
-            raise ValueError("task index out of range")
-        return self.draw(latent, history, stream, m)
-
-    def meta_cond_logprob(self, latent, m, history, y):
-        return self.logprob(latent, history, None, y, m)
+    def step(self, latent, history, stream, task=None):
+        if task is None or not 0 <= task < self.tasks:
+            raise ValueError(f"{type(self).__name__} steps need a task index in [0, {self.tasks})")
+        return super().step(latent, history, stream, task)
 
 
 # ---------------------------------------------------------------------------
 # Process specifications
 # ---------------------------------------------------------------------------
+
+
+class _GaussianTheta:
+    """Specs whose latent is theta, iid N(0, prior_var) entries shaped theta_shape."""
+
+    particle_arrays = ("theta",)  # (S, *theta_shape)
+
+    def sample_latent(self, stream: RngStream) -> "ThetaLatent":
+        return ThetaLatent(self._theta(stream, self.theta_shape))
+
+    def sample_particles(self, size: int, stream: RngStream) -> Particles:
+        return Particles(self, size, theta=self._theta(stream, (size,) + self.theta_shape))
+
+    def _theta(self, stream: RngStream, shape) -> np.ndarray:
+        return stream.gen.normal(0.0, math.sqrt(self.prior_var), size=shape)
+
+
+class _Linear(_GaussianTheta):
+    """The statistic theta^T x of linear and logistic regression, theta shaped (d,)."""
+
+    @property
+    def theta_shape(self):
+        return (self.d,)
+
+    def conditional(self, latent, history, x, task) -> float:
+        return float(latent.theta @ x)
+
+    def particle_stat(self, particles, history, x, task):
+        return particles.theta @ x
 
 
 def _check_unit_rows(arr: np.ndarray, name: str) -> None:
@@ -362,7 +378,7 @@ def float_array(value) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LinReg(_Gaussian):
+class LinReg(_Linear, _Gaussian):
     """Linear regression: theta ~ N(0, prior_var I_d), Y = theta^T X + W."""
 
     d: int
@@ -373,30 +389,18 @@ class LinReg(_Gaussian):
     config = {"d": strict_int, "noise_var": strict_float, "prior_var": strict_float}
     bound_id = "linreg_error"
     bound_args = {"d": "d", "noise_var": "noise_var"}
-    particle_arrays = ("theta",)  # (S, d)
 
     def __post_init__(self):
         if self.d < 1 or self.noise_var <= 0:
             raise ValueError("d >= 1 and noise_var > 0 required")
         if self.prior_var is None:
             object.__setattr__(self, "prior_var", 1.0 / self.d)
-
-    def sample_latent(self, stream: RngStream) -> "LinRegLatent":
-        return LinRegLatent(theta=sample_gaussian(stream, self.d, self.prior_var))
-
-    def sample_particles(self, size: int, stream: RngStream) -> Particles:
-        theta = stream.gen.normal(0.0, math.sqrt(self.prior_var), size=(size, self.d))
-        return Particles(self, size, theta=theta)
-
-    def conditional(self, latent, history, x, task) -> float:
-        return float(latent.theta @ x)
-
-    def particle_stat(self, particles, history, x, task):
-        return particles.theta @ x
+        if self.prior_var < 0:
+            raise ValueError("linreg process key 'prior_var' must be nonnegative")
 
 
 @dataclass(frozen=True)
-class LogReg(_Bernoulli):
+class LogReg(_Linear, _Bernoulli):
     """Logistic regression: theta ~ N(0, I_d/d), P(Y=1) = sigmoid(theta^T X)."""
 
     d: int
@@ -405,24 +409,14 @@ class LogReg(_Bernoulli):
     config = {"d": strict_int}
     bound_id = "logreg_error"
     bound_args = {"d": "d"}
-    particle_arrays = ("theta",)  # (S, d)
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d >= 1 required")
 
-    def sample_latent(self, stream: RngStream) -> "LogRegLatent":
-        return LogRegLatent(theta=sample_gaussian(stream, self.d, 1.0 / self.d))
-
-    def sample_particles(self, size: int, stream: RngStream) -> Particles:
-        theta = stream.gen.normal(0.0, math.sqrt(1.0 / self.d), size=(size, self.d))
-        return Particles(self, size, theta=theta)
-
-    def conditional(self, latent, history, x, task) -> float:
-        return float(latent.theta @ x)
-
-    def particle_stat(self, particles, history, x, task):
-        return particles.theta @ x
+    @property
+    def prior_var(self) -> float:
+        return 1.0 / self.d
 
 
 @dataclass(frozen=True)
@@ -508,6 +502,8 @@ class DirichletNet(_Gaussian):
     def __post_init__(self):
         if self.d < 1 or self.scale <= 0 or self.noise_var <= 0:
             raise ValueError("d >= 1, scale > 0, noise_var > 0 required")
+        if not 0 < self.tail_tol < 1:
+            raise ValueError("dirichlet process key 'tail_tol' must lie in (0, 1)")
 
     @property
     def output_scale(self) -> float:
@@ -533,7 +529,7 @@ def _default_ark_embeddings(d: int):
 
 
 @dataclass(frozen=True)
-class BinaryARK(_Bernoulli):
+class BinaryARK(_GaussianTheta, _Bernoulli):
     """Binary AR(K): P(X_{t+1}=1) = sigmoid(sum_k theta_k^T phi_{t-k+1})."""
 
     d: int
@@ -545,7 +541,6 @@ class BinaryARK(_Bernoulli):
     config = {"d": strict_int, "context": strict_int, "phi0": float_array, "phi1": float_array}
     bound_id = "ark_error"
     bound_args = {"d": "d", "K": "context"}
-    particle_arrays = ("theta",)  # (S, K, d)
 
     def __post_init__(self):
         if self.phi0 is None and self.phi1 is None:
@@ -562,6 +557,14 @@ class BinaryARK(_Bernoulli):
         _check_unit_rows(self.phi1, "phi1")
 
     @property
+    def prior_var(self) -> float:
+        return 1.0 / self.context
+
+    @property
+    def theta_shape(self):
+        return (self.context, self.d)  # theta[k-1] pairs with phi_{t-k+1}
+
+    @property
     def seed_tokens(self) -> int:
         return self.context
 
@@ -570,16 +573,6 @@ class BinaryARK(_Bernoulli):
 
     def seed_label(self, stream: RngStream) -> int:
         return int(stream.gen.integers(2))
-
-    def sample_latent(self, stream: RngStream) -> "ARKLatent":
-        theta = stream.gen.normal(0.0, math.sqrt(1.0 / self.context), size=(self.context, self.d))
-        return ARKLatent(theta=theta)
-
-    def sample_particles(self, size: int, stream: RngStream) -> Particles:
-        theta = stream.gen.normal(
-            0.0, math.sqrt(1.0 / self.context), size=(size, self.context, self.d)
-        )
-        return Particles(self, size, theta=theta)
 
     def conditional(self, latent, history, x, task) -> float:
         return ark_logit(self, latent, [int(b) for b in history.last_labels(self.context)])
@@ -786,13 +779,8 @@ def make_embeddings(vocab: int, attn_dim: int, stream: RngStream) -> np.ndarray:
 
 
 @dataclass
-class LinRegLatent:
-    theta: np.ndarray
-
-
-@dataclass
-class LogRegLatent:
-    theta: np.ndarray
+class ThetaLatent:
+    theta: np.ndarray  # shaped by the spec's theta_shape
 
 
 @dataclass
@@ -804,11 +792,6 @@ class DeepNetLatent:
 class DirichletNetLatent:
     draw: StickBreakingDraw
     signs: np.ndarray  # +-1 per atom, drawn once and frozen
-
-
-@dataclass
-class ARKLatent:
-    theta: np.ndarray  # shape (context, d); theta[k-1] pairs with phi_{t-k+1}
 
 
 @dataclass
@@ -969,7 +952,7 @@ def _sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def ark_logit(spec: BinaryARK, latent: ARKLatent, bits: List[int]) -> float:
+def ark_logit(spec: BinaryARK, latent: ThetaLatent, bits: List[int]) -> float:
     """Logit of P(next bit = 1) given the last `context` bits."""
     ctx = bits[-spec.context:]
     if len(ctx) < spec.context:
@@ -1000,30 +983,11 @@ def initial_history(spec: Process, latent, stream: RngStream) -> History:
     return spec.initial_history(latent, stream)
 
 
-def step(spec: Process, latent, history: History, stream: RngStream) -> Observation:
-    """Generate one observation from the true process."""
-    return spec.step(latent, history, stream)
-
-
-def meta_step(
-    spec: Union[LinRep, IclMixture], latent, m: int, history: History, stream: RngStream
+def step(
+    spec: Process, latent, history: History, stream: RngStream, task: Optional[int] = None
 ) -> Observation:
-    """Generate one observation for task m of a meta process."""
-    return spec.meta_step(latent, m, history, stream)
-
-
-def cond_logprob(
-    spec: Process, latent, history: History, x: Optional[np.ndarray], y: Union[float, int]
-) -> float:
-    """Exact log-density/log-mass of y under the true process."""
-    return spec.cond_logprob(latent, history, x, y)
-
-
-def meta_cond_logprob(
-    spec: Union[LinRep, IclMixture], latent, m: int, history: History, y: int
-) -> float:
-    """Exact log-mass of the next label of task m under the true process."""
-    return spec.meta_cond_logprob(latent, m, history, y)
+    """Generate one observation from the true process (for `task` of a meta process)."""
+    return spec.step(latent, history, stream, task)
 
 
 def irreducible_rate(spec: Process) -> Optional[float]:

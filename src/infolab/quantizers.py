@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .processes import DirichletNet, DirichletNetLatent, sample_latent
-from .rng import RngStream, SeedSpec, sample_categorical
+from .rng import RngStream, sample_categorical
 
 # Distortion figures below are the squared-function-gap surrogate the
 # analytic bounds control, not a raw mutual information.
@@ -25,7 +25,6 @@ class QuantizerReport:
     rate_nats: float
     empirical_distortion: float
     distortion_se: float
-    target_eps: Optional[float] = None
     distortion_bound: Optional[float] = None
 
     def __post_init__(self):
@@ -47,9 +46,10 @@ class FiniteWidthNet:
     atoms: np.ndarray  # (m, d)
     scale: float  # sqrt(K) or sqrt(K+1) per the process config
 
-    def output(self, x: np.ndarray) -> float:
-        acts = np.maximum(self.atoms @ x, 0.0)
-        return float(self.scale / len(self.signs) * np.sum(self.signs * acts))
+    def output(self, x: np.ndarray):
+        """The output at an input (d,), or at each row of inputs (n, d)."""
+        acts = np.maximum(x @ self.atoms.T, 0.0)
+        return self.scale / len(self.signs) * (acts @ self.signs)
 
 
 def gaussian_quantize(
@@ -120,11 +120,6 @@ def _dp_output(spec: DirichletNet, latent: DirichletNetLatent, X: np.ndarray) ->
     return spec.output_scale * (acts @ (latent.signs * latent.draw.weights))
 
 
-def _net_output(net: FiniteWidthNet, X: np.ndarray) -> np.ndarray:
-    acts = np.maximum(X @ net.atoms.T, 0.0)
-    return net.scale / len(net.signs) * (acts @ net.signs)
-
-
 def multinomial_width_reduce(
     spec: DirichletNet,
     latent: DirichletNetLatent,
@@ -140,7 +135,7 @@ def multinomial_width_reduce(
     """
     net = width_reduce(spec, latent, m, stream.derive(("reduce", 0)))
     X = stream.derive(("inputs", 0)).gen.normal(size=(n_inputs, spec.d))
-    gap = (_dp_output(spec, latent, X) - _net_output(net, X)) ** 2
+    gap = (_dp_output(spec, latent, X) - net.output(X)) ** 2
     report = QuantizerReport(
         rate_nats=0.0,
         empirical_distortion=float(np.mean(gap)),
@@ -172,7 +167,7 @@ def width_reduction_distortion(
         if cover is not None:
             net = snap_to_cover(net, cover)
         X = sub.derive(("inputs", 0)).gen.normal(size=(n_inputs, spec.d))
-        gap = (_dp_output(spec, latent, X) - _net_output(net, X)) ** 2
+        gap = (_dp_output(spec, latent, X) - net.output(X)) ** 2
         means[i] = float(np.mean(gap))
     return float(np.mean(means)), float(np.std(means, ddof=1) / math.sqrt(n_latents))
 
@@ -182,7 +177,7 @@ def width_reduction_distortion(
 # ---------------------------------------------------------------------------
 
 
-def _sphere_grid(d: int, n: int, stream: RngStream) -> np.ndarray:
+def _sphere_grid(d: int, n: int) -> np.ndarray:
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
@@ -196,16 +191,19 @@ def _sphere_grid(d: int, n: int, stream: RngStream) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def build_sphere_cover(d: int, eps: float, stream: RngStream) -> SphereCover:
-    """Greedy farthest-point eps-cover of the unit sphere, probe-verified."""
+def check_cover_domain(d: int, eps: float) -> None:
+    """Raise ValueError unless an eps-cover of the unit sphere in R^d is built here."""
     if d > 3:
         raise ValueError("covers are built only for d <= 3")
     if eps < 0.05:
         raise ValueError("eps must be >= 0.05 at desk scale")
-    if d == 1:
-        return SphereCover(atoms=np.array([[1.0], [-1.0]]), radius=0.0)
+
+
+def build_sphere_cover(d: int, eps: float) -> SphereCover:
+    """Greedy farthest-point eps-cover of the unit sphere, probe-verified."""
+    check_cover_domain(d, eps)
     grid_n = 4096 if d == 2 else 200_000
-    grid = _sphere_grid(d, grid_n, stream)
+    grid = _sphere_grid(d, grid_n)
     budget = int(8 * (3.0 / eps**2) ** d) + 16
     atoms = [grid[0]]
     min_dist = np.linalg.norm(grid - grid[0], axis=1)
@@ -216,30 +214,23 @@ def build_sphere_cover(d: int, eps: float, stream: RngStream) -> SphereCover:
         atoms.append(nxt)
         min_dist = np.minimum(min_dist, np.linalg.norm(grid - nxt, axis=1))
     atom_arr = np.array(atoms)
-    probes = _sphere_grid(d, 100_000, stream) if d == 3 else _sphere_grid(d, 100_000, stream)
-    d2 = np.min(
-        np.sum(probes * probes, axis=1, keepdims=True)
-        - 2.0 * probes @ atom_arr.T
-        + np.sum(atom_arr * atom_arr, axis=1),
-        axis=1,
-    )
+    d2 = np.min(_sq_dists(_sphere_grid(d, 100_000), atom_arr), axis=1)  # at probe points
     radius = float(math.sqrt(max(np.max(d2), 0.0)))
     return SphereCover(atoms=atom_arr, radius=radius)
 
 
-def quantize_to_cover(cover: SphereCover, v: np.ndarray) -> np.ndarray:
-    """Nearest cover atom to v (Euclidean)."""
-    d2 = np.sum((cover.atoms - v) ** 2, axis=1)
-    return cover.atoms[int(np.argmin(d2))]
+def _sq_dists(points: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (n, m) from each of n points to each of m atoms."""
+    return (
+        np.sum(points * points, axis=1, keepdims=True)
+        - 2.0 * points @ atoms.T
+        + np.sum(atoms * atoms, axis=1)
+    )
 
 
 def snap_to_cover(net: FiniteWidthNet, cover: SphereCover) -> FiniteWidthNet:
-    idx = np.argmin(
-        np.sum(net.atoms * net.atoms, axis=1, keepdims=True)
-        - 2.0 * net.atoms @ cover.atoms.T
-        + np.sum(cover.atoms * cover.atoms, axis=1),
-        axis=1,
-    )
+    """The net with each atom replaced by its nearest cover atom."""
+    idx = np.argmin(_sq_dists(net.atoms, cover.atoms), axis=1)
     return FiniteWidthNet(signs=net.signs, atoms=cover.atoms[idx], scale=net.scale)
 
 
@@ -247,11 +238,10 @@ _COVER_CACHE: Dict[Tuple[int, float], SphereCover] = {}
 
 
 def get_sphere_cover(d: int, eps: float) -> SphereCover:
-    """Deterministic cached cover for (d, eps); construction is seed-fixed."""
+    """Deterministic cached cover for (d, eps)."""
     key = (d, round(eps, 12))
     if key not in _COVER_CACHE:
-        stream = RngStream(SeedSpec(49374, (("cover", d),)))
-        _COVER_CACHE[key] = build_sphere_cover(d, eps, stream)
+        _COVER_CACHE[key] = build_sphere_cover(d, eps)
     return _COVER_CACHE[key]
 
 

@@ -45,6 +45,9 @@ from infolab.processes import (
 )
 from infolab.rng import RngStream, SeedSpec
 
+# The whole file is slow (minutes); `pytest -m "not slow"` is the inner loop.
+pytestmark = pytest.mark.slow
+
 
 def _line(num, name, ok, detail=""):
     tag = "PASS" if ok else "FAIL"

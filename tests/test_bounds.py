@@ -170,9 +170,7 @@ def test_logreg_rd_reproduces_error_bound_at_analytic_eps():
 def test_linreg_rd_sandwich_consistency():
     d, s2, T = 5, 0.25, 100
     upper = bnd.linreg_error_upper(d, s2, T).value
-    val, eps_star = bnd.rd_sandwich_upper(
-        "linreg_upper", {"d": d, "noise_var": s2}, T, extra_eps=(d / (2.0 * T),)
-    )
+    val, eps_star = bnd.rd_sandwich_upper("linreg_upper", {"d": d, "noise_var": s2}, T)
     # the grid infimum is a looser upper bound than the direct formula, but
     # only by a modest constant, and its argmin sits near d/(2T)
     assert upper <= val <= 1.5 * upper
@@ -203,9 +201,9 @@ def test_rd_dispatch_kinds():
         bnd.rd_bound_eval("nope", {}, 0.1)
 
 
-def test_eps_grid_contains_extras():
-    grid = bnd.eps_grid(extra=(0.1234,))
-    assert 0.1234 in grid
+def test_eps_grid_endpoints():
+    grid = bnd.EPS_GRID
+    assert len(grid) == 7 * 64 + 1 and np.all(np.diff(grid) > 0)
     assert grid[0] == pytest.approx(1e-6) and grid[-1] == pytest.approx(10.0)
 
 
@@ -277,8 +275,44 @@ def test_evaluate_bound_dispatch():
 
 
 def test_bound_report_csv_row():
+    import csv
+    import io
+
+    from infolab.harness import bounds_csv
+
     rep = bnd.logreg_error_upper(3, 100)
-    row = rep.csv_row()
+    header, row = csv.reader(io.StringIO(bounds_csv([rep])))
+    assert header == ["bound_id", "side", "params_json", "value", "valid"]
     assert row[0] == "logreg_error" and row[1] == "upper" and row[4] == "true"
     assert row[3] == f"{rep.value:.17g}"
     assert float(row[3]) == rep.value
+
+
+# (params, (upper value, argmin eps), lower value) at T = 100, recorded
+# before the distortion grid became one constant.
+RD_SANDWICH_PINS = {
+    "linreg_upper": ({"d": 5, "noise_var": 0.25}, (0.1339154919075471, 0.025482967479793464),
+                     0.07824833346765074),
+    "linreg_lower": ({"d": 5, "noise_var": 0.25}, (0.0639701661138028, 0.024582440689201974),
+                     0.03219214700899444),
+    "logreg": ({"d": 3}, (0.048424288311997604, 0.01333521432163324), 0.026190690417966643),
+    "deepnet": ({"d": 2, "width": 3, "depth": 2, "noise_var": 1.0},
+                (0.18554788771467218, 0.043714448126110896), 0.1036632928437698),
+    "dirichlet": ({"d": 3, "K": 2.0, "noise_var": 1.0},
+                  (0.9895317319180389, 0.46975888167064916), 0.48701584413685006),
+    "ark": ({"d": 2, "K": 2}, (0.05944465783859747, 0.01778279410038923), 0.03162277660168379),
+    "transformer": ({"d": 3, "r": 3, "L": 1, "K": 2, "T": 100},
+                    (1.5455328514592355, 0.08976871324473142), 1.2193894962739782),
+    "linrep_meta": ({"d": 6, "r": 2, "M": 8, "T": 64},
+                    (0.0008191809374875387, 0.00011547819846894582), 0.0005232991146814947),
+    "linrep_intra": ({"r": 2}, (0.0561512051684126, 0.01), 0.03398208328942559),
+    "icl": ({"d": 8, "r": 4, "L": 2, "K": 4, "R": 2.0, "N": 16, "M": 32, "T": 64},
+            (90.44781068001419, 3.651741272548377), 10.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RD_SANDWICH_PINS))
+def test_rd_sandwich_equals_recorded_values(kind):
+    params, upper, lower = RD_SANDWICH_PINS[kind]
+    assert bnd.rd_sandwich_upper(kind, params, 100) == upper
+    assert bnd.rd_sandwich_lower(kind, params, 100) == lower

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from infolab.estimators import (
     EnumerationModel,
     aggregate_error_curve,
-    error_curve_rows,
     exact_mi_enumeration,
     linreg_mi_mc,
     meta_error_split,
@@ -433,14 +432,6 @@ def test_bootstrap_mean_matches_plugin():
         [np.mean(per_rep[gen.integers(0, 200, size=200)]) for _ in range(500)]
     )
     assert abs(float(np.mean(boot)) - curve.mean_error[0]) <= curve.std_err[0]
-
-
-def test_error_curve_csv_rows():
-    spec = LinReg(d=2, noise_var=1.0)
-    records = [run_replicate(spec, Omniscient(), 4, stream(12, i)) for i in range(3)]
-    curve = aggregate_error_curve(records, [2, 4], scenario_id="demo")
-    rows = error_curve_rows(curve)
-    assert len(rows) == 2 and rows[0][0] == "2" and rows[0][-1] == "demo"
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from infolab import harness
 from infolab.cli import main as cli_main
 from infolab.predictors import PREDICTOR_KINDS, ConjugateLinReg, Omniscient
-from infolab.processes import BinaryARK, LinRep, LinReg, Transformer
+from infolab.processes import BinaryARK, DirichletNet, LinRep, LinReg, Transformer
 
 
 def _tiny_config(seed=11, replicates=16):
@@ -132,7 +132,10 @@ PARSED_PREDICTORS = {
 def test_parse_predictor_builds_each_kind(kind):
     assert set(PARSED_PREDICTORS) == set(PREDICTOR_KINDS)
     payload, expected = PARSED_PREDICTORS[kind]
-    pred = harness.parse_predictor(payload, LinReg(d=2, noise_var=0.25, prior_var=0.5))
+    spec = LinReg(d=2, noise_var=0.25, prior_var=0.5)
+    if kind == "misspecified_width":  # the width-n prior reduces a Dirichlet-process net
+        spec = DirichletNet(d=2, scale=2.0, noise_var=0.25)
+    pred = harness.parse_predictor(payload, spec)
     assert type(pred) is PREDICTOR_KINDS[kind]
     for name, value in expected.items():
         got = np.asarray(getattr(pred, name))
@@ -409,6 +412,56 @@ BAD_CONFIGS = {
     "numeric_bound_name": (_config_payload(bounds=[3]), "config key 'bounds': 3 is not a string"),
     "string_horizons": (
         _config_payload(horizons="36"), "config key 'horizons': '36' is not a list"
+    ),
+    "negative_prior_var_conjugate": (
+        _config_payload(process={"kind": "linreg", "d": 2, "noise_var": 0.25, "prior_var": -1}),
+        "linreg process key 'prior_var' must be nonnegative",
+    ),
+    "negative_prior_var_ensemble": (
+        _config_payload(
+            process={"kind": "linreg", "d": 2, "noise_var": 0.25, "prior_var": -1},
+            predictor={"kind": "ensemble", "size": 16},
+        ),
+        "linreg process key 'prior_var' must be nonnegative",
+    ),
+    "negative_prior_var_omniscient": (
+        _config_payload(
+            process={"kind": "linreg", "d": 2, "noise_var": 0.25, "prior_var": -1},
+            predictor={"kind": "omniscient"},
+        ),
+        "linreg process key 'prior_var' must be nonnegative",
+    ),
+    "tail_tol_above_one": (
+        _config_payload(
+            process={"kind": "dirichlet", "d": 2, "scale": 2.0, "noise_var": 1.0, "tail_tol": 2},
+            predictor={"kind": "omniscient"},
+            bounds=["dirichlet_error"],
+        ),
+        r"dirichlet process key 'tail_tol' must lie in \(0, 1\)",
+    ),
+    "cover_eps_too_small": (
+        _config_payload(
+            process={"kind": "dirichlet", "d": 2, "scale": 2.0, "noise_var": 1.0},
+            predictor={"kind": "misspecified_width", "n": 3, "eps": 0.01, "size": 16},
+            bounds=["dirichlet_error"],
+        ),
+        "misspecified_width predictor key 'eps': eps must be >= 0.05",
+    ),
+    "cover_dimension_too_large": (
+        _config_payload(
+            process={"kind": "dirichlet", "d": 4, "scale": 2.0, "noise_var": 1.0},
+            predictor={"kind": "misspecified_width", "n": 3, "eps": 0.3, "size": 16},
+            bounds=["dirichlet_error"],
+        ),
+        "misspecified_width predictor key 'eps': covers are built only for d <= 3",
+    ),
+    "width_predictor_on_logreg": (
+        _config_payload(
+            process={"kind": "logreg", "d": 2},
+            predictor={"kind": "misspecified_width", "n": 3},
+            bounds=["logreg_error"],
+        ),
+        "misspecified_width predictor applies to the dirichlet process",
     ),
     "foreign_bound": (_config_payload(bounds=["logreg_error"]), "logreg_error"),
     "meta_process": (

@@ -28,12 +28,10 @@ from infolab.processes import (
     DirichletNet,
     History,
     LinReg,
-    LinRegLatent,
     LogReg,
-    LogRegLatent,
     Observation,
+    ThetaLatent,
     Transformer,
-    cond_logprob,
     initial_history,
     sample_latent,
     step,
@@ -88,7 +86,7 @@ def test_omniscient_loss_equals_negative_cond_logprob():
     obs = step(spec, lat, History(), stream(1))
     pred = predict(state, spec, obs.x)
     assert log_loss(pred, obs.y) == pytest.approx(
-        -cond_logprob(spec, lat, History(), obs.x, obs.y), abs=1e-12
+        -spec.cond_logprob(lat, History(), obs.x, obs.y), abs=1e-12
     )
 
 
@@ -163,13 +161,13 @@ def test_enumeration_weights_are_prior_times_likelihood():
     cases = [
         (
             LogReg(d=2),
-            [LogRegLatent(theta=np.array(t)) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])],
+            [ThetaLatent(theta=np.array(t)) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])],
             np.array([0.5, 0.3, 0.2]),
             lambda: int(gen.random() < 0.5),
         ),
         (
             LinReg(d=2, noise_var=1e-3),
-            [LinRegLatent(theta=np.array(t)) for t in ([0.5, 0.0], [0.0, 0.5], [-0.5, 0.5])],
+            [ThetaLatent(theta=np.array(t)) for t in ([0.5, 0.0], [0.0, 0.5], [-0.5, 0.5])],
             np.array([0.2, 0.3, 0.5]),
             lambda: float(gen.normal()),
         ),
@@ -183,7 +181,7 @@ def test_enumeration_weights_are_prior_times_likelihood():
             y = draw_y()
             obs = Observation(x=x, y=y)
             for h, lat in enumerate(support):
-                logw_hand[h] += cond_logprob(spec, lat, hist, x, y)
+                logw_hand[h] += spec.cond_logprob(lat, hist, x, y)
             state.observe(spec, obs)
             hist.append(obs)
             hand = np.exp(logw_hand - logsumexp(logw_hand))
@@ -197,8 +195,8 @@ def test_enumeration_weights_are_prior_times_likelihood():
 def test_enumeration_symmetric_prior_predicts_half():
     spec = LogReg(d=2)
     support = [
-        LogRegLatent(theta=np.array([1.0, 1.0])),
-        LogRegLatent(theta=np.array([-1.0, -1.0])),
+        ThetaLatent(theta=np.array([1.0, 1.0])),
+        ThetaLatent(theta=np.array([-1.0, -1.0])),
     ]
     state = init_predictor(Enumeration(support=support, prior=np.array([0.5, 0.5])), spec)
     pred = predict(state, spec, np.array([0.7, -0.2]))
@@ -229,7 +227,7 @@ def test_enumeration_matches_conjugate_on_discretized_prior():
     from scipy.stats import norm
 
     qs = norm.ppf((np.arange(16) + 0.5) / 16)
-    support = [LinRegLatent(theta=np.array([q])) for q in qs]
+    support = [ThetaLatent(theta=np.array([q])) for q in qs]
     enum = init_predictor(Enumeration(support=support, prior=np.full(16, 1 / 16)), spec)
     conj = init_predictor(conjugate_kind(spec), spec)
     gen = np.random.default_rng(5)
@@ -475,13 +473,13 @@ def test_icl_mixture_rollouts_are_finite():
 
 def _pinned_cases():
     from infolab.predictors import OracleMetaEnsemble
-    from infolab.processes import ARKLatent, LinRep
+    from infolab.processes import LinRep
 
     logreg_support = [
-        LogRegLatent(theta=np.array(t)) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])
+        ThetaLatent(theta=np.array(t)) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])
     ]
     ark_support = [
-        ARKLatent(theta=np.array(t))
+        ThetaLatent(theta=np.array(t))
         for t in (
             [[1.0, -0.5], [0.2, 0.3]], [[-0.4, 0.8], [0.0, -1.0]], [[0.5, 0.5], [-0.5, 0.5]]
         )
@@ -547,6 +545,66 @@ def test_rollout_losses_match_recorded_values(index, case):
     np.testing.assert_allclose(rec.losses, recorded, rtol=1e-9, atol=0)
 
 
+def _exact_pinned_cases():
+    from infolab.processes import IclMixture, make_embeddings
+
+    inner = Transformer(
+        vocab=3, attn_dim=3, depth=1, context=2, embeddings=make_embeddings(3, 3, stream(0))
+    )
+    linreg = LinReg(d=3, noise_var=0.25)
+    return {
+        "conjugate_linreg": (
+            linreg,
+            ConjugateLinReg.from_config({}, linreg),
+            [0.9986664066162625, 1.318804367358321, 0.8910167910447673, 0.7208393808381952,
+             2.454084634983076, 0.27335961332502323, 1.2286127552250306, 0.8982800717016423],
+        ),
+        "omniscient_logreg": (
+            LogReg(d=3),
+            Omniscient(),
+            [0.786781548551432, 0.6195425556245882, 0.44329269587656295, 0.5636005332791447,
+             0.5210035182263437, 0.801016842351201, 0.6467406936542659, 0.5670693243880177],
+        ),
+        "ensemble_deepnet": (
+            DeepNet(d=2, width=3, depth=2, noise_var=0.5),
+            PriorEnsemble(size=32),
+            [1.225847371120695, 0.5918177870456085, 9.171454339173396, 0.8460682125811223,
+             1.6754461006279326, 2.021322812031318, 3.7020759217161494, 2.2060615355200643],
+        ),
+        "ensemble_dirichlet": (
+            DirichletNet(d=2, scale=2.0, noise_var=0.5),
+            PriorEnsemble(size=16),
+            [1.2826905163537576, 1.301600910249848, 2.850826468959071, 0.9893933495797236,
+             2.304207256384813, 1.4037946464022164, 0.8037737873926263, 1.1071092041730788],
+        ),
+        "ensemble_transformer": (
+            inner,
+            PriorEnsemble(size=16),
+            [1.1488355133053798, 1.2057914782737982, 1.1712237001790475, 1.1372455840160647,
+             0.9809114945312517, 1.4691212072971032, 1.098785175803197, 1.0014591708357834],
+        ),
+        "ensemble_icl": (
+            IclMixture(mixture_size=4, scale=2.0, inner=inner, tasks=2),
+            PriorEnsemble(size=16),
+            [0.9360659450520294, 1.1792207608638883, 1.3174031258473693, 1.0953182457758568,
+             1.2213829520348272, 1.2649271236723503, 1.1221954052112808, 1.0235174440419181,
+             1.1327031438655086, 0.9356142060646983, 1.0557125538713983, 0.9946515458284331,
+             1.4152350788072343, 1.3669732254469547, 1.3800649556144142, 1.3271851215590158],
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "index, case", enumerate(_exact_pinned_cases()), ids=list(_exact_pinned_cases())
+)
+def test_rollout_losses_equal_recorded_values(index, case):
+    """Losses of fixed-seed rollouts, bit for bit, recorded before iid and meta
+    processes shared one step and the Gaussian-theta specs one prior."""
+    spec, kind, recorded = _exact_pinned_cases()[case]
+    rec = run_replicate(spec, kind, 8, stream(43, ("exact_pin", index)))
+    assert rec.losses.tolist() == recorded
+
+
 # ---------------------------------------------------------------------------
 # the statistic that predict computes is reused by observe only at its input
 # ---------------------------------------------------------------------------
@@ -555,8 +613,6 @@ def test_rollout_losses_match_recorded_values(index, case):
 def _filter_rollout(spec, kind, T, seed, calls):
     """Observe T steps per task; before observe i, call predict at the
     (x, task) pairs that `calls(i, obs, task)` returns."""
-    from infolab.processes import meta_step
-
     s = stream(seed)
     latent = sample_latent(spec, s.derive(("latent", 0)))
     hist = initial_history(spec, latent, s.derive(("init", 0)))
@@ -567,7 +623,7 @@ def _filter_rollout(spec, kind, T, seed, calls):
     for i in range(T * tasks):
         m = i % tasks if spec.meta else None
         sub = s.derive(("step", i))
-        obs = meta_step(spec, latent, m, hist, sub) if spec.meta else step(spec, latent, hist, sub)
+        obs = step(spec, latent, hist, sub, m)
         for x, task in calls(i, obs, m):
             state.predict(spec, x, task)
         state.observe(spec, obs)
@@ -579,7 +635,7 @@ def _cache_cases():
     from infolab.predictors import OracleMetaEnsemble
     from infolab.processes import LinRep
 
-    support = [LogRegLatent(theta=np.array(t)) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])]
+    support = [ThetaLatent(theta=np.array(t)) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])]
     other_x = lambda obs, m: (obs.x + 1.0, m)
     other_task = lambda obs, m: (obs.x, (m + 1) % 2)
     return {
@@ -622,7 +678,7 @@ def test_predict_then_observe_equals_observe_only(case):
 @pytest.mark.parametrize("oracle", [False, True], ids=["ensemble_linrep", "oracle_meta"])
 def test_memoised_statistics_match_fresh_ones_after_every_observe(oracle):
     from infolab.predictors import OracleMetaEnsemble
-    from infolab.processes import LinRep, Particles, meta_step
+    from infolab.processes import LinRep, Particles
 
     spec = LinRep(d=4, r=2, tasks=2)
     kind = OracleMetaEnsemble(size=64) if oracle else PriorEnsemble(size=64)
@@ -636,7 +692,7 @@ def test_memoised_statistics_match_fresh_ones_after_every_observe(oracle):
     hist = History()
     for i, sub in enumerate(s.children("step", 40 * spec.tasks)):
         m = i % spec.tasks
-        obs = meta_step(spec, latent, m, hist, sub)
+        obs = step(spec, latent, hist, sub, m)
         state.predict(spec, None, m)
         state.observe(spec, obs)
         hist.append(obs)

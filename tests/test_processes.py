@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from infolab.processes import (
-    ARKLatent,
     BinaryARK,
     DeepNet,
     DirichletNet,
@@ -17,17 +16,15 @@ from infolab.processes import (
     LinReg,
     LogReg,
     Observation,
+    ThetaLatent,
     Transformer,
     attention_layer,
     ark_logit,
-    cond_logprob,
     dirichlet_net_output,
     initial_history,
     irreducible_rate,
     linrep_task_pmf,
     make_embeddings,
-    meta_cond_logprob,
-    meta_step,
     relu_forward,
     sample_latent,
     step,
@@ -178,7 +175,7 @@ def test_logreg_balanced_at_zero_logit():
     spec = LogReg(d=2)
     lat = sample_latent(spec, stream(10))
     lat.theta[:] = 0.0
-    z = cond_logprob(spec, lat, History(), np.array([1.0, 2.0]), 1)
+    z = spec.cond_logprob(lat, History(), np.array([1.0, 2.0]), 1)
     assert z == pytest.approx(math.log(0.5), abs=1e-12)
 
 
@@ -186,16 +183,16 @@ def test_cond_logprob_normalization_discrete():
     spec = LogReg(d=3)
     lat = sample_latent(spec, stream(11))
     x = np.array([0.3, -1.0, 2.0])
-    total = math.exp(cond_logprob(spec, lat, History(), x, 0)) + math.exp(
-        cond_logprob(spec, lat, History(), x, 1)
+    total = math.exp(spec.cond_logprob(lat, History(), x, 0)) + math.exp(
+        spec.cond_logprob(lat, History(), x, 1)
     )
     assert total == pytest.approx(1.0, abs=1e-12)
 
     ark = BinaryARK(d=2, context=2, phi0=np.array([1.0, 0]), phi1=np.array([0, 1.0]))
     alat = sample_latent(ark, stream(12))
     hist = initial_history(ark, alat, stream(13))
-    total = math.exp(cond_logprob(ark, alat, hist, None, 0)) + math.exp(
-        cond_logprob(ark, alat, hist, None, 1)
+    total = math.exp(ark.cond_logprob(alat, hist, None, 0)) + math.exp(
+        ark.cond_logprob(alat, hist, None, 1)
     )
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -204,7 +201,7 @@ def test_linreg_cond_logprob_standard_normal():
     spec = LinReg(d=2, noise_var=1.0)
     lat = sample_latent(spec, stream(14))
     lat.theta[:] = 0.0
-    lp = cond_logprob(spec, lat, History(), np.array([1.0, 1.0]), 0.0)
+    lp = spec.cond_logprob(lat, History(), np.array([1.0, 1.0]), 0.0)
     assert lp == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
 
@@ -328,7 +325,7 @@ def test_ark_logit_pairs_recent_bit_with_first_coefficient():
     spec = BinaryARK(d=2, context=2,
                      phi0=np.array([1.0, 0.0]), phi1=np.array([0.0, 1.0]))
     theta = np.array([[1.0, 2.0], [3.0, 4.0]])
-    lat = ARKLatent(theta=theta)
+    lat = ThetaLatent(theta=theta)
     # bits [older, recent] = [0, 1]: k=1 pairs theta[0] with phi1, k=2 with phi0
     assert ark_logit(spec, lat, [0, 1]) == pytest.approx(2.0 + 3.0)
     assert ark_logit(spec, lat, [1, 0]) == pytest.approx(1.0 + 4.0)
@@ -352,12 +349,18 @@ def test_meta_step_and_logprob_consistency():
     spec = LinRep(d=5, r=2, tasks=3)
     lat = sample_latent(spec, stream(28))
     h = History()
-    obs = meta_step(spec, lat, 1, h, stream(29))
+    obs = step(spec, lat, h, stream(29), 1)
     assert obs.task == 1 and 1 <= obs.y <= 5
-    lp = meta_cond_logprob(spec, lat, 1, h, obs.y)
+    lp = spec.cond_logprob(lat, h, None, obs.y, 1)
     assert lp == pytest.approx(math.log(linrep_task_pmf(lat, 1)[obs.y - 1]))
-    with pytest.raises(ValueError):
-        meta_step(spec, lat, 7, h, stream(30))
+
+
+@pytest.mark.parametrize("task", [None, -1, 3, 7])
+def test_meta_step_requires_a_task_in_range(task):
+    spec = LinRep(d=5, r=2, tasks=3)
+    lat = sample_latent(spec, stream(28))
+    with pytest.raises(ValueError, match=r"LinRep steps need a task index in \[0, 3\)"):
+        step(spec, lat, History(), stream(30), task)
 
 
 def test_icl_single_component_matches_plain_transformer():
@@ -378,5 +381,5 @@ def test_icl_single_component_matches_plain_transformer():
         [Observation(x=None, y=y, task=0) for y in seed_tokens.labels()]
     )
     for t in range(12):
-        meta_hist.append(meta_step(spec, lat, 0, meta_hist, stream(33).derive(t)))
+        meta_hist.append(step(spec, lat, meta_hist, stream(33).derive(t), 0))
     assert plain.labels() == meta_hist.labels()

@@ -74,6 +74,8 @@ def test_width_reduce_validation_and_output():
     x = stream.derive(2).gen.normal(size=3)
     manual = net.scale / 16 * np.sum(net.signs * np.maximum(net.atoms @ x, 0.0))
     assert net.output(x) == pytest.approx(manual, rel=1e-12)
+    X = stream.derive(3).gen.normal(size=(4, 3))
+    np.testing.assert_allclose(net.output(X), [net.output(row) for row in X], rtol=1e-12)
 
 
 def test_width_reduction_distortion_meets_bound():
@@ -107,19 +109,33 @@ def test_multinomial_width_reduce_report():
     assert len(net.signs) == 32
 
 
+@pytest.mark.parametrize(
+    "eps, recorded",
+    [(0.0, (0.07741066517158618, 0.031147737328931852)),
+     (0.3, (0.07547075420849216, 0.02765032641697495))],
+)
+def test_width_reduction_distortion_equals_recorded_values(eps, recorded):
+    """Recorded before one width-n net output served every caller."""
+    spec = DirichletNet(d=2, scale=2.0, noise_var=1.0)
+    got = qt.width_reduction_distortion(
+        spec, 8, derive_stream(SeedSpec(47)), n_latents=8, n_inputs=32, eps=eps
+    )
+    assert got == recorded
+
+
 # ---------------------------------------------------------------------------
 # Sphere covers
 # ---------------------------------------------------------------------------
 
 
 def test_cover_d1_is_sign_pair():
-    cover = qt.build_sphere_cover(1, 0.3, derive_stream(SeedSpec(8)))
+    cover = qt.build_sphere_cover(1, 0.3)
     assert sorted(cover.atoms[:, 0].tolist()) == [-1.0, 1.0]
     assert cover.radius == 0.0
 
 
 def test_cover_d2_radius_and_size():
-    cover = qt.build_sphere_cover(2, 0.3, derive_stream(SeedSpec(8)))
+    cover = qt.build_sphere_cover(2, 0.3)
     assert cover.radius <= 0.3
     assert len(cover.atoms) <= 64
     norms = np.linalg.norm(cover.atoms, axis=1)
@@ -128,9 +144,9 @@ def test_cover_d2_radius_and_size():
 
 def test_cover_validation():
     with pytest.raises(ValueError):
-        qt.build_sphere_cover(4, 0.3, derive_stream(SeedSpec(8)))
+        qt.build_sphere_cover(4, 0.3)
     with pytest.raises(ValueError):
-        qt.build_sphere_cover(2, 0.01, derive_stream(SeedSpec(8)))
+        qt.build_sphere_cover(2, 0.01)
 
 
 def test_quantize_to_cover_within_radius():
@@ -139,7 +155,8 @@ def test_quantize_to_cover_within_radius():
     for _ in range(200):
         v = stream.gen.normal(size=3)
         v /= np.linalg.norm(v)
-        q = qt.quantize_to_cover(cover, v)
+        net = qt.FiniteWidthNet(signs=np.ones(1), atoms=v[None, :], scale=1.0)
+        q = qt.snap_to_cover(net, cover).atoms[0]
         assert np.linalg.norm(q - v) <= cover.radius + 1e-12
         assert any(np.array_equal(q, a) for a in cover.atoms)
 
