@@ -234,10 +234,9 @@ class OracleMetaEnsemble:
             raise ValueError("OracleMetaEnsemble requires a LinRep latent and stream")
         prior = _KnownRepresentation(psi=latent.psi)
         sd = math.sqrt(1.0 / spec.r)
-        xi = np.empty((spec.tasks, self.size, spec.r))
-        for m in range(spec.tasks):
-            for j, sub in enumerate(stream.derive(("task", m)).children("particle", self.size)):
-                xi[m, j] = sub.gen.normal(0.0, sd, size=spec.r)
+        # Task m's particles are one draw from stream path ("task", m) (seed contract 2).
+        xi = [stream.derive(("task", m)).gen.normal(0.0, sd, size=(self.size, spec.r))
+              for m in range(spec.tasks)]
         # One resampler for all tasks: draw k reads ("resample", k) whichever
         # task's filter asks for it.
         resampler = Resampler(stream.derive(("sis", 0)))

@@ -111,6 +111,14 @@ def _bernoulli_mixture(p1: float) -> BernoulliLogitPred:
 # ---------------------------------------------------------------------------
 
 
+def _once(memo: dict, key, compute) -> np.ndarray:
+    """compute(), stored read-only in memo on the first call per key."""
+    if key not in memo:
+        memo[key] = value = compute()
+        value.flags.writeable = False
+    return memo[key]
+
+
 class Particles:
     """Prior draws as a latent list, stacked per-particle arrays, or both.
 
@@ -132,10 +140,7 @@ class Particles:
 
     def once(self, key, compute) -> np.ndarray:
         """compute(), computed on the first call per key and kept read-only."""
-        if key not in self._memo:
-            self._memo[key] = value = compute()
-            value.flags.writeable = False
-        return self._memo[key]
+        return _once(self._memo, key, compute)
 
     @classmethod
     def stack(cls, prior, latents: List) -> "Particles":
@@ -293,14 +298,17 @@ class _Categorical(Process):
 
 
 class _MetaCategorical(_Categorical):
-    """Categorical processes over `tasks` tasks, generated one task at a time."""
+    """Categorical processes over `tasks` tasks, generated one task at a time.
+
+    `conditional` checks the task, so `step` and `cond_logprob`, which call
+    it, refuse a task outside [0, tasks) alike.
+    """
 
     meta = True
 
-    def step(self, latent, history, stream, task=None):
+    def check_task(self, task) -> None:
         if task is None or not 0 <= task < self.tasks:
             raise ValueError(f"{type(self).__name__} steps need a task index in [0, {self.tasks})")
-        return super().step(latent, history, stream, task)
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +706,7 @@ class LinRep(_MetaCategorical):
         return Particles(self, size, psi=q * signs[:, None, :], xi=xi)
 
     def conditional(self, latent, history, x, task) -> np.ndarray:
+        self.check_task(task)
         return linrep_task_pmf(latent, task)
 
     def particle_stat(self, particles, history, x, task):
@@ -745,6 +754,7 @@ class IclMixture(_MetaCategorical):
         return IclLatent(assignments=assignments, components=components)
 
     def conditional(self, latent, history, x, task) -> np.ndarray:
+        self.check_task(task)
         comp = latent.components[int(latent.assignments[task])]
         tokens = [int(o.y) for o in history.observations if o.task == task]
         return transformer_next_pmf(self.inner, comp, tokens)
@@ -804,6 +814,8 @@ class TransformerLatent:
 class LinRepLatent:
     psi: np.ndarray  # (d, r), orthonormal columns
     xi: np.ndarray  # (tasks, r)
+    # Task pmfs, computed once per task (linrep_task_pmf); psi and xi stay fixed.
+    _pmfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -965,7 +977,8 @@ def ark_logit(spec: BinaryARK, latent: ThetaLatent, bits: List[int]) -> float:
 
 
 def linrep_task_pmf(latent: LinRepLatent, m: int) -> np.ndarray:
-    return softmax(latent.psi @ latent.xi[m])
+    """Task m's label pmf, kept read-only on the latent after its first call."""
+    return _once(latent._pmfs, m, lambda: softmax(latent.psi @ latent.xi[m]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,29 @@ All randomness in the library flows through ``RngStream`` objects derived
 from a ``SeedSpec``.  Streams are counter-based (Philox) and keyed by a hash
 of ``(master_seed, path)``, so any replicate/task/layer stream can be
 re-derived independently of scheduling order.
+
+The seed contract fixes which path each draw reads; results are
+reproducible from the master seed under it, and any change to a path or to
+the numbers drawn from it bumps ``SEED_CONTRACT``.  Under a replicate's
+stream, ``estimators.run_replicate`` reads:
+
+- ``("latent", 0)``: the process latent (``sample_latent``);
+- ``("init", 0)``: the seed tokens of sequence processes;
+- ``("step", i)``: the draws of step i;
+- ``("pred", 0)``: the predictor, which reads below it
+  - ``("particles", 0)``: a prior ensemble's particles, drawn in one call by
+    specs with array latents and from ``("particle", j)`` below it, one
+    latent per particle, by the others;
+  - ``("particle", j)``: particle j of a width-misspecified ensemble (its
+    prior net and its width reduction);
+  - ``("task", m)``: the oracle-meta filter's particles for task m, one
+    (size, r) normal draw;
+  - ``("sis", 0)``: the resampler, whose k-th draw reads ``("resample", k)``
+    below it (the oracle's tasks share one resampler).
+
+``harness.run_replicates`` gives replicate i the path ``("rep", i)``;
+``estimators.meta_error_split`` runs both passes of replicate i on
+``("rep", i), ("total", 0)``, so they see the same latent and labels.
 """
 
 from __future__ import annotations
@@ -16,6 +39,10 @@ from typing import Iterator, Sequence, Tuple, Union
 import numpy as np
 
 PathEntry = Union[int, Tuple[str, int]]
+
+# Version 2 dropped the ("particle", j) level under the oracle-meta filter's
+# ("task", m): a task's particles are one draw, not one stream per particle.
+SEED_CONTRACT = 2
 
 
 def _normalize_path(path: Sequence[PathEntry]) -> Tuple[Tuple[str, int], ...]:

@@ -515,13 +515,14 @@ def _pinned_cases():
             [0.25178911435061524, 1.3629688802037894, 0.9010175549584831, 0.2909450975814458,
              1.2244721447405489, -0.16121550481593205, 2.2113776214134635, 1.1352933355611596],
         ),
+        # Recorded under seed contract 2: one particle draw per task.
         "oracle_meta": (
             LinRep(d=4, r=2, tasks=2),
             OracleMetaEnsemble(size=64),
-            [1.3635482192016044, 1.3644453340740723, 1.365044881582943, 1.139716074893248,
-             1.4854798375410305, 0.9875650142687501, 1.2651331957060157, 1.7917368143555243,
-             1.1721326370651586, 1.3898337239971046, 1.4977274477627207, 1.625076511179259,
-             1.351554652238514, 1.1174643054699922, 1.1277391581910212, 1.841278653204494],
+            [1.4632501334391723, 1.3120757885921945, 1.2932227169520893, 1.071354703569459,
+             1.519554937267131, 0.8892589367477916, 1.336389329609482, 1.9025992677080006,
+             1.2469622580102513, 1.3691925625086339, 1.5137148900856614, 1.6549618003259625,
+             1.2738655512323014, 1.0539364584638982, 1.194876741259559, 1.8758789726528895],
         ),
         # Recorded before particle statistics were kept per task between resamples.
         "ensemble_linrep": (
@@ -539,7 +540,8 @@ def _pinned_cases():
 def test_rollout_losses_match_recorded_values(index, case):
     """Losses of fixed-seed rollouts, recorded before the predictor states were
     merged into one weighted-particle state (the ensemble and oracle ones
-    resample during the rollout)."""
+    resample during the rollout); the oracle's were recorded under seed
+    contract 2."""
     spec, kind, recorded = _pinned_cases()[case]
     rec = run_replicate(spec, kind, 8, stream(41, ("pin", index)))
     np.testing.assert_allclose(rec.losses, recorded, rtol=1e-9, atol=0)
@@ -705,3 +707,47 @@ def test_memoised_statistics_match_fresh_ones_after_every_observe(oracle):
                 assert np.array_equal(kept, fresh), (i, task)
                 assert not kept.flags.writeable
     assert state.resamples > 0
+
+
+# ---------------------------------------------------------------------------
+# seed contract 2: the oracle draws each task's particles in one call
+# ---------------------------------------------------------------------------
+
+
+def _oracle_start(S, tasks, r, seed):
+    from infolab.predictors import OracleMetaEnsemble
+    from infolab.processes import LinRep
+
+    spec = LinRep(d=r + 2, r=r, tasks=tasks)
+    s = stream(seed)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    pred = s.derive(("pred", 0))
+    state = init_predictor(OracleMetaEnsemble(size=S), spec, latent=latent, stream=pred)
+    return state, pred
+
+
+def test_oracle_task_particles_are_one_draw_per_task():
+    """Seed contract 2: task m's particles are one N(0, 1/r) draw of shape
+    (S, r) from path ("task", m) of the predictor's ("pred", 0) stream."""
+    state, pred = _oracle_start(S=64, tasks=3, r=2, seed=71)
+    for m, xi in enumerate(state.xi_particles):
+        expected = pred.derive(("task", m)).gen.normal(0.0, math.sqrt(1.0 / 2), (64, 2))
+        assert np.array_equal(xi, expected), m
+
+
+def test_oracle_task_particles_follow_the_prior():
+    S, tasks, r = 4096, 8, 2
+    state, _ = _oracle_start(S, tasks, r, seed=72)
+    draws = state.xi_particles.ravel()
+    n, var = draws.size, 1.0 / r
+    assert abs(draws.mean()) <= 4 * math.sqrt(var / n)
+    # The sample variance of n normal draws has SE var * sqrt(2 / (n - 1)).
+    assert abs(draws.var(ddof=1) - var) <= 4 * var * math.sqrt(2.0 / (n - 1))
+
+
+def test_oracle_task_particles_differ_between_tasks():
+    state, _ = _oracle_start(S=64, tasks=4, r=2, seed=73)
+    xi = state.xi_particles
+    for a in range(len(xi)):
+        for b in range(a):
+            assert not np.any(xi[a] == xi[b]), (a, b)

@@ -357,10 +357,23 @@ def test_meta_step_and_logprob_consistency():
 
 @pytest.mark.parametrize("task", [None, -1, 3, 7])
 def test_meta_step_requires_a_task_in_range(task):
-    spec = LinRep(d=5, r=2, tasks=3)
-    lat = sample_latent(spec, stream(28))
-    with pytest.raises(ValueError, match=r"LinRep steps need a task index in \[0, 3\)"):
-        step(spec, lat, History(), stream(30), task)
+    """step, cond_logprob and conditional of each meta process refuse the task."""
+    inner = Transformer(
+        vocab=3, attn_dim=3, depth=1, context=2, embeddings=make_embeddings(3, 3, stream(0))
+    )
+    for spec in (
+        LinRep(d=5, r=2, tasks=3),
+        IclMixture(mixture_size=4, scale=2.0, inner=inner, tasks=3),
+    ):
+        lat = sample_latent(spec, stream(28))
+        name = type(spec).__name__
+        for call in (
+            lambda: step(spec, lat, History(), stream(30), task),
+            lambda: spec.cond_logprob(lat, History(), None, 1, task),
+            lambda: spec.conditional(lat, History(), None, task),
+        ):
+            with pytest.raises(ValueError, match=rf"{name} steps need a task index in \[0, 3\)"):
+                call()
 
 
 def test_icl_single_component_matches_plain_transformer():
