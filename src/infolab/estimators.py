@@ -70,7 +70,9 @@ def run_replicate(spec: Process, kind, T: int, stream: RngStream) -> ReplicateRe
     """Roll out one replicate: fresh latent, T observations, paired losses.
 
     Meta processes visit their tasks round-robin, T observations per task;
-    step i of either kind draws from stream path ("step", i).
+    step i of either kind draws from stream path ("step", i).  The one
+    history opens with the seed context (`initial_history`); both predictor
+    states read it at every step and keep no copy.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -79,18 +81,15 @@ def run_replicate(spec: Process, kind, T: int, stream: RngStream) -> ReplicateRe
     history = initial_history(spec, latent, stream.derive(("init", 0)))
     state = init_predictor(kind, spec, latent=latent, stream=stream.derive(("pred", 0)))
     omni = init_predictor(Omniscient(), spec, latent=latent)
-    for obs in history.observations:
-        state.observe(spec, obs)
-        omni.observe(spec, obs)
     losses = np.empty(T * tasks)
     omni_losses = np.empty(T * tasks)
     for i, sub in enumerate(stream.children("step", T * tasks)):
         m = i % tasks if spec.meta else None
         obs = step(spec, latent, history, sub, m)
-        losses[i] = log_loss(predict(state, spec, obs.x, m), obs.y)
-        omni_losses[i] = log_loss(predict(omni, spec, obs.x, m), obs.y)
-        state.observe(spec, obs)
-        omni.observe(spec, obs)
+        losses[i] = log_loss(predict(state, spec, history, obs.x, m), obs.y)
+        omni_losses[i] = log_loss(predict(omni, spec, history, obs.x, m), obs.y)
+        state.observe(spec, history, obs)
+        omni.observe(spec, history, obs)
         history.append(obs)
     return ReplicateRecord(losses=losses, omniscient_losses=omni_losses)
 

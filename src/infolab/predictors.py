@@ -7,7 +7,9 @@ variants (wrong conjugate prior; reduced-width function prior).  Each
 predictor kind builds its own state; the process spec supplies every
 family-specific piece (conditionals, particle statistics, predictives).
 Enumeration, ensembles and the oracle-meta filter all hold one kind of
-state: weighted particles (`EnsembleState`).
+state: weighted particles (`EnsembleState`).  `predict(spec, history, x,
+task)` and `observe(spec, history, obs)` read the caller's history: the
+observations before the next one, seed context included.  No state copies it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .processes import (
     DirichletNet,
     GaussianMixturePred,
     GaussianPred,
-    History,
     LinRep,
     LinReg,
     Observation,
@@ -260,7 +261,7 @@ class ConjugateState:
     mean: np.ndarray
     cov: np.ndarray
 
-    def observe(self, spec: Process, obs: Observation) -> None:
+    def observe(self, spec: Process, history: List[Observation], obs: Observation) -> None:
         x, y = obs.x, float(obs.y)
         noise_var = self.kind.noise_var
         cx = self.cov @ x
@@ -268,9 +269,7 @@ class ConjugateState:
         self.mean = self.mean + cx * ((y - float(self.mean @ x)) / s)
         self.cov = self.cov - np.outer(cx, cx) / s
 
-    def predict(
-        self, spec: Process, x: np.ndarray, task: Optional[int] = None
-    ) -> GaussianPred:
+    def predict(self, spec: Process, history: List[Observation], x, task: Optional[int] = None):
         return GaussianPred(
             mean=float(self.mean @ x),
             variance=self.kind.noise_var + float(x @ self.cov @ x),
@@ -302,16 +301,15 @@ class EnsembleState:
     After each reweighting the particles are resampled when the effective
     sample size falls below `kind.resample_ess_frac` of the ensemble; a
     state without a resampler (exact enumeration) keeps its weights.  The
-    statistic that `predict` computes is kept as `(x, task, stat)` and
-    reused by the next `observe` at the same input object and task, so a
-    predict-then-observe step computes it once.
+    statistic that `predict` computes is kept as `(x, (task, len(history)),
+    stat)` and reused by the next `observe` at the same input object, task
+    and history length, so a predict-then-observe step computes it once.
     """
 
     kind: object
     particles: Particles
     log_weights: np.ndarray
     resampler: Optional[Resampler]
-    history: History = field(default_factory=History)
     _predicted: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @classmethod
@@ -336,51 +334,51 @@ class EnsembleState:
             self.particles = self.particles.resample(self.resampler.indices(w))
             self.log_weights = np.full(size, -math.log(size))
 
-    def observe(self, spec: Process, obs: Observation) -> None:
+    def observe(self, spec: Process, history: List[Observation], obs: Observation) -> None:
         predicted, self._predicted = self._predicted, None
-        if len(self.history) < spec.seed_tokens:
-            # Seed context tokens are prior-independent; no reweighting.
-            self.history.append(obs)
-            return
-        if predicted is not None and predicted[0] is obs.x and predicted[1] == obs.task:
+        key = (obs.task, len(history))
+        if predicted is not None and predicted[0] is obs.x and predicted[1] == key:
             stat = predicted[2]
         else:
-            stat = self.particles.stat(self.history, obs.x, obs.task)
+            stat = self.particles.prior.particle_stat(self.particles, history, obs.x, obs.task)
         ll = spec.loglik(stat, obs.y)
         self.log_weights = _normalized_log_weights(self.log_weights + ll)
-        self.history.append(obs)
         if self.resampler is not None:
             self._maybe_resample()
 
-    def predict(self, spec: Process, x: Optional[np.ndarray], task: Optional[int] = None):
-        stat = self.particles.stat(self.history, x, task)
-        self._predicted = (x, task, stat)
+    def predict(self, spec: Process, history: List[Observation], x, task: Optional[int] = None):
+        stat = self.particles.prior.particle_stat(self.particles, history, x, task)
+        self._predicted = (x, (task, len(history)), stat)
         return spec.mixture(stat, self.log_weights)
 
 
 @dataclass
 class OmniscientState:
     latent: object
-    history: History = field(default_factory=History)
 
-    def observe(self, spec: Process, obs: Observation) -> None:
-        self.history.append(obs)
+    def observe(self, spec: Process, history: List[Observation], obs: Observation) -> None:
+        pass  # the true latent needs no update
 
-    def predict(self, spec: Process, x: Optional[np.ndarray], task: Optional[int] = None):
-        return spec.point(spec.conditional(self.latent, self.history, x, task))
+    def predict(self, spec: Process, history: List[Observation], x, task: Optional[int] = None):
+        return spec.point(spec.conditional(self.latent, history, x, task))
 
 
 @dataclass
 class OracleMetaState:
-    """One weighted-particle filter per task over its latent xi, psi known."""
+    """One weighted-particle filter per task over its latent xi, psi known.
+
+    Every filter reads the one history; its particles ignore other tasks.
+    """
 
     tasks: List[EnsembleState]
 
-    def observe(self, spec: Process, obs: Observation) -> None:
-        self.tasks[obs.task].observe(spec, obs)
+    def observe(self, spec: Process, history: List[Observation], obs: Observation) -> None:
+        spec.check_task(obs.task)
+        self.tasks[obs.task].observe(spec, history, obs)
 
-    def predict(self, spec: Process, x: Optional[np.ndarray], task: Optional[int] = None):
-        return self.tasks[task].predict(spec, x, task)
+    def predict(self, spec: Process, history: List[Observation], x, task: Optional[int] = None):
+        spec.check_task(task)
+        return self.tasks[task].predict(spec, history, x, task)
 
     # Read-only health views over all tasks.
     @property
@@ -406,9 +404,9 @@ def init_predictor(kind, spec: Process, latent=None, stream: Optional[RngStream]
     return kind.init(spec, latent, stream)
 
 
-def predict(state, spec: Process, x: Optional[np.ndarray] = None, task: Optional[int] = None):
-    """Posterior (or prior) predictive distribution for the next label."""
-    return state.predict(spec, x, task)
+def predict(state, spec: Process, history: List[Observation], x=None, task: Optional[int] = None):
+    """Posterior (or prior) predictive distribution for the label after history."""
+    return state.predict(spec, history, x, task)
 
 
 def log_loss(pred, y: Union[float, int]) -> float:

@@ -151,10 +151,6 @@ class Particles:
         arrays = {name: a[indices] for name, a in self.arrays.items()}
         return Particles(self.prior, len(indices), latents, **arrays)
 
-    def stat(self, history: "History", x, task: Optional[int]) -> np.ndarray:
-        """Per-particle conditional statistic (means, logits or pmfs)."""
-        return self.prior.particle_stat(self, history, x, task)
-
 
 # ---------------------------------------------------------------------------
 # The process protocol and its output families
@@ -203,9 +199,8 @@ class Process(Configurable):
     def draw_input(self, stream: RngStream) -> Optional[np.ndarray]:
         return stream.gen.normal(size=self.d)
 
-    def initial_history(self, latent, stream: RngStream) -> "History":
-        labels = [self.seed_label(stream) for _ in range(self.seed_tokens)]
-        return History([Observation(x=None, y=y) for y in labels])
+    def initial_history(self, latent, stream: RngStream) -> List["Observation"]:
+        return [Observation(x=None, y=self.seed_label(stream)) for _ in range(self.seed_tokens)]
 
     def irreducible_rate(self) -> Optional[float]:
         return None
@@ -583,10 +578,10 @@ class BinaryARK(_GaussianTheta, _Bernoulli):
         return int(stream.gen.integers(2))
 
     def conditional(self, latent, history, x, task) -> float:
-        return ark_logit(self, latent, [int(b) for b in history.last_labels(self.context)])
+        return ark_logit(self, latent, [int(o.y) for o in history[-self.context:]])
 
     def particle_stat(self, particles, history, x, task):
-        ctx = [int(b) for b in history.last_labels(self.context)]
+        ctx = _context(self, [int(o.y) for o in history[-self.context:]])
         phis = np.stack(
             [self.phi1 if ctx[-k] == 1 else self.phi0 for k in range(1, self.context + 1)]
         )  # (K, d)
@@ -658,12 +653,7 @@ class Transformer(_Categorical):
         return TransformerLatent(attn=attn, value=value)
 
     def conditional(self, latent, history, x, task) -> np.ndarray:
-        tokens = [int(t) for t in history.last_labels(self.context)]
-        return transformer_next_pmf(self, latent, tokens)
-
-    def particle_stat(self, particles, history, x, task):
-        tokens = [int(t) for t in history.last_labels(self.context)]  # once per step
-        return np.stack([transformer_next_pmf(self, l, tokens) for l in particles.latents])
+        return transformer_next_pmf(self, latent, [int(o.y) for o in history[-self.context:]])
 
 
 @dataclass(frozen=True)
@@ -710,6 +700,7 @@ class LinRep(_MetaCategorical):
         return linrep_task_pmf(latent, task)
 
     def particle_stat(self, particles, history, x, task):
+        self.check_task(task)
         return particles.once(task, lambda: softmax(
             np.einsum("sdr,sr->sd", particles.psi, particles.xi[:, task]), axis=1
         ))
@@ -734,15 +725,13 @@ class IclMixture(_MetaCategorical):
     def seed_tokens(self) -> int:
         return self.tasks * self.inner.context
 
-    def initial_history(self, latent, stream: RngStream) -> "History":
+    def initial_history(self, latent, stream: RngStream) -> List["Observation"]:
         """Each task opens with `inner.context` uniform tokens tagged with it."""
         k = self.inner.context
-        return History(
-            [
-                Observation(x=None, y=self.inner.seed_label(stream), task=i // k)
-                for i in range(self.seed_tokens)
-            ]
-        )
+        return [
+            Observation(x=None, y=self.inner.seed_label(stream), task=i // k)
+            for i in range(self.seed_tokens)
+        ]
 
     def sample_latent(self, stream: RngStream) -> "IclLatent":
         assignments = _polya_urn_assignments(
@@ -756,7 +745,7 @@ class IclMixture(_MetaCategorical):
     def conditional(self, latent, history, x, task) -> np.ndarray:
         self.check_task(task)
         comp = latent.components[int(latent.assignments[task])]
-        tokens = [int(o.y) for o in history.observations if o.task == task]
+        tokens = [int(o.y) for o in history if o.task == task]
         return transformer_next_pmf(self.inner, comp, tokens)
 
 
@@ -825,10 +814,11 @@ class IclLatent:
 
 
 # ---------------------------------------------------------------------------
-# History
+# Observations
 # ---------------------------------------------------------------------------
 
 
+# A history is a plain list of observations, oldest first.
 @dataclass
 class Observation:
     """One (input, label) pair; token processes use x=None and integer y."""
@@ -836,26 +826,6 @@ class Observation:
     x: Optional[np.ndarray]
     y: Union[float, int]
     task: Optional[int] = None
-
-
-class History:
-    """Append-only ordered sequence of observations."""
-
-    def __init__(self, observations: Optional[List[Observation]] = None):
-        self.observations: List[Observation] = list(observations or [])
-
-    def append(self, obs: Observation) -> None:
-        self.observations.append(obs)
-
-    def labels(self) -> List[Union[float, int]]:
-        return [o.y for o in self.observations]
-
-    def last_labels(self, k: int) -> List[Union[float, int]]:
-        """Labels of the last k >= 1 observations (fewer if the history is shorter)."""
-        return [o.y for o in self.observations[-k:]]
-
-    def __len__(self) -> int:
-        return len(self.observations)
 
 
 # ---------------------------------------------------------------------------
@@ -944,13 +914,19 @@ def attention_layer(U: np.ndarray, A: np.ndarray, V: np.ndarray) -> np.ndarray:
     return _clip_columns(V @ (U @ attn))
 
 
+def _context(spec, labels: List[int]) -> List[int]:
+    """The last `spec.context` labels; a shorter history has no next label law."""
+    ctx = labels[-spec.context:]
+    if len(ctx) < spec.context:
+        raise ValueError("history shorter than the context length")
+    return ctx
+
+
 def transformer_next_pmf(
     spec: Transformer, latent: TransformerLatent, tokens: List[int]
 ) -> np.ndarray:
     """Next-token pmf given the last `context` tokens (1-based indices)."""
-    ctx = tokens[-spec.context:]
-    if len(ctx) < spec.context:
-        raise ValueError("history shorter than the context length")
+    ctx = _context(spec, tokens)
     u = spec.embeddings[np.array(ctx) - 1].T  # (r, K)
     for layer in range(spec.depth):
         u = attention_layer(u, latent.attn[layer], latent.value[layer])
@@ -966,9 +942,7 @@ def _sigmoid(z: float) -> float:
 
 def ark_logit(spec: BinaryARK, latent: ThetaLatent, bits: List[int]) -> float:
     """Logit of P(next bit = 1) given the last `context` bits."""
-    ctx = bits[-spec.context:]
-    if len(ctx) < spec.context:
-        raise ValueError("history shorter than the context length")
+    ctx = _context(spec, bits)
     total = 0.0
     for k in range(1, spec.context + 1):
         phi = spec.phi1 if ctx[-k] == 1 else spec.phi0
@@ -991,13 +965,14 @@ def sample_latent(spec: Process, stream: RngStream):
     return spec.sample_latent(stream)
 
 
-def initial_history(spec: Process, latent, stream: RngStream) -> History:
+def initial_history(spec: Process, latent, stream: RngStream) -> List[Observation]:
     """Seed history: K uniform bits/tokens for sequence processes, else empty."""
     return spec.initial_history(latent, stream)
 
 
 def step(
-    spec: Process, latent, history: History, stream: RngStream, task: Optional[int] = None
+    spec: Process, latent, history: List[Observation], stream: RngStream,
+    task: Optional[int] = None,
 ) -> Observation:
     """Generate one observation from the true process (for `task` of a meta process)."""
     return spec.step(latent, history, stream, task)

@@ -338,10 +338,14 @@ def test_criterion_12_meta_learning_split_and_icl_bound():
     icl_ok = icl.valid and math.isfinite(icl.value) and icl.value > math.log(16) / 64
     elapsed = time.perf_counter() - start
     ok = closure_ok and intra_ok and total_ok and icl_ok
+    # Reported, not checked: the meta term against its closed form.
+    meta_term = bnd.linrep_meta_term(6, 2, 8, 64)
+    meta_gap = (split.meta[0] - meta_term) / split.meta[1]
     _line(12, "meta split closure, term bounds, and in-context bound", ok,
           f"total={split.total[0]:.4f}<= {total_bound:.4f}, "
           f"intra={split.intra[0]:.4f}<= {intra_bound:.4f}, "
-          f"meta={split.meta[0]:.4f}, icl bound={icl.value:.4f}, {elapsed:.0f}s")
+          f"meta={split.meta[0]:.4f} vs linrep_meta_term {meta_term:.4f} "
+          f"({meta_gap:+.1f} SE), icl bound={icl.value:.4f}, {elapsed:.0f}s")
     assert closure_ok
     assert intra_ok
     assert total_ok

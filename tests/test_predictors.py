@@ -26,7 +26,6 @@ from infolab.processes import (
     BinaryARK,
     DeepNet,
     DirichletNet,
-    History,
     LinReg,
     LogReg,
     Observation,
@@ -83,10 +82,10 @@ def test_omniscient_loss_equals_negative_cond_logprob():
     spec = LogReg(d=3)
     lat = sample_latent(spec, stream(0))
     state = init_predictor(Omniscient(), spec, latent=lat)
-    obs = step(spec, lat, History(), stream(1))
-    pred = predict(state, spec, obs.x)
+    obs = step(spec, lat, [], stream(1))
+    pred = predict(state, spec, [], obs.x)
     assert log_loss(pred, obs.y) == pytest.approx(
-        -spec.cond_logprob(lat, History(), obs.x, obs.y), abs=1e-12
+        -spec.cond_logprob(lat, [], obs.x, obs.y), abs=1e-12
     )
 
 
@@ -99,7 +98,7 @@ def test_conjugate_prior_predictive_variance():
     spec = LinReg(d=4, noise_var=0.25)
     state = init_predictor(conjugate_kind(spec), spec)
     x = np.full(4, 1.0)  # ||x||^2 = d
-    pred = predict(state, spec, x)
+    pred = predict(state, spec, [], x)
     assert pred.variance == pytest.approx(spec.noise_var + 1.0, abs=1e-12)
     assert pred.mean == 0.0
 
@@ -112,7 +111,7 @@ def test_conjugate_recursive_equals_batch_posterior():
     for t in range(12):
         x = gen.normal(size=3)
         y = float(gen.normal())
-        state.observe(spec, Observation(x=x, y=y))
+        state.observe(spec, [], Observation(x=x, y=y))
         X.append(x)
         Y.append(y)
         Xm = np.array(X)
@@ -129,7 +128,7 @@ def test_conjugate_variance_decreases_along_repeated_direction():
     e1 = np.array([1.0, 0.0, 0.0])
     prev = float(e1 @ state.cov @ e1)
     for _ in range(5):
-        state.observe(spec, Observation(x=e1, y=0.3))
+        state.observe(spec, [], Observation(x=e1, y=0.3))
         cur = float(e1 @ state.cov @ e1)
         assert cur < prev
         prev = cur
@@ -145,7 +144,7 @@ def test_misspecified_conjugate_singular_support_invariant():
     state = init_predictor(kind, spec)
     gen = np.random.default_rng(3)
     for _ in range(10):
-        state.observe(spec, Observation(x=gen.normal(size=3), y=float(gen.normal())))
+        state.observe(spec, [], Observation(x=gen.normal(size=3), y=float(gen.normal())))
     assert abs(state.mean[2]) < 1e-12
     assert np.max(np.abs(state.cov[2, :])) < 1e-12
 
@@ -174,7 +173,7 @@ def test_enumeration_weights_are_prior_times_likelihood():
     ]
     for spec, support, prior, draw_y in cases:
         state = init_predictor(Enumeration(support=support, prior=prior), spec)
-        hist = History()
+        hist = []
         logw_hand = np.log(prior)
         for _ in range(6):
             x = gen.normal(size=2)
@@ -182,7 +181,7 @@ def test_enumeration_weights_are_prior_times_likelihood():
             obs = Observation(x=x, y=y)
             for h, lat in enumerate(support):
                 logw_hand[h] += spec.cond_logprob(lat, hist, x, y)
-            state.observe(spec, obs)
+            state.observe(spec, hist, obs)
             hist.append(obs)
             hand = np.exp(logw_hand - logsumexp(logw_hand))
             assert np.max(np.abs(np.exp(state.log_weights) - hand)) < 1e-12
@@ -199,7 +198,7 @@ def test_enumeration_symmetric_prior_predicts_half():
         ThetaLatent(theta=np.array([-1.0, -1.0])),
     ]
     state = init_predictor(Enumeration(support=support, prior=np.array([0.5, 0.5])), spec)
-    pred = predict(state, spec, np.array([0.7, -0.2]))
+    pred = predict(state, spec, [], np.array([0.7, -0.2]))
     assert pred.p1 == pytest.approx(0.5, abs=1e-12)
 
 
@@ -233,12 +232,12 @@ def test_enumeration_matches_conjugate_on_discretized_prior():
     gen = np.random.default_rng(5)
     for _ in range(3):
         obs = Observation(x=gen.normal(size=1), y=float(gen.normal()))
-        enum.observe(spec, obs)
-        conj.observe(spec, obs)
+        enum.observe(spec, [], obs)
+        conj.observe(spec, [], obs)
     x = np.array([0.8])
     ys = np.linspace(-10, 10, 4001)
     dy = ys[1] - ys[0]
-    kl = _predictive_kl(predict(conj, spec, x), predict(enum, spec, x), ys, dy)
+    kl = _predictive_kl(predict(conj, spec, [], x), predict(enum, spec, [], x), ys, dy)
     assert 0.0 <= kl < 1e-3
 
 
@@ -253,7 +252,7 @@ def test_ensemble_prior_predictive_matches_conjugate():
     means = []
     for i in range(40):
         state = init_predictor(PriorEnsemble(size=2048), spec, stream=stream(6, ("r", i)))
-        pred = predict(state, spec, x)
+        pred = predict(state, spec, [], x)
         w = np.exp(pred.log_weights)
         means.append(float(w @ pred.means))
     est = float(np.mean(means))
@@ -265,7 +264,7 @@ def test_ensemble_converges_to_conjugate_with_size():
     spec = LinReg(d=2, noise_var=0.5)
     lat = sample_latent(spec, stream(7))
     obs_list = []
-    hist = History()
+    hist = []
     for t in range(5):
         obs = step(spec, lat, hist, stream(8, ("t", t)))
         obs_list.append(obs)
@@ -281,11 +280,13 @@ def test_ensemble_converges_to_conjugate_with_size():
             ens = init_predictor(
                 PriorEnsemble(size=size), spec, stream=stream(9, ("s", size), ("i", i))
             )
-            for obs in obs_list:
-                conj.observe(spec, obs)
-                ens.observe(spec, obs)
+            for t, obs in enumerate(obs_list):
+                conj.observe(spec, obs_list[:t], obs)
+                ens.observe(spec, obs_list[:t], obs)
             kls.append(
-                _predictive_kl(predict(conj, spec, x), predict(ens, spec, x), ys, dy)
+                _predictive_kl(
+                    predict(conj, spec, obs_list, x), predict(ens, spec, obs_list, x), ys, dy
+                )
             )
         return float(np.mean(kls))
 
@@ -297,10 +298,10 @@ def test_ensemble_weights_normalized_and_resampling_counts():
     spec = LinReg(d=2, noise_var=0.1)
     lat = sample_latent(spec, stream(10))
     state = init_predictor(PriorEnsemble(size=128), spec, stream=stream(11))
-    hist = History()
+    hist = []
     for t in range(30):
         obs = step(spec, lat, hist, stream(12, ("t", t)))
-        state.observe(spec, obs)
+        state.observe(spec, hist, obs)
         hist.append(obs)
         assert logsumexp(state.log_weights) == pytest.approx(0.0, abs=1e-9)
     assert state.resamples > 0  # low noise forces ESS collapse
@@ -426,13 +427,11 @@ def _ensemble_rollout(spec, kind, T, seed):
     latent = sample_latent(spec, s.derive(("latent", 0)))
     hist = initial_history(spec, latent, s.derive(("init", 0)))
     state = init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0)))
-    for obs in hist.observations:
-        state.observe(spec, obs)
     losses = []
     for t in range(T):
         obs = step(spec, latent, hist, s.derive(("step", t)))
-        losses.append(log_loss(predict(state, spec, obs.x), obs.y))
-        state.observe(spec, obs)
+        losses.append(log_loss(predict(state, spec, hist, obs.x), obs.y))
+        state.observe(spec, hist, obs)
         hist.append(obs)
         assert logsumexp(state.log_weights) == pytest.approx(0.0, abs=1e-9)
     assert np.all(np.isfinite(losses))
@@ -609,26 +608,25 @@ def test_rollout_losses_equal_recorded_values(index, case):
 
 # ---------------------------------------------------------------------------
 # the statistic that predict computes is reused by observe only at its input
+# and history length
 # ---------------------------------------------------------------------------
 
 
 def _filter_rollout(spec, kind, T, seed, calls):
     """Observe T steps per task; before observe i, call predict at the
-    (x, task) pairs that `calls(i, obs, task)` returns."""
+    (history, x, task) triples that `calls(i, hist, obs, task)` returns."""
     s = stream(seed)
     latent = sample_latent(spec, s.derive(("latent", 0)))
     hist = initial_history(spec, latent, s.derive(("init", 0)))
     state = init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0)))
-    for obs in hist.observations:
-        state.observe(spec, obs)
     tasks = spec.tasks if spec.meta else 1
     for i in range(T * tasks):
         m = i % tasks if spec.meta else None
         sub = s.derive(("step", i))
         obs = step(spec, latent, hist, sub, m)
-        for x, task in calls(i, obs, m):
-            state.predict(spec, x, task)
-        state.observe(spec, obs)
+        for h, x, task in calls(i, hist, obs, m):
+            state.predict(spec, h, x, task)
+        state.observe(spec, hist, obs)
         hist.append(obs)
     return state
 
@@ -638,11 +636,13 @@ def _cache_cases():
     from infolab.processes import LinRep
 
     support = [ThetaLatent(theta=np.array(t)) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])]
-    other_x = lambda obs, m: (obs.x + 1.0, m)
-    other_task = lambda obs, m: (obs.x, (m + 1) % 2)
+    other_x = lambda h, obs, m: (h, obs.x + 1.0, m)
+    other_task = lambda h, obs, m: (h, obs.x, (m + 1) % 2)
+    # One more bit, the flip of the last, so the context differs from h's.
+    longer_history = lambda h, obs, m: (h + [Observation(x=None, y=1 - h[-1].y)], obs.x, m)
     return {
         "ensemble_logreg": (LogReg(d=3), PriorEnsemble(size=64), other_x),
-        "ensemble_ark": (BinaryARK(d=2, context=2), PriorEnsemble(size=64), None),
+        "ensemble_ark": (BinaryARK(d=2, context=2), PriorEnsemble(size=64), longer_history),
         "enumeration_logreg": (
             LogReg(d=2), Enumeration(support=support, prior=np.array([0.5, 0.3, 0.2])), other_x
         ),
@@ -655,14 +655,15 @@ def _cache_cases():
 def test_predict_then_observe_equals_observe_only(case):
     spec, kind, elsewhere = _cache_cases()[case]
     runs = {
-        "observe_only": lambda i, obs, m: [],
-        "predict_first": lambda i, obs, m: [(obs.x, m)],
+        "observe_only": lambda i, h, obs, m: [],
+        "predict_first": lambda i, h, obs, m: [(h, obs.x, m)],
         # A statistic must not outlive the observe that follows its predict.
-        "predict_every_other": lambda i, obs, m: [(obs.x, m)] if i % 2 == 0 else [],
+        "predict_every_other": lambda i, h, obs, m: [(h, obs.x, m)] if i % 2 == 0 else [],
     }
     if elsewhere is not None:
-        # The last predict is at another input or task, so observe must not reuse it.
-        runs["predict_elsewhere"] = lambda i, obs, m: [(obs.x, m), elsewhere(obs, m)]
+        # The last predict is at another input, task or history, so observe
+        # must not reuse it.
+        runs["predict_elsewhere"] = lambda i, h, obs, m: [(h, obs.x, m), elsewhere(h, obs, m)]
     states = {name: _filter_rollout(spec, kind, 30, 61, calls) for name, calls in runs.items()}
     ref = states.pop("observe_only")
     if case in ("ensemble_ark", "oracle_meta"):
@@ -691,19 +692,19 @@ def test_memoised_statistics_match_fresh_ones_after_every_observe(oracle):
     filters = list(zip(state.tasks, [[m] for m in range(spec.tasks)])) if oracle else [
         (state, range(spec.tasks))
     ]
-    hist = History()
+    hist = []
     for i, sub in enumerate(s.children("step", 40 * spec.tasks)):
         m = i % spec.tasks
         obs = step(spec, latent, hist, sub, m)
-        state.predict(spec, None, m)
-        state.observe(spec, obs)
+        state.predict(spec, hist, None, m)
+        state.observe(spec, hist, obs)
         hist.append(obs)
         for filt, tasks in filters:
             parts = filt.particles
             unmemoised = Particles(parts.prior, parts.size, parts.latents, **parts.arrays)
             for task in tasks:
-                kept = parts.stat(filt.history, None, task)
-                fresh = parts.prior.particle_stat(unmemoised, filt.history, None, task)
+                kept = parts.prior.particle_stat(parts, hist, None, task)
+                fresh = parts.prior.particle_stat(unmemoised, hist, None, task)
                 assert np.array_equal(kept, fresh), (i, task)
                 assert not kept.flags.writeable
     assert state.resamples > 0
@@ -751,3 +752,118 @@ def test_oracle_task_particles_differ_between_tasks():
     for a in range(len(xi)):
         for b in range(a):
             assert not np.any(xi[a] == xi[b]), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# the rollout owns the one history; states read it and keep no copy
+# ---------------------------------------------------------------------------
+
+
+def _state_kinds():
+    from infolab.predictors import OracleMetaEnsemble
+    from infolab.processes import LinRep
+
+    linreg = LinReg(d=2, noise_var=0.5)
+    ark = BinaryARK(d=2, context=2)
+    support = [
+        ThetaLatent(theta=np.array(t)) for t in ([[1.0, 0.0], [0.0, 1.0]], [[0.5, -0.5], [-1.0, 0.2]])
+    ]
+    return {
+        "conjugate": (linreg, conjugate_kind(linreg)),
+        "enumeration": (ark, Enumeration(support=support, prior=np.array([0.4, 0.6]))),
+        "ensemble": (ark, PriorEnsemble(size=32)),
+        "misspecified_width": (
+            DirichletNet(d=2, scale=2.0, noise_var=0.1), MisspecifiedWidth(n=3, eps=0.3, size=32)
+        ),
+        "omniscient": (ark, Omniscient()),
+        "oracle_meta": (LinRep(d=4, r=2, tasks=2), OracleMetaEnsemble(size=32)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_state_kinds()))
+def test_predict_and_observe_leave_the_history_unchanged(case):
+    spec, kind = _state_kinds()[case]
+    s = stream(81)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    hist = initial_history(spec, latent, s.derive(("init", 0)))
+    state = init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0)))
+    tasks = spec.tasks if spec.meta else 1
+    for i, sub in enumerate(s.children("step", 6 * tasks)):
+        m = i % tasks if spec.meta else None
+        obs = step(spec, latent, hist, sub, m)
+        before = list(hist)
+        predict(state, spec, hist, obs.x, m)
+        state.observe(spec, hist, obs)
+        assert len(hist) == len(before) and all(a is b for a, b in zip(hist, before)), i
+        hist.append(obs)
+
+
+def _holds_an_observation(obj, seen) -> bool:
+    """Whether an Observation is reachable from obj through attributes and containers."""
+    if id(obj) in seen or isinstance(obj, (np.ndarray, type)):
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, Observation):
+        return True
+    if isinstance(obj, (list, tuple)):
+        items = obj
+    elif isinstance(obj, dict):
+        items = obj.values()
+    else:
+        items = vars(obj).values() if hasattr(obj, "__dict__") else ()
+    return any(_holds_an_observation(v, seen) for v in items)
+
+
+@pytest.mark.parametrize("case", list(_state_kinds()))
+def test_no_state_keeps_observations_after_a_rollout(case, monkeypatch):
+    from infolab import estimators
+
+    spec, kind = _state_kinds()[case]
+    states, init = [], estimators.init_predictor
+
+    def recording_init(*args, **kwargs):
+        states.append(init(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(estimators, "init_predictor", recording_init)
+    run_replicate(spec, kind, 6, stream(82))
+    assert len(states) == 2  # the predictor and the omniscient baseline
+    for state in states:
+        assert not _holds_an_observation(state, set()), type(state).__name__
+
+
+@pytest.mark.parametrize("task", [None, -1, 3])
+@pytest.mark.parametrize("oracle", [False, True], ids=["ensemble", "oracle_meta"])
+def test_meta_predictors_require_a_task_in_range(oracle, task):
+    from infolab.predictors import OracleMetaEnsemble
+    from infolab.processes import LinRep
+
+    spec = LinRep(d=4, r=2, tasks=3)
+    kind = OracleMetaEnsemble(size=16) if oracle else PriorEnsemble(size=16)
+    s = stream(83)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    state = init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0)))
+    match = r"LinRep steps need a task index in \[0, 3\)"
+    with pytest.raises(ValueError, match=match):
+        predict(state, spec, [], None, task)
+    with pytest.raises(ValueError, match=match):
+        state.observe(spec, [], Observation(x=None, y=1, task=task))
+
+
+@pytest.mark.parametrize("case", ["enumeration", "ensemble", "omniscient"])
+def test_short_ark_history_is_refused(case):
+    spec = BinaryARK(d=2, context=3)
+    kind = {
+        "enumeration": Enumeration(
+            support=[ThetaLatent(theta=np.ones((3, 2)))], prior=np.array([1.0])
+        ),
+        "ensemble": PriorEnsemble(size=16),
+        "omniscient": Omniscient(),
+    }[case]
+    s = stream(84)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    state = init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0)))
+    short = initial_history(spec, latent, s.derive(("init", 0)))[:2]
+    for hist in ([], short):
+        with pytest.raises(ValueError, match="history shorter than the context length"):
+            predict(state, spec, hist)

@@ -9,7 +9,6 @@ from infolab.processes import (
     BinaryARK,
     DeepNet,
     DirichletNet,
-    History,
     IclLatent,
     IclMixture,
     LinRep,
@@ -167,7 +166,7 @@ def test_linreg_pure_noise_variance():
     lat = sample_latent(spec, stream(8))
     lat.theta[:] = 0.0
     s = stream(9)
-    ys = [step(spec, lat, History(), s.derive(i)).y for i in range(10**5)]
+    ys = [step(spec, lat, [], s.derive(i)).y for i in range(10**5)]
     assert abs(float(np.var(ys)) - 1.0) < 0.02
 
 
@@ -175,7 +174,7 @@ def test_logreg_balanced_at_zero_logit():
     spec = LogReg(d=2)
     lat = sample_latent(spec, stream(10))
     lat.theta[:] = 0.0
-    z = spec.cond_logprob(lat, History(), np.array([1.0, 2.0]), 1)
+    z = spec.cond_logprob(lat, [], np.array([1.0, 2.0]), 1)
     assert z == pytest.approx(math.log(0.5), abs=1e-12)
 
 
@@ -183,8 +182,8 @@ def test_cond_logprob_normalization_discrete():
     spec = LogReg(d=3)
     lat = sample_latent(spec, stream(11))
     x = np.array([0.3, -1.0, 2.0])
-    total = math.exp(spec.cond_logprob(lat, History(), x, 0)) + math.exp(
-        spec.cond_logprob(lat, History(), x, 1)
+    total = math.exp(spec.cond_logprob(lat, [], x, 0)) + math.exp(
+        spec.cond_logprob(lat, [], x, 1)
     )
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -201,7 +200,7 @@ def test_linreg_cond_logprob_standard_normal():
     spec = LinReg(d=2, noise_var=1.0)
     lat = sample_latent(spec, stream(14))
     lat.theta[:] = 0.0
-    lp = spec.cond_logprob(lat, History(), np.array([1.0, 1.0]), 0.0)
+    lp = spec.cond_logprob(lat, [], np.array([1.0, 1.0]), 0.0)
     assert lp == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
 
@@ -209,13 +208,13 @@ def test_initial_history_shapes():
     ark = BinaryARK(d=2, context=4, phi0=np.array([1.0, 0]), phi1=np.array([0, 1.0]))
     alat = sample_latent(ark, stream(15))
     h = initial_history(ark, alat, stream(16))
-    assert len(h) == 4 and all(y in (0, 1) for y in h.labels())
+    assert len(h) == 4 and all(o.y in (0, 1) for o in h)
 
     emb = make_embeddings(5, 5, stream(0))
     tf = Transformer(vocab=5, attn_dim=5, depth=1, context=3, embeddings=emb)
     tlat = sample_latent(tf, stream(17))
     th = initial_history(tf, tlat, stream(18))
-    assert len(th) == 3 and all(1 <= y <= 5 for y in th.labels())
+    assert len(th) == 3 and all(1 <= o.y <= 5 for o in th)
 
     assert len(initial_history(LinReg(d=2, noise_var=1.0), None, stream(19))) == 0
 
@@ -224,7 +223,7 @@ def test_step_requires_seed_context():
     ark = BinaryARK(d=2, context=2, phi0=np.array([1.0, 0]), phi1=np.array([0, 1.0]))
     alat = sample_latent(ark, stream(20))
     with pytest.raises(ValueError):
-        step(ark, alat, History(), stream(21))
+        step(ark, alat, [], stream(21))
 
 
 def test_transformer_pmf_normalized_and_positive():
@@ -348,7 +347,7 @@ def test_linrep_uniform_at_zero_task_latent():
 def test_meta_step_and_logprob_consistency():
     spec = LinRep(d=5, r=2, tasks=3)
     lat = sample_latent(spec, stream(28))
-    h = History()
+    h = []
     obs = step(spec, lat, h, stream(29), 1)
     assert obs.task == 1 and 1 <= obs.y <= 5
     lp = spec.cond_logprob(lat, h, None, obs.y, 1)
@@ -368,9 +367,9 @@ def test_meta_step_requires_a_task_in_range(task):
         lat = sample_latent(spec, stream(28))
         name = type(spec).__name__
         for call in (
-            lambda: step(spec, lat, History(), stream(30), task),
-            lambda: spec.cond_logprob(lat, History(), None, 1, task),
-            lambda: spec.conditional(lat, History(), None, task),
+            lambda: step(spec, lat, [], stream(30), task),
+            lambda: spec.cond_logprob(lat, [], None, 1, task),
+            lambda: spec.conditional(lat, [], None, task),
         ):
             with pytest.raises(ValueError, match=rf"{name} steps need a task index in \[0, 3\)"):
                 call()
@@ -386,13 +385,11 @@ def test_icl_single_component_matches_plain_transformer():
     comp = lat.components[0]
     seed_tokens = initial_history(tf, comp, stream(32))
     # plain rollout
-    plain = History([Observation(x=None, y=y) for y in seed_tokens.labels()])
+    plain = [Observation(x=None, y=o.y) for o in seed_tokens]
     for t in range(12):
         plain.append(step(tf, comp, plain, stream(33).derive(t)))
     # mixture rollout with matched per-step streams
-    meta_hist = History(
-        [Observation(x=None, y=y, task=0) for y in seed_tokens.labels()]
-    )
+    meta_hist = [Observation(x=None, y=o.y, task=0) for o in seed_tokens]
     for t in range(12):
         meta_hist.append(step(spec, lat, meta_hist, stream(33).derive(t), 0))
-    assert plain.labels() == meta_hist.labels()
+    assert [o.y for o in plain] == [o.y for o in meta_hist]
