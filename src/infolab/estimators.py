@@ -27,7 +27,6 @@ from .processes import (
     LinRep,
     Process,
     initial_history,
-    irreducible_rate,
     sample_latent,
     step,
 )
@@ -39,14 +38,6 @@ MAX_ENUM_STATES = 10**7
 # ---------------------------------------------------------------------------
 # Replicates and error curves
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ReplicateRecord:
-    """Per-step log-losses of the predictor and the paired omniscient baseline."""
-
-    losses: np.ndarray
-    omniscient_losses: np.ndarray
 
 
 @dataclass
@@ -66,58 +57,49 @@ class ErrorCurve:
             raise ValueError("standard errors must be nonnegative")
 
 
-def run_replicate(spec: Process, kind, T: int, stream: RngStream) -> ReplicateRecord:
-    """Roll out one replicate: fresh latent, T observations, paired losses.
+def run_replicate(spec: Process, kinds: Sequence, T: int, stream: RngStream) -> np.ndarray:
+    """One replicate: one latent and history, every kind in `kinds` scored on it.
 
-    Meta processes visit their tasks round-robin, T observations per task;
-    step i of either kind draws from stream path ("step", i).  The one
-    history opens with the seed context (`initial_history`); both predictor
-    states read it at every step and keep no copy.
+    Meta processes visit their tasks round-robin, T steps per task; step i
+    reads stream path ("step", i).  Each kind's state is built from path
+    ("pred", 0), so its losses do not depend on the kinds beside it; it
+    predicts, is scored and observes at every step, and keeps no copy of the
+    history.  Returns the (len(kinds), T * tasks) per-step log-losses.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     tasks = spec.tasks if spec.meta else 1
     latent = sample_latent(spec, stream.derive(("latent", 0)))
     history = initial_history(spec, latent, stream.derive(("init", 0)))
-    state = init_predictor(kind, spec, latent=latent, stream=stream.derive(("pred", 0)))
-    omni = init_predictor(Omniscient(), spec, latent=latent)
-    losses = np.empty(T * tasks)
-    omni_losses = np.empty(T * tasks)
+    states = [
+        init_predictor(kind, spec, latent=latent, stream=stream.derive(("pred", 0)))
+        for kind in kinds
+    ]
+    losses = np.empty((len(states), T * tasks))
     for i, sub in enumerate(stream.children("step", T * tasks)):
         m = i % tasks if spec.meta else None
         obs = step(spec, latent, history, sub, m)
-        losses[i] = log_loss(predict(state, spec, history, obs.x, m), obs.y)
-        omni_losses[i] = log_loss(predict(omni, spec, history, obs.x, m), obs.y)
-        state.observe(spec, history, obs)
-        omni.observe(spec, history, obs)
+        for j, state in enumerate(states):
+            losses[j, i] = log_loss(predict(state, spec, history, obs.x, m), obs.y)
+            state.observe(spec, history, obs)
         history.append(obs)
-    return ReplicateRecord(losses=losses, omniscient_losses=omni_losses)
+    return losses
 
 
 def aggregate_error_curve(
-    records: Sequence[ReplicateRecord],
-    horizons: Sequence[int],
-    irreducible: Optional[float] = None,
-    scenario_id: str = "",
+    excess: np.ndarray, horizons: Sequence[int], scenario_id: str = ""
 ) -> ErrorCurve:
-    """Mean cumulative excess (1/t) sum(loss - irreducible) per horizon.
+    """Mean cumulative excess (1/t) sum_{s<=t} excess[:, s] per horizon, with SE.
 
-    With irreducible=None the paired omniscient losses stand in for the
-    irreducible rate (variance-reduced estimator for discrete labels).
+    `excess` is (R, T): per-step losses of R replicates minus the irreducible
+    rate or minus an omniscient's losses on the same rollout (as chosen by
+    `harness.run_scenario`).
     """
-    if len(records) < 2:
+    R, T = np.shape(excess)
+    if R < 2:
         raise ValueError("need at least 2 replicates")
-    T = len(records[0].losses)
-    if any(len(r.losses) != T for r in records):
-        raise ValueError("replicates have mismatched lengths")
     horizons = list(horizons)
-    losses = np.stack([r.losses for r in records])  # (R, T)
-    if irreducible is None:
-        excess = losses - np.stack([r.omniscient_losses for r in records])
-    else:
-        excess = losses - irreducible
     cum = np.cumsum(excess, axis=1)
-    R = len(records)
     means, ses = [], []
     for t in horizons:
         if not 1 <= t <= T:
@@ -288,6 +270,8 @@ def linreg_mi_mc(
     """MC mean of the exact conditional MI over input draws, with SE."""
     if noise_var <= 0:
         raise ValueError("noise variance must be positive")
+    if replicates < 2:
+        raise ValueError("need at least 2 replicates")
     if prior_var is None:
         prior_var = 1.0 / d
     vals = np.empty(replicates)
@@ -315,22 +299,24 @@ def meta_error_split(
 ) -> MetaSplit:
     """Total / intra-task / meta error split for the representation process.
 
-    Total error uses the prior-ensemble posterior over (psi, xi); the
-    intra-task term reruns the same replicates with the shared representation
-    revealed (oracle-meta predictor); meta = total - intra, computed per
-    replicate so the difference SE reflects the pairing.
+    Replicate i is one rollout on stream path ("rep", i), ("total", 0) that
+    scores the prior ensemble over (psi, xi) (total), the oracle-meta filter
+    with the shared representation revealed (intra) and the omniscient
+    baseline of both; meta = total - intra per replicate, so its SE reflects
+    the pairing.
     """
+    if replicates < 2:
+        raise ValueError("need at least 2 replicates")
+    kinds = (
+        PriorEnsemble(size=ensemble_size), OracleMetaEnsemble(size=ensemble_size), Omniscient()
+    )
     totals = np.empty(replicates)
     intras = np.empty(replicates)
-    kind_total = PriorEnsemble(size=ensemble_size)
-    kind_intra = OracleMetaEnsemble(size=ensemble_size)
     n = spec.tasks * T
     for i in range(replicates):
-        sub = stream.derive(("rep", i))
-        rec_total = run_replicate(spec, kind_total, T, sub.derive(("total", 0)))
-        totals[i] = float(np.sum(rec_total.losses - rec_total.omniscient_losses)) / n
-        rec_intra = run_replicate(spec, kind_intra, T, sub.derive(("total", 0)))
-        intras[i] = float(np.sum(rec_intra.losses - rec_intra.omniscient_losses)) / n
+        total, intra, omni = run_replicate(spec, kinds, T, stream.derive(("rep", i), ("total", 0)))
+        totals[i] = float(np.sum(total - omni)) / n
+        intras[i] = float(np.sum(intra - omni)) / n
     diffs = totals - intras
     rse = lambda v: float(np.std(v, ddof=1) / math.sqrt(replicates))
     return MetaSplit(

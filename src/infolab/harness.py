@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bounds as bnd
-from .estimators import ErrorCurve, ReplicateRecord, aggregate_error_curve, run_replicate
-from .predictors import PREDICTOR_KINDS
+from .estimators import ErrorCurve, aggregate_error_curve, run_replicate
+from .predictors import PREDICTOR_KINDS, Omniscient
 from .processes import (
     PROCESS_KINDS, Process, irreducible_rate, strict_float, strict_int, strict_list, strict_str,
 )
@@ -225,10 +225,11 @@ def verify_curve(
 
 
 def run_replicates(
-    spec: Process, kind, T: int, replicates: int, stream: RngStream
-) -> List[ReplicateRecord]:
-    """Run replicates in order; replicate i draws from stream path ("rep", i)."""
-    return [run_replicate(spec, kind, T, stream.derive(("rep", i))) for i in range(replicates)]
+    spec: Process, kinds: Sequence, T: int, replicates: int, stream: RngStream
+) -> np.ndarray:
+    """(replicates, len(kinds), T * tasks) losses; replicate i reads stream path ("rep", i)."""
+    runs = [run_replicate(spec, kinds, T, stream.derive(("rep", i))) for i in range(replicates)]
+    return np.stack(runs)
 
 
 @dataclass
@@ -240,14 +241,15 @@ class ScenarioResult:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Simulate, aggregate, and verify one scenario."""
+    """Simulate, aggregate, and verify one scenario: the predictor's excess loss over
+    the spec's irreducible rate, or where it has none over an omniscient on the same rollout."""
     stream = RngStream(SeedSpec(config.master_seed, (("scenario", 0),)))
     T = max(config.horizons)
-    records = run_replicates(config.spec, config.predictor, T, config.replicates, stream)
     irr = irreducible_rate(config.spec)
-    curve = aggregate_error_curve(
-        records, config.horizons, irreducible=irr, scenario_id=config.scenario_id
-    )
+    kinds = (config.predictor,) if irr is not None else (config.predictor, Omniscient())
+    losses = run_replicates(config.spec, kinds, T, config.replicates, stream)
+    excess = losses[:, 0] - (irr if irr is not None else losses[:, 1])
+    curve = aggregate_error_curve(excess, config.horizons, scenario_id=config.scenario_id)
     verification, reports = verify_curve(config, curve)
     return ScenarioResult(
         config=config, curve=curve, bound_reports=reports, verification=verification

@@ -13,7 +13,8 @@ stream, ``estimators.run_replicate`` reads:
 - ``("latent", 0)``: the process latent (``sample_latent``);
 - ``("init", 0)``: the seed tokens of sequence processes;
 - ``("step", i)``: the draws of step i;
-- ``("pred", 0)``: the predictor, which reads below it
+- ``("pred", 0)``: each predictor kind it scores (every kind's state is
+  built from this same path), which reads below it
   - ``("particles", 0)``: a prior ensemble's particles, drawn in one call by
     specs with array latents and from ``("particle", j)`` below it, one
     latent per particle, by the others;
@@ -25,8 +26,9 @@ stream, ``estimators.run_replicate`` reads:
     below it (the oracle's tasks share one resampler).
 
 ``harness.run_replicates`` gives replicate i the path ``("rep", i)``;
-``estimators.meta_error_split`` runs both passes of replicate i on
-``("rep", i), ("total", 0)``, so they see the same latent and labels.
+``estimators.meta_error_split`` runs replicate i on ``("rep", i), ("total",
+0)`` as one rollout that scores the prior ensemble, the oracle-meta filter
+and the omniscient baseline on the same latent and labels.
 """
 
 from __future__ import annotations

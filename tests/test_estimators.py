@@ -17,8 +17,14 @@ from infolab.estimators import (
     per_step_info,
     run_replicate,
 )
-from infolab.predictors import ConjugateLinReg, Omniscient, PriorEnsemble
-from infolab.processes import LinRep, LinReg
+from infolab.predictors import (
+    ConjugateLinReg,
+    MisspecifiedConjugate,
+    Omniscient,
+    OracleMetaEnsemble,
+    PriorEnsemble,
+)
+from infolab.processes import BinaryARK, LinRep, LinReg, LogReg
 from infolab.rng import RngStream, SeedSpec
 from infolab import bounds as bnd
 
@@ -352,18 +358,53 @@ def test_misspec_decomposition_vacuous_bound():
 # ---------------------------------------------------------------------------
 
 
+def paired_excess(spec, kind, T, seed, replicates):
+    """(replicates, T) losses of kind minus those of the omniscient on the same rollout."""
+    losses = np.stack([
+        run_replicate(spec, (kind, Omniscient()), T, stream(seed, i)) for i in range(replicates)
+    ])
+    return losses[:, 0] - losses[:, 1]
+
+
 def test_run_replicate_deterministic():
     spec = LinReg(d=3, noise_var=0.5)
-    a = run_replicate(spec, conjugate_kind(spec), 10, stream(5))
-    b = run_replicate(spec, conjugate_kind(spec), 10, stream(5))
-    assert np.array_equal(a.losses, b.losses)
-    assert np.array_equal(a.omniscient_losses, b.omniscient_losses)
+    a = run_replicate(spec, (conjugate_kind(spec), Omniscient()), 10, stream(5))
+    b = run_replicate(spec, (conjugate_kind(spec), Omniscient()), 10, stream(5))
+    assert a.shape == (2, 10)
+    assert np.array_equal(a, b)
+
+
+def _scored_together_cases():
+    linreg, linrep = LinReg(d=3, noise_var=0.25), LinRep(d=4, r=2, tasks=2)
+    return {
+        "linreg": (linreg, (conjugate_kind(linreg),
+                            MisspecifiedConjugate(np.full(3, 0.5), np.eye(3), 0.25))),
+        "logreg": (LogReg(d=3), (PriorEnsemble(size=32), PriorEnsemble(size=64))),
+        "linrep": (linrep, (PriorEnsemble(size=32), OracleMetaEnsemble(size=32))),
+        # a token process: every kind reads the one history
+        "ark": (BinaryARK(d=2, context=2), (PriorEnsemble(size=16), PriorEnsemble(size=32))),
+    }
+
+
+@pytest.mark.parametrize(
+    "index, case", enumerate(_scored_together_cases()), ids=list(_scored_together_cases())
+)
+def test_kinds_scored_together_equal_kinds_scored_alone(index, case):
+    """Row j of one rollout that scores several kinds is kind j's rollout alone."""
+    spec, (a, b) = _scored_together_cases()[case]
+    kinds = (a, b, Omniscient())
+    together = run_replicate(spec, kinds, 12, stream(18, ("case", index)))
+    tasks = spec.tasks if spec.meta else 1
+    assert together.shape == (3, 12 * tasks)
+    for j, kind in enumerate(kinds):
+        alone = run_replicate(spec, (kind,), 12, stream(18, ("case", index)))
+        assert together[j].tolist() == alone[0].tolist(), j
 
 
 def test_omniscient_mean_loss_is_irreducible_rate():
     spec = LinReg(d=2, noise_var=0.5)
     losses = [
-        float(np.mean(run_replicate(spec, Omniscient(), 5, stream(6, i)).losses))
+        float(np.mean(run_replicate(spec, (Omniscient(),), 5, stream(6, i))[0]))
         for i in range(10**3)
     ]
     est = float(np.mean(losses))
@@ -374,15 +415,7 @@ def test_omniscient_mean_loss_is_irreducible_rate():
 
 def test_conjugate_loss_exceeds_omniscient_in_expectation():
     spec = LinReg(d=3, noise_var=0.25)
-    diffs = [
-        float(
-            np.mean(
-                run_replicate(spec, conjugate_kind(spec), 20, stream(7, i)).losses
-                - run_replicate(spec, conjugate_kind(spec), 20, stream(7, i)).omniscient_losses
-            )
-        )
-        for i in range(200)
-    ]
+    diffs = [float(np.mean(row)) for row in paired_excess(spec, conjugate_kind(spec), 20, 7, 200)]
     est = float(np.mean(diffs))
     se = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs)))
     assert est + 3 * se > 0 and est > 0
@@ -390,43 +423,37 @@ def test_conjugate_loss_exceeds_omniscient_in_expectation():
 
 def test_aggregate_curve_invariants():
     spec = LinReg(d=2, noise_var=1.0)
-    records = [
-        run_replicate(spec, Omniscient(), 10, stream(8, i)) for i in range(100)
-    ]
-    curve = aggregate_error_curve(records, [5, 10], irreducible=None)
+    excess = paired_excess(spec, Omniscient(), 10, 8, 100)
+    curve = aggregate_error_curve(excess, [5, 10])
     # omniscient predictor: zero excess at every horizon
     assert np.all(np.abs(curve.mean_error) <= 3 * np.maximum(curve.std_err, 1e-15))
     # replicate-order invariance
-    rev = aggregate_error_curve(records[::-1], [5, 10], irreducible=None)
+    rev = aggregate_error_curve(excess[::-1], [5, 10])
     assert np.allclose(curve.mean_error, rev.mean_error)
     with pytest.raises(ValueError):
-        aggregate_error_curve(records[:1], [5])
+        aggregate_error_curve(excess[:1], [5])
     with pytest.raises(ValueError):
-        aggregate_error_curve(records, [10, 5])
+        aggregate_error_curve(excess[0], [5])
     with pytest.raises(ValueError):
-        aggregate_error_curve(records, [11])
+        aggregate_error_curve(excess, [10, 5])
+    with pytest.raises(ValueError):
+        aggregate_error_curve(excess, [11])
 
 
 def test_se_shrinks_with_replicates():
     spec = LinReg(d=2, noise_var=1.0)
-    records = [
-        run_replicate(spec, conjugate_kind(spec), 10, stream(9, i)) for i in range(400)
-    ]
-    se_half = aggregate_error_curve(records[:200], [10]).std_err[0]
-    se_full = aggregate_error_curve(records, [10]).std_err[0]
+    excess = paired_excess(spec, conjugate_kind(spec), 10, 9, 400)
+    se_half = aggregate_error_curve(excess[:200], [10]).std_err[0]
+    se_full = aggregate_error_curve(excess, [10]).std_err[0]
     ratio = se_half / se_full
     assert abs(ratio - math.sqrt(2)) < 0.2 * math.sqrt(2)
 
 
 def test_bootstrap_mean_matches_plugin():
     spec = LinReg(d=2, noise_var=1.0)
-    records = [
-        run_replicate(spec, conjugate_kind(spec), 10, stream(10, i)) for i in range(200)
-    ]
-    curve = aggregate_error_curve(records, [10])
-    per_rep = np.array(
-        [float(np.sum(r.losses - r.omniscient_losses)) / 10 for r in records]
-    )
+    excess = paired_excess(spec, conjugate_kind(spec), 10, 10, 200)
+    curve = aggregate_error_curve(excess, [10])
+    per_rep = np.array([float(np.sum(row)) / 10 for row in excess])
     gen = np.random.default_rng(11)
     boot = np.array(
         [np.mean(per_rep[gen.integers(0, 200, size=200)]) for _ in range(500)]
@@ -455,6 +482,12 @@ def test_linreg_mi_mc_quadrature_oracle():
 def test_linreg_mi_mc_noise_swamps_signal():
     est, _ = linreg_mi_mc(2, 10**6, 4, 50, stream(14))
     assert est < 1e-5
+
+
+@pytest.mark.parametrize("replicates", [0, 1])
+def test_linreg_mi_mc_refuses_fewer_than_two_replicates(replicates):
+    with pytest.raises(ValueError, match="^need at least 2 replicates$"):
+        linreg_mi_mc(2, 1.0, 4, replicates, stream(19))
 
 
 def test_linreg_mi_mc_inside_sandwich():
@@ -498,3 +531,10 @@ def test_meta_split_intra_decays_with_horizon():
         )
         vals.append(split.intra)
     assert vals[1][0] <= vals[0][0] + 3 * math.hypot(vals[0][1], vals[1][1])
+
+
+@pytest.mark.parametrize("replicates", [0, 1])
+def test_meta_split_refuses_fewer_than_two_replicates(replicates):
+    with pytest.raises(ValueError, match="^need at least 2 replicates$"):
+        meta_error_split(LinRep(d=4, r=2, tasks=2), T=4, replicates=replicates, stream=stream(20),
+                         ensemble_size=16)

@@ -175,6 +175,34 @@ def test_scenario_outputs_deterministic_and_atomic(tmp_path):
     assert len(cell.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) >= 15
 
 
+@pytest.mark.parametrize(
+    "process, predictor, inits",
+    [
+        ({"kind": "linreg", "d": 2, "noise_var": 0.25}, {"kind": "conjugate"}, 0),
+        ({"kind": "logreg", "d": 2}, {"kind": "ensemble", "size": 16}, 3),
+    ],
+    ids=["linreg", "logreg"],
+)
+def test_scenario_runs_an_omniscient_only_without_irreducible_rate(
+    process, predictor, inits, monkeypatch
+):
+    """LinReg's excess is measured against its irreducible rate; LogReg has
+    none, so each replicate also scores the omniscient predictor."""
+    calls, init = [], Omniscient.init
+
+    def counting_init(self, *args):
+        calls.append(1)
+        return init(self, *args)
+
+    monkeypatch.setattr(Omniscient, "init", counting_init)
+    config = harness.parse_config({
+        "version": 1, "scenario_id": "baseline", "process": process, "predictor": predictor,
+        "horizons": [2, 4], "replicates": 3, "master_seed": 12, "bounds": [],
+    })
+    harness.run_scenario(config)
+    assert len(calls) == inits
+
+
 def test_scenario_json_output(tmp_path):
     result = harness.run_scenario(_tiny_config())
     (path,) = harness.write_scenario_outputs(result, str(tmp_path), "json")

@@ -417,9 +417,9 @@ def test_point_mass_enumeration_matches_omniscient(index, spec):
     rep_stream = stream(31, ("family", index))
     latent = sample_latent(spec, rep_stream.derive(("latent", 0)))
     kind = Enumeration(support=[latent], prior=np.array([1.0]))
-    rec = run_replicate(spec, kind, 12, rep_stream)
-    assert np.all(np.isfinite(rec.losses))
-    assert np.max(np.abs(rec.losses - rec.omniscient_losses)) < 1e-9
+    losses, omni = run_replicate(spec, (kind, Omniscient()), 12, rep_stream)
+    assert np.all(np.isfinite(losses))
+    assert np.max(np.abs(losses - omni)) < 1e-9
 
 
 def _ensemble_rollout(spec, kind, T, seed):
@@ -459,10 +459,9 @@ def test_icl_mixture_rollouts_are_finite():
         vocab=3, attn_dim=3, depth=1, context=2, embeddings=make_embeddings(3, 3, stream(0))
     )
     spec = IclMixture(mixture_size=4, scale=2.0, inner=inner, tasks=2)
-    for kind in (Omniscient(), PriorEnsemble(size=16)):
-        rec = run_replicate(spec, kind, 4, stream(33))
-        assert len(rec.losses) == 8
-        assert np.all(np.isfinite(rec.losses)) and np.all(np.isfinite(rec.omniscient_losses))
+    losses = run_replicate(spec, (Omniscient(), PriorEnsemble(size=16)), 4, stream(33))
+    assert losses.shape == (2, 8)
+    assert np.all(np.isfinite(losses))
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +541,8 @@ def test_rollout_losses_match_recorded_values(index, case):
     resample during the rollout); the oracle's were recorded under seed
     contract 2."""
     spec, kind, recorded = _pinned_cases()[case]
-    rec = run_replicate(spec, kind, 8, stream(41, ("pin", index)))
-    np.testing.assert_allclose(rec.losses, recorded, rtol=1e-9, atol=0)
+    losses = run_replicate(spec, (kind,), 8, stream(41, ("pin", index)))[0]
+    np.testing.assert_allclose(losses, recorded, rtol=1e-9, atol=0)
 
 
 def _exact_pinned_cases():
@@ -602,8 +601,8 @@ def test_rollout_losses_equal_recorded_values(index, case):
     """Losses of fixed-seed rollouts, bit for bit, recorded before iid and meta
     processes shared one step and the Gaussian-theta specs one prior."""
     spec, kind, recorded = _exact_pinned_cases()[case]
-    rec = run_replicate(spec, kind, 8, stream(43, ("exact_pin", index)))
-    assert rec.losses.tolist() == recorded
+    losses = run_replicate(spec, (kind,), 8, stream(43, ("exact_pin", index)))[0]
+    assert losses.tolist() == recorded
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +825,7 @@ def test_no_state_keeps_observations_after_a_rollout(case, monkeypatch):
         return states[-1]
 
     monkeypatch.setattr(estimators, "init_predictor", recording_init)
-    run_replicate(spec, kind, 6, stream(82))
+    run_replicate(spec, (kind, Omniscient()), 6, stream(82))
     assert len(states) == 2  # the predictor and the omniscient baseline
     for state in states:
         assert not _holds_an_observation(state, set()), type(state).__name__
