@@ -10,8 +10,8 @@ import numpy as np
 
 from infolab import bounds as bnd
 from infolab.estimators import aggregate_error_curve, linreg_mi_mc
-from infolab.harness import run_replicates
-from infolab.predictors import ConjugateLinReg, Omniscient
+from infolab.harness import excess_over_omniscient
+from infolab.predictors import ConjugateLinReg
 from infolab.processes import LinReg
 from infolab.rng import RngStream, SeedSpec
 
@@ -27,8 +27,8 @@ def main() -> None:
         noise_var=noise_var,
     )
     stream = RngStream(SeedSpec(7, (("demo", 0),)))
-    losses = run_replicates(spec, (kind, Omniscient()), max(horizons), replicates, stream)
-    curve = aggregate_error_curve(losses[:, 0] - losses[:, 1], horizons)
+    excess = excess_over_omniscient(spec, kind, max(horizons), replicates, stream)
+    curve = aggregate_error_curve(excess, horizons)
 
     print(f"linear regression, d={d}, noise_var={noise_var}, {replicates} replicates")
     print(f"{'T':>5} {'lower':>10} {'empirical':>12} {'upper':>10} {'MI/T':>10}")

@@ -232,6 +232,12 @@ def run_replicates(
     return np.stack(runs)
 
 
+def excess_over_omniscient(spec: Process, kind, T: int, R: int, stream: RngStream) -> np.ndarray:
+    """(R, T * tasks) losses of `kind` minus an omniscient's on the same R rollouts."""
+    losses = run_replicates(spec, (kind, Omniscient()), T, R, stream)
+    return losses[:, 0] - losses[:, 1]
+
+
 @dataclass
 class ScenarioResult:
     config: ScenarioConfig
@@ -245,10 +251,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     the spec's irreducible rate, or where it has none over an omniscient on the same rollout."""
     stream = RngStream(SeedSpec(config.master_seed, (("scenario", 0),)))
     T = max(config.horizons)
-    irr = irreducible_rate(config.spec)
-    kinds = (config.predictor,) if irr is not None else (config.predictor, Omniscient())
-    losses = run_replicates(config.spec, kinds, T, config.replicates, stream)
-    excess = losses[:, 0] - (irr if irr is not None else losses[:, 1])
+    spec, kind, R = config.spec, config.predictor, config.replicates
+    irr = irreducible_rate(spec)
+    if irr is None:
+        excess = excess_over_omniscient(spec, kind, T, R, stream)
+    else:
+        excess = run_replicates(spec, (kind,), T, R, stream)[:, 0] - irr
     curve = aggregate_error_curve(excess, config.horizons, scenario_id=config.scenario_id)
     verification, reports = verify_curve(config, curve)
     return ScenarioResult(

@@ -742,18 +742,11 @@ class IclMixture(_MetaCategorical):
             components[cls] = self.inner.sample_latent(stream.derive(("component", cls)))
         return IclLatent(assignments=assignments, components=components)
 
-    def _next_pmfs(self, latents, history, task) -> List[np.ndarray]:
-        """Next-token pmf of task `task` under each latent; its tokens are filtered once."""
-        self.check_task(task)
-        tokens = [int(o.y) for o in history if o.task == task]
-        comps = [l.components[int(l.assignments[task])] for l in latents]
-        return [transformer_next_pmf(self.inner, c, tokens) for c in comps]
-
     def conditional(self, latent, history, x, task) -> np.ndarray:
-        return self._next_pmfs([latent], history, task)[0]
-
-    def particle_stat(self, particles, history, x, task):
-        return np.array(self._next_pmfs(particles.latents, history, task))
+        self.check_task(task)
+        comp = latent.components[int(latent.assignments[task])]
+        tokens = [int(o.y) for o in history if o.task == task]
+        return transformer_next_pmf(self.inner, comp, tokens)
 
 
 # Config "kind" -> spec class, for every process a scenario config can name.

@@ -27,12 +27,11 @@ from infolab.estimators import (
     misspec_decomposition,
     per_step_info,
 )
-from infolab.harness import run_replicates
+from infolab.harness import excess_over_omniscient, run_replicates
 from infolab.info import dirmult_expected_unique, entropy_pmf
 from infolab.predictors import (
     ConjugateLinReg,
     MisspecifiedConjugate,
-    Omniscient,
     PriorEnsemble,
 )
 from infolab.processes import (
@@ -95,8 +94,8 @@ def test_criterion_02_linreg_sandwich_and_mi_agreement():
         prior_mean=np.zeros(d), prior_cov=spec.prior_var * np.eye(d), noise_var=s2
     )
     start = time.perf_counter()
-    losses = run_replicates(spec, (kind, Omniscient()), 500, 2000, _stream(102))
-    curve = aggregate_error_curve(losses[:, 0] - losses[:, 1], horizons)
+    excess = excess_over_omniscient(spec, kind, 500, 2000, _stream(102))
+    curve = aggregate_error_curve(excess, horizons)
     sandwich_ok, mi_ok, details = True, True, []
     mi_stream = _stream(1022)
     for i, T in enumerate(horizons):
@@ -120,8 +119,8 @@ def test_criterion_02_linreg_sandwich_and_mi_agreement():
 def test_criterion_03_logreg_ensemble_bound():
     spec = LogReg(d=3)
     start = time.perf_counter()
-    losses = run_replicates(spec, (PriorEnsemble(size=4096), Omniscient()), 200, 500, _stream(103))
-    curve = aggregate_error_curve(losses[:, 0] - losses[:, 1], [200])
+    excess = excess_over_omniscient(spec, PriorEnsemble(size=4096), 200, 500, _stream(103))
+    curve = aggregate_error_curve(excess, [200])
     emp, se = float(curve.mean_error[0]), float(curve.std_err[0])
     bound = bnd.logreg_error_upper(3, 200).value
     elapsed = time.perf_counter() - start
@@ -135,8 +134,8 @@ def test_criterion_03_logreg_ensemble_bound():
 def test_criterion_04_deepnet_ensemble_bound():
     spec = DeepNet(d=2, width=3, depth=3, noise_var=1.0)
     start = time.perf_counter()
-    losses = run_replicates(spec, (PriorEnsemble(size=4096), Omniscient()), 100, 300, _stream(104))
-    curve = aggregate_error_curve(losses[:, 0] - losses[:, 1], [100])
+    excess = excess_over_omniscient(spec, PriorEnsemble(size=4096), 100, 300, _stream(104))
+    curve = aggregate_error_curve(excess, [100])
     emp, se = float(curve.mean_error[0]), float(curve.std_err[0])
     bound = bnd.deepnet_error_upper(2, 3, 3, 1.0, 100).value
     elapsed = time.perf_counter() - start
@@ -150,8 +149,8 @@ def test_criterion_04_deepnet_ensemble_bound():
 def test_criterion_05_ark_ensemble_bound():
     spec = harness.parse_process({"kind": "ark", "d": 2, "context": 2})
     start = time.perf_counter()
-    losses = run_replicates(spec, (PriorEnsemble(size=4096), Omniscient()), 200, 500, _stream(105))
-    curve = aggregate_error_curve(losses[:, 0] - losses[:, 1], [200])
+    excess = excess_over_omniscient(spec, PriorEnsemble(size=4096), 200, 500, _stream(105))
+    curve = aggregate_error_curve(excess, [200])
     emp, se = float(curve.mean_error[0]), float(curve.std_err[0])
     bound = bnd.ark_error_upper(2, 2, 200).value
     elapsed = time.perf_counter() - start
@@ -208,8 +207,8 @@ def test_criterion_07_missing_feature_bound():
     diag[-1] = 0.0
     kind = MisspecifiedConjugate(np.zeros(d), np.diag(diag), s2)
     start = time.perf_counter()
-    losses = run_replicates(spec, (kind, Omniscient()), T, 1000, _stream(107))
-    curve = aggregate_error_curve(losses[:, 0] - losses[:, 1], [T])
+    excess = excess_over_omniscient(spec, kind, T, 1000, _stream(107))
+    curve = aggregate_error_curve(excess, [T])
     emp, se = float(curve.mean_error[0]), float(curve.std_err[0])
     rep, floor = bnd.missing_feature_upper(d, s2, T)
     elapsed = time.perf_counter() - start

@@ -17,6 +17,7 @@ from infolab.estimators import (
     per_step_info,
     run_replicate,
 )
+from infolab.harness import excess_over_omniscient
 from infolab.predictors import (
     ConjugateLinReg,
     MisspecifiedConjugate,
@@ -358,14 +359,6 @@ def test_misspec_decomposition_vacuous_bound():
 # ---------------------------------------------------------------------------
 
 
-def paired_excess(spec, kind, T, seed, replicates):
-    """(replicates, T) losses of kind minus those of the omniscient on the same rollout."""
-    losses = np.stack([
-        run_replicate(spec, (kind, Omniscient()), T, stream(seed, i)) for i in range(replicates)
-    ])
-    return losses[:, 0] - losses[:, 1]
-
-
 def test_run_replicate_deterministic():
     spec = LinReg(d=3, noise_var=0.5)
     a = run_replicate(spec, (conjugate_kind(spec), Omniscient()), 10, stream(5))
@@ -415,7 +408,8 @@ def test_omniscient_mean_loss_is_irreducible_rate():
 
 def test_conjugate_loss_exceeds_omniscient_in_expectation():
     spec = LinReg(d=3, noise_var=0.25)
-    diffs = [float(np.mean(row)) for row in paired_excess(spec, conjugate_kind(spec), 20, 7, 200)]
+    excess = excess_over_omniscient(spec, conjugate_kind(spec), 20, 200, stream(7))
+    diffs = [float(np.mean(row)) for row in excess]
     est = float(np.mean(diffs))
     se = float(np.std(diffs, ddof=1) / math.sqrt(len(diffs)))
     assert est + 3 * se > 0 and est > 0
@@ -423,7 +417,7 @@ def test_conjugate_loss_exceeds_omniscient_in_expectation():
 
 def test_aggregate_curve_invariants():
     spec = LinReg(d=2, noise_var=1.0)
-    excess = paired_excess(spec, Omniscient(), 10, 8, 100)
+    excess = excess_over_omniscient(spec, Omniscient(), 10, 100, stream(8))
     curve = aggregate_error_curve(excess, [5, 10])
     # omniscient predictor: zero excess at every horizon
     assert np.all(np.abs(curve.mean_error) <= 3 * np.maximum(curve.std_err, 1e-15))
@@ -442,7 +436,7 @@ def test_aggregate_curve_invariants():
 
 def test_se_shrinks_with_replicates():
     spec = LinReg(d=2, noise_var=1.0)
-    excess = paired_excess(spec, conjugate_kind(spec), 10, 9, 400)
+    excess = excess_over_omniscient(spec, conjugate_kind(spec), 10, 400, stream(9))
     se_half = aggregate_error_curve(excess[:200], [10]).std_err[0]
     se_full = aggregate_error_curve(excess, [10]).std_err[0]
     ratio = se_half / se_full
@@ -451,7 +445,7 @@ def test_se_shrinks_with_replicates():
 
 def test_bootstrap_mean_matches_plugin():
     spec = LinReg(d=2, noise_var=1.0)
-    excess = paired_excess(spec, conjugate_kind(spec), 10, 10, 200)
+    excess = excess_over_omniscient(spec, conjugate_kind(spec), 10, 200, stream(10))
     curve = aggregate_error_curve(excess, [10])
     per_rep = np.array([float(np.sum(row)) / 10 for row in excess])
     gen = np.random.default_rng(11)
