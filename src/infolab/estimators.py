@@ -15,14 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .info import linreg_mi_given_inputs
-from .predictors import (
-    Omniscient,
-    OracleMetaEnsemble,
-    PriorEnsemble,
-    init_predictor,
-    log_loss,
-    predict,
-)
+from .predictors import Omniscient, OracleMetaEnsemble, PriorEnsemble, init_predictor
 from .processes import (
     LinRep,
     Process,
@@ -33,6 +26,9 @@ from .processes import (
 from .rng import RngStream
 
 MAX_ENUM_STATES = 10**7
+# Most observations a chunk of rollouts holds before its kinds score it; a
+# longer rollout is a chunk of its own.
+CHUNK_OBSERVATIONS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -57,33 +53,56 @@ class ErrorCurve:
             raise ValueError("standard errors must be nonnegative")
 
 
-def run_replicate(spec: Process, kinds: Sequence, T: int, stream: RngStream) -> np.ndarray:
-    """One replicate: one latent and history, every kind in `kinds` scored on it.
+def _rollout(spec: Process, n: int, stream: RngStream):
+    """One replicate's latent and history: seed context, then n steps (meta
+    processes visit their tasks round-robin); step i reads path ("step", i)."""
+    latent = sample_latent(spec, stream.derive(("latent", 0)))
+    history = initial_history(spec, latent, stream.derive(("init", 0)))
+    for i, sub in enumerate(stream.children("step", n)):
+        history.append(step(spec, latent, history, sub, i % spec.tasks if spec.meta else None))
+    return latent, history
 
-    Meta processes visit their tasks round-robin, T steps per task; step i
-    reads stream path ("step", i).  Each kind's state is built from path
-    ("pred", 0), so its losses do not depend on the kinds beside it; it
-    predicts, is scored and observes at every step, and keeps no copy of the
-    history.  Returns the (len(kinds), T * tasks) per-step log-losses.
+
+def _score_chunk(spec: Process, kinds: Sequence, n: int, streams: Sequence[RngStream]):
+    """(len(streams), len(kinds), n) log-losses of one chunk of replicates."""
+    rollouts = [_rollout(spec, n, s) for s in streams]
+    histories = [history for _, history in rollouts]
+    losses = np.empty((len(streams), len(kinds), n))
+    for j, kind in enumerate(kinds):
+        states = (
+            init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0)))
+            for (latent, _), s in zip(rollouts, streams)
+        )
+        losses[:, j] = kind.score(spec, states, histories, n)
+    return losses
+
+
+def score_rollouts(spec: Process, kinds: Sequence, T: int, streams: Sequence[RngStream]):
+    """(len(streams), len(kinds), T * tasks) log-losses of every kind in
+    `kinds` on one rollout per replicate stream.
+
+    A chunk of at most CHUNK_OBSERVATIONS observations (or one replicate) is
+    rolled out, one replicate alone at a time; then each kind scores it
+    (`PredictorKind.score`) with states built from path ("pred", 0).  Process
+    and predictor draws read disjoint paths, so neither the phases, the chunk
+    size nor the kinds beside a kind change its losses.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    tasks = spec.tasks if spec.meta else 1
-    latent = sample_latent(spec, stream.derive(("latent", 0)))
-    history = initial_history(spec, latent, stream.derive(("init", 0)))
-    states = [
-        init_predictor(kind, spec, latent=latent, stream=stream.derive(("pred", 0)))
-        for kind in kinds
-    ]
-    losses = np.empty((len(states), T * tasks))
-    for i, sub in enumerate(stream.children("step", T * tasks)):
-        m = i % tasks if spec.meta else None
-        obs = step(spec, latent, history, sub, m)
-        for j, state in enumerate(states):
-            losses[j, i] = log_loss(predict(state, spec, history, obs.x, m), obs.y)
-            state.observe(spec, history, obs)
-        history.append(obs)
+    if not kinds:
+        raise ValueError("kinds must name at least one predictor kind")
+    n = T * (spec.tasks if spec.meta else 1)
+    size = max(1, CHUNK_OBSERVATIONS // n)
+    losses = np.empty((len(streams), len(kinds), n))
+    for start in range(0, len(streams), size):
+        losses[start:start + size] = _score_chunk(spec, kinds, n, streams[start:start + size])
     return losses
+
+
+def run_replicate(spec: Process, kinds: Sequence, T: int, stream: RngStream) -> np.ndarray:
+    """One replicate's (len(kinds), T * tasks) log-losses: its process rolled
+    out once, then every kind in `kinds` scored on it (see `score_rollouts`)."""
+    return score_rollouts(spec, kinds, T, [stream])[0]
 
 
 def aggregate_error_curve(
@@ -300,10 +319,10 @@ def meta_error_split(
     """Total / intra-task / meta error split for the representation process.
 
     Replicate i is one rollout on stream path ("rep", i), ("total", 0) that
-    scores the prior ensemble over (psi, xi) (total), the oracle-meta filter
-    with the shared representation revealed (intra) and the omniscient
-    baseline of both; meta = total - intra per replicate, so its SE reflects
-    the pairing.
+    the prior ensemble over (psi, xi) (total), the oracle-meta filter with
+    the shared representation revealed (intra) and the omniscient baseline
+    of both score one after another, so one ensemble state lives at a time;
+    meta = total - intra per replicate, so its SE reflects the pairing.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bounds as bnd
-from .estimators import ErrorCurve, aggregate_error_curve, run_replicate
+from .estimators import ErrorCurve, aggregate_error_curve, score_rollouts
 from .predictors import PREDICTOR_KINDS, Omniscient
 from .processes import (
     PROCESS_KINDS, Process, irreducible_rate, strict_float, strict_int, strict_list, strict_str,
@@ -227,9 +227,13 @@ def verify_curve(
 def run_replicates(
     spec: Process, kinds: Sequence, T: int, replicates: int, stream: RngStream
 ) -> np.ndarray:
-    """(replicates, len(kinds), T * tasks) losses; replicate i reads stream path ("rep", i)."""
-    runs = [run_replicate(spec, kinds, T, stream.derive(("rep", i))) for i in range(replicates)]
-    return np.stack(runs)
+    """(replicates, len(kinds), T * tasks) losses; replicate i reads stream path ("rep", i).
+
+    Rolled out and scored a chunk of replicates at a time (`estimators.score_rollouts`).
+    """
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, not {replicates}")
+    return score_rollouts(spec, kinds, T, [stream.derive(("rep", i)) for i in range(replicates)])
 
 
 def excess_over_omniscient(spec: Process, kind, T: int, R: int, stream: RngStream) -> np.ndarray:

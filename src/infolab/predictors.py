@@ -10,6 +10,8 @@ Enumeration, ensembles and the oracle-meta filter all hold one kind of
 state: weighted particles (`EnsembleState`).  `predict(spec, history, x,
 task)` and `observe(spec, history, obs)` read the caller's history: the
 observations before the next one, seed context included.  No state copies it.
+A kind's `score` runs a chunk of states along their rollouts' histories:
+one state at a time by default, all at once for the conjugate kinds.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .processes import (
     Particles,
     Process,
     float_array,
+    gaussian_log_loss,
     logsumexp,
     softmax,
     strict_float,
@@ -53,8 +56,29 @@ def _normalized_log_weights(logw: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class PredictorKind:
+    """A predictor kind: `init` builds its prior state, `score` scores states."""
+
+    def score(self, spec: Process, states, histories: Sequence[List[Observation]], n: int):
+        """(C, n) log-losses on the last n observations of each of C histories.
+
+        The iterator `states` yields each history's prior state.  Each state
+        predicts, is scored and observes one step at a time on the history
+        before the step, and is done before the next is built.
+        """
+        losses = np.empty((len(histories), n))
+        for row, history in zip(losses, histories):
+            state, seen = next(states), history[:len(history) - n]
+            for i, obs in enumerate(history[len(history) - n:]):
+                row[i] = log_loss(predict(state, spec, seen, obs.x, obs.task), obs.y)
+                state.observe(spec, seen, obs)
+                seen.append(obs)
+            del state  # free it before the next one is built
+        return losses
+
+
 @dataclass(frozen=True)
-class ConjugateLinReg(Configurable):
+class ConjugateLinReg(PredictorKind, Configurable):
     prior_mean: np.ndarray
     prior_cov: np.ndarray
     noise_var: float
@@ -90,9 +114,30 @@ class ConjugateLinReg(Configurable):
             raise ValueError("prior covariance must be PSD")
         return ConjugateState(kind=self, mean=mean, cov=cov)
 
+    def score(self, spec, states, histories, n):
+        """The default's losses, the C states stepped together through the
+        recurrence that `ConjugateState` runs."""
+        states = list(states)
+        mean = np.stack([s.mean for s in states])[:, None, :]
+        cov = np.stack([s.cov for s in states])
+        steps = [history[len(history) - n:] for history in histories]
+        xs = np.stack([np.stack([obs.x for obs in h]) for h in steps], axis=1)  # (n, C, d)
+        rows, cols = xs[..., None, :], xs[..., None]
+        ys = np.array([[obs.y for obs in h] for h in steps]).T[..., None, None]  # (n, C, 1, 1)
+        means, variances = np.empty_like(ys), np.empty_like(ys)
+        for i in range(n):
+            means[i], variances[i] = conjugate_moments(mean, cov, self.noise_var, rows[i], cols[i])
+            mean, cov = conjugate_update(
+                mean, cov, self.noise_var, rows[i], cols[i], ys[i], means[i]
+            )
+        # Per element in Python floats, as GaussianPred.log_loss computes it.
+        losses = map(gaussian_log_loss, means.ravel().tolist(), variances.ravel().tolist(),
+                     ys.ravel().tolist())
+        return np.fromiter(losses, float, count=ys.size).reshape(n, len(states)).T
+
 
 @dataclass(frozen=True)
-class Enumeration:
+class Enumeration(PredictorKind):
     support: Sequence
     prior: np.ndarray
 
@@ -110,7 +155,7 @@ class Enumeration:
 
 
 @dataclass(frozen=True)
-class PriorEnsemble(Configurable):
+class PriorEnsemble(PredictorKind, Configurable):
     size: int = 2048
     resample_ess_frac: float = 0.5
 
@@ -129,7 +174,7 @@ class PriorEnsemble(Configurable):
 
 
 @dataclass(frozen=True)
-class Omniscient(Configurable):
+class Omniscient(PredictorKind, Configurable):
     kind = "omniscient"
     config = {}
 
@@ -148,7 +193,7 @@ class MisspecifiedConjugate(ConjugateLinReg):
 
 
 @dataclass(frozen=True)
-class MisspecifiedWidth(Configurable):
+class MisspecifiedWidth(PredictorKind, Configurable):
     """Ensemble posterior whose particles come from the width-n snapped prior.
 
     The kind is also the particles' prior: it stacks the width-n nets and
@@ -220,7 +265,7 @@ class _KnownRepresentation:
 
 
 @dataclass(frozen=True)
-class OracleMetaEnsemble:
+class OracleMetaEnsemble(PredictorKind):
     """Per-task ensemble over task latents with the shared representation known.
 
     Implements the oracle-meta predictor used to isolate the intra-task error
@@ -255,25 +300,47 @@ class OracleMetaEnsemble:
 # ---------------------------------------------------------------------------
 
 
+def conjugate_moments(mean, cov, noise_var, row, col):
+    """Predictive mean and variance, each (..., 1, 1), of the label at an input.
+
+    The conjugate recurrence (this and `conjugate_update`) takes any leading
+    axes: mean (..., 1, d), cov (..., d, d), the input as a row (..., 1, d)
+    and a column (..., d, 1).  numpy's matmul hands each product to the same
+    BLAS dot or gemv with or without leading axes, so a state stepped in a
+    chunk gets the bits it gets alone.
+    """
+    return mean @ col, noise_var + (row @ cov) @ col
+
+
+def conjugate_update(mean, cov, noise_var, row, col, y, mean_x):
+    """Posterior mean and covariance after label y at an input (a rank-one
+    update); mean_x is the predictive mean `conjugate_moments` gave there."""
+    cx = cov @ col
+    s = noise_var + row @ cx
+    cx_row = cx.swapaxes(-1, -2)
+    return mean + cx_row * ((y - mean_x) / s), cov - cx * cx_row / s
+
+
 @dataclass
 class ConjugateState:
+    """Gaussian posterior N(mean, cov) of theta: mean (d,), cov (d, d)."""
+
     kind: ConjugateLinReg
     mean: np.ndarray
     cov: np.ndarray
 
     def observe(self, spec: Process, history: List[Observation], obs: Observation) -> None:
-        x, y = obs.x, float(obs.y)
-        noise_var = self.kind.noise_var
-        cx = self.cov @ x
-        s = noise_var + float(x @ cx)
-        self.mean = self.mean + cx * ((y - float(self.mean @ x)) / s)
-        self.cov = self.cov - np.outer(cx, cx) / s
+        mean, row, col = self.mean[None], obs.x[None], obs.x[:, None]
+        mean, self.cov = conjugate_update(
+            mean, self.cov, self.kind.noise_var, row, col, float(obs.y), mean @ col
+        )
+        self.mean = mean[0]
 
     def predict(self, spec: Process, history: List[Observation], x, task: Optional[int] = None):
-        return GaussianPred(
-            mean=float(self.mean @ x),
-            variance=self.kind.noise_var + float(x @ self.cov @ x),
+        mean, variance = conjugate_moments(
+            self.mean[None], self.cov, self.kind.noise_var, x[None], x[:, None]
         )
+        return GaussianPred(mean=float(mean[0, 0]), variance=float(variance[0, 0]))
 
 
 class Resampler:

@@ -48,15 +48,18 @@ def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def gaussian_log_loss(mean: float, variance: float, y: float) -> float:
+    """-log N(y; mean, variance) in nats, in Python floats (libm log and pow)."""
+    return 0.5 * (LOG_2PI + math.log(variance)) + (y - mean) ** 2 / (2.0 * variance)
+
+
 @dataclass
 class GaussianPred:
     mean: float
     variance: float
 
     def log_loss(self, y: float) -> float:
-        return 0.5 * (LOG_2PI + math.log(self.variance)) + (y - self.mean) ** 2 / (
-            2.0 * self.variance
-        )
+        return gaussian_log_loss(self.mean, self.variance, y)
 
 
 @dataclass
@@ -819,7 +822,7 @@ class IclLatent:
 
 
 # A history is a plain list of observations, oldest first.
-@dataclass
+@dataclass(slots=True)
 class Observation:
     """One (input, label) pair; token processes use x=None and integer y."""
 

@@ -7,13 +7,19 @@ re-derived independently of scheduling order.
 
 The seed contract fixes which path each draw reads; results are
 reproducible from the master seed under it, and any change to a path or to
-the numbers drawn from it bumps ``SEED_CONTRACT``.  Under a replicate's
-stream, ``estimators.run_replicate`` reads:
+the numbers drawn from it bumps ``SEED_CONTRACT``.  ``estimators.run_replicate``
+and ``harness.run_replicates`` share one engine, ``estimators.score_rollouts``.
+It first rolls out each replicate's process alone, reading under the
+replicate's stream:
 
 - ``("latent", 0)``: the process latent (``sample_latent``);
 - ``("init", 0)``: the seed tokens of sequence processes;
-- ``("step", i)``: the draws of step i;
-- ``("pred", 0)``: each predictor kind it scores (every kind's state is
+- ``("step", i)``: the draws of step i.
+
+Then each predictor kind scores the rollouts of a chunk of replicates,
+reading under each replicate's stream:
+
+- ``("pred", 0)``: the prior state of each kind (every kind's state is
   built from this same path), which reads below it
   - ``("particles", 0)``: a prior ensemble's particles, drawn in one call by
     specs with array latents and from ``("particle", j)`` below it, one
@@ -25,10 +31,12 @@ stream, ``estimators.run_replicate`` reads:
   - ``("sis", 0)``: the resampler, whose k-th draw reads ``("resample", k)``
     below it (the oracle's tasks share one resampler).
 
-``harness.run_replicates`` gives replicate i the path ``("rep", i)``;
-``estimators.meta_error_split`` runs replicate i on ``("rep", i), ("total",
-0)`` as one rollout that scores the prior ensemble, the oracle-meta filter
-and the omniscient baseline on the same latent and labels.
+Process and predictor draws read disjoint paths, each keyed by its own
+hash, so scoring after the rollout, the chunk size and the kinds scored
+beside a kind change no number.  ``harness.run_replicates`` gives replicate
+i the path ``("rep", i)``; ``estimators.meta_error_split`` runs replicate i
+on ``("rep", i), ("total", 0)`` as one rollout that the prior ensemble, the
+oracle-meta filter and the omniscient baseline score one after another.
 """
 
 from __future__ import annotations

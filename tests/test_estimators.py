@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from infolab import estimators
 from infolab.estimators import (
     EnumerationModel,
     aggregate_error_curve,
@@ -17,15 +18,20 @@ from infolab.estimators import (
     per_step_info,
     run_replicate,
 )
-from infolab.harness import excess_over_omniscient
+from infolab.harness import excess_over_omniscient, run_replicates
 from infolab.predictors import (
     ConjugateLinReg,
     MisspecifiedConjugate,
     Omniscient,
     OracleMetaEnsemble,
     PriorEnsemble,
+    init_predictor,
+    log_loss,
+    predict,
 )
-from infolab.processes import BinaryARK, LinRep, LinReg, LogReg
+from infolab.processes import (
+    BinaryARK, LinRep, LinReg, LogReg, initial_history, sample_latent, step,
+)
 from infolab.rng import RngStream, SeedSpec
 from infolab import bounds as bnd
 
@@ -392,6 +398,81 @@ def test_kinds_scored_together_equal_kinds_scored_alone(index, case):
     for j, kind in enumerate(kinds):
         alone = run_replicate(spec, (kind,), 12, stream(18, ("case", index)))
         assert together[j].tolist() == alone[0].tolist(), j
+
+
+def _chunked_conjugate_cases():
+    """Conjugate kinds, alone and paired with an omniscient, on LinReg d=3."""
+    spec = LinReg(d=3, noise_var=0.25)
+    singular = np.diag([spec.prior_var, 0.0, spec.prior_var])  # a missing feature
+    return spec, {
+        "conjugate": (conjugate_kind(spec),),
+        "misspecified_singular": (MisspecifiedConjugate(np.zeros(3), singular, 0.25),),
+        "conjugate_omniscient": (conjugate_kind(spec), Omniscient()),
+        "misspecified_omniscient": (
+            MisspecifiedConjugate(np.full(3, 0.5), singular, 0.25), Omniscient()
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_chunked_conjugate_cases()[1]))
+def test_losses_do_not_depend_on_the_chunk_size(case, monkeypatch):
+    """Chunks of one replicate and one chunk of all of them give the same bits."""
+    spec, kinds = _chunked_conjugate_cases()
+    kinds = kinds[case]
+    runs = []
+    for observations in (1, 10**6):
+        monkeypatch.setattr(estimators, "CHUNK_OBSERVATIONS", observations)
+        runs.append(run_replicates(spec, kinds, 15, 7, stream(24)))
+    assert runs[0].shape == (7, len(kinds), 15)
+    assert runs[0].tolist() == runs[1].tolist()
+
+
+@pytest.mark.parametrize("case", ["conjugate", "misspecified_singular"])
+def test_conjugate_chunk_score_equals_a_state_loop(case):
+    """The chunk recurrence over (C, d) means and (C, d, d) covariances gives
+    each replicate the bits of its own ConjugateState, stepped alone."""
+    spec, kinds = _chunked_conjugate_cases()
+    kind, T, histories, states = kinds[case][0], 40, [], []
+    for i in range(5):
+        s = stream(25, ("rep", i))
+        latent = sample_latent(spec, s.derive(("latent", 0)))
+        history = initial_history(spec, latent, s.derive(("init", 0)))
+        for sub in s.children("step", T):
+            history.append(step(spec, latent, history, sub))
+        histories.append(history)
+        states.append(init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0))))
+    by_hand = []
+    for history in histories:
+        state = init_predictor(kind, spec)
+        row = []
+        for t, obs in enumerate(history):
+            row.append(log_loss(predict(state, spec, history[:t], obs.x), obs.y))
+            state.observe(spec, history[:t], obs)
+        by_hand.append(row)
+    assert kind.score(spec, iter(states), histories, T).tolist() == by_hand
+
+
+def test_no_chunk_holds_more_observations_than_the_constant(monkeypatch):
+    """Count process steps between the chunks' scorings."""
+    monkeypatch.setattr(estimators, "CHUNK_OBSERVATIONS", 40)
+    held, steps, init, spec = [], [0], estimators.init_predictor, LinReg(d=2, noise_var=0.5)
+
+    def counting_step(*args):
+        steps[0] += 1
+        return step(*args)
+
+    def scoring_init(*args, **kwargs):
+        held.append(steps[0])
+        steps[0] = 0
+        return init(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "step", counting_step)
+    monkeypatch.setattr(estimators, "init_predictor", scoring_init)
+    losses = run_replicates(spec, (conjugate_kind(spec),), 12, 7, stream(26))
+    assert losses.shape == (7, 1, 12)
+    # chunks of 3, 3 and 1 replicates; the first init of a chunk sees its steps
+    assert [h for h in held if h] == [36, 36, 12]
+    assert max(held) <= estimators.CHUNK_OBSERVATIONS
 
 
 def test_omniscient_mean_loss_is_irreducible_rate():

@@ -12,6 +12,7 @@ from infolab import harness
 from infolab.cli import main as cli_main
 from infolab.predictors import PREDICTOR_KINDS, ConjugateLinReg, Omniscient
 from infolab.processes import BinaryARK, DirichletNet, LinRep, LinReg, Transformer
+from infolab.rng import RngStream, SeedSpec
 
 
 def _tiny_config(seed=11, replicates=16):
@@ -201,6 +202,21 @@ def test_scenario_runs_an_omniscient_only_without_irreducible_rate(
     })
     harness.run_scenario(config)
     assert len(calls) == inits
+
+
+@pytest.mark.parametrize("replicates", [0, -2])
+def test_run_replicates_refuses_no_replicates(replicates):
+    spec = LinReg(d=2, noise_var=0.25)
+    stream = RngStream(SeedSpec(13))
+    with pytest.raises(ValueError, match=r"^replicates must be >= 1, not -?\d+$"):
+        harness.run_replicates(spec, (Omniscient(),), 4, replicates, stream)
+
+
+def test_run_replicates_refuses_no_kinds():
+    spec = LinReg(d=2, noise_var=0.25)
+    stream = RngStream(SeedSpec(13))
+    with pytest.raises(ValueError, match="^kinds must name at least one predictor kind$"):
+        harness.run_replicates(spec, (), 4, 3, stream)
 
 
 def test_scenario_json_output(tmp_path):
