@@ -20,6 +20,7 @@ from .processes import (
     LinRep,
     Process,
     initial_history,
+    mean_se,
     sample_latent,
     step,
 )
@@ -119,17 +120,13 @@ def aggregate_error_curve(
         raise ValueError("need at least 2 replicates")
     horizons = list(horizons)
     cum = np.cumsum(excess, axis=1)
-    means, ses = [], []
-    for t in horizons:
-        if not 1 <= t <= T:
-            raise ValueError("horizon outside the simulated range")
-        per_rep = cum[:, t - 1] / t
-        means.append(float(np.mean(per_rep)))
-        ses.append(float(np.std(per_rep, ddof=1) / math.sqrt(R)))
+    if not all(1 <= t <= T for t in horizons):
+        raise ValueError("horizon outside the simulated range")
+    means, ses = np.array([mean_se(cum[:, t - 1] / t) for t in horizons]).reshape(-1, 2).T
     return ErrorCurve(
         horizons=horizons,
-        mean_error=np.array(means),
-        std_err=np.array(ses),
+        mean_error=means,
+        std_err=ses,
         replicates=R,
         scenario_id=scenario_id,
     )
@@ -297,7 +294,7 @@ def linreg_mi_mc(
     for i, sub in enumerate(stream.children("rep", replicates)):
         X = sub.gen.normal(size=(T, d))
         vals[i] = linreg_mi_given_inputs(X, prior_var, noise_var)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(replicates))
+    return mean_se(vals)
 
 
 @dataclass
@@ -336,10 +333,4 @@ def meta_error_split(
         total, intra, omni = run_replicate(spec, kinds, T, stream.derive(("rep", i), ("total", 0)))
         totals[i] = float(np.sum(total - omni)) / n
         intras[i] = float(np.sum(intra - omni)) / n
-    diffs = totals - intras
-    rse = lambda v: float(np.std(v, ddof=1) / math.sqrt(replicates))
-    return MetaSplit(
-        total=(float(np.mean(totals)), rse(totals)),
-        intra=(float(np.mean(intras)), rse(intras)),
-        meta=(float(np.mean(diffs)), rse(diffs)),
-    )
+    return MetaSplit(total=mean_se(totals), intra=mean_se(intras), meta=mean_se(totals - intras))

@@ -198,10 +198,8 @@ def verify_curve(
                 if not rep.valid:
                     continue
                 if rep.side == "upper":
-                    ok = emp - k * se <= rep.value
                     margin = rep.value - (emp - k * se)
                 else:
-                    ok = emp + k * se >= rep.value
                     margin = (emp + k * se) - rep.value
                 rows.append(
                     VerificationRow(
@@ -212,7 +210,7 @@ def verify_curve(
                         empirical=emp,
                         std_err=se,
                         bound=rep.value,
-                        passed=ok,
+                        passed=margin >= 0,
                         margin=margin,
                     )
                 )
@@ -466,12 +464,14 @@ def write_scenario_outputs(result: ScenarioResult, out_dir: str, fmt: str = "csv
 
 
 def write_sweep_output(sweep: ScalingSweep, out_dir: str, fmt: str = "csv") -> str:
+    if fmt not in ("csv", "json"):
+        raise ValueError("format must be 'csv' or 'json'")
     header = ["C", "n_star", "T_star", "bound"]
     rows = [
         [float(c), int(n), float(t), float(v)]
         for c, n, t, v in zip(sweep.c_values, sweep.n_star, sweep.t_star, sweep.bound_value)
     ]
-    path = os.path.join(out_dir, "scaling_sweep.json" if fmt == "json" else "scaling_sweep.csv")
+    path = os.path.join(out_dir, f"scaling_sweep.{fmt}")
     if fmt == "json":
         payload = {
             "version": CONFIG_VERSION,

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .processes import bernoulli_log_loss
+
 
 def _validate_pmf(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
@@ -76,20 +78,14 @@ def kl_gaussian(p: GaussianParams, q: GaussianParams) -> float:
     return float(0.5 * (trace_term + quad - d + logdet_q - logdet_p))
 
 
-def _softplus(x: float) -> float:
-    # ln(1 + e^x), stable for large |x|
-    return float(np.logaddexp(0.0, x))
-
-
 def binary_kl_logits(x: float, y: float) -> float:
     """KL(Bernoulli(sigmoid(x)) || Bernoulli(sigmoid(y))) in nats.
 
     Computed in the log domain; always lies in [0, (x - y)^2 / 8].
     """
     px = 1.0 / (1.0 + math.exp(-x)) if x > -700 else 0.0
-    return px * (_softplus(-y) - _softplus(-x)) + (1.0 - px) * (
-        _softplus(y) - _softplus(x)
-    )
+    loss = bernoulli_log_loss
+    return float(px * (loss(y, 1) - loss(x, 1)) + (1.0 - px) * (loss(y, 0) - loss(x, 0)))
 
 
 def lambert_w(x: float) -> float:

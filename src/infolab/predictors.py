@@ -170,7 +170,7 @@ class PriorEnsemble(PredictorKind, Configurable):
         if stream is None:
             raise ValueError("PriorEnsemble requires a stream")
         particles = spec.sample_particles(self.size, stream.derive(("particles", 0)))
-        return EnsembleState.start(self, particles, stream)
+        return EnsembleState.start(self, particles, Resampler(stream))
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ class MisspecifiedWidth(PredictorKind, Configurable):
             misspecified_width_prior_sample(spec, self.n, self.eps, sub)
             for sub in stream.children("particle", self.size)
         ]
-        return EnsembleState.start(self, Particles.stack(self, nets), stream)
+        return EnsembleState.start(self, Particles.stack(self, nets), Resampler(stream))
 
     def stack_particles(self, nets):
         return {
@@ -285,13 +285,9 @@ class OracleMetaEnsemble(PredictorKind):
               for m in range(spec.tasks)]
         # One resampler for all tasks: draw k reads ("resample", k) whichever
         # task's filter asks for it.
-        resampler = Resampler(stream.derive(("sis", 0)))
-        uniform = np.full(self.size, -math.log(self.size))
+        resampler = Resampler(stream)
         return OracleMetaState(
-            [
-                EnsembleState(self, Particles(prior, self.size, xi=x), uniform, resampler)
-                for x in xi
-            ]
+            [EnsembleState.start(self, Particles(prior, self.size, xi=x), resampler) for x in xi]
         )
 
 
@@ -344,13 +340,13 @@ class ConjugateState:
 
 
 class Resampler:
-    """Multinomial resampling; draw k reads stream path ("resample", k).
+    """Multinomial resampling; draw k reads path ("sis", 0), ("resample", k) of its stream.
 
     Filters that share one resampler share its draw counter.
     """
 
     def __init__(self, stream: RngStream):
-        self.stream = stream
+        self.stream = stream.derive(("sis", 0))
         self.count = 0
 
     def indices(self, weights: np.ndarray) -> np.ndarray:
@@ -380,13 +376,13 @@ class EnsembleState:
     _predicted: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @classmethod
-    def start(cls, kind, particles: Particles, stream: RngStream) -> "EnsembleState":
-        """Uniform weights over fresh particles; resampling draws from stream."""
+    def start(cls, kind, particles: Particles, resampler: Resampler) -> "EnsembleState":
+        """Uniform weights over fresh particles, resampled by `resampler`."""
         return cls(
             kind=kind,
             particles=particles,
             log_weights=np.full(particles.size, -math.log(particles.size)),
-            resampler=Resampler(stream.derive(("sis", 0))),
+            resampler=resampler,
         )
 
     @property

@@ -48,9 +48,19 @@ def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def gaussian_log_loss(mean: float, variance: float, y: float) -> float:
-    """-log N(y; mean, variance) in nats, in Python floats (libm log and pow)."""
+def mean_se(values: np.ndarray):
+    """(mean, standard error) of replicate values; the SE uses the n - 1 sample std."""
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values)))
+
+
+def gaussian_log_loss(mean, variance: float, y: float):
+    """-log N(y; mean, variance) in nats, elementwise over means; libm log and pow for floats."""
     return 0.5 * (LOG_2PI + math.log(variance)) + (y - mean) ** 2 / (2.0 * variance)
+
+
+def bernoulli_log_loss(logits, y: int):
+    """-log P(y | logit) of a binary label, elementwise over an array of logits."""
+    return np.logaddexp(0.0, -logits) if y == 1 else np.logaddexp(0.0, logits)
 
 
 @dataclass
@@ -76,9 +86,7 @@ class GaussianMixturePred:
     log_weights: np.ndarray
 
     def log_loss(self, y: float) -> float:
-        comp = -0.5 * (LOG_2PI + math.log(self.variance)) - (
-            (y - self.means) ** 2
-        ) / (2.0 * self.variance)
+        comp = -gaussian_log_loss(self.means, self.variance, y)
         return float(-logsumexp(self.log_weights + comp))
 
 
@@ -91,8 +99,7 @@ class BernoulliLogitPred:
         return 1.0 / (1.0 + math.exp(-self.logit)) if self.logit > -700 else 0.0
 
     def log_loss(self, y: int) -> float:
-        z = self.logit
-        return float(np.logaddexp(0.0, -z)) if y == 1 else float(np.logaddexp(0.0, z))
+        return float(bernoulli_log_loss(self.logit, y))
 
 
 @dataclass
@@ -188,8 +195,8 @@ class Process(Configurable):
     `sample_particles`, vectorize `particle_stat` and name the latent fields
     it reads stacked in `particle_arrays`; sequence processes set
     `seed_tokens` and `seed_label`.  The output family supplies `step`,
-    `cond_logprob`, `loglik`, `point` and `mixture`; meta processes take the
-    task of each step and iid ones take none.
+    `loglik` (by default also `cond_logprob`), `point` and `mixture`; meta
+    processes take the task of each step and iid ones take none.
     """
 
     meta = False
@@ -223,6 +230,9 @@ class Process(Configurable):
         # Latent-list particles, e.g. Dirichlet draws whose atom counts differ.
         return np.array([self.conditional(l, history, x, task) for l in particles.latents])
 
+    def cond_logprob(self, latent, history, x, y, task=None) -> float:
+        return float(self.loglik(self.conditional(latent, history, x, task), y))
+
 
 class _Gaussian(Process):
     """Y = conditional mean + N(0, noise_var), inputs X ~ N(0, I_d)."""
@@ -234,13 +244,8 @@ class _Gaussian(Process):
         )
         return Observation(x=x, y=y)
 
-    def cond_logprob(self, latent, history, x, y, task=None) -> float:
-        return self.loglik(self.conditional(latent, history, x, task), y)
-
     def loglik(self, means, y):
-        return -0.5 * (LOG_2PI + math.log(self.noise_var)) - (float(y) - means) ** 2 / (
-            2.0 * self.noise_var
-        )
+        return -gaussian_log_loss(means, self.noise_var, float(y))
 
     def irreducible_rate(self) -> float:
         return 0.5 * math.log(2.0 * math.pi * math.e * self.noise_var)
@@ -262,11 +267,8 @@ class _Bernoulli(Process):
         p1 = _sigmoid(self.conditional(latent, history, x, task))
         return Observation(x=x, y=int(stream.gen.random() < p1))
 
-    def cond_logprob(self, latent, history, x, y, task=None) -> float:
-        return float(self.loglik(self.conditional(latent, history, x, task), y))
-
     def loglik(self, logits, y):
-        return -np.logaddexp(0.0, -logits) if y == 1 else -np.logaddexp(0.0, logits)
+        return -bernoulli_log_loss(logits, y)
 
     def point(self, logit: float) -> BernoulliLogitPred:
         return BernoulliLogitPred(logit)
@@ -680,7 +682,7 @@ class LinRep(_MetaCategorical):
             raise ValueError("LinRep requires d > r")
 
     def sample_latent(self, stream: RngStream) -> "LinRepLatent":
-        psi = _sample_orthonormal(self.d, self.r, stream.derive(("psi", 0)))
+        psi = orthonormal_columns(stream.derive(("psi", 0)).gen.normal(size=(self.d, self.r)))
         xi = np.stack(
             [
                 sample_gaussian(stream.derive(("xi", m)), self.r, 1.0 / self.r)
@@ -690,13 +692,9 @@ class LinRep(_MetaCategorical):
         return LinRepLatent(psi=psi, xi=xi)
 
     def sample_particles(self, size: int, stream: RngStream) -> Particles:
-        gen = stream.gen
-        g = gen.normal(size=(size, self.d, self.r))
-        q, r = np.linalg.qr(g)
-        signs = np.sign(np.einsum("sii->si", r))
-        signs[signs == 0] = 1.0
-        xi = gen.normal(0.0, math.sqrt(1.0 / self.r), size=(size, self.tasks, self.r))
-        return Particles(self, size, psi=q * signs[:, None, :], xi=xi)
+        psi = orthonormal_columns(stream.gen.normal(size=(size, self.d, self.r)))
+        xi = stream.gen.normal(0.0, math.sqrt(1.0 / self.r), size=(size, self.tasks, self.r))
+        return Particles(self, size, psi=psi, xi=xi)
 
     def conditional(self, latent, history, x, task) -> np.ndarray:
         self.check_task(task)
@@ -836,12 +834,12 @@ class Observation:
 # ---------------------------------------------------------------------------
 
 
-def _sample_orthonormal(d: int, r: int, stream: RngStream) -> np.ndarray:
-    g = stream.gen.normal(size=(d, r))
-    q, rr = np.linalg.qr(g)
-    # Fix signs so the map from Gaussian draws is uniquely determined.
-    q = q * np.sign(np.diag(rr))
-    return q
+def orthonormal_columns(g: np.ndarray) -> np.ndarray:
+    """Q of g = QR over (..., d, r), column signs set so diag(R) >= 0 (a zero counts as +1)."""
+    q, r = np.linalg.qr(g)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    return q * signs[..., None, :]
 
 
 def _polya_urn_assignments(n: int, scale: float, classes: int, stream: RngStream) -> np.ndarray:

@@ -7,13 +7,14 @@ sampler built from them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .processes import DirichletNet, DirichletNetLatent, sample_latent
+from .processes import DirichletNet, DirichletNetLatent, mean_se, sample_latent
 from .rng import RngStream, sample_categorical
 
 # Distortion figures below are the squared-function-gap surrogate the
@@ -30,6 +31,11 @@ class QuantizerReport:
     def __post_init__(self):
         if self.rate_nats < 0:
             raise ValueError("rate must be nonnegative")
+
+    @classmethod
+    def from_samples(cls, rate_nats: float, distortions: np.ndarray, bound: Optional[float]):
+        """The report whose distortion is the mean, with its SE, of the samples."""
+        return cls(rate_nats, *mean_se(distortions), bound)
 
 
 @dataclass
@@ -79,13 +85,7 @@ def gaussian_quantize(
     bound = None
     if noise_var is not None:
         bound = 0.5 * math.log1p(delta2 / ((1.0 + delta2) * noise_var))
-    report = QuantizerReport(
-        rate_nats=rate,
-        empirical_distortion=float(np.mean(sq)),
-        distortion_se=float(np.std(sq, ddof=1) / math.sqrt(mc_draws)),
-        distortion_bound=bound,
-    )
-    return theta + noise[0], report
+    return theta + noise[0], QuantizerReport.from_samples(rate, sq, bound)
 
 
 def linreg_quantizer_delta2(eps: float, noise_var: float) -> float:
@@ -115,9 +115,17 @@ def width_reduce(
     )
 
 
-def _dp_output(spec: DirichletNet, latent: DirichletNetLatent, X: np.ndarray) -> np.ndarray:
+def _reduce(spec, latent, m: int, eps: float, stream: RngStream) -> FiniteWidthNet:
+    """The latent reduced to width m, snapped to an eps-cover of the sphere when eps > 0."""
+    net = width_reduce(spec, latent, m, stream.derive(("reduce", 0)))
+    return snap_to_cover(net, get_sphere_cover(spec.d, eps)) if eps > 0 else net
+
+
+def _squared_gap(spec, latent, net, n_inputs: int, stream: RngStream) -> np.ndarray:
+    """(F - F_m)^2 of the latent's net and the reduced one at fresh standard-normal inputs."""
+    X = stream.derive(("inputs", 0)).gen.normal(size=(n_inputs, spec.d))
     acts = np.maximum(X @ latent.draw.atoms.T, 0.0)  # (n, atoms)
-    return spec.output_scale * (acts @ (latent.signs * latent.draw.weights))
+    return (spec.output_scale * (acts @ (latent.signs * latent.draw.weights)) - net.output(X)) ** 2
 
 
 def multinomial_width_reduce(
@@ -133,16 +141,9 @@ def multinomial_width_reduce(
     this latent and this reduction draw; the analytic target is K/m averaged
     over everything, so grid tests additionally average over latents.
     """
-    net = width_reduce(spec, latent, m, stream.derive(("reduce", 0)))
-    X = stream.derive(("inputs", 0)).gen.normal(size=(n_inputs, spec.d))
-    gap = (_dp_output(spec, latent, X) - net.output(X)) ** 2
-    report = QuantizerReport(
-        rate_nats=0.0,
-        empirical_distortion=float(np.mean(gap)),
-        distortion_se=float(np.std(gap, ddof=1) / math.sqrt(n_inputs)),
-        distortion_bound=spec.scale / m,
-    )
-    return net, report
+    net = _reduce(spec, latent, m, 0.0, stream)
+    gap = _squared_gap(spec, latent, net, n_inputs, stream)
+    return net, QuantizerReport.from_samples(0.0, gap, spec.scale / m)
 
 
 def width_reduction_distortion(
@@ -159,17 +160,12 @@ def width_reduction_distortion(
     With eps > 0 the reduced net's atoms are additionally snapped to an
     eps-cover of the sphere.
     """
-    cover = get_sphere_cover(spec.d, eps) if eps > 0 else None
     means = np.empty(n_latents)
     for i, sub in enumerate(stream.children("latent", n_latents)):
         latent = sample_latent(spec, sub.derive(("prior", 0)))
-        net = width_reduce(spec, latent, m, sub.derive(("reduce", 0)))
-        if cover is not None:
-            net = snap_to_cover(net, cover)
-        X = sub.derive(("inputs", 0)).gen.normal(size=(n_inputs, spec.d))
-        gap = (_dp_output(spec, latent, X) - net.output(X)) ** 2
-        means[i] = float(np.mean(gap))
-    return float(np.mean(means)), float(np.std(means, ddof=1) / math.sqrt(n_latents))
+        net = _reduce(spec, latent, m, eps, sub)
+        means[i] = np.mean(_squared_gap(spec, latent, net, n_inputs, sub))
+    return mean_se(means)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +230,10 @@ def snap_to_cover(net: FiniteWidthNet, cover: SphereCover) -> FiniteWidthNet:
     return FiniteWidthNet(signs=net.signs, atoms=cover.atoms[idx], scale=net.scale)
 
 
-_COVER_CACHE: Dict[Tuple[int, float], SphereCover] = {}
-
-
+@functools.cache
 def get_sphere_cover(d: int, eps: float) -> SphereCover:
     """Deterministic cached cover for (d, eps)."""
-    key = (d, round(eps, 12))
-    if key not in _COVER_CACHE:
-        _COVER_CACHE[key] = build_sphere_cover(d, eps)
-    return _COVER_CACHE[key]
+    return build_sphere_cover(d, eps)
 
 
 def misspecified_width_prior_sample(
@@ -253,8 +244,4 @@ def misspecified_width_prior_sample(
     Samples a fresh process latent, reduces it to width n by multinomial
     draws, and (for eps > 0) snaps each atom to an eps-cover of the sphere.
     """
-    latent = sample_latent(spec, stream.derive(("prior", 0)))
-    net = width_reduce(spec, latent, n, stream.derive(("reduce", 0)))
-    if eps > 0:
-        net = snap_to_cover(net, get_sphere_cover(spec.d, eps))
-    return net
+    return _reduce(spec, sample_latent(spec, stream.derive(("prior", 0))), n, eps, stream)

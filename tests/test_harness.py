@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from infolab import harness
 from infolab.cli import main as cli_main
+from infolab.estimators import ErrorCurve
 from infolab.predictors import PREDICTOR_KINDS, ConjugateLinReg, Omniscient
 from infolab.processes import BinaryARK, DirichletNet, LinRep, LinReg, Transformer
 from infolab.rng import RngStream, SeedSpec
@@ -274,6 +275,44 @@ def test_sweep_scaling_validation_and_shape():
     assert len(sweep.c_values) == 9
     assert 0.3 < sweep.slope < 0.6
     assert sweep.slope_half_width >= 0
+
+
+def test_write_sweep_output_refuses_an_unknown_format(tmp_path):
+    sweep = harness.ScalingSweep(
+        c_values=np.array([1e6]), n_star=np.array([3]), t_star=np.array([1e5]),
+        bound_value=np.array([0.5]), slope=0.5, slope_half_width=0.0,
+    )
+    with pytest.raises(ValueError, match="^format must be 'csv' or 'json'$"):
+        harness.write_sweep_output(sweep, str(tmp_path), "xml")
+    assert os.listdir(tmp_path) == []
+
+
+def _verification_rows(emp, se):
+    """Verification rows, by side, of a one-horizon curve against linreg_error at T=20."""
+    config = harness.ScenarioConfig(
+        scenario_id="edge", spec=LinReg(d=5, noise_var=0.25), predictor=Omniscient(),
+        horizons=[20], replicates=2, master_seed=1, bound_ids=["linreg_error"],
+    )
+    curve = ErrorCurve(
+        horizons=[20], mean_error=np.array([emp]), std_err=np.array([se]), replicates=2
+    )
+    report, _ = harness.verify_curve(config, curve)
+    return {row.side: row for row in report.rows}
+
+
+@pytest.mark.parametrize("side, sign", [("upper", 1.0), ("lower", -1.0)])
+def test_verify_curve_passes_on_the_bound_and_fails_one_ulp_past(side, sign):
+    """emp - k SE equal to the upper bound (emp + k SE equal to the lower one)
+    passes with margin 0; one ulp further to the curve's side fails."""
+    reports = harness.bounds_for(LinReg(d=5, noise_var=0.25), "linreg_error", 20)
+    bound = {r.side: r.value for r in reports}[side]
+    se = 2.0**-50  # k SE = 3 SE is exact and a few dozen ulps of either bound
+    emp = bound + sign * 3.0 * se
+    assert emp - sign * 3.0 * se == bound
+    row = _verification_rows(emp, se)[side]
+    assert row.passed and row.margin == 0.0
+    row = _verification_rows(float(np.nextafter(emp, sign * math.inf)), se)[side]
+    assert not row.passed and row.margin < 0.0
 
 
 def test_atomic_write_overwrites_cleanly(tmp_path):

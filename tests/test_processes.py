@@ -24,6 +24,7 @@ from infolab.processes import (
     irreducible_rate,
     linrep_task_pmf,
     make_embeddings,
+    orthonormal_columns,
     relu_forward,
     sample_latent,
     step,
@@ -123,6 +124,25 @@ def test_linrep_psi_orthonormal_every_draw():
         gram = lat.psi.T @ lat.psi
         assert np.max(np.abs(gram - np.eye(2))) < 1e-10
         assert lat.xi.shape == (3, 2)
+
+
+def test_orthonormal_columns_counts_a_zero_diagonal_as_positive():
+    """A rank-deficient draw, whose R has an exact zero on its diagonal, still
+    maps to orthonormal columns (sign(0) would zero the column)."""
+    g = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    assert np.linalg.qr(g)[1][1, 1] == 0.0
+    q = orthonormal_columns(g)
+    assert np.max(np.abs(q.T @ q - np.eye(2))) <= 1e-12
+
+
+def test_orthonormal_columns_stacked_equals_each_slice():
+    """The particle path (a stack of draws) and the latent path (one draw)
+    share one rule, bit for bit."""
+    g = stream(11).gen.normal(size=(16, 6, 2))
+    q = orthonormal_columns(g)
+    for i in range(len(g)):
+        assert np.array_equal(q[i], orthonormal_columns(g[i]))
+    assert np.all(np.einsum("sdr,sdr->sr", q, g) > 0)  # diag(Q^T g), R's sign-fixed diagonal
 
 
 def test_transformer_prior_value_rows():

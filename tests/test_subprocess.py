@@ -1,4 +1,5 @@
-"""Checks that need a fresh interpreter: the demo scripts and repeated re-imports."""
+"""Checks that need a fresh interpreter: the demo scripts, repeated re-imports and the
+modules that importing infolab loads."""
 
 import glob
 import os
@@ -52,3 +53,21 @@ def test_reimport_frees_old_modules():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "0"
+
+
+NO_SCIPY = """
+import importlib, pkgutil, sys
+import infolab
+for module in pkgutil.iter_modules(infolab.__path__):
+    importlib.import_module("infolab." + module.name)
+print(sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy.")))
+"""
+
+
+def test_importing_every_module_leaves_scipy_unloaded():
+    """scipy is a test-only dependency: no infolab module imports it."""
+    res = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY], env=ENV, capture_output=True, text=True, timeout=300
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
