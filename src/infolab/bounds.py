@@ -1,11 +1,13 @@
 """Closed-form estimation-error and rate-distortion bounds.
 
 Pure evaluation of every analytic bound in the library, with validity-domain
-checks.  All values are in nats per step unless stated otherwise.
+checks.  All values are in nats per step unless stated otherwise.  Each bound is
+declared once, by `_bound` with its family and side.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -14,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .info import lambert_w
+from .processes import strict_float, strict_int
 
 
 @dataclass
@@ -28,7 +31,7 @@ class BoundReport:
     def __post_init__(self):
         if self.side not in ("upper", "lower"):
             raise ValueError("side must be 'upper' or 'lower'")
-        if self.valid and (self.value is None or self.value < 0):
+        if self.valid and (self.value is None or not self.value >= 0):  # NaN fails too
             raise ValueError("valid bounds must carry a nonnegative value")
 
 
@@ -36,78 +39,125 @@ def _pos(x: float) -> float:
     return x if x > 0 else 0.0
 
 
+def _finite(value):
+    """strict_float's check; an int or float passes unchanged, so an int echoes as an int."""
+    number = strict_float(value)
+    return value if isinstance(value, (int, float)) else number
+
+
+# The config rule of a parameter, by its annotation.
+_RULES = {"int": strict_int, "float": _finite}
+
+
+def _read(bound_id: str, fn, params: Dict, *given: str) -> list:
+    """fn's arguments but `given`, read from params and checked by their annotation's rule."""
+    wanted = [p for p in inspect.signature(fn).parameters.values() if p.name not in given]
+    missing = [p.name for p in wanted if p.name not in params]
+    if missing:
+        raise KeyError(f"bound '{bound_id}' needs parameter(s): {', '.join(missing)}")
+    args = []
+    for p in wanted:
+        try:
+            args.append(_RULES[p.annotation](params[p.name]))
+        except ValueError as exc:
+            raise ValueError(f"parameter '{p.name}': {exc}") from exc
+    return args
+
+
+# Bound id -> (side, declared function) of each side, in declaration order.
+_BOUNDS: Dict[str, List[Tuple]] = {}
+
+
+def _bound(bound_id: str, side: str):
+    """Declare one side of the bound family `bound_id`: a rate-distortion function
+    (id rd_<kind>, last parameter eps) as it is; any other function, which returns the
+    value or a note outside its domain, as the function returning its BoundReport."""
+
+    def declare(fn):
+        declared = fn if bound_id.startswith("rd_") else _reporting(bound_id, side, fn)
+        _BOUNDS.setdefault(bound_id, []).append((side, declared))
+        return declared
+
+    return declare
+
+
+def _reporting(bound_id: str, side: str, fn):
+    """fn, returning the BoundReport whose params are the call's arguments in signature order."""
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def report(*args, **kwargs) -> BoundReport:
+        params = signature.bind(*args, **kwargs).arguments
+        value = fn(*args, **kwargs)
+        note = value if isinstance(value, str) else ""
+        return BoundReport(bound_id, side, params, None if note else value, not note, note)
+
+    report.__signature__ = signature.replace(return_annotation="BoundReport")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # Estimation-error bounds
 # ---------------------------------------------------------------------------
 
 
-def linreg_error_lower(d: int, noise_var: float, T: int) -> BoundReport:
+@_bound("linreg_error", "lower")
+def linreg_error_lower(d: int, noise_var: float, T: int):
     """Lambert-W estimation-error lower bound for the linear-Gaussian model."""
-    params = {"d": d, "noise_var": noise_var, "T": T}
     if d <= 2:
-        return BoundReport("linreg_error", "lower", params, None, False, "requires d > 2")
+        return "requires d > 2"
     arg = 2.0 * T / (d * (8.0 + d / (d - 2.0) * noise_var))
-    value = d / (2.0 * T) * lambert_w(arg)
-    return BoundReport("linreg_error", "lower", params, value, True)
+    return d / (2.0 * T) * lambert_w(arg)
 
 
-def linreg_error_upper(d: int, noise_var: float, T: int) -> BoundReport:
-    params = {"d": d, "noise_var": noise_var, "T": T}
-    value = _pos(d / (2.0 * T) * math.log(T / (noise_var * d))) + 1.0 / (
+@_bound("linreg_error", "upper")
+def linreg_error_upper(d: int, noise_var: float, T: int):
+    return _pos(d / (2.0 * T) * math.log(T / (noise_var * d))) + 1.0 / (
         2.0 * T
     ) * math.log1p(d / T)
-    return BoundReport("linreg_error", "upper", params, value, True)
 
 
-def logreg_error_upper(d: int, T: int) -> BoundReport:
-    params = {"d": d, "T": T}
-    value = d / (2.0 * T) * (1.0 + math.log1p(T / (4.0 * d)))
-    return BoundReport("logreg_error", "upper", params, value, True)
+@_bound("logreg_error", "upper")
+def logreg_error_upper(d: int, T: int):
+    return d / (2.0 * T) * (1.0 + math.log1p(T / (4.0 * d)))
 
 
 def deepnet_param_count(d: int, width: int, depth: int) -> int:
     return (depth - 2) * width**2 + width + d * width
 
 
-def deepnet_error_upper(d: int, width: int, depth: int, noise_var: float, T: int) -> BoundReport:
-    params = {"d": d, "width": width, "depth": depth, "noise_var": noise_var, "T": T}
+@_bound("deepnet_error", "upper")
+def deepnet_error_upper(d: int, width: int, depth: int, noise_var: float, T: int):
     P = deepnet_param_count(d, width, depth)
     if P <= 0:
-        return BoundReport(
-            "deepnet_error", "upper", params, None, False, "nonpositive parameter count"
-        )
-    value = P / (2.0 * T) * (1.0 + math.log1p(2.0 * depth * T / (noise_var * P)))
-    return BoundReport("deepnet_error", "upper", params, value, True)
+        return "nonpositive parameter count"
+    return P / (2.0 * T) * (1.0 + math.log1p(2.0 * depth * T / (noise_var * P)))
 
 
-def dirichlet_error_upper(d: int, K: float, noise_var: float, T: int) -> BoundReport:
-    params = {"d": d, "K": K, "noise_var": noise_var, "T": T}
+@_bound("dirichlet_error", "upper")
+def dirichlet_error_upper(d: int, K: float, noise_var: float, T: int):
     a = math.log1p(T / (noise_var * d))
-    value = _pos(K / T * a * math.log(T / (noise_var * d))) + 2.0 * d * K / T * (
+    return _pos(K / T * a * math.log(T / (noise_var * d))) + 2.0 * d * K / T * (
         1.0 + a * math.log1p(T / (d * K))
     )
-    return BoundReport("dirichlet_error", "upper", params, value, True)
 
 
-def ark_error_upper(d: int, K: int, T: int) -> BoundReport:
-    params = {"d": d, "K": K, "T": T}
-    value = d * K / (2.0 * T) * (1.0 + math.log1p(T / (4.0 * d * K)))
-    return BoundReport("ark_error", "upper", params, value, True)
+@_bound("ark_error", "upper")
+def ark_error_upper(d: int, K: int, T: int):
+    return d * K / (2.0 * T) * (1.0 + math.log1p(T / (4.0 * d * K)))
 
 
-def transformer_error_upper(d: int, r: int, L: int, K: int, T: int) -> BoundReport:
-    params = {"d": d, "r": r, "L": L, "K": K, "T": T}
+@_bound("transformer_error", "upper")
+def transformer_error_upper(d: int, r: int, L: int, K: int, T: int):
     rm = r * max(r, d)
-    value = rm * L**2 * math.log(8.0 * math.e * K * (1.0 + 16.0 * K)) / T + rm * L * math.log(
+    return rm * L**2 * math.log(8.0 * math.e * K * (1.0 + 16.0 * K)) / T + rm * L * math.log(
         2.0 * K * T**2 / L
     ) / T
-    return BoundReport("transformer_error", "upper", params, value, True)
 
 
-def linrep_error_upper(d: int, r: int, M: int, T: int) -> BoundReport:
-    params = {"d": d, "r": r, "M": M, "T": T}
-    value = linrep_meta_term(d, r, M, T) + linrep_intra_term(r, T)
-    return BoundReport("linrep_error", "upper", params, value, True)
+@_bound("linrep_error", "upper")
+def linrep_error_upper(d: int, r: int, M: int, T: int):
+    return linrep_meta_term(d, r, M, T) + linrep_intra_term(r, T)
 
 
 def linrep_meta_term(d: int, r: int, M: int, T: int) -> float:
@@ -118,24 +168,33 @@ def linrep_intra_term(r: int, T: int) -> float:
     return r * math.log(math.e * (1.0 + 2.0 * T / r)) / (2.0 * T)
 
 
-def icl_error_upper(
-    d: int, r: int, L: int, K: int, R: float, N: int, M: int, T: int
-) -> BoundReport:
-    params = {"d": d, "r": r, "L": L, "K": K, "R": R, "N": N, "M": M, "T": T}
+@_bound("icl_error", "upper")
+def icl_error_upper(d: int, r: int, L: int, K: int, R: float, N: int, M: int, T: int):
     if R > N:
-        return BoundReport("icl_error", "upper", params, None, False, "requires R <= N")
+        return "requires R <= N"
     rm = r * max(r, d)
     lnM = math.log1p(M / R)
     t1 = rm * R * L**2 * lnM * math.log(8.0 * K * math.e * (1.0 + 16.0 * K)) / (M * T)
     t2 = rm * R * L * lnM * math.log(2.0 * K * M * T**2 / L) / (M * T)
     t3 = math.log(N) / T
-    return BoundReport("icl_error", "upper", params, t1 + t2 + t3, True)
+    return t1 + t2 + t3
 
 
-def misspec_mean_upper(mu_sq_norm: float, T: int) -> BoundReport:
+@_bound("misspec_mean", "upper")
+def misspec_mean_upper(mu_sq_norm: float, T: int):
     """Excess-loss bound for inference under a mean-shifted prior."""
-    params = {"mu_sq_norm": mu_sq_norm, "T": T}
-    return BoundReport("misspec_mean", "upper", params, mu_sq_norm / (2.0 * T), True)
+    return mu_sq_norm / (2.0 * T)
+
+
+@_bound("missing_feature", "upper")
+def _missing_feature(d: int, noise_var: float, T: int):
+    if d < 2:
+        return "requires d >= 2"
+    return (d - 1.0) / (2.0 * T) * (math.log(T) + 1.0 / (d * noise_var)) + _floor(d, noise_var)
+
+
+def _floor(d: int, noise_var: float) -> float:
+    return 1.0 / (2.0 * d * noise_var)
 
 
 def missing_feature_upper(d: int, noise_var: float, T: int) -> Tuple[BoundReport, float]:
@@ -144,15 +203,8 @@ def missing_feature_upper(d: int, noise_var: float, T: int) -> Tuple[BoundReport
     Returns the report and, separately, the persistent floor 1/(2 d noise_var)
     the bound converges to as T grows.
     """
-    params = {"d": d, "noise_var": noise_var, "T": T}
-    if d < 2:
-        return (
-            BoundReport("missing_feature", "upper", params, None, False, "requires d >= 2"),
-            math.nan,
-        )
-    floor = 1.0 / (2.0 * d * noise_var)
-    value = (d - 1.0) / (2.0 * T) * (math.log(T) + 1.0 / (d * noise_var)) + floor
-    return BoundReport("missing_feature", "upper", params, value, True), floor
+    report = _missing_feature(d, noise_var, T)
+    return report, _floor(d, noise_var) if report.valid else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +212,7 @@ def missing_feature_upper(d: int, noise_var: float, T: int) -> Tuple[BoundReport
 # ---------------------------------------------------------------------------
 
 
+@_bound("rd_linreg_upper", "upper")
 def linreg_rd_upper(d: int, noise_var: float, eps: float) -> float:
     """Gaussian-quantizer rate; identically 0 above the zero-rate threshold."""
     if eps <= 0:
@@ -169,6 +222,7 @@ def linreg_rd_upper(d: int, noise_var: float, eps: float) -> float:
     return _pos(0.5 * d * math.log(1.0 / (noise_var * math.expm1(2.0 * eps))))
 
 
+@_bound("rd_linreg_lower", "lower")
 def linreg_rd_lower(d: int, noise_var: float, eps: float) -> float:
     if d <= 2:
         raise ValueError("requires d > 2")
@@ -179,15 +233,18 @@ def linreg_rd_lower(d: int, noise_var: float, eps: float) -> float:
     )
 
 
+@_bound("rd_logreg", "upper")
 def logreg_rd_upper(d: int, eps: float) -> float:
     return 0.5 * d * math.log1p(1.0 / (8.0 * eps))
 
 
+@_bound("rd_deepnet", "upper")
 def deepnet_rd_upper(d: int, width: int, depth: int, noise_var: float, eps: float) -> float:
     P = deepnet_param_count(d, width, depth)
     return 0.5 * P * math.log1p(1.0 / (noise_var * math.expm1(2.0 * eps / depth)))
 
 
+@_bound("rd_dirichlet", "upper")
 def dirichlet_rd_upper(d: int, K: float, noise_var: float, eps: float) -> float:
     a = math.log1p(2.0 / (noise_var * eps))
     return _pos(K * a * math.log(2.0 * K / (noise_var * eps))) + 2.0 * d * K * a * math.log1p(
@@ -195,15 +252,18 @@ def dirichlet_rd_upper(d: int, K: float, noise_var: float, eps: float) -> float:
     )
 
 
+@_bound("rd_ark", "upper")
 def ark_rd_upper(d: int, K: int, eps: float) -> float:
     return 0.5 * d * K * math.log1p(1.0 / (8.0 * eps))
 
 
+@_bound("rd_transformer", "upper")
 def transformer_rd_upper(d: int, r: int, L: int, K: int, T: int, eps: float) -> float:
     rm = r * max(r, d)
     return rm * L * math.log1p(rm * K * L * T * (8.0 * K * (1.0 + 16.0 * K)) ** L / eps)
 
 
+@_bound("rd_linrep_meta", "upper")
 def linrep_meta_rd_upper(d: int, r: int, M: int, T: int, eps: float) -> float:
     """Per-step meta rate for the representation process (already /MT)."""
     return d * r / (2.0 * M * T) * math.log1p(
@@ -211,10 +271,12 @@ def linrep_meta_rd_upper(d: int, r: int, M: int, T: int, eps: float) -> float:
     )
 
 
+@_bound("rd_linrep_intra", "upper")
 def linrep_intra_rd_upper(r: int, eps: float) -> float:
     return 0.5 * r * math.log1p(1.0 / eps)
 
 
+@_bound("rd_icl", "upper")
 def icl_rd_upper(
     d: int, r: int, L: int, K: int, R: float, N: int, M: int, T: int, eps: float
 ) -> float:
@@ -224,11 +286,18 @@ def icl_rd_upper(
     )
 
 
+def _rate_args(kind: str, params: Dict[str, float]):
+    """The rate function of `kind` and its arguments other than eps, read from params."""
+    if f"rd_{kind}" not in _BOUNDS:
+        raise KeyError(f"unknown rate-distortion bound: {kind}")
+    [(_, rate)] = _BOUNDS[f"rd_{kind}"]
+    return rate, _read(f"rd_{kind}", rate, params, "eps")
+
+
 def rd_bound_eval(kind: str, params: Dict[str, float], eps: float) -> float:
     """Dispatch a rate-distortion bound by name."""
-    if kind not in _RD_BOUNDS:
-        raise KeyError(f"unknown rate-distortion bound: {kind}")
-    return _call(_RD_BOUNDS[kind], params, eps)
+    rate, args = _rate_args(kind, params)
+    return rate(*args, eps)
 
 
 # Distortion grid of the sandwich bounds: 64 points per decade over [1e-6, 10].
@@ -237,9 +306,10 @@ EPS_GRID = np.geomspace(1e-6, 10.0, 449)
 
 def rd_sandwich_upper(kind: str, params: Dict[str, float], T: int) -> Tuple[float, float]:
     """inf over the grid of H_eps/T + eps; returns (value, argmin eps)."""
+    rate, args = _rate_args(kind, params)
     best, best_eps = math.inf, math.nan
     for eps in EPS_GRID:
-        v = rd_bound_eval(kind, params, float(eps)) / T + float(eps)
+        v = rate(*args, float(eps)) / T + float(eps)
         if v < best:
             best, best_eps = v, float(eps)
     return best, best_eps
@@ -249,9 +319,10 @@ def rd_sandwich_lower(kind: str, params: Dict[str, float], T: int) -> float:
     """sup over the grid of min(H_eps/T, eps): an error lower bound only when H_eps is
     a rate-distortion lower bound, and only `linreg_lower` is one.  For other kinds it
     bounds nothing: `icl` at T=100 gives 10.0, the last EPS_GRID point (upper: 90.4)."""
+    rate, args = _rate_args(kind, params)
     best = 0.0
     for eps in EPS_GRID:
-        v = min(rd_bound_eval(kind, params, float(eps)) / T, float(eps))
+        v = min(rate(*args, float(eps)) / T, float(eps))
         best = max(best, v)
     return best
 
@@ -261,14 +332,17 @@ def rd_sandwich_lower(kind: str, params: Dict[str, float], T: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def scaling_bound_eval(d: int, K: float, n: int, T: float) -> BoundReport:
+def scaling_domain(d: int, K: float, n: float = 3.0) -> str:
+    """'' where the width-n scaling bound is defined at (d, K), else the note saying why not."""
+    if n < 3 or not 2 <= K < math.inf:
+        return "requires n >= 3, K >= 2"
+    return "" if d >= 1 else "requires d >= 1"
+
+
+@_bound("scaling_loss", "upper")
+def scaling_bound_eval(d: int, K: float, n: int, T: float):
     """Width-n misspecified-learner loss bound: estimation term plus 3K/n."""
-    params = {"d": d, "K": K, "n": n, "T": T}
-    if n < 3 or K < 2:
-        return BoundReport(
-            "scaling_loss", "upper", params, None, False, "requires n >= 3, K >= 2"
-        )
-    return BoundReport("scaling_loss", "upper", params, _scaling_loss(d, K, n, T), True)
+    return scaling_domain(d, K, n) or _scaling_loss(d, K, n, T)
 
 
 def _scaling_loss(d: int, K: float, n: float, T: float) -> float:
@@ -289,12 +363,14 @@ def scaling_optimal_width(d: int, K: float, C: float) -> Tuple[int, float, float
     Golden-section search on the continuous relaxation in ln n, then an exact
     scan over the +-8 integer neighborhood.  Returns (n_star, T_star, value).
     """
+    note = scaling_domain(d, K)
+    if note:
+        raise ValueError(f"the scaling bound {note}")
     n_max = C / (3.0 * d)  # T >= 3 keeps the log arguments sane
     if n_max < 3.0:
         raise ValueError("budget too small for any feasible width")
-    lo, hi = math.log(3.0), math.log(n_max)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = math.log(3.0), math.log(n_max)
     c1 = b - phi * (b - a)
     c2 = a + phi * (b - a)
     f1 = _scaling_value(d, K, math.exp(c1), C)
@@ -326,65 +402,6 @@ def scaling_optimal_width(d: int, K: float, C: float) -> Tuple[int, float, float
 # ---------------------------------------------------------------------------
 
 
-def _bound_function(fn, *given: str):
-    """fn and its (parameter name, cast) pairs, read from its signature once.
-
-    Parameters annotated int are cast with int(); the others pass as given.
-    Names in `given` (eps) are supplied by the caller, not the params dict.
-    """
-    args = tuple(
-        (p.name, int if p.annotation == "int" else None)
-        for p in inspect.signature(fn).parameters.values()
-        if p.name not in given
-    )
-    return fn, args
-
-
-def _missing_feature_report(d: int, noise_var: float, T: int) -> BoundReport:
-    return missing_feature_upper(d, noise_var, T)[0]
-
-
-# Estimation-error bound id -> the functions giving its reports, in order.
-_ERROR_BOUNDS = {
-    bound_id: [_bound_function(fn) for fn in fns]
-    for bound_id, fns in {
-        "linreg_error": (linreg_error_lower, linreg_error_upper),
-        "logreg_error": (logreg_error_upper,),
-        "deepnet_error": (deepnet_error_upper,),
-        "dirichlet_error": (dirichlet_error_upper,),
-        "ark_error": (ark_error_upper,),
-        "transformer_error": (transformer_error_upper,),
-        "linrep_error": (linrep_error_upper,),
-        "icl_error": (icl_error_upper,),
-        "misspec_mean": (misspec_mean_upper,),
-        "missing_feature": (_missing_feature_report,),
-        "scaling_loss": (scaling_bound_eval,),
-    }.items()
-}
-
-# Rate-distortion kind (bound id without its rd_ prefix) -> rate function of eps.
-_RD_BOUNDS = {
-    kind: _bound_function(fn, "eps")
-    for kind, fn in {
-        "linreg_upper": linreg_rd_upper,
-        "linreg_lower": linreg_rd_lower,
-        "logreg": logreg_rd_upper,
-        "deepnet": deepnet_rd_upper,
-        "dirichlet": dirichlet_rd_upper,
-        "ark": ark_rd_upper,
-        "transformer": transformer_rd_upper,
-        "linrep_meta": linrep_meta_rd_upper,
-        "linrep_intra": linrep_intra_rd_upper,
-        "icl": icl_rd_upper,
-    }.items()
-}
-
-
-def _call(entry, params: Dict[str, float], *given):
-    fn, args = entry
-    return fn(*[params[n] if cast is None else cast(params[n]) for n, cast in args], *given)
-
-
 def evaluate_bound(bound_id: str, params: Dict[str, float]) -> List[BoundReport]:
     """Evaluate a bound family by id from a flat parameter dict.
 
@@ -393,17 +410,12 @@ def evaluate_bound(bound_id: str, params: Dict[str, float]) -> List[BoundReport]
     misspec_mean, missing_feature, scaling_loss.  Rate-distortion ids use the
     prefix rd_ (e.g. rd_linreg_upper) and require an "eps" entry.  Unknown ids
     and missing parameters raise KeyError; the message names the missing keys.
+    A parameter its config rule refuses raises a ValueError that names it.
     """
-    kind = bound_id[len("rd_"):] if bound_id.startswith("rd_") else None
-    entries = [_RD_BOUNDS[kind]] if kind in _RD_BOUNDS else _ERROR_BOUNDS.get(bound_id)
-    if entries is None:
+    if bound_id not in _BOUNDS:
         raise KeyError(f"unknown bound_id: {bound_id}")
-    needed = [n for _, args in entries for n, _ in args] + (["eps"] if kind else [])
-    missing = [n for n in dict.fromkeys(needed) if n not in params]
-    if missing:
-        raise KeyError(f"bound '{bound_id}' needs parameter(s): {', '.join(missing)}")
-    if kind is None:
-        return [_call(entry, params) for entry in entries]
-    value = rd_bound_eval(kind, params, float(params["eps"]))
-    side = "lower" if kind.endswith("_lower") else "upper"
+    if not bound_id.startswith("rd_"):
+        return [report(*_read(bound_id, report, params)) for _, report in _BOUNDS[bound_id]]
+    [(side, rate)] = _BOUNDS[bound_id]
+    value = rate(*_read(bound_id, rate, params))
     return [BoundReport(bound_id, side, dict(params), value, True)]

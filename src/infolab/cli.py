@@ -6,7 +6,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Optional
 
 import click
@@ -21,12 +21,6 @@ from .rng import RngStream, SeedSpec
 @click.group()
 def main() -> None:
     """Numerical laboratory for Bayesian predictive log-loss and its bounds."""
-
-
-def _apply_seed(config: harness.ScenarioConfig, seed: Optional[int]) -> harness.ScenarioConfig:
-    if seed is not None:
-        config.master_seed = seed
-    return config
 
 
 def _warn_if_unchecked(config: harness.ScenarioConfig) -> None:
@@ -45,7 +39,9 @@ def _warn_if_unchecked(config: harness.ScenarioConfig) -> None:
 def simulate(config_path: str, seed: Optional[int], out: str, fmt: str) -> None:
     """Run one scenario config and write curve/bound/verification files."""
     try:
-        config = _apply_seed(harness.load_config(config_path), seed)
+        config = harness.load_config(config_path)
+        if seed is not None:
+            config = replace(config, master_seed=seed)
     except ValueError as exc:
         raise click.ClickException(f"{config_path}: {exc}")
     _warn_if_unchecked(config)
@@ -167,6 +163,11 @@ def selftest(seed: int) -> None:
         if not ok:
             failures.append(name)
 
+    try:
+        stream = RngStream(SeedSpec(seed, (("selftest", 0),)))
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
+
     # Exact information identity on a random model, 3^64 label sequences.
     gen = np.random.default_rng(seed)
     prior = gen.dirichlet(np.ones(4))
@@ -175,7 +176,6 @@ def selftest(seed: int) -> None:
     check("information-identity", abs(mi - gap) <= 1e-9, f"|diff|={abs(mi - gap):.2e}")
 
     # Linear-model MI sits inside the closed-form sandwich.
-    stream = RngStream(SeedSpec(seed, (("selftest", 0),)))
     est, se = linreg_mi_mc(5, 0.25, 100, 200, stream)
     lower = bnd.linreg_error_lower(5, 0.25, 100).value
     upper = bnd.linreg_error_upper(5, 0.25, 100).value

@@ -24,7 +24,7 @@ from .processes import (
     sample_latent,
     step,
 )
-from .rng import RngStream
+from .rng import RngStream, check_pmf
 
 MAX_ENUM_STATES = 10**7
 # Most observations a chunk of rollouts holds before its kinds score it; a
@@ -145,10 +145,8 @@ class EnumerationModel:
     cond: np.ndarray  # (H, A): P(Y = a | hypothesis h)
 
     def __post_init__(self):
-        p = np.asarray(self.prior, dtype=float)
+        p = check_pmf(self.prior, "prior")
         c = np.asarray(self.cond, dtype=float)
-        if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("prior must be a pmf")
         if c.ndim != 2 or c.shape[0] != len(p) or np.any(c < 0):
             raise ValueError("cond must be (H, A) with nonnegative entries")
         if np.max(np.abs(c.sum(axis=1) - 1.0)) > 1e-9:
@@ -259,8 +257,8 @@ def misspec_decomposition(
     misspecification term (+inf when the misspecified prior kills a
     hypothesis of positive true mass).
     """
-    q = np.asarray(misspec_prior, dtype=float)
-    if len(q) != model.n_hyp or np.any(q < 0) or abs(q.sum() - 1.0) > 1e-9:
+    q = check_pmf(misspec_prior, "misspecified prior")
+    if len(q) != model.n_hyp:
         raise ValueError("misspecified prior must be a pmf over the same support")
     _, _, excess_q, kl, mi = _count_pass(model, T, q)
     total, info, misspec = float(np.sum(excess_q)) / T, mi / T, float(np.sum(kl)) / T
@@ -284,8 +282,6 @@ def linreg_mi_mc(
     prior_var: Optional[float] = None,
 ) -> Tuple[float, float]:
     """MC mean of the exact conditional MI over input draws, with SE."""
-    if noise_var <= 0:
-        raise ValueError("noise variance must be positive")
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     if prior_var is None:

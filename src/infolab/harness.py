@@ -101,7 +101,10 @@ class ScenarioConfig:
                 f"{type(self.spec).__name__} is a meta process and cannot run as a "
                 "scenario; use estimators.meta_error_split"
             )
-        for bound_id in self.bound_ids:
+        SeedSpec(self.master_seed)  # refuses a seed outside its range
+        for i, bound_id in enumerate(self.bound_ids):
+            if bound_id in self.bound_ids[:i]:
+                raise ValueError(f"bound '{bound_id}' is listed more than once")
             if bound_id != self.spec.bound_id:
                 raise ValueError(
                     f"bound '{bound_id}' does not apply to process '{self.spec.kind}' "
@@ -342,32 +345,30 @@ class ScalingSweep:
 
 def sweep_scaling(d: int, K: float, c_min: float, c_max: float, points: int) -> ScalingSweep:
     """Compute-optimal width along a FLOP-budget grid and the fitted slope."""
-    if c_max / c_min < 10.0**3:
-        raise ValueError("budget grid must span at least 3 decades")
+    note = bnd.scaling_domain(d, K)
+    if note:
+        raise ValueError(f"the scaling bound {note}, not d={d}, K={K}")
+    if not (0 < c_min and c_max < math.inf and c_max / c_min >= 10.0**3):
+        raise ValueError("budget grid must be positive, finite and span at least 3 decades")
     if points < 3:
         raise ValueError("need at least 3 grid points")
-    cs, ns, ts, vs = [], [], [], []
-    for C in np.geomspace(c_min, c_max, points):
+    rows = []  # (C, n_star, T_star, value) of each budget that admits a width n >= 3
+    for C in map(float, np.geomspace(c_min, c_max, points)):
         try:
-            n_star, t_star, value = bnd.scaling_optimal_width(d, K, float(C))
+            rows.append((C, *bnd.scaling_optimal_width(d, K, C)))
         except ValueError:
             continue
-        cs.append(float(C))
-        ns.append(n_star)
-        ts.append(t_star)
-        vs.append(value)
-    x = np.log(np.array(cs))
-    y = np.log(np.array(ns, dtype=float))
-    coef, cov = np.polyfit(x, y, 1, cov=True)
-    slope = float(coef[0])
-    half_width = float(1.96 * math.sqrt(cov[0, 0]))
+    if len(rows) < 3:
+        raise ValueError(f"{len(rows)} of the {points} budgets admit a width n >= 3; a fit needs 3")
+    cs, ns, ts, vs = (np.array(column) for column in zip(*rows))
+    coef, cov = np.polyfit(np.log(cs), np.log(ns.astype(float)), 1, cov=True)
     return ScalingSweep(
-        c_values=np.array(cs),
-        n_star=np.array(ns),
-        t_star=np.array(ts),
-        bound_value=np.array(vs),
-        slope=slope,
-        slope_half_width=half_width,
+        c_values=cs,
+        n_star=ns,
+        t_star=ts,
+        bound_value=vs,
+        slope=float(coef[0]),
+        slope_half_width=float(1.96 * math.sqrt(cov[0, 0])),
     )
 
 

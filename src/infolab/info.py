@@ -12,14 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .processes import bernoulli_log_loss
-
-
-def _validate_pmf(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("pmf must be nonnegative and sum to 1")
-    return p
+from .processes import bernoulli_log_loss, sigmoid
+from .rng import check_pmf
 
 
 @dataclass(frozen=True)
@@ -30,24 +24,29 @@ class GaussianParams:
     covariance: np.ndarray
 
     def __post_init__(self):
-        cov = np.asarray(self.covariance, dtype=float)
-        if np.max(np.abs(cov - cov.T)) > 1e-10:
-            raise ValueError("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) < -1e-10:
-            raise ValueError("covariance must be positive semi-definite")
+        check_psd(self.covariance)
+
+
+def check_psd(cov: np.ndarray, name: str = "covariance") -> None:
+    """Refuse a matrix that is not symmetric and positive semi-definite, each within 1e-10."""
+    cov = np.asarray(cov, dtype=float)
+    if np.max(np.abs(cov - cov.T)) > 1e-10:
+        raise ValueError(f"{name} must be symmetric")
+    if np.min(np.linalg.eigvalsh(cov)) < -1e-10:
+        raise ValueError(f"{name} must be positive semi-definite")
 
 
 def entropy_pmf(p: np.ndarray) -> float:
     """Entropy H(p) in nats with the 0 ln 0 = 0 convention."""
-    p = _validate_pmf(p)
+    p = check_pmf(p)
     mask = p > 0
     return float(-np.sum(p[mask] * np.log(p[mask])))
 
 
 def kl_pmf(p: np.ndarray, q: np.ndarray) -> float:
     """KL(p || q) in nats; +inf when p puts mass where q has none."""
-    p = _validate_pmf(p)
-    q = _validate_pmf(q)
+    p = check_pmf(p)
+    q = check_pmf(q)
     if len(p) != len(q):
         raise ValueError("pmf supports must have equal size")
     mask = p > 0
@@ -83,7 +82,7 @@ def binary_kl_logits(x: float, y: float) -> float:
 
     Computed in the log domain; always lies in [0, (x - y)^2 / 8].
     """
-    px = 1.0 / (1.0 + math.exp(-x)) if x > -700 else 0.0
+    px = sigmoid(x)
     loss = bernoulli_log_loss
     return float(px * (loss(y, 1) - loss(x, 1)) + (1.0 - px) * (loss(y, 0) - loss(x, 0)))
 

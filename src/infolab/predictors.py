@@ -22,6 +22,8 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from .info import check_psd
+
 # The predictive types live with their output families in processes and are
 # re-exported here for callers of the predictors.
 from .processes import (
@@ -44,7 +46,7 @@ from .processes import (
     strict_int,
 )
 from .quantizers import check_cover_domain, misspecified_width_prior_sample
-from .rng import RngStream
+from .rng import RngStream, check_pmf
 
 
 def _normalized_log_weights(logw: np.ndarray) -> np.ndarray:
@@ -107,11 +109,12 @@ class ConjugateLinReg(PredictorKind, Configurable):
             raise ValueError(f"{cls.kind} predictor key 'prior_diag' must be nonnegative")
         return cls(prior_mean=mean, prior_cov=np.diag(diag), noise_var=spec.noise_var)
 
+    def __post_init__(self):
+        check_psd(self.prior_cov, "prior covariance")
+
     def init(self, spec, latent, stream) -> "ConjugateState":
         mean = np.asarray(self.prior_mean, dtype=float).copy()
         cov = np.asarray(self.prior_cov, dtype=float).copy()
-        if np.min(np.linalg.eigvalsh(cov)) < -1e-10:
-            raise ValueError("prior covariance must be PSD")
         return ConjugateState(kind=self, mean=mean, cov=cov)
 
     def score(self, spec, states, histories, n):
@@ -142,8 +145,8 @@ class Enumeration(PredictorKind):
     prior: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.prior, dtype=float)
-        if len(self.support) != len(p) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        p = check_pmf(self.prior, "prior")
+        if len(self.support) != len(p):
             raise ValueError("prior must be a pmf over the support")
         object.__setattr__(self, "prior", p)
 

@@ -58,6 +58,14 @@ def gaussian_log_loss(mean, variance: float, y: float):
     return 0.5 * (LOG_2PI + math.log(variance)) + (y - mean) ** 2 / (2.0 * variance)
 
 
+def sigmoid(z: float) -> float:
+    """The logistic function of a scalar, branching on the sign so exp never overflows."""
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
+
+
 def bernoulli_log_loss(logits, y: int):
     """-log P(y | logit) of a binary label, elementwise over an array of logits."""
     return np.logaddexp(0.0, -logits) if y == 1 else np.logaddexp(0.0, logits)
@@ -96,7 +104,7 @@ class BernoulliLogitPred:
 
     @property
     def p1(self) -> float:
-        return 1.0 / (1.0 + math.exp(-self.logit)) if self.logit > -700 else 0.0
+        return sigmoid(self.logit)
 
     def log_loss(self, y: int) -> float:
         return float(bernoulli_log_loss(self.logit, y))
@@ -264,7 +272,7 @@ class _Bernoulli(Process):
 
     def step(self, latent, history, stream, task=None):
         x = self.draw_input(stream)
-        p1 = _sigmoid(self.conditional(latent, history, x, task))
+        p1 = sigmoid(self.conditional(latent, history, x, task))
         return Observation(x=x, y=int(stream.gen.random() < p1))
 
     def loglik(self, logits, y):
@@ -274,6 +282,8 @@ class _Bernoulli(Process):
         return BernoulliLogitPred(logit)
 
     def mixture(self, logits: np.ndarray, log_weights: np.ndarray) -> BernoulliLogitPred:
+        # Vectorised, not `sigmoid`: ensemble losses are pinned, and np.exp can differ
+        # from math.exp in the last bit.
         return _bernoulli_mixture(np.exp(log_weights) @ (1.0 / (1.0 + np.exp(-logits))))
 
 
@@ -897,6 +907,8 @@ def relu_forward(weights: List[np.ndarray], x: np.ndarray) -> float:
 def dirichlet_net_output(spec: DirichletNet, latent: DirichletNetLatent, x: np.ndarray) -> float:
     """Noiseless output c sum_w theta_w ReLU(w^T x) of the truncated draw."""
     acts = np.maximum(latent.draw.atoms @ x, 0.0)
+    # quantizers._squared_gap writes the batched form `acts @ (signs * weights)`; the two
+    # orders differ in the last bit, and each is pinned (rollouts here, width reduction there).
     return float(spec.output_scale * np.sum(latent.signs * latent.draw.weights * acts))
 
 
@@ -932,13 +944,6 @@ def transformer_next_pmf(
     for layer in range(spec.depth):
         u = attention_layer(u, latent.attn[layer], latent.value[layer])
     return softmax(u[:, -1])
-
-
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
 
 
 def ark_logit(spec: BinaryARK, latent: ThetaLatent, bits: List[int]) -> float:

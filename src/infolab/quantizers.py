@@ -125,6 +125,8 @@ def _squared_gap(spec, latent, net, n_inputs: int, stream: RngStream) -> np.ndar
     """(F - F_m)^2 of the latent's net and the reduced one at fresh standard-normal inputs."""
     X = stream.derive(("inputs", 0)).gen.normal(size=(n_inputs, spec.d))
     acts = np.maximum(X @ latent.draw.atoms.T, 0.0)  # (n, atoms)
+    # The batched processes.dirichlet_net_output; its sum order is kept apart, since
+    # the two orders differ in the last bit and each is pinned.
     return (spec.output_scale * (acts @ (latent.signs * latent.draw.weights)) - net.output(X)) ** 2
 
 

@@ -159,9 +159,6 @@ class RngStream:
             child.gen = gen
             yield child
 
-    def uniform(self, n: int = 1) -> np.ndarray:
-        return self.gen.random(n)
-
 
 def derive_stream(seed: SeedSpec) -> RngStream:
     """Materialize the deterministic stream for a seed spec."""
@@ -190,11 +187,17 @@ def sample_unit_sphere(stream: RngStream, d: int) -> np.ndarray:
             return v / norm
 
 
-def sample_categorical(stream: RngStream, pmf: np.ndarray) -> int:
-    """Draw an index according to a probability vector."""
+def check_pmf(pmf, name: str = "pmf") -> np.ndarray:
+    """pmf as a float array, refused unless it is 1-D, nonnegative and sums to 1 within 1e-9."""
     pmf = np.asarray(pmf, dtype=float)
     if pmf.ndim != 1 or np.any(pmf < 0) or abs(pmf.sum() - 1.0) > 1e-9:
-        raise ValueError("pmf must be nonnegative and sum to 1")
+        raise ValueError(f"{name} must be a 1-D array, nonnegative and summing to 1")
+    return pmf
+
+
+def sample_categorical(stream: RngStream, pmf: np.ndarray) -> int:
+    """Draw an index according to a probability vector."""
+    pmf = check_pmf(pmf)
     u = stream.gen.random()
     cdf = np.cumsum(pmf)
     idx = int(np.searchsorted(cdf, u, side="right"))

@@ -1,6 +1,7 @@
 """Tests for closed-form bound evaluation: spot values, domains, and shape."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,8 @@ def test_bound_report_validation():
         bnd.BoundReport("x", "sideways", {}, 1.0, True)
     with pytest.raises(ValueError):
         bnd.BoundReport("x", "upper", {}, -1.0, True)
+    with pytest.raises(ValueError):
+        bnd.BoundReport("x", "upper", {}, math.nan, True)
 
 
 # ---------------------------------------------------------------------------
@@ -316,3 +319,54 @@ def test_rd_sandwich_equals_recorded_values(kind):
     params, upper, lower = RD_SANDWICH_PINS[kind]
     assert bnd.rd_sandwich_upper(kind, params, 100) == upper
     assert bnd.rd_sandwich_lower(kind, params, 100) == lower
+
+
+# (parameter, refused value, message) for linreg's d: int and noise_var: float.
+BAD_PARAMETERS = [
+    ("noise_var", math.nan, "nan is not a finite number"),
+    ("noise_var", math.inf, "inf is not a finite number"),
+    ("noise_var", -math.inf, "-inf is not a finite number"),
+    ("noise_var", True, "True is not a finite number"),
+    ("d", 5.7, "5.7 is not an integer"),
+    ("d", True, "True is not an integer"),
+    ("d", math.nan, "nan is not an integer"),
+    ("d", -math.inf, "-inf is not an integer"),
+]
+
+# Every function that reads bound parameters by name, on linreg's parameters.
+READ_BY_NAME = {
+    "evaluate_bound": lambda p: bnd.evaluate_bound("linreg_error", {**p, "T": 100}),
+    "evaluate_bound_rd": lambda p: bnd.evaluate_bound("rd_linreg_upper", {**p, "eps": 0.01}),
+    "rd_bound_eval": lambda p: bnd.rd_bound_eval("linreg_upper", p, 0.01),
+    "rd_sandwich_upper": lambda p: bnd.rd_sandwich_upper("linreg_upper", p, 100),
+    "rd_sandwich_lower": lambda p: bnd.rd_sandwich_lower("linreg_lower", p, 100),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READ_BY_NAME))
+@pytest.mark.parametrize("name, value, message", BAD_PARAMETERS)
+def test_bad_bound_parameter_is_refused_by_name(reader, name, value, message):
+    params = {"d": 5, "noise_var": 0.25, name: value}
+    with pytest.raises(ValueError, match=f"^parameter '{name}': {re.escape(message)}$"):
+        READ_BY_NAME[reader](params)
+
+
+def test_bound_parameters_echo_as_given_or_as_the_int_they_equal():
+    upper = bnd.evaluate_bound("linreg_error", {"d": 5.0, "noise_var": 1, "T": "100"})[1]
+    assert upper.params == {"d": 5, "noise_var": 1, "T": 100}
+    assert [type(v) for v in upper.params.values()] == [int, int, int]
+    assert upper == bnd.linreg_error_upper(5, 1, 100)
+    with pytest.raises(ValueError, match="^parameter 'eps': nan is not a finite number$"):
+        bnd.evaluate_bound("rd_logreg", {"d": 3, "eps": math.nan})
+
+
+def test_declared_bounds_keep_their_signatures():
+    import inspect
+
+    assert str(inspect.signature(bnd.linreg_error_upper)) == (
+        "(d: 'int', noise_var: 'float', T: 'int') -> 'BoundReport'"
+    )
+    by_keyword = bnd.linreg_error_upper(d=5, T=100, noise_var=0.25)
+    assert by_keyword == bnd.linreg_error_upper(5, 0.25, 100)
+    report, floor = bnd.missing_feature_upper(4, 1.0, 100)
+    assert report.bound_id == "missing_feature" and floor == 1.0 / 8.0

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -412,6 +413,53 @@ def test_cli_selftest():
     assert res.output.count("pass") >= 4 and "FAIL" not in res.output
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "CONFIG", "--seed", str(2**64)], ["verify", "desk_suite", "--seed", "-1"],
+     ["selftest", "--seed", "-1"]],
+    ids=["simulate", "verify", "selftest"],
+)
+def test_cli_seed_out_of_range_is_one_line_error(command, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_config_payload()))
+    args = [str(cfg_path) if a == "CONFIG" else a for a in command] + (
+        ["--out", str(tmp_path)] if command[0] == "simulate" else []
+    )
+    res = CliRunner().invoke(cli_main, args)
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: ") and len(res.output.splitlines()) == 1
+    assert "master_seed must be a 64-bit unsigned integer" in res.output
+    assert "Traceback" not in res.output
+
+
+# (d, K, c_min, c_max) outside the sweep's domain -> the start of its message.
+_GRID = "budget grid must be positive, finite and span at least 3 decades"
+BAD_SWEEPS = {
+    "d_zero": ((0, 4.0, 1e6, 1e10), "the scaling bound requires d >= 1"),
+    "k_zero": ((4, 0.0, 1e6, 1e10), "the scaling bound requires n >= 3, K >= 2"),
+    "k_below_two": ((4, 1.5, 1e6, 1e10), "the scaling bound requires n >= 3, K >= 2"),
+    "k_nan": ((4, math.nan, 1e6, 1e10), "the scaling bound requires n >= 3, K >= 2"),
+    "k_inf": ((4, math.inf, 1e6, 1e10), "the scaling bound requires n >= 3, K >= 2"),
+    "c_min_zero": ((4, 4.0, 0.0, 1e10), _GRID),
+    "c_min_nan": ((4, 4.0, math.nan, 1e10), _GRID),
+    "c_max_inf": ((4, 4.0, 1e6, math.inf), _GRID),
+    "no_feasible_budget": ((4, 4.0, 1e-3, 1.0), "0 of the 9 budgets admit a width n >= 3"),
+    "two_feasible_budgets": ((4, 4.0, 0.1, 100.0), "2 of the 9 budgets admit a width n >= 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
+def test_sweep_scaling_refuses_inputs_outside_the_bound_domain(case):
+    (d, K, c_min, c_max), message = BAD_SWEEPS[case]
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        harness.sweep_scaling(d, K, c_min, c_max, 9)
+    res = CliRunner().invoke(cli_main, [
+        "sweep-scaling", "--d", str(d), "--k", str(K), "--c-min", str(c_min), "--c-max", str(c_max),
+    ])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith(f"Error: {message}") and len(res.output.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # bad configs fail at parse time with one line
 # ---------------------------------------------------------------------------
@@ -547,6 +595,13 @@ BAD_CONFIGS = {
         "misspecified_width predictor applies to the dirichlet process",
     ),
     "foreign_bound": (_config_payload(bounds=["logreg_error"]), "logreg_error"),
+    "repeated_bound": (
+        _config_payload(bounds=["linreg_error", "linreg_error"]),
+        "bound 'linreg_error' is listed more than once",
+    ),
+    "negative_master_seed": (
+        _config_payload(master_seed=-3), "master_seed must be a 64-bit unsigned integer"
+    ),
     "meta_process": (
         _config_payload(
             process={"kind": "linrep", "d": 6, "r": 2, "tasks": 4},

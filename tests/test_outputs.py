@@ -201,6 +201,22 @@ def test_cli_bounds_json_golden():
             "bound 'rd_linreg_lower': requires d > 2",
         ),
         ("logreg_error", '{"d": null, "T": 5}', "bound 'logreg_error': int() argument must be"),
+        (
+            "linreg_error",
+            '{"d": 5, "noise_var": NaN, "T": 100}',
+            "bound 'linreg_error': parameter 'noise_var': nan is not a finite number",
+        ),
+        (
+            "rd_linreg_upper",
+            '{"d": 5, "noise_var": -Infinity, "eps": 0.1}',
+            "bound 'rd_linreg_upper': parameter 'noise_var': -inf is not a finite number",
+        ),
+        ("rd_logreg", '{"d": 3, "eps": Infinity}',
+         "bound 'rd_logreg': parameter 'eps': inf is not a finite number"),
+        ("logreg_error", '{"d": true, "T": 100}',
+         "bound 'logreg_error': parameter 'd': True is not an integer"),
+        ("logreg_error", '{"d": 5.7, "T": 100}',
+         "bound 'logreg_error': parameter 'd': 5.7 is not an integer"),
     ],
 )
 def test_cli_bounds_errors_are_one_line(bound_id, params, message):

@@ -866,3 +866,24 @@ def test_short_ark_history_is_refused(case):
     for hist in ([], short):
         with pytest.raises(ValueError, match="history shorter than the context length"):
             predict(state, spec, hist)
+
+
+@pytest.mark.parametrize(
+    "cov, message",
+    [(np.diag([1.0, -1.0]), "positive semi-definite"), ([[1.0, 0.5], [0.0, 1.0]], "symmetric")],
+    ids=["indefinite", "asymmetric"],
+)
+def test_conjugate_prior_covariance_is_checked_at_construction(cov, message):
+    with pytest.raises(ValueError, match=f"^prior covariance must be {message}$"):
+        ConjugateLinReg(prior_mean=np.zeros(2), prior_cov=np.asarray(cov), noise_var=0.25)
+
+
+@pytest.mark.parametrize("z", [-1000.0, -745.5, -20.0, -0.5, 0.0, 0.5, 20.0, 1000.0])
+def test_bernoulli_probabilities_use_the_one_sigmoid(z):
+    from infolab.info import binary_kl_logits
+    from infolab.processes import sigmoid
+
+    p = sigmoid(z)
+    assert p == pytest.approx(1.0 / (1.0 + math.exp(-z)) if z > -700 else 0.0, rel=1e-15)
+    assert BernoulliLogitPred(z).p1 == p
+    assert binary_kl_logits(z, z) == pytest.approx(0.0, abs=1e-15)

@@ -7,7 +7,7 @@ import pytest
 
 from infolab import bounds as bnd
 from infolab import quantizers as qt
-from infolab.processes import DirichletNet, sample_latent
+from infolab.processes import DirichletNet, dirichlet_net_output, sample_latent
 from infolab.rng import SeedSpec, derive_stream
 
 
@@ -203,3 +203,15 @@ def test_snapped_reduction_meets_composite_bound():
         spec, n, derive_stream(SeedSpec(12)), eps=eps
     )
     assert mean <= 3.0 * K * (1.0 + d * eps**2) / n + 3.0 * se
+
+
+def test_batched_gap_output_agrees_with_the_process_output():
+    """The two writings of the Dirichlet-net output (sum and dot order) agree to 1e-12."""
+    spec = _dirichlet_spec(3, 2.0)
+    stream = derive_stream(SeedSpec(12))
+    latent = sample_latent(spec, stream.derive(0))
+    zero = qt.FiniteWidthNet(signs=np.zeros(1), atoms=np.zeros((1, 3)), scale=spec.output_scale)
+    gap = qt._squared_gap(spec, latent, zero, 64, stream.derive(1))
+    X = stream.derive(1).derive(("inputs", 0)).gen.normal(size=(64, 3))
+    single = np.array([dirichlet_net_output(spec, latent, x) for x in X])
+    np.testing.assert_allclose(np.sqrt(gap), np.abs(single), rtol=1e-12)

@@ -19,26 +19,26 @@ from infolab.rng import (
 def test_same_seed_same_draws():
     a = derive_stream(SeedSpec(42, (("rep", 3),)))
     b = derive_stream(SeedSpec(42, (("rep", 3),)))
-    assert np.array_equal(a.uniform(4), b.uniform(4))
+    assert np.array_equal(a.gen.random(4), b.gen.random(4))
 
 
 def test_derive_is_associative_over_path_extension():
-    direct = RngStream(SeedSpec(7, (("a", 1), ("b", 2)))).uniform(4)
-    chained = RngStream(SeedSpec(7)).derive(("a", 1)).derive(("b", 2)).uniform(4)
+    direct = RngStream(SeedSpec(7, (("a", 1), ("b", 2)))).gen.random(4)
+    chained = RngStream(SeedSpec(7)).derive(("a", 1)).derive(("b", 2)).gen.random(4)
     assert np.array_equal(direct, chained)
 
 
 def test_sibling_paths_decorrelated():
     draws = np.stack(
-        [RngStream(SeedSpec(0, (("sib", i),))).uniform(8) for i in range(10**4)]
+        [RngStream(SeedSpec(0, (("sib", i),))).gen.random(8) for i in range(10**4)]
     )
     # no two sibling streams share their first 8 draws
     assert len(np.unique(draws, axis=0)) == 10**4
 
 
 def test_bare_int_path_entries_normalize():
-    a = RngStream(SeedSpec(5, (("", 3),))).uniform(2)
-    b = RngStream(SeedSpec(5)).derive(3).uniform(2)
+    a = RngStream(SeedSpec(5, (("", 3),))).gen.random(2)
+    b = RngStream(SeedSpec(5)).derive(3).gen.random(2)
     assert np.array_equal(a, b)
 
 
@@ -239,3 +239,25 @@ def test_pinned_first_draws(spec, uniforms, ints, normals):
         assert [float.hex(u) for u in gen.random(3)] == uniforms
         assert gen.integers(1000, size=3).tolist() == ints
         assert [float.hex(z) for z in gen.normal(size=2)] == normals
+
+
+def _pmf_sites():
+    from infolab.estimators import EnumerationModel, misspec_decomposition
+    from infolab.info import entropy_pmf
+    from infolab.predictors import Enumeration
+
+    model = EnumerationModel(prior=np.array([0.5, 0.5]), cond=np.full((2, 2), 0.5))
+    return {
+        "sample_categorical": lambda p: sample_categorical(derive_stream(SeedSpec(1)), p),
+        "entropy_pmf": entropy_pmf,
+        "EnumerationModel": lambda p: EnumerationModel(prior=p, cond=np.full((len(p), 2), 0.5)),
+        "misspec_decomposition": lambda p: misspec_decomposition(model, p, 2),
+        "Enumeration": lambda p: Enumeration(support=[None] * len(p), prior=p),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(_pmf_sites()))
+@pytest.mark.parametrize("pmf", [[0.5, 0.6], [1.5, -0.5], [[0.5, 0.5]]], ids=str)
+def test_every_pmf_check_is_the_one_rule(site, pmf):
+    with pytest.raises(ValueError, match="must be a 1-D array, nonnegative and summing to 1$"):
+        _pmf_sites()[site](np.array(pmf))

@@ -2,6 +2,7 @@
 modules that importing infolab loads."""
 
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -71,3 +72,40 @@ def test_importing_every_module_leaves_scipy_unloaded():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+TRACED = """
+import importlib.util, json, sys
+import infolab, infolab.cli
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install(infolab)
+print(json.dumps({"unwrapped": tracer.unwrapped, "spans": tracer.names}))
+"""
+
+# Names in the tracer's tables that the package no longer defines; the set may shrink, not grow.
+UNWRAPPED = {
+    "processes.meta_step", "estimators.run_meta_replicate", "predictors.EnumerationState.observe",
+}
+
+
+def test_benchmark_tracer_finds_every_entry_point():
+    """perfbench traces by name: every name in its tables exists, and its auto-wrap of
+    infolab.bounds finds every public bound and rate function."""
+    from infolab import bounds as bnd
+
+    tracing = os.path.join(ROOT, "perfbench", "tracing.py")
+    res = subprocess.run(
+        [sys.executable, "-c", TRACED, tracing], env=ENV, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    traced = json.loads(res.stdout)
+    assert set(traced["unwrapped"]) <= UNWRAPPED
+    declared = [fn for sides in bnd._BOUNDS.values() for _, fn in sides]
+    declared.append(bnd.missing_feature_upper)
+    public = {fn.__name__ for fn in declared if not fn.__name__.startswith("_")}
+    assert len(public) == 22
+    assert {f"bounds.{name}" for name in public} <= set(traced["spans"])
