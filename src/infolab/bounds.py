@@ -81,6 +81,11 @@ def _bound(bound_id: str, side: str):
     return declare
 
 
+def _domain(params: Dict) -> str:
+    """The note of a horizon T or a dimension d below 1, where no bound is defined."""
+    return next((f"requires {k} >= 1" for k in ("T", "d") if params.get(k, 1) < 1), "")
+
+
 def _reporting(bound_id: str, side: str, fn):
     """fn, returning the BoundReport whose params are the call's arguments in signature order."""
     signature = inspect.signature(fn)
@@ -88,7 +93,7 @@ def _reporting(bound_id: str, side: str, fn):
     @functools.wraps(fn)
     def report(*args, **kwargs) -> BoundReport:
         params = signature.bind(*args, **kwargs).arguments
-        value = fn(*args, **kwargs)
+        value = _domain(params) or fn(*args, **kwargs)
         note = value if isinstance(value, str) else ""
         return BoundReport(bound_id, side, params, None if note else value, not note, note)
 
@@ -291,7 +296,16 @@ def _rate_args(kind: str, params: Dict[str, float]):
     if f"rd_{kind}" not in _BOUNDS:
         raise KeyError(f"unknown rate-distortion bound: {kind}")
     [(_, rate)] = _BOUNDS[f"rd_{kind}"]
-    return rate, _read(f"rd_{kind}", rate, params, "eps")
+    return rate, _read_rate(f"rd_{kind}", rate, params, "eps")
+
+
+def _read_rate(bound_id: str, rate, params: Dict, *given: str) -> list:
+    """_read of a rate function's arguments, refusing a horizon or dimension below 1."""
+    args = _read(bound_id, rate, params, *given)
+    note = _domain(dict(zip(inspect.signature(rate).parameters, args)))
+    if note:
+        raise ValueError(note)
+    return args
 
 
 def rd_bound_eval(kind: str, params: Dict[str, float], eps: float) -> float:
@@ -366,6 +380,8 @@ def scaling_optimal_width(d: int, K: float, C: float) -> Tuple[int, float, float
     note = scaling_domain(d, K)
     if note:
         raise ValueError(f"the scaling bound {note}")
+    if not math.isfinite(C):
+        raise ValueError(f"budget C must be a finite number, not {C}")
     n_max = C / (3.0 * d)  # T >= 3 keeps the log arguments sane
     if n_max < 3.0:
         raise ValueError("budget too small for any feasible width")
@@ -417,5 +433,5 @@ def evaluate_bound(bound_id: str, params: Dict[str, float]) -> List[BoundReport]
     if not bound_id.startswith("rd_"):
         return [report(*_read(bound_id, report, params)) for _, report in _BOUNDS[bound_id]]
     [(side, rate)] = _BOUNDS[bound_id]
-    value = rate(*_read(bound_id, rate, params))
+    value = rate(*_read_rate(bound_id, rate, params))
     return [BoundReport(bound_id, side, dict(params), value, True)]

@@ -16,20 +16,16 @@ import numpy as np
 
 from .info import linreg_mi_given_inputs
 from .predictors import Omniscient, OracleMetaEnsemble, PriorEnsemble, init_predictor
-from .processes import (
-    LinRep,
-    Process,
-    initial_history,
-    mean_se,
-    sample_latent,
-    step,
-)
+from .processes import LinRep, Process, mean_se, sample_latent, step
 from .rng import RngStream, check_pmf
 
 MAX_ENUM_STATES = 10**7
-# Most observations a chunk of rollouts holds before its kinds score it; a
-# longer rollout is a chunk of its own.
-CHUNK_OBSERVATIONS = 4096
+# Bytes of history arrays a chunk of rollouts holds before its kinds score it;
+# a rollout that reaches it alone is a chunk of its own.  Scoring holds about
+# as much again (the conjugate kinds stack the chunk's inputs), so the cap
+# bounds the engine's memory: at 512 KiB a chunk of 500-step LinReg rollouts
+# with d = 5 holds 22 replicates.
+CHUNK_BYTES = 2**19
 
 
 # ---------------------------------------------------------------------------
@@ -56,17 +52,13 @@ class ErrorCurve:
 
 def _rollout(spec: Process, n: int, stream: RngStream):
     """One replicate's latent and history: seed context, then n steps (meta
-    processes visit their tasks round-robin); step i reads path ("step", i)."""
+    processes visit their tasks round-robin), drawn in blocks from its paths."""
     latent = sample_latent(spec, stream.derive(("latent", 0)))
-    history = initial_history(spec, latent, stream.derive(("init", 0)))
-    for i, sub in enumerate(stream.children("step", n)):
-        history.append(step(spec, latent, history, sub, i % spec.tasks if spec.meta else None))
-    return latent, history
+    return latent, step(spec, latent, n, stream)
 
 
-def _score_chunk(spec: Process, kinds: Sequence, n: int, streams: Sequence[RngStream]):
-    """(len(streams), len(kinds), n) log-losses of one chunk of replicates."""
-    rollouts = [_rollout(spec, n, s) for s in streams]
+def _score_chunk(spec: Process, kinds: Sequence, n: int, rollouts, streams):
+    """(len(streams), len(kinds), n) log-losses of one chunk of rolled-out replicates."""
     histories = [history for _, history in rollouts]
     losses = np.empty((len(streams), len(kinds), n))
     for j, kind in enumerate(kinds):
@@ -82,21 +74,25 @@ def score_rollouts(spec: Process, kinds: Sequence, T: int, streams: Sequence[Rng
     """(len(streams), len(kinds), T * tasks) log-losses of every kind in
     `kinds` on one rollout per replicate stream.
 
-    A chunk of at most CHUNK_OBSERVATIONS observations (or one replicate) is
-    rolled out, one replicate alone at a time; then each kind scores it
-    (`PredictorKind.score`) with states built from path ("pred", 0).  Process
-    and predictor draws read disjoint paths, so neither the phases, the chunk
-    size nor the kinds beside a kind change its losses.
+    Replicates are rolled out one at a time until their histories hold
+    CHUNK_BYTES; then each kind scores the chunk (`PredictorKind.score`)
+    with states built from path ("pred", 0).  Process and predictor draws
+    read disjoint paths, so neither the phases, the chunk size nor the
+    kinds beside a kind change its losses.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     if not kinds:
         raise ValueError("kinds must name at least one predictor kind")
     n = T * (spec.tasks if spec.meta else 1)
-    size = max(1, CHUNK_OBSERVATIONS // n)
     losses = np.empty((len(streams), len(kinds), n))
-    for start in range(0, len(streams), size):
-        losses[start:start + size] = _score_chunk(spec, kinds, n, streams[start:start + size])
+    start, chunk, held = 0, [], 0
+    for i, stream in enumerate(streams, 1):
+        chunk.append(_rollout(spec, n, stream))
+        held += chunk[-1][1].nbytes
+        if held >= CHUNK_BYTES or i == len(streams):
+            losses[start:i] = _score_chunk(spec, kinds, n, chunk, streams[start:i])
+            start, chunk, held = i, [], 0
     return losses
 
 

@@ -7,11 +7,12 @@ variants (wrong conjugate prior; reduced-width function prior).  Each
 predictor kind builds its own state; the process spec supplies every
 family-specific piece (conditionals, particle statistics, predictives).
 Enumeration, ensembles and the oracle-meta filter all hold one kind of
-state: weighted particles (`EnsembleState`).  `predict(spec, history, x,
-task)` and `observe(spec, history, obs)` read the caller's history: the
-observations before the next one, seed context included.  No state copies it.
-A kind's `score` runs a chunk of states along their rollouts' histories:
-one state at a time by default, all at once for the conjugate kinds.
+state: weighted particles (`EnsembleState`).  `predict(spec, history, n)`
+and `observe(spec, history, n)` read the caller's history, a rollout's
+arrays: label n, given the labels before it (seed context included).  No
+state copies it.  A kind's `score` runs a chunk of states along their
+rollouts' histories: one state at a time by default, all at once for the
+conjugate kinds and, on iid processes, the omniscient.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .processes import (
     DirichletNet,
     GaussianMixturePred,
     GaussianPred,
+    History,
     LinRep,
     LinReg,
-    Observation,
     Particles,
     Process,
     float_array,
@@ -61,20 +62,19 @@ def _normalized_log_weights(logw: np.ndarray) -> np.ndarray:
 class PredictorKind:
     """A predictor kind: `init` builds its prior state, `score` scores states."""
 
-    def score(self, spec: Process, states, histories: Sequence[List[Observation]], n: int):
-        """(C, n) log-losses on the last n observations of each of C histories.
+    def score(self, spec: Process, states, histories: Sequence[History], n: int):
+        """(C, n) log-losses on the last n labels of each of C histories.
 
         The iterator `states` yields each history's prior state.  Each state
-        predicts, is scored and observes one step at a time on the history
-        before the step, and is done before the next is built.
+        predicts, is scored and observes one step at a time, and is done
+        before the next is built.
         """
         losses = np.empty((len(histories), n))
         for row, history in zip(losses, histories):
-            state, seen = next(states), history[:len(history) - n]
-            for i, obs in enumerate(history[len(history) - n:]):
-                row[i] = log_loss(predict(state, spec, seen, obs.x, obs.task), obs.y)
-                state.observe(spec, seen, obs)
-                seen.append(obs)
+            state, start = next(states), len(history.y) - n
+            for i in range(start, start + n):
+                row[i - start] = log_loss(predict(state, spec, history, i), history.y[i])
+                state.observe(spec, history, i)
             del state  # free it before the next one is built
         return losses
 
@@ -123,20 +123,16 @@ class ConjugateLinReg(PredictorKind, Configurable):
         states = list(states)
         mean = np.stack([s.mean for s in states])[:, None, :]
         cov = np.stack([s.cov for s in states])
-        steps = [history[len(history) - n:] for history in histories]
-        xs = np.stack([np.stack([obs.x for obs in h]) for h in steps], axis=1)  # (n, C, d)
+        xs = np.stack([h.x[-n:] for h in histories], axis=1)  # (n, C, d)
         rows, cols = xs[..., None, :], xs[..., None]
-        ys = np.array([[obs.y for obs in h] for h in steps]).T[..., None, None]  # (n, C, 1, 1)
+        ys = np.stack([h.y[-n:] for h in histories], axis=1)[..., None, None]  # (n, C, 1, 1)
         means, variances = np.empty_like(ys), np.empty_like(ys)
         for i in range(n):
             means[i], variances[i] = conjugate_moments(mean, cov, self.noise_var, rows[i], cols[i])
             mean, cov = conjugate_update(
                 mean, cov, self.noise_var, rows[i], cols[i], ys[i], means[i]
             )
-        # Per element in Python floats, as GaussianPred.log_loss computes it.
-        losses = map(gaussian_log_loss, means.ravel().tolist(), variances.ravel().tolist(),
-                     ys.ravel().tolist())
-        return np.fromiter(losses, float, count=ys.size).reshape(n, len(states)).T
+        return gaussian_log_loss(means, variances, ys)[..., 0, 0].T
 
 
 @dataclass(frozen=True)
@@ -185,6 +181,15 @@ class Omniscient(PredictorKind, Configurable):
         if latent is None:
             raise ValueError("Omniscient requires the true latent")
         return OmniscientState(latent=latent)
+
+    def score(self, spec, states, histories, n):
+        """On iid processes, each history's statistics and losses in one call each."""
+        if not spec.iid:
+            return super().score(spec, states, histories, n)
+        return np.array([
+            -spec.loglik(spec.stats(state.latent, h.x[-n:]), h.y[-n:])
+            for state, h in zip(states, histories)
+        ])
 
 
 @dataclass(frozen=True)
@@ -241,10 +246,10 @@ class MisspecifiedWidth(PredictorKind, Configurable):
             "net_signs": np.stack([net.signs for net in nets]),  # (S, n)
         }
 
-    def particle_stat(self, particles, history, x, task):
+    def particle_stat(self, particles, history, n):
         # The nets share one width and scale.
         scale = particles.latents[0].scale / particles.net_signs.shape[1]
-        acts = np.maximum(np.einsum("snd,d->sn", particles.net_atoms, x), 0.0)
+        acts = np.maximum(np.einsum("snd,d->sn", particles.net_atoms, history.x[n]), 0.0)
         return scale * np.einsum("sn,sn->s", particles.net_signs, acts)
 
 
@@ -263,7 +268,8 @@ class _KnownRepresentation:
 
     psi: np.ndarray
 
-    def particle_stat(self, particles, history, x, task):
+    def particle_stat(self, particles, history, n):
+        task = int(history.task[n])
         return particles.once(task, lambda: softmax(particles.xi @ self.psi.T, axis=1))
 
 
@@ -328,14 +334,16 @@ class ConjugateState:
     mean: np.ndarray
     cov: np.ndarray
 
-    def observe(self, spec: Process, history: List[Observation], obs: Observation) -> None:
-        mean, row, col = self.mean[None], obs.x[None], obs.x[:, None]
+    def observe(self, spec: Process, history: History, n: int) -> None:
+        x = history.x[n]
+        mean, row, col = self.mean[None], x[None], x[:, None]
         mean, self.cov = conjugate_update(
-            mean, self.cov, self.kind.noise_var, row, col, float(obs.y), mean @ col
+            mean, self.cov, self.kind.noise_var, row, col, history.y[n], mean @ col
         )
         self.mean = mean[0]
 
-    def predict(self, spec: Process, history: List[Observation], x, task: Optional[int] = None):
+    def predict(self, spec: Process, history: History, n: int):
+        x = history.x[n]
         mean, variance = conjugate_moments(
             self.mean[None], self.cov, self.kind.noise_var, x[None], x[:, None]
         )
@@ -367,9 +375,9 @@ class EnsembleState:
     After each reweighting the particles are resampled when the effective
     sample size falls below `kind.resample_ess_frac` of the ensemble; a
     state without a resampler (exact enumeration) keeps its weights.  The
-    statistic that `predict` computes is kept as `(x, (task, len(history)),
-    stat)` and reused by the next `observe` at the same input object, task
-    and history length, so a predict-then-observe step computes it once.
+    statistic that `predict` computes is kept as `(history, n, stat)` and
+    reused by the next `observe` of the same history object and step, so a
+    predict-then-observe step computes it once.
     """
 
     kind: object
@@ -400,21 +408,20 @@ class EnsembleState:
             self.particles = self.particles.resample(self.resampler.indices(w))
             self.log_weights = np.full(size, -math.log(size))
 
-    def observe(self, spec: Process, history: List[Observation], obs: Observation) -> None:
+    def observe(self, spec: Process, history: History, n: int) -> None:
         predicted, self._predicted = self._predicted, None
-        key = (obs.task, len(history))
-        if predicted is not None and predicted[0] is obs.x and predicted[1] == key:
+        if predicted is not None and predicted[0] is history and predicted[1] == n:
             stat = predicted[2]
         else:
-            stat = self.particles.prior.particle_stat(self.particles, history, obs.x, obs.task)
-        ll = spec.loglik(stat, obs.y)
+            stat = self.particles.prior.particle_stat(self.particles, history, n)
+        ll = spec.loglik(stat, history.y[n])
         self.log_weights = _normalized_log_weights(self.log_weights + ll)
         if self.resampler is not None:
             self._maybe_resample()
 
-    def predict(self, spec: Process, history: List[Observation], x, task: Optional[int] = None):
-        stat = self.particles.prior.particle_stat(self.particles, history, x, task)
-        self._predicted = (x, (task, len(history)), stat)
+    def predict(self, spec: Process, history: History, n: int):
+        stat = self.particles.prior.particle_stat(self.particles, history, n)
+        self._predicted = (history, n, stat)
         return spec.mixture(stat, self.log_weights)
 
 
@@ -422,11 +429,11 @@ class EnsembleState:
 class OmniscientState:
     latent: object
 
-    def observe(self, spec: Process, history: List[Observation], obs: Observation) -> None:
+    def observe(self, spec: Process, history: History, n: int) -> None:
         pass  # the true latent needs no update
 
-    def predict(self, spec: Process, history: List[Observation], x, task: Optional[int] = None):
-        return spec.point(spec.conditional(self.latent, history, x, task))
+    def predict(self, spec: Process, history: History, n: int):
+        return spec.point(spec.conditional(self.latent, history, n))
 
 
 @dataclass
@@ -438,13 +445,11 @@ class OracleMetaState:
 
     tasks: List[EnsembleState]
 
-    def observe(self, spec: Process, history: List[Observation], obs: Observation) -> None:
-        spec.check_task(obs.task)
-        self.tasks[obs.task].observe(spec, history, obs)
+    def observe(self, spec: Process, history: History, n: int) -> None:
+        self.tasks[spec.check_task(history, n)].observe(spec, history, n)
 
-    def predict(self, spec: Process, history: List[Observation], x, task: Optional[int] = None):
-        spec.check_task(task)
-        return self.tasks[task].predict(spec, history, x, task)
+    def predict(self, spec: Process, history: History, n: int):
+        return self.tasks[spec.check_task(history, n)].predict(spec, history, n)
 
     # Read-only health views over all tasks.
     @property
@@ -470,9 +475,9 @@ def init_predictor(kind, spec: Process, latent=None, stream: Optional[RngStream]
     return kind.init(spec, latent, stream)
 
 
-def predict(state, spec: Process, history: List[Observation], x=None, task: Optional[int] = None):
-    """Posterior (or prior) predictive distribution for the label after history."""
-    return state.predict(spec, history, x, task)
+def predict(state, spec: Process, history: History, n: int):
+    """Posterior (or prior) predictive distribution of label n of the history."""
+    return state.predict(spec, history, n)
 
 
 def log_loss(pred, y: Union[float, int]) -> float:

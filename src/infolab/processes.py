@@ -1,19 +1,20 @@
 """Data-generating processes behind one process protocol.
 
 Every process spec owns what differs between processes: its config keys,
-prior sampling (one latent, or a batch of particles), the true conditional
-of the next label given latent and history, the per-particle form of that
-conditional, and the parameters of its bound family.  The output family a
-spec derives from (Gaussian, Bernoulli or categorical) turns the conditional
-into a draw, a log-likelihood and a predictive distribution, so predictors
-and the harness never ask which process they hold.
+prior sampling (one latent, or a batch of particles), the rollout of one
+replicate into a `History` of arrays, the true conditional of the next label
+given latent and history, the per-particle form of that conditional, and the
+parameters of its bound family.  The output family a spec derives from
+(Gaussian, Bernoulli or categorical) turns the conditional into a label, a
+log-likelihood and a predictive distribution, so predictors and the harness
+never ask which process they hold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .rng import (
     RngStream,
     SeedSpec,
     StickBreakingDraw,
-    sample_categorical,
+    categorical_indices,
     sample_gaussian,
     sample_stick_breaking,
     sample_unit_sphere,
@@ -53,9 +54,15 @@ def mean_se(values: np.ndarray):
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def gaussian_log_loss(mean, variance: float, y: float):
-    """-log N(y; mean, variance) in nats, elementwise over means; libm log and pow for floats."""
-    return 0.5 * (LOG_2PI + math.log(variance)) + (y - mean) ** 2 / (2.0 * variance)
+def gaussian_log_loss(mean, variance, y):
+    """-log N(y; mean, variance) in nats, elementwise over means, variances and labels.
+
+    The residual is squared by a product, since a numpy scalar's `** 2` calls
+    libm pow and an array's multiplies: so one loss gets the same bits alone
+    and in a batch.
+    """
+    residual = y - mean
+    return 0.5 * (LOG_2PI + np.log(variance)) + residual * residual / (2.0 * variance)
 
 
 def sigmoid(z: float) -> float:
@@ -66,9 +73,9 @@ def sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def bernoulli_log_loss(logits, y: int):
-    """-log P(y | logit) of a binary label, elementwise over an array of logits."""
-    return np.logaddexp(0.0, -logits) if y == 1 else np.logaddexp(0.0, logits)
+def bernoulli_log_loss(logits, y):
+    """-log P(y | logit) of binary labels, elementwise over logits and labels."""
+    return np.logaddexp(0.0, (1 - 2 * y) * logits)  # the sign flips the logit of label 1
 
 
 @dataclass
@@ -198,27 +205,21 @@ class Process(Configurable):
 
     A spec sets `kind` and `config` (see `Configurable`), `bound_id` and
     `bound_args` (bound parameter -> attribute).  It implements
-    `sample_latent` and `conditional`: the statistic of the next label given
-    latent, history, input and task.  Specs with array latents batch
+    `sample_latent`, `rollout` (one replicate's `History`, drawn in blocks)
+    and `conditional`: the statistic of label n of a history given the latent
+    and the labels before it.  Specs with array latents batch
     `sample_particles`, vectorize `particle_stat` and name the latent fields
-    it reads stacked in `particle_arrays`; sequence processes set
-    `seed_tokens` and `seed_label`.  The output family supplies `step`,
-    `loglik` (by default also `cond_logprob`), `point` and `mixture`; meta
-    processes take the task of each step and iid ones take none.
+    it reads stacked in `particle_arrays`.  The output family supplies
+    `label_draws`, `label`, `loglik`, `point` and `mixture`; meta processes
+    read the task of each step from the history and iid ones their input.
     """
 
     meta = False
-    seed_tokens = 0  # leading uniform labels (seed_label) that open the history
+    iid = False  # whether the label depends on its input alone (see _Iid)
     particle_arrays = ()  # latent fields that particle_stat reads as stacked arrays
 
     def bound_params(self) -> Dict:
         return {name: getattr(self, attr) for name, attr in self.bound_args.items()}
-
-    def draw_input(self, stream: RngStream) -> Optional[np.ndarray]:
-        return stream.gen.normal(size=self.d)
-
-    def initial_history(self, latent, stream: RngStream) -> List["Observation"]:
-        return [Observation(x=None, y=self.seed_label(stream)) for _ in range(self.seed_tokens)]
 
     def irreducible_rate(self) -> Optional[float]:
         return None
@@ -234,26 +235,22 @@ class Process(Configurable):
         the latent fields named in `particle_arrays`, stacked."""
         return {n: np.stack([getattr(l, n) for l in latents]) for n in self.particle_arrays}
 
-    def particle_stat(self, particles: Particles, history, x, task) -> np.ndarray:
+    def particle_stat(self, particles: Particles, history: "History", n: int) -> np.ndarray:
         # Latent-list particles, e.g. Dirichlet draws whose atom counts differ.
-        return np.array([self.conditional(l, history, x, task) for l in particles.latents])
-
-    def cond_logprob(self, latent, history, x, y, task=None) -> float:
-        return float(self.loglik(self.conditional(latent, history, x, task), y))
+        return np.array([self.conditional(l, history, n) for l in particles.latents])
 
 
 class _Gaussian(Process):
     """Y = conditional mean + N(0, noise_var), inputs X ~ N(0, I_d)."""
 
-    def step(self, latent, history, stream, task=None):
-        x = self.draw_input(stream)
-        y = self.conditional(latent, history, x, task) + float(
-            stream.gen.normal(0.0, math.sqrt(self.noise_var))
-        )
-        return Observation(x=x, y=y)
+    def label_draws(self, stream: RngStream, n: int) -> np.ndarray:
+        return stream.gen.normal(0.0, math.sqrt(self.noise_var), size=n)
+
+    def label(self, means, noises):
+        return means + noises
 
     def loglik(self, means, y):
-        return -gaussian_log_loss(means, self.noise_var, float(y))
+        return -gaussian_log_loss(means, self.noise_var, y)
 
     def irreducible_rate(self) -> float:
         return 0.5 * math.log(2.0 * math.pi * math.e * self.noise_var)
@@ -270,10 +267,12 @@ class _Gaussian(Process):
 class _Bernoulli(Process):
     """Binary labels with P(Y = 1) = sigmoid(conditional logit)."""
 
-    def step(self, latent, history, stream, task=None):
-        x = self.draw_input(stream)
-        p1 = sigmoid(self.conditional(latent, history, x, task))
-        return Observation(x=x, y=int(stream.gen.random() < p1))
+    def label_draws(self, stream: RngStream, n: int) -> np.ndarray:
+        return stream.gen.random(n)
+
+    def label(self, logits, u):
+        """1 where the uniform u falls below P(Y = 1), else 0."""
+        return (u < np.exp(-bernoulli_log_loss(logits, 1))).astype(int)
 
     def loglik(self, logits, y):
         return -bernoulli_log_loss(logits, y)
@@ -290,12 +289,12 @@ class _Bernoulli(Process):
 class _Categorical(Process):
     """Labels 1..V drawn from the conditional pmf; inputs are absent."""
 
-    def step(self, latent, history, stream, task=None):
-        pmf = self.conditional(latent, history, None, task)
-        return Observation(x=None, y=sample_categorical(stream, pmf) + 1, task=task)
+    def label_draws(self, stream: RngStream, n: int) -> np.ndarray:
+        return stream.gen.random(n)
 
-    def cond_logprob(self, latent, history, x, y, task=None) -> float:
-        return float(np.log(self.conditional(latent, history, x, task)[int(y) - 1]))
+    def label(self, pmf: np.ndarray, u):
+        """The labels that uniforms u draw from one pmf."""
+        return categorical_indices(pmf, u) + 1
 
     def loglik(self, pmfs, y):
         return np.log(np.maximum(pmfs[:, int(y) - 1], 1e-300))
@@ -307,18 +306,41 @@ class _Categorical(Process):
         return CategoricalPred(pmf=np.exp(log_weights) @ pmfs)
 
 
-class _MetaCategorical(_Categorical):
-    """Categorical processes over `tasks` tasks, generated one task at a time.
+class _Iid:
+    """Processes whose label depends on the latent and its own input alone.
 
-    `conditional` checks the task, so `step` and `cond_logprob`, which call
-    it, refuse a task outside [0, tasks) alike.
+    `stats(latent, x)` gives the statistic at an input (d,) or at each row of
+    inputs (n, d).  It sums by einsum, which gives a row the same bits in any
+    batch, so a rollout of T steps is a prefix of a longer one.
     """
 
-    meta = True
+    iid = True
 
-    def check_task(self, task) -> None:
-        if task is None or not 0 <= task < self.tasks:
-            raise ValueError(f"{type(self).__name__} steps need a task index in [0, {self.tasks})")
+    def conditional(self, latent, history: "History", n: int):
+        return self.stats(latent, history.x[n])
+
+    def rollout(self, latent, n: int, stream: RngStream) -> "History":
+        """Inputs from path ("inputs", 0), label noises or uniforms from ("noise", 0)."""
+        x = stream.derive(("inputs", 0)).gen.normal(size=(n, self.d))
+        draws = self.label_draws(stream.derive(("noise", 0)), n)
+        return History(y=self.label(self.stats(latent, x), draws), x=x)
+
+
+class _Sequence:
+    """Token processes: the next label depends on the last `context` labels.
+
+    A rollout opens with `context` uniform seed labels from path ("init", 0);
+    then label i is drawn by the i-th uniform of path ("noise", 0).
+    """
+
+    def rollout(self, latent, n: int, stream: RngStream) -> "History":
+        k = self.context
+        y = np.empty(k + n, dtype=int)
+        y[:k] = self.seed_labels(stream.derive(("init", 0)), k)
+        history, draws = History(y=y), self.label_draws(stream.derive(("noise", 0)), n)
+        for i in range(k, k + n):
+            y[i] = self.label(self.conditional(latent, history, i), draws[i - k])
+        return history
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +363,18 @@ class _GaussianTheta:
         return stream.gen.normal(0.0, math.sqrt(self.prior_var), size=shape)
 
 
-class _Linear(_GaussianTheta):
+class _Linear(_GaussianTheta, _Iid):
     """The statistic theta^T x of linear and logistic regression, theta shaped (d,)."""
 
     @property
     def theta_shape(self):
         return (self.d,)
 
-    def conditional(self, latent, history, x, task) -> float:
-        return float(latent.theta @ x)
+    def stats(self, latent, x):
+        return np.einsum("...d,d->...", x, latent.theta)
 
-    def particle_stat(self, particles, history, x, task):
-        return particles.theta @ x
+    def particle_stat(self, particles, history, n):
+        return particles.theta @ history.x[n]
 
 
 def _check_unit_rows(arr: np.ndarray, name: str) -> None:
@@ -438,7 +460,7 @@ class LogReg(_Linear, _Bernoulli):
 
 
 @dataclass(frozen=True)
-class DeepNet(_Gaussian):
+class DeepNet(_Iid, _Gaussian):
     """ReLU stack with Gaussian weight priors and linear scalar output."""
 
     d: int
@@ -482,10 +504,11 @@ class DeepNet(_Gaussian):
             f"w{i}": np.stack([l.weights[i] for l in latents]) for i in range(self.depth)
         }
 
-    def conditional(self, latent, history, x, task) -> float:
+    def stats(self, latent, x):
         return relu_forward(latent.weights, x)
 
-    def particle_stat(self, particles, history, x, task):
+    def particle_stat(self, particles, history, n):
+        x = history.x[n]
         u = np.broadcast_to(x, (particles.size, len(x)))
         for i, w in enumerate(particles.arrays.values()):
             u = np.einsum("soi,si->so", w, u)
@@ -495,7 +518,7 @@ class DeepNet(_Gaussian):
 
 
 @dataclass(frozen=True)
-class DirichletNet(_Gaussian):
+class DirichletNet(_Iid, _Gaussian):
     """Infinite-width net drawn from a Dirichlet process over sphere atoms.
 
     Y = W + c sum_w theta_w ReLU(w^T X) with c = sqrt(scale) by default or
@@ -532,7 +555,7 @@ class DirichletNet(_Gaussian):
         signs = np.where(stream.gen.random(len(draw.weights)) < 0.5, 1.0, -1.0)
         return DirichletNetLatent(draw=draw, signs=signs)
 
-    def conditional(self, latent, history, x, task) -> float:
+    def stats(self, latent, x):
         return dirichlet_net_output(self, latent, x)
 
 
@@ -547,7 +570,7 @@ def _default_ark_embeddings(d: int):
 
 
 @dataclass(frozen=True)
-class BinaryARK(_GaussianTheta, _Bernoulli):
+class BinaryARK(_Sequence, _GaussianTheta, _Bernoulli):
     """Binary AR(K): P(X_{t+1}=1) = sigmoid(sum_k theta_k^T phi_{t-k+1})."""
 
     d: int
@@ -582,29 +605,20 @@ class BinaryARK(_GaussianTheta, _Bernoulli):
     def theta_shape(self):
         return (self.context, self.d)  # theta[k-1] pairs with phi_{t-k+1}
 
-    @property
-    def seed_tokens(self) -> int:
-        return self.context
+    def seed_labels(self, stream: RngStream, k: int) -> np.ndarray:
+        return stream.gen.integers(2, size=k)
 
-    def draw_input(self, stream: RngStream) -> None:
-        return None
+    def conditional(self, latent, history, n) -> float:
+        return ark_logit(self, latent, history.y[:n])
 
-    def seed_label(self, stream: RngStream) -> int:
-        return int(stream.gen.integers(2))
-
-    def conditional(self, latent, history, x, task) -> float:
-        return ark_logit(self, latent, [int(o.y) for o in history[-self.context:]])
-
-    def particle_stat(self, particles, history, x, task):
-        ctx = _context(self, [int(o.y) for o in history[-self.context:]])
-        phis = np.stack(
-            [self.phi1 if ctx[-k] == 1 else self.phi0 for k in range(1, self.context + 1)]
-        )  # (K, d)
+    def particle_stat(self, particles, history, n):
+        ctx = _context(self, history.y[:n])
+        phis = np.where(ctx[::-1, None] == 1, self.phi1, self.phi0)  # (K, d), row k-1 for bit -k
         return np.einsum("skd,kd->s", particles.theta, phis)
 
 
 @dataclass(frozen=True)
-class Transformer(_Categorical):
+class Transformer(_Sequence, _Categorical):
     """Autoregressive token process driven by a clipped softmax-attention stack.
 
     embeddings has shape (vocab, attn_dim) with unit-norm rows; v_prior selects
@@ -645,12 +659,8 @@ class Transformer(_Categorical):
         emb = make_embeddings(values["vocab"], values["attn_dim"], stream)
         return cls(embeddings=emb, **values)
 
-    @property
-    def seed_tokens(self) -> int:
-        return self.context
-
-    def seed_label(self, stream: RngStream) -> int:
-        return int(stream.gen.integers(self.vocab)) + 1
+    def seed_labels(self, stream: RngStream, k: int) -> np.ndarray:
+        return stream.gen.integers(self.vocab, size=k) + 1
 
     def sample_latent(self, stream: RngStream) -> "TransformerLatent":
         attn = []
@@ -667,13 +677,18 @@ class Transformer(_Categorical):
                 value.append(sub.gen.normal(0.0, math.sqrt(1.0 / r), size=(out_rows, r)))
         return TransformerLatent(attn=attn, value=value)
 
-    def conditional(self, latent, history, x, task) -> np.ndarray:
-        return transformer_next_pmf(self, latent, [int(o.y) for o in history[-self.context:]])
+    def conditional(self, latent, history, n) -> np.ndarray:
+        return transformer_next_pmf(self, latent, history.y[:n])
 
 
 @dataclass(frozen=True)
-class LinRep(_MetaCategorical):
-    """Linear representation learning: theta_m = psi xi_m, iid softmax draws."""
+class LinRep(_Categorical):
+    """Linear representation learning: theta_m = psi xi_m, iid softmax draws.
+
+    A meta process over `tasks` tasks: step i of a rollout belongs to task
+    i % tasks.  `conditional` and `particle_stat` check the history's task,
+    so they refuse a task outside [0, tasks) alike.
+    """
 
     d: int
     r: int
@@ -684,12 +699,20 @@ class LinRep(_MetaCategorical):
     bound_id = "linrep_error"
     bound_args = {"d": "d", "r": "r", "M": "tasks"}
     particle_arrays = ("psi", "xi")  # (S, d, r), (S, M, r)
+    meta = True
 
     def __post_init__(self):
         if self.r < 1 or self.tasks < 1:
             raise ValueError("r >= 1 and tasks >= 1 required")
         if self.d <= self.r:
             raise ValueError("LinRep requires d > r")
+
+    def check_task(self, history: "History", n: int) -> int:
+        """The task of step n of the history, refused unless it lies in [0, tasks)."""
+        task = None if history.task is None else int(history.task[n])
+        if task is None or not 0 <= task < self.tasks:
+            raise ValueError(f"{type(self).__name__} steps need a task index in [0, {self.tasks})")
+        return task
 
     def sample_latent(self, stream: RngStream) -> "LinRepLatent":
         psi = orthonormal_columns(stream.derive(("psi", 0)).gen.normal(size=(self.d, self.r)))
@@ -706,58 +729,22 @@ class LinRep(_MetaCategorical):
         xi = stream.gen.normal(0.0, math.sqrt(1.0 / self.r), size=(size, self.tasks, self.r))
         return Particles(self, size, psi=psi, xi=xi)
 
-    def conditional(self, latent, history, x, task) -> np.ndarray:
-        self.check_task(task)
-        return linrep_task_pmf(latent, task)
+    def rollout(self, latent, n: int, stream: RngStream) -> "History":
+        """n steps, each task's labels drawn by its uniforms of path ("noise", 0)."""
+        M, u = self.tasks, self.label_draws(stream.derive(("noise", 0)), n)
+        y = np.empty(n, dtype=int)
+        for m in range(M):
+            y[m::M] = self.label(linrep_task_pmf(latent, m), u[m::M])
+        return History(y=y, task=np.arange(n) % M)
 
-    def particle_stat(self, particles, history, x, task):
-        self.check_task(task)
+    def conditional(self, latent, history, n) -> np.ndarray:
+        return linrep_task_pmf(latent, self.check_task(history, n))
+
+    def particle_stat(self, particles, history, n):
+        task = self.check_task(history, n)
         return particles.once(task, lambda: softmax(
             np.einsum("sdr,sr->sd", particles.psi, particles.xi[:, task]), axis=1
         ))
-
-
-@dataclass(frozen=True)
-class IclMixture(_MetaCategorical):
-    """Mixture of transformers with Dirichlet(R/N, ..., R/N) mixing weights."""
-
-    mixture_size: int
-    scale: float
-    inner: Transformer
-    tasks: int
-
-    def __post_init__(self):
-        if self.mixture_size < 1 or self.tasks < 1:
-            raise ValueError("mixture_size, tasks must be >= 1")
-        if self.scale > self.mixture_size:
-            raise ValueError("scale R must satisfy R <= N")
-
-    @property
-    def seed_tokens(self) -> int:
-        return self.tasks * self.inner.context
-
-    def initial_history(self, latent, stream: RngStream) -> List["Observation"]:
-        """Each task opens with `inner.context` uniform tokens tagged with it."""
-        k = self.inner.context
-        return [
-            Observation(x=None, y=self.inner.seed_label(stream), task=i // k)
-            for i in range(self.seed_tokens)
-        ]
-
-    def sample_latent(self, stream: RngStream) -> "IclLatent":
-        assignments = _polya_urn_assignments(
-            self.tasks, self.scale, self.mixture_size, stream.derive(("urn", 0))
-        )
-        components: Dict[int, TransformerLatent] = {}
-        for cls in sorted(set(int(a) for a in assignments)):
-            components[cls] = self.inner.sample_latent(stream.derive(("component", cls)))
-        return IclLatent(assignments=assignments, components=components)
-
-    def conditional(self, latent, history, x, task) -> np.ndarray:
-        self.check_task(task)
-        comp = latent.components[int(latent.assignments[task])]
-        tokens = [int(o.y) for o in history if o.task == task]
-        return transformer_next_pmf(self.inner, comp, tokens)
 
 
 # Config "kind" -> spec class, for every process a scenario config can name.
@@ -818,25 +805,27 @@ class LinRepLatent:
     _pmfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-@dataclass
-class IclLatent:
-    assignments: np.ndarray  # i_m per task
-    components: Dict[int, TransformerLatent] = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
-# Observations
+# Histories
 # ---------------------------------------------------------------------------
 
 
-# A history is a plain list of observations, oldest first.
-@dataclass(slots=True)
-class Observation:
-    """One (input, label) pair; token processes use x=None and integer y."""
+@dataclass(frozen=True, eq=False)
+class History:
+    """A replicate's observations as arrays, seed context first.
 
-    x: Optional[np.ndarray]
-    y: Union[float, int]
-    task: Optional[int] = None
+    y (N,) labels, x (N, d) inputs or None, task (N,) task indices or None.
+    At step n a predictor's history is the first n entries: it predicts label
+    n (at input x[n], for task[n]) and then observes it.
+    """
+
+    y: np.ndarray
+    x: Optional[np.ndarray] = None
+    task: Optional[np.ndarray] = None
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.y, self.x, self.task) if a is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -852,64 +841,31 @@ def orthonormal_columns(g: np.ndarray) -> np.ndarray:
     return q * signs[..., None, :]
 
 
-def _polya_urn_assignments(n: int, scale: float, classes: int, stream: RngStream) -> np.ndarray:
-    """Sequential draws from a symmetric Dirichlet-multinomial urn.
-
-    Exact for finite class counts; matches DirMult(n, [scale/classes] * classes)
-    marginally without materializing the full weight vector.
-    """
-    counts: Dict[int, float] = {}
-    unseen = classes
-    out = np.empty(n, dtype=int)
-    alpha0 = scale
-    per_class = scale / classes
-    for i in range(n):
-        total = i + alpha0
-        u = stream.gen.random() * total
-        acc = 0.0
-        chosen = None
-        for cls, cnt in counts.items():
-            acc += cnt + per_class
-            if u < acc:
-                chosen = cls
-                break
-        if chosen is None:
-            # A class not drawn before; uniform over the unseen ones.
-            idx = int(stream.gen.integers(unseen))
-            taken = sorted(counts.keys())
-            chosen = idx
-            for t in taken:
-                if chosen >= t:
-                    chosen += 1
-            unseen -= 1
-        counts[chosen] = counts.get(chosen, 0.0) + 1.0
-        out[i] = chosen
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Forward maps
 # ---------------------------------------------------------------------------
 
 
-def relu_forward(weights: List[np.ndarray], x: np.ndarray) -> float:
-    """Deterministic forward pass; hidden layers ReLU, output layer linear."""
+def relu_forward(weights: List[np.ndarray], x: np.ndarray):
+    """Deterministic forward pass at an input (d,), or at each row of inputs (n, d);
+    hidden layers ReLU, output layer linear."""
     u = np.asarray(x, dtype=float)
     for layer, w in enumerate(weights):
-        if w.shape[1] != u.shape[0]:
+        if w.shape[1] != u.shape[-1]:
             raise ValueError("weight/input shape mismatch")
-        u = w @ u
+        u = np.einsum("...i,oi->...o", u, w)
         if layer < len(weights) - 1:
             u = np.maximum(u, 0.0)
-    return float(u.reshape(-1)[0])
+    return u[..., 0]
 
 
-def dirichlet_net_output(spec: DirichletNet, latent: DirichletNetLatent, x: np.ndarray) -> float:
-    """Noiseless output c sum_w theta_w ReLU(w^T x) of the truncated draw."""
-    acts = np.maximum(latent.draw.atoms @ x, 0.0)
+def dirichlet_net_output(spec: DirichletNet, latent: DirichletNetLatent, x: np.ndarray):
+    """Noiseless output c sum_w theta_w ReLU(w^T x) of the truncated draw, at an
+    input (d,) or at each row of inputs (n, d)."""
+    acts = np.maximum(np.einsum("...d,ad->...a", x, latent.draw.atoms), 0.0)
     # quantizers._squared_gap writes the batched form `acts @ (signs * weights)`; the two
     # orders differ in the last bit, and each is pinned (rollouts here, width reduction there).
-    return float(spec.output_scale * np.sum(latent.signs * latent.draw.weights * acts))
+    return spec.output_scale * np.sum(latent.signs * latent.draw.weights * acts, axis=-1)
 
 
 def _clip_columns(u: np.ndarray) -> np.ndarray:
@@ -927,20 +883,18 @@ def attention_layer(U: np.ndarray, A: np.ndarray, V: np.ndarray) -> np.ndarray:
     return _clip_columns(V @ (U @ attn))
 
 
-def _context(spec, labels: List[int]) -> List[int]:
+def _context(spec, labels: np.ndarray) -> np.ndarray:
     """The last `spec.context` labels; a shorter history has no next label law."""
-    ctx = labels[-spec.context:]
-    if len(ctx) < spec.context:
+    if len(labels) < spec.context:
         raise ValueError("history shorter than the context length")
-    return ctx
+    return np.asarray(labels[len(labels) - spec.context:])
 
 
 def transformer_next_pmf(
     spec: Transformer, latent: TransformerLatent, tokens: List[int]
 ) -> np.ndarray:
     """Next-token pmf given the last `context` tokens (1-based indices)."""
-    ctx = _context(spec, tokens)
-    u = spec.embeddings[np.array(ctx) - 1].T  # (r, K)
+    u = spec.embeddings[_context(spec, tokens) - 1].T  # (r, K)
     for layer in range(spec.depth):
         u = attention_layer(u, latent.attn[layer], latent.value[layer])
     return softmax(u[:, -1])
@@ -971,17 +925,14 @@ def sample_latent(spec: Process, stream: RngStream):
     return spec.sample_latent(stream)
 
 
-def initial_history(spec: Process, latent, stream: RngStream) -> List[Observation]:
-    """Seed history: K uniform bits/tokens for sequence processes, else empty."""
-    return spec.initial_history(latent, stream)
+def initial_history(spec: Process, latent, stream: RngStream) -> History:
+    """A replicate's seed context: K uniform bits/tokens for sequence processes, else empty."""
+    return step(spec, latent, 0, stream)
 
 
-def step(
-    spec: Process, latent, history: List[Observation], stream: RngStream,
-    task: Optional[int] = None,
-) -> Observation:
-    """Generate one observation from the true process (for `task` of a meta process)."""
-    return spec.step(latent, history, stream, task)
+def step(spec: Process, latent, n: int, stream: RngStream) -> History:
+    """A replicate's history from its stream: seed context, then n steps of the true process."""
+    return spec.rollout(latent, n, stream)
 
 
 def irreducible_rate(spec: Process) -> Optional[float]:

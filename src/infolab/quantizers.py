@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .processes import DirichletNet, DirichletNetLatent, mean_se, sample_latent
-from .rng import RngStream, sample_categorical
+from .rng import RngStream, categorical_indices
 
 # Distortion figures below are the squared-function-gap surrogate the
 # analytic bounds control, not a raw mutual information.
@@ -103,11 +103,11 @@ def linreg_quantizer_delta2(eps: float, noise_var: float) -> float:
 def width_reduce(
     spec: DirichletNet, latent: DirichletNetLatent, m: int, stream: RngStream
 ) -> FiniteWidthNet:
-    """Multinomial width reduction: m atom draws from the stick weights."""
+    """Multinomial width reduction: m atom draws from the stick weights, by m uniforms."""
     if m < 1:
         raise ValueError("m must be >= 1")
     w = latent.draw.weights / (1.0 - latent.draw.tail_mass)
-    idx = np.array([sample_categorical(stream, w) for _ in range(m)])
+    idx = categorical_indices(w, stream.gen.random(m))
     return FiniteWidthNet(
         signs=latent.signs[idx],
         atoms=latent.draw.atoms[idx],

@@ -9,12 +9,18 @@ The seed contract fixes which path each draw reads; results are
 reproducible from the master seed under it, and any change to a path or to
 the numbers drawn from it bumps ``SEED_CONTRACT``.  ``estimators.run_replicate``
 and ``harness.run_replicates`` share one engine, ``estimators.score_rollouts``.
-It first rolls out each replicate's process alone, reading under the
-replicate's stream:
+It first rolls out each replicate's process alone into arrays
+(``processes.History``), one block draw per path under the replicate's
+stream:
 
 - ``("latent", 0)``: the process latent (``sample_latent``);
-- ``("init", 0)``: the seed tokens of sequence processes;
-- ``("step", i)``: the draws of step i.
+- ``("init", 0)``: the seed labels of sequence processes;
+- ``("inputs", 0)``: the (n, d) inputs of iid processes;
+- ``("noise", 0)``: the n label draws, one per step: Gaussian noises, or the
+  uniforms that draw Bernoulli and categorical labels.
+
+A block's first t draws do not depend on its length, so a rollout of T
+steps is a prefix of a longer one.
 
 Then each predictor kind scores the rollouts of a chunk of replicates,
 reading under each replicate's stream:
@@ -50,9 +56,11 @@ import numpy as np
 
 PathEntry = Union[int, Tuple[str, int]]
 
+# Version 3 rolls a replicate out from one block draw per path (latent, seed
+# labels, inputs, label draws) in place of one ("step", i) stream per step.
 # Version 2 dropped the ("particle", j) level under the oracle-meta filter's
 # ("task", m): a task's particles are one draw, not one stream per particle.
-SEED_CONTRACT = 2
+SEED_CONTRACT = 3
 
 
 def _normalize_path(path: Sequence[PathEntry]) -> Tuple[Tuple[str, int], ...]:
@@ -195,17 +203,22 @@ def check_pmf(pmf, name: str = "pmf") -> np.ndarray:
     return pmf
 
 
+def categorical_indices(pmf, u):
+    """The indices that uniforms u (a number or an array) draw from a pmf by its cdf.
+
+    The pmf is checked once.  A u at or beyond the last partial sum (by
+    rounding) takes the last index, and an index of zero mass moves down to the
+    nearest one with mass.
+    """
+    pmf = check_pmf(pmf)
+    idx = np.minimum(np.searchsorted(np.cumsum(pmf), u, side="right"), len(pmf) - 1)
+    support = np.flatnonzero(pmf)
+    return support[np.searchsorted(support, idx, side="right") - 1]
+
+
 def sample_categorical(stream: RngStream, pmf: np.ndarray) -> int:
     """Draw an index according to a probability vector."""
-    pmf = check_pmf(pmf)
-    u = stream.gen.random()
-    cdf = np.cumsum(pmf)
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    # Guard against u landing beyond the last partial sum by rounding.
-    idx = min(idx, len(pmf) - 1)
-    while pmf[idx] == 0.0:
-        idx -= 1
-    return idx
+    return int(categorical_indices(pmf, stream.gen.random()))
 
 
 @dataclass

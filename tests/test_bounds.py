@@ -370,3 +370,50 @@ def test_declared_bounds_keep_their_signatures():
     assert by_keyword == bnd.linreg_error_upper(5, 0.25, 100)
     report, floor = bnd.missing_feature_upper(4, 1.0, 100)
     assert report.bound_id == "missing_feature" and floor == 1.0 / 8.0
+
+
+# Every estimation-error family, at parameters where it is defined (without T).
+ERROR_FAMILIES = {
+    "linreg_error": {"d": 5, "noise_var": 0.25},
+    "logreg_error": {"d": 3},
+    "deepnet_error": {"d": 2, "width": 3, "depth": 3, "noise_var": 1.0},
+    "dirichlet_error": {"d": 3, "K": 2.0, "noise_var": 1.0},
+    "ark_error": {"d": 2, "K": 2},
+    "transformer_error": {"d": 8, "r": 4, "L": 2, "K": 4},
+    "linrep_error": {"d": 6, "r": 2, "M": 8},
+    "icl_error": {"d": 8, "r": 4, "L": 2, "K": 4, "R": 2.0, "N": 16, "M": 32},
+    "misspec_mean": {"mu_sq_norm": 1.0},
+    "missing_feature": {"d": 4, "noise_var": 1.0},
+    "scaling_loss": {"d": 4, "K": 4.0, "n": 10},
+}
+
+
+@pytest.mark.parametrize("bound_id, name", [
+    (bound_id, name) for bound_id, params in sorted(ERROR_FAMILIES.items())
+    for name in ("T", "d") if name in {**params, "T": 100}
+])
+@pytest.mark.parametrize("value", [0, -3])
+def test_a_horizon_or_dimension_below_one_gets_a_domain_note(bound_id, name, value):
+    params = {**ERROR_FAMILIES[bound_id], "T": 100}
+    reports = bnd.evaluate_bound(bound_id, {**params, name: value})
+    assert reports and all(not r.valid and r.value is None for r in reports)
+    assert {r.note for r in reports} == {f"requires {name} >= 1"}
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("transformer", {"d": 8, "r": 4, "L": 2, "K": 4, "T": 0}),
+    ("linrep_meta", {"d": 6, "r": 2, "M": 8, "T": 0}),
+    ("logreg", {"d": 0}),
+])
+def test_a_rate_below_one_step_or_dimension_is_refused(kind, params):
+    name = "T" if "T" in params else "d"
+    with pytest.raises(ValueError, match=f"^requires {name} >= 1$"):
+        bnd.rd_bound_eval(kind, params, 0.1)
+    with pytest.raises(ValueError, match=f"^requires {name} >= 1$"):
+        bnd.rd_sandwich_upper(kind, params, 100)
+
+
+@pytest.mark.parametrize("C", [math.inf, math.nan, -math.inf])
+def test_scaling_optimal_width_refuses_a_budget_that_is_not_finite(C):
+    with pytest.raises(ValueError, match=r"^budget C must be a finite number, not -?(inf|nan)$"):
+        bnd.scaling_optimal_width(4, 4.0, C)

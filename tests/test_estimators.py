@@ -29,8 +29,9 @@ from infolab.predictors import (
     log_loss,
     predict,
 )
+from infolab.predictors import PredictorKind
 from infolab.processes import (
-    BinaryARK, LinRep, LinReg, LogReg, initial_history, sample_latent, step,
+    BinaryARK, DeepNet, DirichletNet, LinRep, LinReg, LogReg, sample_latent, step,
 )
 from infolab.rng import RngStream, SeedSpec
 from infolab import bounds as bnd
@@ -420,8 +421,8 @@ def test_losses_do_not_depend_on_the_chunk_size(case, monkeypatch):
     spec, kinds = _chunked_conjugate_cases()
     kinds = kinds[case]
     runs = []
-    for observations in (1, 10**6):
-        monkeypatch.setattr(estimators, "CHUNK_OBSERVATIONS", observations)
+    for cap in (1, 2**30):
+        monkeypatch.setattr(estimators, "CHUNK_BYTES", cap)
         runs.append(run_replicates(spec, kinds, 15, 7, stream(24)))
     assert runs[0].shape == (7, len(kinds), 15)
     assert runs[0].tolist() == runs[1].tolist()
@@ -436,43 +437,96 @@ def test_conjugate_chunk_score_equals_a_state_loop(case):
     for i in range(5):
         s = stream(25, ("rep", i))
         latent = sample_latent(spec, s.derive(("latent", 0)))
-        history = initial_history(spec, latent, s.derive(("init", 0)))
-        for sub in s.children("step", T):
-            history.append(step(spec, latent, history, sub))
-        histories.append(history)
+        histories.append(step(spec, latent, T, s))
         states.append(init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0))))
     by_hand = []
     for history in histories:
         state = init_predictor(kind, spec)
         row = []
-        for t, obs in enumerate(history):
-            row.append(log_loss(predict(state, spec, history[:t], obs.x), obs.y))
-            state.observe(spec, history[:t], obs)
+        for t in range(T):
+            row.append(log_loss(predict(state, spec, history, t), history.y[t]))
+            state.observe(spec, history, t)
         by_hand.append(row)
     assert kind.score(spec, iter(states), histories, T).tolist() == by_hand
 
 
-def test_no_chunk_holds_more_observations_than_the_constant(monkeypatch):
-    """Count process steps between the chunks' scorings."""
-    monkeypatch.setattr(estimators, "CHUNK_OBSERVATIONS", 40)
-    held, steps, init, spec = [], [0], estimators.init_predictor, LinReg(d=2, noise_var=0.5)
+@pytest.mark.parametrize("spec", [
+    LinReg(d=3, noise_var=0.25), LogReg(d=3), DeepNet(d=2, width=3, depth=3, noise_var=0.5),
+    DirichletNet(d=2, scale=2.0, noise_var=0.5),
+], ids=["linreg", "logreg", "deepnet", "dirichlet"])
+def test_omniscient_chunk_score_equals_its_state_loop(spec):
+    """On iid processes the omniscient scores a history in one call; each loss
+    has the bits of the state that predicts and observes one step at a time."""
+    histories, latents = [], []
+    for i in range(4):
+        s = stream(28, ("rep", i))
+        latents.append(sample_latent(spec, s.derive(("latent", 0))))
+        histories.append(step(spec, latents[-1], 30, s))
+
+    def states():
+        return (init_predictor(Omniscient(), spec, latent=latent) for latent in latents)
+
+    chunk = Omniscient().score(spec, states(), histories, 30)
+    by_step = PredictorKind.score(Omniscient(), spec, states(), histories, 30)
+    assert chunk.tolist() == by_step.tolist()
+
+
+def _invariance_cases():
+    linreg = LinReg(d=3, noise_var=0.25)
+    return {
+        "conjugate_linreg": (linreg, (conjugate_kind(linreg), Omniscient())),
+        "ensemble_logreg": (LogReg(d=3), (PriorEnsemble(size=64), Omniscient())),
+        "ensemble_ark": (BinaryARK(d=2, context=2), (PriorEnsemble(size=64), Omniscient())),
+        "oracle_linrep": (LinRep(d=4, r=2, tasks=2), (OracleMetaEnsemble(size=64), Omniscient())),
+    }
+
+
+@pytest.mark.parametrize("case", list(_invariance_cases()))
+def test_a_replicates_losses_depend_on_its_stream_alone(case, monkeypatch):
+    """Seed contract 3: replicate r's losses are the same alone, in one chunk of
+    R replicates and in chunks of one (a 1-byte cap), and its first t steps per
+    task are its losses at T = t, bit for bit."""
+    spec, kinds = _invariance_cases()[case]
+    R, T, tasks, s = 5, 24, (spec.tasks if spec.meta else 1), stream(27)
+    together = run_replicates(spec, kinds, T, R, s)
+    monkeypatch.setattr(estimators, "CHUNK_BYTES", 1)
+    assert run_replicates(spec, kinds, T, R, s).tolist() == together.tolist()
+    for r in range(R):
+        alone = run_replicate(spec, kinds, T, s.derive(("rep", r)))
+        assert alone.tolist() == together[r].tolist(), r
+        for t in (1, 7):
+            shorter = run_replicate(spec, kinds, t, s.derive(("rep", r)))
+            assert shorter.tolist() == alone[:, :t * tasks].tolist(), (r, t)
+    if case in ("ensemble_ark", "oracle_linrep"):
+        resamples = []
+        init = estimators.init_predictor
+        monkeypatch.setattr(estimators, "init_predictor", lambda *a, **k: resamples.append(
+            init(*a, **k)) or resamples[-1])
+        run_replicates(spec, kinds[:1], T, R, s)
+        assert sum(state.resamples for state in resamples) > 0  # the prefixes cross resamples
+
+
+def test_a_chunk_is_scored_once_its_histories_reach_the_byte_cap(monkeypatch):
+    """Count rollouts between the chunks' scorings."""
+    spec = LinReg(d=2, noise_var=0.5)
+    monkeypatch.setattr(estimators, "CHUNK_BYTES", 600)  # a history of 12 steps holds 288
+    held, rolled, init = [], [0], estimators.init_predictor
 
     def counting_step(*args):
-        steps[0] += 1
+        rolled[0] += 1
         return step(*args)
 
     def scoring_init(*args, **kwargs):
-        held.append(steps[0])
-        steps[0] = 0
+        held.append(rolled[0])
+        rolled[0] = 0
         return init(*args, **kwargs)
 
     monkeypatch.setattr(estimators, "step", counting_step)
     monkeypatch.setattr(estimators, "init_predictor", scoring_init)
     losses = run_replicates(spec, (conjugate_kind(spec),), 12, 7, stream(26))
     assert losses.shape == (7, 1, 12)
-    # chunks of 3, 3 and 1 replicates; the first init of a chunk sees its steps
-    assert [h for h in held if h] == [36, 36, 12]
-    assert max(held) <= estimators.CHUNK_OBSERVATIONS
+    # chunks of 3, 3 and 1 replicates; the first init of a chunk sees its rollouts
+    assert [h for h in held if h] == [3, 3, 1]
 
 
 def test_omniscient_mean_loss_is_irreducible_rate():
@@ -587,14 +641,12 @@ def test_meta_split_single_task_closure():
 
 
 def test_meta_split_matches_recorded_values():
-    """Both passes resample. The total was recorded before particle statistics
-    were kept per task between resamples and before child streams hashed their
-    label once; intra and meta were recorded under seed contract 2."""
+    """Both passes resample.  Recorded under seed contract 3."""
     split = meta_error_split(LinRep(d=4, r=2, tasks=2), T=16, replicates=2, stream=stream(23),
                              ensemble_size=64)
-    assert split.total == (0.06223351795476039, 0.03540108935368877)
-    assert split.intra == (0.016167336207223333, 0.007408594376355692)
-    assert split.meta == (0.04606618174753706, 0.04280968373004447)
+    assert split.total == (0.07844937359431287, 0.05293698789543798)
+    assert split.intra == (0.03785578953924269, 0.03426837862276293)
+    assert split.meta == (0.04059358405507018, 0.01866860927267506)
 
 
 def test_meta_split_intra_decays_with_horizon():

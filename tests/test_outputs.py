@@ -217,6 +217,8 @@ def test_cli_bounds_json_golden():
          "bound 'logreg_error': parameter 'd': True is not an integer"),
         ("logreg_error", '{"d": 5.7, "T": 100}',
          "bound 'logreg_error': parameter 'd': 5.7 is not an integer"),
+        ("rd_linrep_meta", '{"d": 6, "r": 2, "M": 8, "T": 0, "eps": 0.1}',
+         "bound 'rd_linrep_meta': requires T >= 1"),
     ],
 )
 def test_cli_bounds_errors_are_one_line(bound_id, params, message):
@@ -225,6 +227,22 @@ def test_cli_bounds_errors_are_one_line(bound_id, params, message):
     assert isinstance(res.exception, SystemExit)
     assert len(res.output.splitlines()) == 1
     assert res.output.startswith("Error: " + message)
+
+
+@pytest.mark.parametrize("params, note", [
+    ('{"d": 3, "T": 0}', "requires T >= 1"), ('{"d": 0, "T": 10}', "requires d >= 1"),
+])
+def test_cli_bounds_outside_the_domain_print_the_note(params, note):
+    """A horizon or dimension below 1 gives an invalid report, not a traceback."""
+    res = CliRunner().invoke(cli_main, ["bounds", "logreg_error", "--params", params])
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[1].endswith(",,false")
+    res = CliRunner().invoke(
+        cli_main, ["bounds", "logreg_error", "--params", params, "--format", "json"]
+    )
+    assert res.exit_code == 0, res.output
+    [report] = json.loads(res.output)
+    assert (report["valid"], report["value"], report["note"]) == (False, None, note)
 
 
 _LINREG = {"kind": "linreg", "d": 3, "noise_var": 0.25}
@@ -236,39 +254,40 @@ _ENSEMBLE = {"kind": "ensemble", "size": 16}
 _OMNISCIENT = {"kind": "omniscient"}
 
 # One small config per process/predictor pair a config can name -> sha256 of
-# the files `simulate` writes in csv and in json, recorded before iid and
-# meta processes shared one step and CSV cells one formatter.
+# the files `simulate` writes in csv and in json, recorded under seed contract
+# 3.  An omniscient on a discrete process is scored against an omniscient, so
+# its curve is zero on any draws.
 SIMULATE_DIGESTS = {
     "linreg_conjugate": (_LINREG, {"kind": "conjugate"},
-        "15e07e0af7826de1bb718feeafe6ac93f6c27770762aa8c45618438492a27789"),
+        "35da2f01d2750f8045661a2356422d8f0c1823d752c634c9795845c6e5c3b739"),
     "linreg_ensemble": (_LINREG, _ENSEMBLE,
-        "8097a85a02c319431bad36bc33a4093d1de61a8394e9c2d99b44700d82d146d3"),
+        "d6d65df48b2d978fe17550ff96399e2390a4bc9f33efad9c76b69a3981b03788"),
     "linreg_omniscient": (_LINREG, _OMNISCIENT,
-        "46b7da9245ab4511942ca6f4bb5052e357d86db1bf40a630bfa7fa7aec3d7daf"),
+        "2c8dea485ff2632c1efb626f792a266ea00569b15e431d0a595265a912ab25d6"),
     "linreg_misspecified_conjugate": (
         _LINREG, {"kind": "misspecified_conjugate", "prior_mean": [0.5, 0.0, 0.0]},
-        "7bec620bbec1357a6aa8d82fb6a367d10c85ae31cbddafd576f36be123607cce"),
+        "dd6ed3ba0e7c30125e629f5f9f4e89005131cee4c5affbf54bbaaef2186789c9"),
     "logreg_ensemble": ({"kind": "logreg", "d": 3}, _ENSEMBLE,
-        "6e568c4289062fc41a28ede9f296e90a74e35809452a335142f2866fcda4f3f6"),
+        "a579889878c79227d7460c739dff12e03510eb5619ac61c7427e19196cd3ed8b"),
     "logreg_omniscient": ({"kind": "logreg", "d": 3}, _OMNISCIENT,
         "67ae03d3ff5e58b600fcd3f6b6c65e33fd1b8b69bc1838bd3a207f1c46703ddd"),
     "deepnet_ensemble": (_DEEPNET, _ENSEMBLE,
-        "857bbd6a3d4a2b1a5eef4287dd710c22a80377aa79be97fbbda12acebd59bc83"),
+        "95f9e31257f12d479b6741073f13daf204837290192116249e8e524b277e7c9d"),
     "deepnet_omniscient": (_DEEPNET, _OMNISCIENT,
-        "16488ce4a5f3e8e06e152530d895d36f3c482fcc240d6f33dfb72524ea51ff4c"),
+        "99fa064e1bb11d1738a97b2b03e1f9dcad15a2daeff58ae609a2adce42822373"),
     "dirichlet_ensemble": (_DIRICHLET, _ENSEMBLE,
-        "730f77444e209f9752fe5249a7af0976268025dea03cf23d3d440dd4580462ce"),
+        "c10419940fd1f8244852a776517eb8baa746ee4fb86fab821955f90363898e72"),
     "dirichlet_omniscient": (_DIRICHLET, _OMNISCIENT,
-        "8f6de4564dba812fbf95bfc7997efe4b13312f6a4c77cc7b56448ad1cdc98632"),
+        "4480d2783295a2d2027d9d44739f677342457e091b597c76a275318a9934f85e"),
     "dirichlet_misspecified_width": (
         _DIRICHLET, {"kind": "misspecified_width", "n": 3, "eps": 0.3, "size": 16},
-        "7c97378c594aaeb6aec4c679759834741271d270da93f1376b56f515a73bc367"),
+        "0ad9b92546176969ff07e9fcd4a8cb3c223690fd902edad8b5a39c4500d9761b"),
     "ark_ensemble": (_ARK, _ENSEMBLE,
-        "40d660e817db0dad6992fea811402610a0c68f4e3f151834b1b63ad2f21e3469"),
+        "203ea3a33f49581bc6a67a2d139ec668fbb8936450f1a11d825ccbfb91a83ea3"),
     "ark_omniscient": (_ARK, _OMNISCIENT,
         "f8a08a6982b6fb77ea76c4d2a808ef9720a618818a08536138bc74c211377630"),
     "transformer_ensemble": (_TRANSFORMER, _ENSEMBLE,
-        "6c0ff00e159dddef4267d80271cfb85e2b45bb74df691ae65eb4747fe20d3841"),
+        "1c0a9123747e4634788219adaf311ff19174fe388184ba5b87342699f74a0a6c"),
     "transformer_omniscient": (_TRANSFORMER, _OMNISCIENT,
         "4976b1398a848975cfe3db121fe150e94abfc7310524f79025f61d9dbdb172d4"),
 }

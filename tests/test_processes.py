@@ -9,12 +9,10 @@ from infolab.processes import (
     BinaryARK,
     DeepNet,
     DirichletNet,
-    IclLatent,
-    IclMixture,
+    History,
     LinRep,
     LinReg,
     LogReg,
-    Observation,
     ThetaLatent,
     Transformer,
     attention_layer,
@@ -37,6 +35,12 @@ def stream(seed, *path):
     return RngStream(SeedSpec(seed, tuple(path)))
 
 
+def cond_logprob(spec, latent, history, n, y):
+    """log P(label n = y | latent, the labels before it) of any output family."""
+    stat = np.asarray(spec.conditional(latent, history, n))
+    return float(spec.loglik(stat[None], y)[0])
+
+
 # ---------------------------------------------------------------------------
 # spec validation
 # ---------------------------------------------------------------------------
@@ -55,9 +59,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         Transformer(vocab=4, attn_dim=4, depth=1, context=2, embeddings=tf_emb,
                     v_prior="bogus")
-    inner = Transformer(vocab=4, attn_dim=4, depth=1, context=2, embeddings=tf_emb)
-    with pytest.raises(ValueError):
-        IclMixture(mixture_size=2, scale=3.0, inner=inner, tasks=2)
 
 
 def test_linreg_default_prior_var():
@@ -159,23 +160,6 @@ def test_transformer_prior_value_rows():
     assert glat.value[0].shape == (4, 4)
 
 
-def test_icl_lazy_components_and_urn_marginal():
-    emb = make_embeddings(4, 4, stream(0))
-    inner = Transformer(vocab=4, attn_dim=4, depth=1, context=2, embeddings=emb)
-    spec = IclMixture(mixture_size=50, scale=2.0, inner=inner, tasks=6)
-    s = stream(7)
-    uniques = []
-    for i in range(400):
-        lat = sample_latent(spec, s.derive(i))
-        assert set(lat.components) == set(int(a) for a in lat.assignments)
-        uniques.append(len(lat.components))
-    from infolab.info import dirmult_expected_unique
-
-    target = dirmult_expected_unique(6, 2.0, 50)
-    se = float(np.std(uniques, ddof=1) / math.sqrt(len(uniques)))
-    assert abs(float(np.mean(uniques)) - target) <= 3 * se
-
-
 # ---------------------------------------------------------------------------
 # generation and conditionals
 # ---------------------------------------------------------------------------
@@ -185,8 +169,7 @@ def test_linreg_pure_noise_variance():
     spec = LinReg(d=3, noise_var=1.0)
     lat = sample_latent(spec, stream(8))
     lat.theta[:] = 0.0
-    s = stream(9)
-    ys = [step(spec, lat, [], s.derive(i)).y for i in range(10**5)]
+    ys = step(spec, lat, 10**5, stream(9)).y
     assert abs(float(np.var(ys)) - 1.0) < 0.02
 
 
@@ -194,24 +177,22 @@ def test_logreg_balanced_at_zero_logit():
     spec = LogReg(d=2)
     lat = sample_latent(spec, stream(10))
     lat.theta[:] = 0.0
-    z = spec.cond_logprob(lat, [], np.array([1.0, 2.0]), 1)
+    z = cond_logprob(spec, lat, History(y=np.array([1]), x=np.array([[1.0, 2.0]])), 0, 1)
     assert z == pytest.approx(math.log(0.5), abs=1e-12)
 
 
 def test_cond_logprob_normalization_discrete():
     spec = LogReg(d=3)
     lat = sample_latent(spec, stream(11))
-    x = np.array([0.3, -1.0, 2.0])
-    total = math.exp(spec.cond_logprob(lat, [], x, 0)) + math.exp(
-        spec.cond_logprob(lat, [], x, 1)
-    )
+    h = History(y=np.array([0]), x=np.array([[0.3, -1.0, 2.0]]))
+    total = math.exp(cond_logprob(spec, lat, h, 0, 0)) + math.exp(cond_logprob(spec, lat, h, 0, 1))
     assert total == pytest.approx(1.0, abs=1e-12)
 
     ark = BinaryARK(d=2, context=2, phi0=np.array([1.0, 0]), phi1=np.array([0, 1.0]))
     alat = sample_latent(ark, stream(12))
     hist = initial_history(ark, alat, stream(13))
-    total = math.exp(ark.cond_logprob(alat, hist, None, 0)) + math.exp(
-        ark.cond_logprob(alat, hist, None, 1)
+    total = math.exp(cond_logprob(ark, alat, hist, 2, 0)) + math.exp(
+        cond_logprob(ark, alat, hist, 2, 1)
     )
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -220,7 +201,7 @@ def test_linreg_cond_logprob_standard_normal():
     spec = LinReg(d=2, noise_var=1.0)
     lat = sample_latent(spec, stream(14))
     lat.theta[:] = 0.0
-    lp = spec.cond_logprob(lat, [], np.array([1.0, 1.0]), 0.0)
+    lp = cond_logprob(spec, lat, History(y=np.zeros(1), x=np.ones((1, 2))), 0, 0.0)
     assert lp == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
 
@@ -228,22 +209,80 @@ def test_initial_history_shapes():
     ark = BinaryARK(d=2, context=4, phi0=np.array([1.0, 0]), phi1=np.array([0, 1.0]))
     alat = sample_latent(ark, stream(15))
     h = initial_history(ark, alat, stream(16))
-    assert len(h) == 4 and all(o.y in (0, 1) for o in h)
+    assert h.y.shape == (4,) and set(h.y) <= {0, 1} and h.x is None and h.task is None
 
     emb = make_embeddings(5, 5, stream(0))
     tf = Transformer(vocab=5, attn_dim=5, depth=1, context=3, embeddings=emb)
     tlat = sample_latent(tf, stream(17))
     th = initial_history(tf, tlat, stream(18))
-    assert len(th) == 3 and all(1 <= o.y <= 5 for o in th)
+    assert th.y.shape == (3,) and set(th.y) <= {1, 2, 3, 4, 5}
 
-    assert len(initial_history(LinReg(d=2, noise_var=1.0), None, stream(19))) == 0
+    linreg = LinReg(d=2, noise_var=1.0)
+    empty = initial_history(linreg, sample_latent(linreg, stream(19)), stream(19))
+    assert empty.y.shape == (0,) and empty.x.shape == (0, 2)
 
 
 def test_step_requires_seed_context():
     ark = BinaryARK(d=2, context=2, phi0=np.array([1.0, 0]), phi1=np.array([0, 1.0]))
     alat = sample_latent(ark, stream(20))
-    with pytest.raises(ValueError):
-        step(ark, alat, [], stream(21))
+    with pytest.raises(ValueError, match="history shorter than the context length"):
+        ark.conditional(alat, History(y=np.array([1, 0])), 1)
+
+
+def _rollout_specs():
+    emb = make_embeddings(3, 3, stream(0))
+    return {
+        "linreg": LinReg(d=3, noise_var=0.25),
+        "logreg": LogReg(d=3),
+        "deepnet": DeepNet(d=2, width=3, depth=3, noise_var=0.5),
+        "dirichlet": DirichletNet(d=2, scale=2.0, noise_var=0.5),
+        "ark": BinaryARK(d=2, context=2),
+        "transformer": Transformer(vocab=3, attn_dim=3, depth=1, context=2, embeddings=emb),
+        "linrep": LinRep(d=4, r=2, tasks=3),
+    }
+
+
+@pytest.mark.parametrize("case", list(_rollout_specs()))
+def test_a_rollout_is_a_prefix_of_a_longer_one(case):
+    """Seed contract 3: every path is one block draw whose first t draws do not
+    depend on its length, so T steps are the first T of 3T, bit for bit."""
+    spec = _rollout_specs()[case]
+    s = stream(34)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    short, long = step(spec, latent, 9, s), step(spec, latent, 27, s)
+    for name in ("y", "x", "task"):
+        a, b = getattr(short, name), getattr(long, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert len(a) == len(b) - 18 and np.array_equal(a, b[:len(a)]), name
+
+
+@pytest.mark.parametrize("case", ["linreg", "logreg"])
+def test_iid_rollouts_read_the_input_and_noise_blocks(case):
+    """Seed contract 3: inputs are one (n, d) normal draw from ("inputs", 0)
+    and the label draws one block from ("noise", 0)."""
+    spec = _rollout_specs()[case]
+    s = stream(35)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    history = step(spec, latent, 50, s)
+    x = s.derive(("inputs", 0)).gen.normal(size=(50, spec.d))
+    assert np.array_equal(history.x, x)
+    draws = s.derive(("noise", 0))
+    if case == "linreg":
+        noise = draws.gen.normal(0.0, math.sqrt(spec.noise_var), 50)
+        assert np.array_equal(history.y, np.einsum("nd,d->n", x, latent.theta) + noise)
+    else:
+        p1 = 1.0 / (1.0 + np.exp(-(x @ latent.theta)))
+        assert np.array_equal(history.y, (draws.gen.random(50) < p1).astype(int))
+
+
+def test_the_iid_statistic_of_a_row_does_not_depend_on_the_batch():
+    for spec in list(_rollout_specs().values())[:4]:
+        latent = sample_latent(spec, stream(36))
+        x = stream(37).gen.normal(size=(40, spec.d))
+        batch = spec.stats(latent, x)
+        assert np.array_equal([spec.stats(latent, row) for row in x], batch)
+        assert np.array_equal(spec.stats(latent, x[:7]), batch[:7])
 
 
 def test_transformer_pmf_normalized_and_positive():
@@ -367,49 +406,22 @@ def test_linrep_uniform_at_zero_task_latent():
 def test_meta_step_and_logprob_consistency():
     spec = LinRep(d=5, r=2, tasks=3)
     lat = sample_latent(spec, stream(28))
-    h = []
-    obs = step(spec, lat, h, stream(29), 1)
-    assert obs.task == 1 and 1 <= obs.y <= 5
-    lp = spec.cond_logprob(lat, h, None, obs.y, 1)
-    assert lp == pytest.approx(math.log(linrep_task_pmf(lat, 1)[obs.y - 1]))
+    h = step(spec, lat, 6, stream(29))
+    assert h.task.tolist() == [0, 1, 2, 0, 1, 2] and set(h.y) <= {1, 2, 3, 4, 5}
+    lp = cond_logprob(spec, lat, h, 1, h.y[1])
+    assert lp == pytest.approx(math.log(linrep_task_pmf(lat, 1)[h.y[1] - 1]))
 
 
 @pytest.mark.parametrize("task", [None, -1, 3, 7])
 def test_meta_step_requires_a_task_in_range(task):
-    """step, cond_logprob and conditional of each meta process refuse the task."""
-    inner = Transformer(
-        vocab=3, attn_dim=3, depth=1, context=2, embeddings=make_embeddings(3, 3, stream(0))
-    )
-    for spec in (
-        LinRep(d=5, r=2, tasks=3),
-        IclMixture(mixture_size=4, scale=2.0, inner=inner, tasks=3),
+    """conditional and particle_stat of the meta process refuse the task."""
+    spec = LinRep(d=5, r=2, tasks=3)
+    lat = sample_latent(spec, stream(28))
+    particles = spec.sample_particles(4, stream(30))
+    h = History(y=np.array([1]), task=None if task is None else np.array([task]))
+    for call in (
+        lambda: spec.conditional(lat, h, 0),
+        lambda: spec.particle_stat(particles, h, 0),
     ):
-        lat = sample_latent(spec, stream(28))
-        name = type(spec).__name__
-        for call in (
-            lambda: step(spec, lat, [], stream(30), task),
-            lambda: spec.cond_logprob(lat, [], None, 1, task),
-            lambda: spec.conditional(lat, [], None, task),
-        ):
-            with pytest.raises(ValueError, match=rf"{name} steps need a task index in \[0, 3\)"):
-                call()
-
-
-def test_icl_single_component_matches_plain_transformer():
-    """N=1 mixture generates the same law as the inner transformer process."""
-    emb = make_embeddings(5, 5, stream(0))
-    tf = Transformer(vocab=5, attn_dim=5, depth=2, context=3, embeddings=emb)
-    spec = IclMixture(mixture_size=1, scale=1.0, inner=tf, tasks=1)
-    lat = sample_latent(spec, stream(31))
-    assert list(lat.assignments) == [0] and set(lat.components) == {0}
-    comp = lat.components[0]
-    seed_tokens = initial_history(tf, comp, stream(32))
-    # plain rollout
-    plain = [Observation(x=None, y=o.y) for o in seed_tokens]
-    for t in range(12):
-        plain.append(step(tf, comp, plain, stream(33).derive(t)))
-    # mixture rollout with matched per-step streams
-    meta_hist = [Observation(x=None, y=o.y, task=0) for o in seed_tokens]
-    for t in range(12):
-        meta_hist.append(step(spec, lat, meta_hist, stream(33).derive(t), 0))
-    assert [o.y for o in plain] == [o.y for o in meta_hist]
+        with pytest.raises(ValueError, match=r"LinRep steps need a task index in \[0, 3\)"):
+            call()

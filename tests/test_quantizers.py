@@ -8,7 +8,7 @@ import pytest
 from infolab import bounds as bnd
 from infolab import quantizers as qt
 from infolab.processes import DirichletNet, dirichlet_net_output, sample_latent
-from infolab.rng import SeedSpec, derive_stream
+from infolab.rng import SeedSpec, derive_stream, sample_categorical
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,20 @@ def test_delta2_threshold_rejected():
 
 def _dirichlet_spec(d, K):
     return DirichletNet(d=d, scale=K, noise_var=1.0)
+
+
+def test_width_reduce_draws_what_one_draw_per_atom_draws():
+    """The m atoms of one call are the m sample_categorical draws of the same stream."""
+    spec = _dirichlet_spec(3, 2.0)
+    stream = derive_stream(SeedSpec(4))
+    latent = sample_latent(spec, stream.derive(0))
+    w = latent.draw.weights / (1.0 - latent.draw.tail_mass)
+    sequential, draws = derive_stream(SeedSpec(4)).derive(1), []
+    for _ in range(64):
+        draws.append(sample_categorical(sequential, w))
+    net = qt.width_reduce(spec, latent, 64, stream.derive(1))
+    assert np.array_equal(net.atoms, latent.draw.atoms[draws])
+    assert np.array_equal(net.signs, latent.signs[draws])
 
 
 def test_width_reduce_validation_and_output():

@@ -8,6 +8,7 @@ import pytest
 from infolab.rng import (
     RngStream,
     SeedSpec,
+    categorical_indices,
     derive_stream,
     sample_categorical,
     sample_gaussian,
@@ -98,6 +99,27 @@ def test_sample_categorical_point_mass_and_frequencies():
     assert all(sample_categorical(s, zero_mid) != 1 for _ in range(10**4))
     with pytest.raises(ValueError):
         sample_categorical(s, np.array([0.5, 0.6]))
+
+
+def _one_draw(pmf, u):
+    """The scalar rule: inverse cdf, clamped to the last index, then down past zero mass."""
+    idx = min(int(np.searchsorted(np.cumsum(pmf), u, side="right")), len(pmf) - 1)
+    while pmf[idx] == 0.0:
+        idx -= 1
+    return idx
+
+
+@pytest.mark.parametrize("pmf", [
+    [0.2, 0.3, 0.5], [0.5, 0.0, 0.5], [0.0, 0.4, 0.6, 0.0], [1.0], [0.1] * 10,
+])
+def test_categorical_indices_equal_one_draw_per_uniform(pmf):
+    """The vectorised draw gives each uniform the index of the scalar rule, at the
+    partial sums themselves and past the last one too."""
+    pmf = np.array(pmf)
+    u = np.concatenate([derive_stream(SeedSpec(6)).gen.random(500), np.cumsum(pmf), [1.0]])
+    assert categorical_indices(pmf, u).tolist() == [_one_draw(pmf, v) for v in u]
+    with pytest.raises(ValueError):
+        categorical_indices(np.array([0.5, 0.6]), u)
 
 
 def test_stick_breaking_invariants():
