@@ -20,11 +20,11 @@ from .processes import LinRep, Process, mean_se, sample_latent, step
 from .rng import RngStream, check_pmf
 
 MAX_ENUM_STATES = 10**7
-# Bytes of history arrays a chunk of rollouts holds before its kinds score it;
-# a rollout that reaches it alone is a chunk of its own.  Scoring holds about
-# as much again (the conjugate kinds stack the chunk's inputs), so the cap
-# bounds the engine's memory: at 512 KiB a chunk of 500-step LinReg rollouts
-# with d = 5 holds 22 replicates.
+# Most bytes of history arrays a chunk of rollouts holds; a rollout larger
+# than the cap alone is a chunk of its own.  Scoring holds about as much
+# again (the conjugate kinds stack the chunk's inputs), so the cap bounds the
+# engine's memory: at 512 KiB a chunk of 500-step LinReg rollouts with d = 5
+# holds 21 replicates.
 CHUNK_BYTES = 2**19
 
 
@@ -74,9 +74,9 @@ def score_rollouts(spec: Process, kinds: Sequence, T: int, streams: Sequence[Rng
     """(len(streams), len(kinds), T * tasks) log-losses of every kind in
     `kinds` on one rollout per replicate stream.
 
-    Replicates are rolled out one at a time until their histories hold
-    CHUNK_BYTES; then each kind scores the chunk (`PredictorKind.score`)
-    with states built from path ("pred", 0).  Process and predictor draws
+    Replicates are rolled out one at a time into a chunk; before a rollout
+    would take the chunk's histories past CHUNK_BYTES, each kind scores the
+    chunk (`PredictorKind.score`) with states built from path ("pred", 0).  Process and predictor draws
     read disjoint paths, so neither the phases, the chunk size nor the
     kinds beside a kind change its losses.
     """
@@ -87,12 +87,15 @@ def score_rollouts(spec: Process, kinds: Sequence, T: int, streams: Sequence[Rng
     n = T * (spec.tasks if spec.meta else 1)
     losses = np.empty((len(streams), len(kinds), n))
     start, chunk, held = 0, [], 0
-    for i, stream in enumerate(streams, 1):
-        chunk.append(_rollout(spec, n, stream))
-        held += chunk[-1][1].nbytes
-        if held >= CHUNK_BYTES or i == len(streams):
+    for i, stream in enumerate(streams):
+        rollout = _rollout(spec, n, stream)
+        if chunk and held + rollout[1].nbytes > CHUNK_BYTES:
             losses[start:i] = _score_chunk(spec, kinds, n, chunk, streams[start:i])
             start, chunk, held = i, [], 0
+        chunk.append(rollout)
+        held += rollout[1].nbytes
+    if chunk:
+        losses[start:] = _score_chunk(spec, kinds, n, chunk, streams[start:])
     return losses
 
 

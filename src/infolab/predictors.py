@@ -12,7 +12,7 @@ and `observe(spec, history, n)` read the caller's history, a rollout's
 arrays: label n, given the labels before it (seed context included).  No
 state copies it.  A kind's `score` runs a chunk of states along their
 rollouts' histories: one state at a time by default, all at once for the
-conjugate kinds and, on iid processes, the omniscient.
+conjugate kinds.
 """
 
 from __future__ import annotations
@@ -181,15 +181,6 @@ class Omniscient(PredictorKind, Configurable):
         if latent is None:
             raise ValueError("Omniscient requires the true latent")
         return OmniscientState(latent=latent)
-
-    def score(self, spec, states, histories, n):
-        """On iid processes, each history's statistics and losses in one call each."""
-        if not spec.iid:
-            return super().score(spec, states, histories, n)
-        return np.array([
-            -spec.loglik(spec.stats(state.latent, h.x[-n:]), h.y[-n:])
-            for state, h in zip(states, histories)
-        ])
 
 
 @dataclass(frozen=True)

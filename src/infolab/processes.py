@@ -66,11 +66,19 @@ def gaussian_log_loss(mean, variance, y):
 
 
 def sigmoid(z: float) -> float:
-    """The logistic function of a scalar, branching on the sign so exp never overflows."""
+    """The logistic function of a scalar, branching on the sign so exp never
+    overflows; `sigmoids` is the elementwise form."""
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
     ez = math.exp(z)
     return ez / (1.0 + ez)
+
+
+def sigmoids(z: np.ndarray) -> np.ndarray:
+    """The logistic function elementwise over an array; `sigmoid` is the scalar
+    form.  Ensemble losses are pinned to these bits: np.exp can differ from
+    math.exp in the last bit."""
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def bernoulli_log_loss(logits, y):
@@ -215,7 +223,6 @@ class Process(Configurable):
     """
 
     meta = False
-    iid = False  # whether the label depends on its input alone (see _Iid)
     particle_arrays = ()  # latent fields that particle_stat reads as stacked arrays
 
     def bound_params(self) -> Dict:
@@ -272,7 +279,7 @@ class _Bernoulli(Process):
 
     def label(self, logits, u):
         """1 where the uniform u falls below P(Y = 1), else 0."""
-        return (u < np.exp(-bernoulli_log_loss(logits, 1))).astype(int)
+        return (u < sigmoids(logits)).astype(int)
 
     def loglik(self, logits, y):
         return -bernoulli_log_loss(logits, y)
@@ -281,9 +288,7 @@ class _Bernoulli(Process):
         return BernoulliLogitPred(logit)
 
     def mixture(self, logits: np.ndarray, log_weights: np.ndarray) -> BernoulliLogitPred:
-        # Vectorised, not `sigmoid`: ensemble losses are pinned, and np.exp can differ
-        # from math.exp in the last bit.
-        return _bernoulli_mixture(np.exp(log_weights) @ (1.0 / (1.0 + np.exp(-logits))))
+        return _bernoulli_mixture(np.exp(log_weights) @ sigmoids(logits))
 
 
 class _Categorical(Process):
@@ -313,8 +318,6 @@ class _Iid:
     inputs (n, d).  It sums by einsum, which gives a row the same bits in any
     batch, so a rollout of T steps is a prefix of a longer one.
     """
-
-    iid = True
 
     def conditional(self, latent, history: "History", n: int):
         return self.stats(latent, history.x[n])

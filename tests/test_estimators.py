@@ -29,7 +29,6 @@ from infolab.predictors import (
     log_loss,
     predict,
 )
-from infolab.predictors import PredictorKind
 from infolab.processes import (
     BinaryARK, DeepNet, DirichletNet, LinRep, LinReg, LogReg, sample_latent, step,
 )
@@ -450,27 +449,6 @@ def test_conjugate_chunk_score_equals_a_state_loop(case):
     assert kind.score(spec, iter(states), histories, T).tolist() == by_hand
 
 
-@pytest.mark.parametrize("spec", [
-    LinReg(d=3, noise_var=0.25), LogReg(d=3), DeepNet(d=2, width=3, depth=3, noise_var=0.5),
-    DirichletNet(d=2, scale=2.0, noise_var=0.5),
-], ids=["linreg", "logreg", "deepnet", "dirichlet"])
-def test_omniscient_chunk_score_equals_its_state_loop(spec):
-    """On iid processes the omniscient scores a history in one call; each loss
-    has the bits of the state that predicts and observes one step at a time."""
-    histories, latents = [], []
-    for i in range(4):
-        s = stream(28, ("rep", i))
-        latents.append(sample_latent(spec, s.derive(("latent", 0))))
-        histories.append(step(spec, latents[-1], 30, s))
-
-    def states():
-        return (init_predictor(Omniscient(), spec, latent=latent) for latent in latents)
-
-    chunk = Omniscient().score(spec, states(), histories, 30)
-    by_step = PredictorKind.score(Omniscient(), spec, states(), histories, 30)
-    assert chunk.tolist() == by_step.tolist()
-
-
 def _invariance_cases():
     linreg = LinReg(d=3, noise_var=0.25)
     return {
@@ -506,27 +484,24 @@ def test_a_replicates_losses_depend_on_its_stream_alone(case, monkeypatch):
         assert sum(state.resamples for state in resamples) > 0  # the prefixes cross resamples
 
 
-def test_a_chunk_is_scored_once_its_histories_reach_the_byte_cap(monkeypatch):
-    """Count rollouts between the chunks' scorings."""
+def test_no_chunk_holds_more_history_bytes_than_the_cap(monkeypatch):
+    """Record each scored chunk's rollouts and history bytes."""
     spec = LinReg(d=2, noise_var=0.5)
+    chunks, score_chunk = [], estimators._score_chunk
+
+    def recording_score_chunk(spec, kinds, n, rollouts, streams):
+        chunks.append(sum(history.nbytes for _, history in rollouts))
+        return score_chunk(spec, kinds, n, rollouts, streams)
+
+    monkeypatch.setattr(estimators, "_score_chunk", recording_score_chunk)
     monkeypatch.setattr(estimators, "CHUNK_BYTES", 600)  # a history of 12 steps holds 288
-    held, rolled, init = [], [0], estimators.init_predictor
-
-    def counting_step(*args):
-        rolled[0] += 1
-        return step(*args)
-
-    def scoring_init(*args, **kwargs):
-        held.append(rolled[0])
-        rolled[0] = 0
-        return init(*args, **kwargs)
-
-    monkeypatch.setattr(estimators, "step", counting_step)
-    monkeypatch.setattr(estimators, "init_predictor", scoring_init)
     losses = run_replicates(spec, (conjugate_kind(spec),), 12, 7, stream(26))
     assert losses.shape == (7, 1, 12)
-    # chunks of 3, 3 and 1 replicates; the first init of a chunk sees its rollouts
-    assert [h for h in held if h] == [3, 3, 1]
+    assert chunks == [576, 576, 576, 288]  # 2, 2, 2 and 1 replicates
+    chunks.clear()
+    monkeypatch.setattr(estimators, "CHUNK_BYTES", 200)  # each history alone exceeds it
+    run_replicates(spec, (conjugate_kind(spec),), 12, 3, stream(26))
+    assert chunks == [288, 288, 288]
 
 
 def test_omniscient_mean_loss_is_irreducible_rate():

@@ -25,6 +25,7 @@ from infolab.processes import (
     orthonormal_columns,
     relu_forward,
     sample_latent,
+    sigmoids,
     step,
     transformer_next_pmf,
 )
@@ -272,7 +273,7 @@ def test_iid_rollouts_read_the_input_and_noise_blocks(case):
         noise = draws.gen.normal(0.0, math.sqrt(spec.noise_var), 50)
         assert np.array_equal(history.y, np.einsum("nd,d->n", x, latent.theta) + noise)
     else:
-        p1 = 1.0 / (1.0 + np.exp(-(x @ latent.theta)))
+        p1 = sigmoids(np.einsum("nd,d->n", x, latent.theta))
         assert np.array_equal(history.y, (draws.gen.random(50) < p1).astype(int))
 
 
