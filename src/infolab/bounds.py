@@ -127,13 +127,13 @@ def logreg_error_upper(d: int, T: int):
     return d / (2.0 * T) * (1.0 + math.log1p(T / (4.0 * d)))
 
 
-def deepnet_param_count(d: int, width: int, depth: int) -> int:
+def _deepnet_param_count(d: int, width: int, depth: int) -> int:
     return (depth - 2) * width**2 + width + d * width
 
 
 @_bound("deepnet_error", "upper")
 def deepnet_error_upper(d: int, width: int, depth: int, noise_var: float, T: int):
-    P = deepnet_param_count(d, width, depth)
+    P = _deepnet_param_count(d, width, depth)
     if P <= 0:
         return "nonpositive parameter count"
     return P / (2.0 * T) * (1.0 + math.log1p(2.0 * depth * T / (noise_var * P)))
@@ -245,7 +245,7 @@ def logreg_rd_upper(d: int, eps: float) -> float:
 
 @_bound("rd_deepnet", "upper")
 def deepnet_rd_upper(d: int, width: int, depth: int, noise_var: float, eps: float) -> float:
-    P = deepnet_param_count(d, width, depth)
+    P = _deepnet_param_count(d, width, depth)
     return 0.5 * P * math.log1p(1.0 / (noise_var * math.expm1(2.0 * eps / depth)))
 
 

@@ -42,7 +42,7 @@ def simulate(config_path: str, seed: Optional[int], out: str, fmt: str) -> None:
         config = harness.load_config(config_path)
         if seed is not None:
             config = replace(config, master_seed=seed)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise click.ClickException(f"{config_path}: {exc}")
     _warn_if_unchecked(config)
     result = harness.run_scenario(config)

@@ -51,10 +51,14 @@ def _convert(convert, value, key: str, context: str):
         raise ValueError(f"{context} key '{key}': {exc}") from exc
 
 
-def _parse_kind(payload: Dict, kinds: Dict, context: str, *spec):
-    """Build the class that payload["kind"] names in `kinds` from its config table."""
+def _check_object(payload, context: str) -> None:
     if not isinstance(payload, dict):
         raise ValueError(f"{context} must be a JSON object, not {payload!r}")
+
+
+def _parse_kind(payload: Dict, kinds: Dict, context: str, *spec):
+    """Build the class that payload["kind"] names in `kinds` from its config table."""
+    _check_object(payload, context)
     kind = payload.get("kind")
     if kind not in kinds:
         raise ValueError(f"unknown {context} kind: {kind}")
@@ -126,6 +130,7 @@ CONFIG_KEYS = ["version", "process", "predictor", *CONFIG_VALUES]
 
 def parse_config(payload: Dict) -> ScenarioConfig:
     """Parse and validate a scenario config dict."""
+    _check_object(payload, "config")
     if payload.get("version") != CONFIG_VERSION:
         raise ValueError("config version missing or unsupported")
     _reject_unknown(payload, CONFIG_KEYS, "config")
@@ -313,6 +318,7 @@ def load_manifest(name_or_path: str, master_seed: int = 20240817) -> List[Scenar
         return [builtin_scenario(n, master_seed) for n in DESK_SUITE]
     with open(name_or_path, "r", encoding="utf-8") as f:
         payload = json.load(f)
+    _check_object(payload, "manifest")
     if payload.get("version") != CONFIG_VERSION:
         raise ValueError("manifest version missing or unsupported")
     _reject_unknown(payload, ["version", "scenarios"], "manifest")

@@ -5,38 +5,39 @@ posterior over finite latent supports, importance-weighted prior-ensemble
 posterior for everything else, the omniscient baseline, and misspecified
 variants (wrong conjugate prior; reduced-width function prior).  Each
 predictor kind builds its own state; the process spec supplies every
-family-specific piece (conditionals, particle statistics, predictives).
+family-specific piece (conditionals, particle statistics, log-likelihoods).
 Enumeration, ensembles and the oracle-meta filter all hold one kind of
 state: weighted particles (`EnsembleState`).  `predict(spec, history, n)`
 and `observe(spec, history, n)` read the caller's history, a rollout's
 arrays: label n, given the labels before it (seed context included).  No
-state copies it.  A kind's `score` runs a chunk of states along their
-rollouts' histories: one state at a time by default, all at once for the
-conjugate kinds.
+state copies it.  `predict` is a query with no side effects; `observe`
+conditions on label n and returns the log-loss that `predict` gave it
+before, so a rollout is scored by observing alone.  A kind's `score` runs a
+chunk of states along their rollouts' histories: one state at a time by
+default, all at once for the conjugate kinds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from .info import check_psd
 
-# The predictive types live with their output families in processes and are
-# re-exported here for callers of the predictors.
+# The predictive types (`Mixture`, and `GaussianPred` for the conjugate) live
+# in processes with the log-likelihoods they mix, and are re-exported here for
+# callers of the predictors.
 from .processes import (
-    BernoulliLogitPred,
-    CategoricalPred,
     Configurable,
     DirichletNet,
-    GaussianMixturePred,
     GaussianPred,
     History,
     LinRep,
     LinReg,
+    Mixture,
     Particles,
     Process,
     float_array,
@@ -48,10 +49,6 @@ from .processes import (
 )
 from .quantizers import check_cover_domain, misspecified_width_prior_sample
 from .rng import RngStream, check_pmf
-
-
-def _normalized_log_weights(logw: np.ndarray) -> np.ndarray:
-    return logw - logsumexp(logw)
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +63,14 @@ class PredictorKind:
         """(C, n) log-losses on the last n labels of each of C histories.
 
         The iterator `states` yields each history's prior state.  Each state
-        predicts, is scored and observes one step at a time, and is done
-        before the next is built.
+        observes its history one step at a time, scored by the loss each
+        `observe` returns, and is done before the next is built.
         """
         losses = np.empty((len(histories), n))
         for row, history in zip(losses, histories):
             state, start = next(states), len(history.y) - n
             for i in range(start, start + n):
-                row[i - start] = log_loss(predict(state, spec, history, i), history.y[i])
-                state.observe(spec, history, i)
+                row[i - start] = state.observe(spec, history, i)
             del state  # free it before the next one is built
         return losses
 
@@ -150,7 +146,7 @@ class Enumeration(PredictorKind):
         """The support as particles weighted by the prior; never resampled."""
         logp = np.where(self.prior > 0, np.log(np.maximum(self.prior, 1e-300)), -np.inf)
         particles = Particles.stack(spec, list(self.support))
-        return EnsembleState(self, particles, _normalized_log_weights(logp), resampler=None)
+        return EnsembleState(self, particles, logp - logsumexp(logp), resampler=None)
 
 
 @dataclass(frozen=True)
@@ -325,15 +321,17 @@ class ConjugateState:
     mean: np.ndarray
     cov: np.ndarray
 
-    def observe(self, spec: Process, history: History, n: int) -> None:
+    def observe(self, spec: Process, history: History, n: int) -> float:
         x = history.x[n]
         mean, row, col = self.mean[None], x[None], x[:, None]
+        pred = self.predict(spec, history, n)
         mean, self.cov = conjugate_update(
             mean, self.cov, self.kind.noise_var, row, col, history.y[n], mean @ col
         )
         self.mean = mean[0]
+        return pred.log_loss(history.y[n])
 
-    def predict(self, spec: Process, history: History, n: int):
+    def predict(self, spec: Process, history: History, n: int) -> GaussianPred:
         x = history.x[n]
         mean, variance = conjugate_moments(
             self.mean[None], self.cov, self.kind.noise_var, x[None], x[:, None]
@@ -363,19 +361,20 @@ class Resampler:
 class EnsembleState:
     """Weighted particles: the posterior of enumeration, ensemble and oracle kinds.
 
-    After each reweighting the particles are resampled when the effective
-    sample size falls below `kind.resample_ess_frac` of the ensemble; a
-    state without a resampler (exact enumeration) keeps its weights.  The
-    statistic that `predict` computes is kept as `(history, n, stat)` and
-    reused by the next `observe` of the same history object and step, so a
-    predict-then-observe step computes it once.
+    Its predictive is the `Mixture` of the particle statistics under the
+    weights.  `observe` reweights by each particle's likelihood of the label
+    and returns minus the log of the normaliser, which is that mixture's
+    log-loss; summed over a history it is -log p(H_T), exact for enumeration
+    and the SMC evidence estimate for ensembles.  After each reweighting the
+    particles are resampled when the effective sample size falls below
+    `kind.resample_ess_frac` of the ensemble; a state without a resampler
+    (exact enumeration) keeps its weights.
     """
 
     kind: object
     particles: Particles
     log_weights: np.ndarray
     resampler: Optional[Resampler]
-    _predicted: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @classmethod
     def start(cls, kind, particles: Particles, resampler: Resampler) -> "EnsembleState":
@@ -399,32 +398,30 @@ class EnsembleState:
             self.particles = self.particles.resample(self.resampler.indices(w))
             self.log_weights = np.full(size, -math.log(size))
 
-    def observe(self, spec: Process, history: History, n: int) -> None:
-        predicted, self._predicted = self._predicted, None
-        if predicted is not None and predicted[0] is history and predicted[1] == n:
-            stat = predicted[2]
-        else:
-            stat = self.particles.prior.particle_stat(self.particles, history, n)
-        ll = spec.loglik(stat, history.y[n])
-        self.log_weights = _normalized_log_weights(self.log_weights + ll)
+    def observe(self, spec: Process, history: History, n: int) -> float:
+        stat = self.particles.prior.particle_stat(self.particles, history, n)
+        log_weights = self.log_weights + spec.loglik(stat, history.y[n])
+        log_norm = logsumexp(log_weights)
+        self.log_weights = log_weights - log_norm
         if self.resampler is not None:
             self._maybe_resample()
+        return -log_norm
 
-    def predict(self, spec: Process, history: History, n: int):
+    def predict(self, spec: Process, history: History, n: int) -> Mixture:
         stat = self.particles.prior.particle_stat(self.particles, history, n)
-        self._predicted = (history, n, stat)
-        return spec.mixture(stat, self.log_weights)
+        return Mixture(spec, stat, self.log_weights)
 
 
 @dataclass
 class OmniscientState:
     latent: object
 
-    def observe(self, spec: Process, history: History, n: int) -> None:
-        pass  # the true latent needs no update
+    def observe(self, spec: Process, history: History, n: int) -> float:
+        return self.predict(spec, history, n).log_loss(history.y[n])  # the latent stays
 
-    def predict(self, spec: Process, history: History, n: int):
-        return spec.point(spec.conditional(self.latent, history, n))
+    def predict(self, spec: Process, history: History, n: int) -> Mixture:
+        stat = np.asarray(spec.conditional(self.latent, history, n))
+        return Mixture(spec, stat[None], np.zeros(1))
 
 
 @dataclass
@@ -436,8 +433,8 @@ class OracleMetaState:
 
     tasks: List[EnsembleState]
 
-    def observe(self, spec: Process, history: History, n: int) -> None:
-        self.tasks[spec.check_task(history, n)].observe(spec, history, n)
+    def observe(self, spec: Process, history: History, n: int) -> float:
+        return self.tasks[spec.check_task(history, n)].observe(spec, history, n)
 
     def predict(self, spec: Process, history: History, n: int):
         return self.tasks[spec.check_task(history, n)].predict(spec, history, n)

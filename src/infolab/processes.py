@@ -5,9 +5,10 @@ prior sampling (one latent, or a batch of particles), the rollout of one
 replicate into a `History` of arrays, the true conditional of the next label
 given latent and history, the per-particle form of that conditional, and the
 parameters of its bound family.  The output family a spec derives from
-(Gaussian, Bernoulli or categorical) turns the conditional into a label, a
-log-likelihood and a predictive distribution, so predictors and the harness
-never ask which process they hold.
+(Gaussian, Bernoulli or categorical) turns the conditional into a label and
+a log-likelihood; every predictive but the conjugate's closed form is a
+`Mixture` of that log-likelihood, so predictors and the harness never ask
+which process they hold.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def sigmoid(z: float) -> float:
 
 def sigmoids(z: np.ndarray) -> np.ndarray:
     """The logistic function elementwise over an array; `sigmoid` is the scalar
-    form.  Ensemble losses are pinned to these bits: np.exp can differ from
+    form.  Rollout labels are pinned to these bits: np.exp can differ from
     math.exp in the last bit."""
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -88,6 +89,8 @@ def bernoulli_log_loss(logits, y):
 
 @dataclass
 class GaussianPred:
+    """The closed-form predictive N(mean, variance) of the conjugate posterior."""
+
     mean: float
     variance: float
 
@@ -96,47 +99,21 @@ class GaussianPred:
 
 
 @dataclass
-class GaussianMixturePred:
-    """Weighted Gaussian mixture with a shared component variance.
+class Mixture:
+    """The predictive of every family: the label law at each statistic in
+    `stats` (a spec's `loglik`), mixed by the weights exp(log_weights).
 
-    The exact posterior predictive of ensemble and enumeration predictors on
-    Gaussian-noise processes; collapsing it to a single moment-matched
-    Gaussian would misstate the log-loss, so it is kept as a mixture.
+    Its log-loss is the log-normaliser of the Bayes reweighting by that
+    label, so a weighted-particle state's `observe` returns the same number.
+    The omniscient predicts with one component at the true statistic.
     """
 
-    means: np.ndarray
-    variance: float
+    spec: Process
+    stats: np.ndarray
     log_weights: np.ndarray
 
-    def log_loss(self, y: float) -> float:
-        comp = -gaussian_log_loss(self.means, self.variance, y)
-        return float(-logsumexp(self.log_weights + comp))
-
-
-@dataclass
-class BernoulliLogitPred:
-    logit: float
-
-    @property
-    def p1(self) -> float:
-        return sigmoid(self.logit)
-
-    def log_loss(self, y: int) -> float:
-        return float(bernoulli_log_loss(self.logit, y))
-
-
-@dataclass
-class CategoricalPred:
-    pmf: np.ndarray
-
-    def log_loss(self, y: int) -> float:
-        p = self.pmf[int(y) - 1]
-        return math.inf if p <= 0.0 else -math.log(p)
-
-
-def _bernoulli_mixture(p1: float) -> BernoulliLogitPred:
-    p1 = min(max(float(p1), 1e-300), 1.0 - 1e-16)
-    return BernoulliLogitPred(logit=math.log(p1 / (1.0 - p1)))
+    def log_loss(self, y) -> float:
+        return -logsumexp(self.log_weights + self.spec.loglik(self.stats, y))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +195,9 @@ class Process(Configurable):
     and the labels before it.  Specs with array latents batch
     `sample_particles`, vectorize `particle_stat` and name the latent fields
     it reads stacked in `particle_arrays`.  The output family supplies
-    `label_draws`, `label`, `loglik`, `point` and `mixture`; meta processes
-    read the task of each step from the history and iid ones their input.
+    `label_draws`, `label` and `loglik` (elementwise over statistics), which
+    `Mixture` mixes into a predictive; meta processes read the task of each
+    step from the history and iid ones their input.
     """
 
     meta = False
@@ -262,14 +240,6 @@ class _Gaussian(Process):
     def irreducible_rate(self) -> float:
         return 0.5 * math.log(2.0 * math.pi * math.e * self.noise_var)
 
-    def point(self, mean: float) -> GaussianPred:
-        return GaussianPred(mean, self.noise_var)
-
-    def mixture(self, means: np.ndarray, log_weights: np.ndarray) -> GaussianMixturePred:
-        return GaussianMixturePred(
-            means=means, variance=self.noise_var, log_weights=log_weights.copy()
-        )
-
 
 class _Bernoulli(Process):
     """Binary labels with P(Y = 1) = sigmoid(conditional logit)."""
@@ -284,12 +254,6 @@ class _Bernoulli(Process):
     def loglik(self, logits, y):
         return -bernoulli_log_loss(logits, y)
 
-    def point(self, logit: float) -> BernoulliLogitPred:
-        return BernoulliLogitPred(logit)
-
-    def mixture(self, logits: np.ndarray, log_weights: np.ndarray) -> BernoulliLogitPred:
-        return _bernoulli_mixture(np.exp(log_weights) @ sigmoids(logits))
-
 
 class _Categorical(Process):
     """Labels 1..V drawn from the conditional pmf; inputs are absent."""
@@ -302,13 +266,9 @@ class _Categorical(Process):
         return categorical_indices(pmf, u) + 1
 
     def loglik(self, pmfs, y):
+        """log pmf(y) per row of pmfs (S, V), floored at log 1e-300: a label that
+        every component forbids costs a mixture 690.8 nats, not +inf."""
         return np.log(np.maximum(pmfs[:, int(y) - 1], 1e-300))
-
-    def point(self, pmf: np.ndarray) -> CategoricalPred:
-        return CategoricalPred(pmf)
-
-    def mixture(self, pmfs: np.ndarray, log_weights: np.ndarray) -> CategoricalPred:
-        return CategoricalPred(pmf=np.exp(log_weights) @ pmfs)
 
 
 class _Iid:
@@ -391,6 +351,14 @@ def strict_int(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def strict_seed(value) -> int:
+    """strict_int(value), refusing a seed outside the 64-bit unsigned range."""
+    seed = strict_int(value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{value!r} is not a 64-bit unsigned integer")
+    return seed
 
 
 def strict_float(value) -> float:
@@ -640,7 +608,7 @@ class Transformer(_Sequence, _Categorical):
     # embed_seed (default 0) seeds the embeddings built by from_config.
     config = {
         "vocab": strict_int, "attn_dim": strict_int, "depth": strict_int, "context": strict_int,
-        "v_prior": strict_str, "embed_seed": strict_int,
+        "v_prior": strict_str, "embed_seed": strict_seed,
     }
     bound_id = "transformer_error"
     bound_args = {"d": "vocab", "r": "attn_dim", "L": "depth", "K": "context"}

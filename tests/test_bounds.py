@@ -32,8 +32,8 @@ def test_logreg_spot_value():
 
 
 def test_deepnet_param_count():
-    assert bnd.deepnet_param_count(4, 8, 2) == 8 + 32  # L=2: N + dN
-    assert bnd.deepnet_param_count(2, 3, 3) == 9 + 3 + 6
+    assert bnd._deepnet_param_count(4, 8, 2) == 8 + 32  # L=2: N + dN
+    assert bnd._deepnet_param_count(2, 3, 3) == 9 + 3 + 6
 
 
 def test_ark_spot_value_and_k1_matches_logreg():

@@ -610,6 +610,15 @@ BAD_CONFIGS = {
         ),
         "meta_error_split",
     ),
+    "config_not_object": ([1, 2], r"config must be a JSON object, not \[1, 2\]"),
+    **{
+        f"embed_seed_{name}": (
+            _config_payload(process={"kind": "transformer", "vocab": 3, "attn_dim": 3,
+                                     "depth": 1, "context": 2, "embed_seed": seed}),
+            f"process 'transformer' key 'embed_seed': {seed} is not a 64-bit unsigned integer",
+        )
+        for name, seed in (("negative", -1), ("too_large", 2**64))
+    },
 }
 
 
@@ -643,13 +652,27 @@ def test_cli_bad_config_is_one_line_error(case, tmp_path):
         assert res.output.startswith("Error: ") and len(res.output.splitlines()) == 1
 
 
-def test_cli_manifest_without_scenario_list_is_one_line_error(tmp_path):
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"version": 1, "scenarios": None}, "'scenarios' must be a list"),
+        ([1, 2], "manifest must be a JSON object, not [1, 2]"),
+    ],
+    ids=["scenarios_not_list", "manifest_not_object"],
+)
+def test_cli_bad_manifest_is_one_line_error(payload, message, tmp_path):
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"version": 1, "scenarios": None}))
+    manifest.write_text(json.dumps(payload))
     res = CliRunner().invoke(cli_main, ["verify", str(manifest)])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert res.output.startswith("Error: ") and len(res.output.splitlines()) == 1
-    assert "'scenarios' must be a list" in res.output
+    assert message in res.output
+
+
+def test_cli_simulate_of_a_directory_is_one_line_error(tmp_path):
+    res = CliRunner().invoke(cli_main, ["simulate", str(tmp_path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith(f"Error: {tmp_path}: ") and len(res.output.splitlines()) == 1
 
 
 def test_cli_warns_on_config_without_bounds(tmp_path):

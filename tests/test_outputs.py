@@ -255,8 +255,9 @@ _OMNISCIENT = {"kind": "omniscient"}
 
 # One small config per process/predictor pair a config can name -> sha256 of
 # the files `simulate` writes in csv and in json, recorded under seed contract
-# 3.  An omniscient on a discrete process is scored against an omniscient, so
-# its curve is zero on any draws.
+# 3 (the ensemble ones with each loss the log-normaliser of its reweighting).
+# An omniscient on a discrete process is scored against an omniscient, so its
+# curve is zero on any draws.
 SIMULATE_DIGESTS = {
     "linreg_conjugate": (_LINREG, {"kind": "conjugate"},
         "35da2f01d2750f8045661a2356422d8f0c1823d752c634c9795845c6e5c3b739"),
@@ -268,7 +269,7 @@ SIMULATE_DIGESTS = {
         _LINREG, {"kind": "misspecified_conjugate", "prior_mean": [0.5, 0.0, 0.0]},
         "dd6ed3ba0e7c30125e629f5f9f4e89005131cee4c5affbf54bbaaef2186789c9"),
     "logreg_ensemble": ({"kind": "logreg", "d": 3}, _ENSEMBLE,
-        "a579889878c79227d7460c739dff12e03510eb5619ac61c7427e19196cd3ed8b"),
+        "12db72bd7f9f2308a9df5d2da3aa9f8f6a50778bdbc7ac2ba557f00fa3e54de2"),
     "logreg_omniscient": ({"kind": "logreg", "d": 3}, _OMNISCIENT,
         "67ae03d3ff5e58b600fcd3f6b6c65e33fd1b8b69bc1838bd3a207f1c46703ddd"),
     "deepnet_ensemble": (_DEEPNET, _ENSEMBLE,
@@ -283,11 +284,11 @@ SIMULATE_DIGESTS = {
         _DIRICHLET, {"kind": "misspecified_width", "n": 3, "eps": 0.3, "size": 16},
         "0ad9b92546176969ff07e9fcd4a8cb3c223690fd902edad8b5a39c4500d9761b"),
     "ark_ensemble": (_ARK, _ENSEMBLE,
-        "203ea3a33f49581bc6a67a2d139ec668fbb8936450f1a11d825ccbfb91a83ea3"),
+        "4a6d4a19aa9c9ae714b38178e1f06be4f93e128a6c705de0bc1fc72f1047541c"),
     "ark_omniscient": (_ARK, _OMNISCIENT,
         "f8a08a6982b6fb77ea76c4d2a808ef9720a618818a08536138bc74c211377630"),
     "transformer_ensemble": (_TRANSFORMER, _ENSEMBLE,
-        "1c0a9123747e4634788219adaf311ff19174fe388184ba5b87342699f74a0a6c"),
+        "a2dd5148282bbc4d721b6123fe26bbb8e078ebf3457eb469076a5acea6a1a8ec"),
     "transformer_omniscient": (_TRANSFORMER, _OMNISCIENT,
         "4976b1398a848975cfe3db121fe150e94abfc7310524f79025f61d9dbdb172d4"),
 }

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from infolab.predictors import (
-    BernoulliLogitPred,
-    CategoricalPred,
     ConjugateLinReg,
     Enumeration,
-    GaussianMixturePred,
     GaussianPred,
     MisspecifiedConjugate,
     MisspecifiedWidth,
+    Mixture,
     Omniscient,
     PriorEnsemble,
     init_predictor,
@@ -27,6 +25,7 @@ from infolab.processes import (
     DeepNet,
     DirichletNet,
     History,
+    LinRep,
     LinReg,
     LogReg,
     ThetaLatent,
@@ -65,17 +64,24 @@ def conjugate_kind(spec):
 
 
 def test_log_loss_basics():
-    assert log_loss(BernoulliLogitPred(logit=0.0), 1) == pytest.approx(math.log(2))
+    point = np.zeros(1)  # the log weight of a one-component mixture
+    assert log_loss(Mixture(LogReg(d=1), np.array([0.0]), point), 1) == pytest.approx(math.log(2))
     assert log_loss(GaussianPred(mean=0.0, variance=1.0), 0.0) == pytest.approx(
         0.5 * math.log(2 * math.pi)
     )
-    assert log_loss(CategoricalPred(pmf=np.array([1.0, 0.0])), 2) == math.inf
+    gaussian = Mixture(LinReg(d=1, noise_var=1.0), np.array([0.0]), point)
+    assert log_loss(gaussian, 0.0) == log_loss(GaussianPred(mean=0.0, variance=1.0), 0.0)
+    # A label that every component forbids costs the floor of the categorical loglik.
+    pmfs = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
+    forbidden = Mixture(LinRep(d=3, r=1, tasks=1), pmfs, np.log([0.5, 0.5]))
+    assert log_loss(forbidden, 2) == pytest.approx(-math.log(1e-300), rel=1e-15)
+    assert log_loss(forbidden, 1) == pytest.approx(-math.log(0.75), rel=1e-15)
 
 
 def test_mixture_log_loss_matches_direct_mixture_density():
     means = np.array([-1.0, 0.5, 2.0])
     logw = np.log(np.array([0.2, 0.5, 0.3]))
-    pred = GaussianMixturePred(means=means, variance=0.7, log_weights=logw)
+    pred = Mixture(LinReg(d=1, noise_var=0.7), means, logw)
     y = 0.3
     dens = float(
         np.sum(
@@ -204,7 +210,7 @@ def test_enumeration_symmetric_prior_predicts_half():
     ]
     state = init_predictor(Enumeration(support=support, prior=np.array([0.5, 0.5])), spec)
     pred = predict(state, spec, one([0.7, -0.2]), 0)
-    assert pred.p1 == pytest.approx(0.5, abs=1e-12)
+    assert math.exp(-log_loss(pred, 1)) == pytest.approx(0.5, abs=1e-12)
 
 
 def _predictive_logpdf(pred, ys):
@@ -212,9 +218,10 @@ def _predictive_logpdf(pred, ys):
         return -0.5 * (math.log(2 * math.pi * pred.variance)) - (
             (ys - pred.mean) ** 2
         ) / (2 * pred.variance)
-    comp = -0.5 * np.log(2 * np.pi * pred.variance) - (
-        (ys[:, None] - pred.means[None, :]) ** 2
-    ) / (2 * pred.variance)
+    variance = pred.spec.noise_var
+    comp = -0.5 * np.log(2 * np.pi * variance) - (
+        (ys[:, None] - pred.stats[None, :]) ** 2
+    ) / (2 * variance)
     return np.array([logsumexp(pred.log_weights + row) for row in comp])
 
 
@@ -259,7 +266,7 @@ def test_ensemble_prior_predictive_matches_conjugate():
         state = init_predictor(PriorEnsemble(size=2048), spec, stream=stream(6, ("r", i)))
         pred = predict(state, spec, one(x), 0)
         w = np.exp(pred.log_weights)
-        means.append(float(w @ pred.means))
+        means.append(float(w @ pred.stats))
     est = float(np.mean(means))
     se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
     assert abs(est - 0.0) <= 3 * se
@@ -557,8 +564,8 @@ def _exact_pinned_cases():
         "ensemble_transformer": (
             inner,
             PriorEnsemble(size=16),
-            [1.0516010249430028, 1.0298301221629926, 0.9342537921237721, 1.3133215178807083,
-             0.9290874257091257, 1.141108159776778, 1.1816048408382298, 1.17403545143763],
+            [1.0516010249430026, 1.0298301221629926, 0.9342537921237721, 1.3133215178807083,
+             0.9290874257091257, 1.141108159776778, 1.1816048408382296, 1.17403545143763],
         ),
     }
 
@@ -567,15 +574,16 @@ def _exact_pinned_cases():
     "index, case", enumerate(_exact_pinned_cases()), ids=list(_exact_pinned_cases())
 )
 def test_rollout_losses_equal_recorded_values(index, case):
-    """Losses of fixed-seed rollouts, bit for bit, recorded under seed contract 3."""
+    """Losses of fixed-seed rollouts, bit for bit, recorded under seed contract 3
+    (the ensemble ones as the log-normalisers of their reweightings)."""
     spec, kind, recorded = _exact_pinned_cases()[case]
     losses = run_replicate(spec, (kind,), 8, stream(43, ("exact_pin", index)))[0]
     assert losses.tolist() == recorded
 
 
 # ---------------------------------------------------------------------------
-# the statistic that predict computes is reused by observe only at its input
-# and history length
+# predict is a query: predicting anywhere, any number of times, leaves the
+# weights that observe reaches unchanged
 # ---------------------------------------------------------------------------
 
 
@@ -743,6 +751,88 @@ def _state_kinds():
 
 
 @pytest.mark.parametrize("case", list(_state_kinds()))
+def test_observe_returns_the_log_loss_of_predict(case):
+    """One predictive rule: at every step, what observe returns is the loss of
+    the label under the predictive that predict gave just before, bit for bit."""
+    spec, kind = _state_kinds()[case]
+    s = stream(85)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    state = init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0)))
+    n = 40 * (spec.tasks if spec.meta else 1)
+    h = step(spec, latent, n, s)
+    for i in range(len(h.y) - n, len(h.y)):
+        expected = log_loss(predict(state, spec, h, i), h.y[i])
+        assert state.observe(spec, h, i) == expected, i
+    if case in ("ensemble", "misspecified_width", "oracle_meta"):
+        assert state.resamples > 0
+
+
+def _gaussian_loglik(spec, mean, y):
+    return -0.5 * math.log(2 * math.pi * spec.noise_var) - (y - mean) ** 2 / (2 * spec.noise_var)
+
+
+def _bernoulli_loglik(spec, logit, y):
+    return -math.log(1.0 + math.exp(-logit if y == 1 else logit))
+
+
+def _categorical_loglik(spec, pmf, y):
+    return math.log(pmf[y - 1])
+
+
+@pytest.mark.parametrize(
+    "spec, loglik",
+    [
+        (LinReg(d=2, noise_var=0.5), _gaussian_loglik),
+        (LogReg(d=3), _bernoulli_loglik),
+        (Transformer(vocab=3, attn_dim=3, depth=1, context=2,
+                     embeddings=np.eye(3)), _categorical_loglik),
+    ],
+    ids=["gaussian", "bernoulli", "categorical"],
+)
+def test_enumeration_cumulative_loss_is_minus_the_log_evidence(spec, loglik):
+    """-sum_t log p(y_t | H_{t-1}) = -log p(H_T) = -logsumexp_h(log prior_h +
+    sum_t log p_h(y_t)), the evidence taken hypothesis by hypothesis from
+    `conditional`.  The true latent is a hypothesis of zero prior mass, so it
+    must count for nothing."""
+    from scipy.special import logsumexp as reference_logsumexp
+
+    T, s = 40, stream(86)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    support = [latent] + [sample_latent(spec, stream(87, ("h", h))) for h in range(3)]
+    prior = np.array([0.0, 0.5, 0.3, 0.2])
+    losses = run_replicate(spec, (Enumeration(support=support, prior=prior),), T, s)[0]
+    h = step(spec, latent, T, s)  # the rollout that run_replicate scored
+    steps = range(len(h.y) - T, len(h.y))
+    log_lik = [sum(loglik(spec, spec.conditional(lat, h, i), h.y[i]) for i in steps)
+               for lat in support]
+    with np.errstate(divide="ignore"):
+        evidence = reference_logsumexp(np.log(prior) + np.array(log_lik))
+    assert abs(losses.sum() + evidence) <= 1e-10
+
+
+def test_a_label_every_particle_forbids_costs_the_loglik_floor():
+    """Every hypothesis gives label 2 probability 0 (its softmax underflows):
+    the step costs -log 1e-300, about 690.8 nats, where a mixture of the pmfs
+    would give +inf, and the weights stay as they were, up to rounding."""
+    from infolab.processes import LinRepLatent
+
+    spec = LinRep(d=3, r=1, tasks=1)
+    psi = np.array([[1.0], [0.0], [0.0]])
+    support = [LinRepLatent(psi=psi, xi=np.array([[x]])) for x in (1000.0, 2000.0)]
+    h = one(y=2, task=0)
+    for kind, latent in (
+        (Enumeration(support=support, prior=np.array([0.3, 0.7])), None),
+        (Omniscient(), support[0]),
+    ):
+        state = init_predictor(kind, spec, latent=latent)
+        before = getattr(state, "log_weights", None)
+        assert log_loss(predict(state, spec, h, 0), 2) == -math.log(1e-300)
+        assert state.observe(spec, h, 0) == pytest.approx(690.7755278982137, rel=1e-15)
+        if before is not None:
+            np.testing.assert_allclose(state.log_weights, before, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", list(_state_kinds()))
 def test_predict_and_observe_leave_the_history_unchanged(case):
     spec, kind = _state_kinds()[case]
     s = stream(81)
@@ -846,5 +936,6 @@ def test_bernoulli_probabilities_use_the_one_sigmoid(z):
 
     p = sigmoid(z)
     assert p == pytest.approx(1.0 / (1.0 + math.exp(-z)) if z > -700 else 0.0, rel=1e-15)
-    assert BernoulliLogitPred(z).p1 == p
+    p1 = math.exp(-log_loss(Mixture(LogReg(d=1), np.array([z]), np.zeros(1)), 1))
+    assert p1 == pytest.approx(p, rel=1e-13, abs=1e-320)
     assert binary_kl_logits(z, z) == pytest.approx(0.0, abs=1e-15)
