@@ -94,6 +94,10 @@ class ScenarioConfig:
     se_multiplier: float = 3.0
 
     def __post_init__(self):
+        sid = self.scenario_id
+        if sid in ("", ".", "..") or os.path.basename(sid) != sid:
+            raise ValueError(f"scenario_id {sid!r} must name a file: not empty, '.' or '..', "
+                             "and without a path separator")
         if self.replicates < 2:
             raise ValueError("replicates must be >= 2")
         if not self.horizons or self.horizons[0] < 1:
@@ -324,7 +328,11 @@ def load_manifest(name_or_path: str, master_seed: int = 20240817) -> List[Scenar
     _reject_unknown(payload, ["version", "scenarios"], "manifest")
     if not isinstance(payload.get("scenarios"), list):
         raise ValueError("manifest key 'scenarios' must be a list of scenario configs")
-    return [parse_config(p) for p in payload["scenarios"]]
+    configs = [parse_config(p) for p in payload["scenarios"]]
+    for i, sid in enumerate(c.scenario_id for c in configs):
+        if sid in [c.scenario_id for c in configs[:i]]:
+            raise ValueError(f"scenario id '{sid}' is used more than once; its files would clash")
+    return configs
 
 
 def verify_suite(configs: Sequence[ScenarioConfig]) -> Tuple[bool, List[ScenarioResult]]:

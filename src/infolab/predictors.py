@@ -5,10 +5,12 @@ posterior over finite latent supports, importance-weighted prior-ensemble
 posterior for everything else, the omniscient baseline, and misspecified
 variants (wrong conjugate prior; reduced-width function prior).  Each
 predictor kind builds its own state; the process spec supplies every
-family-specific piece (conditionals, particle statistics, log-likelihoods).
-Enumeration, ensembles and the oracle-meta filter all hold one kind of
-state: weighted particles (`EnsembleState`).  `predict(spec, history, n)`
-and `observe(spec, history, n)` read the caller's history, a rollout's
+family-specific piece (particle statistics, log-likelihoods).  A latent is
+a one-particle `Particles`: the omniscient holds the true one, and an
+enumeration support is a list of them, stacked.  Enumeration, ensembles and
+the oracle-meta filter all hold one kind of state: weighted particles
+(`EnsembleState`).  `predict(spec, history, n)` and
+`observe(spec, history, n)` read the caller's history, a rollout's
 arrays: label n, given the labels before it (seed context included).  No
 state copies it.  `predict` is a query with no side effects; `observe`
 conditions on label n and returns the log-loss that `predict` gave it
@@ -143,9 +145,9 @@ class Enumeration(PredictorKind):
         object.__setattr__(self, "prior", p)
 
     def init(self, spec, latent, stream) -> "EnsembleState":
-        """The support as particles weighted by the prior; never resampled."""
+        """The support's one-particle latents, stacked, weighted by the prior; never resampled."""
         logp = np.where(self.prior > 0, np.log(np.maximum(self.prior, 1e-300)), -np.inf)
-        particles = Particles.stack(spec, list(self.support))
+        particles = Particles.stack(spec, self.support)
         return EnsembleState(self, particles, logp - logsumexp(logp), resampler=None)
 
 
@@ -191,8 +193,8 @@ class MisspecifiedConjugate(ConjugateLinReg):
 class MisspecifiedWidth(PredictorKind, Configurable):
     """Ensemble posterior whose particles come from the width-n snapped prior.
 
-    The kind is also the particles' prior: it stacks the width-n nets and
-    evaluates their outputs.
+    The kind is also the particles' prior: it evaluates the width-n nets,
+    stacked as net_atoms (S, n, d) and net_signs (S, n).
     """
 
     n: int
@@ -225,13 +227,12 @@ class MisspecifiedWidth(PredictorKind, Configurable):
             misspecified_width_prior_sample(spec, self.n, self.eps, sub)
             for sub in stream.children("particle", self.size)
         ]
-        return EnsembleState.start(self, Particles.stack(self, nets), Resampler(stream))
-
-    def stack_particles(self, nets):
-        return {
-            "net_atoms": np.stack([net.atoms for net in nets]),  # (S, n, d)
-            "net_signs": np.stack([net.signs for net in nets]),  # (S, n)
-        }
+        particles = Particles(
+            self, self.size, nets,
+            net_atoms=np.stack([net.atoms for net in nets]),
+            net_signs=np.stack([net.signs for net in nets]),
+        )
+        return EnsembleState.start(self, particles, Resampler(stream))
 
     def particle_stat(self, particles, history, n):
         # The nets share one width and scale.
@@ -274,7 +275,7 @@ class OracleMetaEnsemble(PredictorKind):
     def init(self, spec, latent, stream) -> "OracleMetaState":
         if latent is None or stream is None or not isinstance(spec, LinRep):
             raise ValueError("OracleMetaEnsemble requires a LinRep latent and stream")
-        prior = _KnownRepresentation(psi=latent.psi)
+        prior = _KnownRepresentation(psi=latent.psi[0])
         sd = math.sqrt(1.0 / spec.r)
         # Task m's particles are one draw from stream path ("task", m) (seed contract 2).
         xi = [stream.derive(("task", m)).gen.normal(0.0, sd, size=(self.size, spec.r))

@@ -164,9 +164,9 @@ def width_reduction_distortion(
     """
     means = np.empty(n_latents)
     for i, sub in enumerate(stream.children("latent", n_latents)):
-        latent = sample_latent(spec, sub.derive(("prior", 0)))
-        net = _reduce(spec, latent, m, eps, sub)
-        means[i] = np.mean(_squared_gap(spec, latent, net, n_inputs, sub))
+        draw = sample_latent(spec, sub.derive(("prior", 0))).latents[0]
+        net = _reduce(spec, draw, m, eps, sub)
+        means[i] = np.mean(_squared_gap(spec, draw, net, n_inputs, sub))
     return mean_se(means)
 
 
@@ -243,7 +243,8 @@ def misspecified_width_prior_sample(
 ) -> FiniteWidthNet:
     """One draw from the reduced-width function prior.
 
-    Samples a fresh process latent, reduces it to width n by multinomial
-    draws, and (for eps > 0) snaps each atom to an eps-cover of the sphere.
+    Samples a fresh process latent, reduces its one draw to width n by
+    multinomial draws, and (for eps > 0) snaps each atom to an eps-cover.
     """
-    return _reduce(spec, sample_latent(spec, stream.derive(("prior", 0))), n, eps, stream)
+    draw = sample_latent(spec, stream.derive(("prior", 0))).latents[0]
+    return _reduce(spec, draw, n, eps, stream)

@@ -611,6 +611,15 @@ BAD_CONFIGS = {
         "meta_error_split",
     ),
     "config_not_object": ([1, 2], r"config must be a JSON object, not \[1, 2\]"),
+    "escaping_scenario_id": (
+        _config_payload(scenario_id="../escaped"), r"scenario_id '\.\./escaped' must name a file"
+    ),
+    "empty_scenario_id": (_config_payload(scenario_id=""), "scenario_id '' must name a file"),
+    "ark_one_embedding": (
+        _config_payload(process={"kind": "ark", "d": 2, "context": 2, "phi0": [1.0, 0.0]},
+                        bounds=["ark_error"]),
+        "ark embeddings phi0 and phi1 must both be given, or neither",
+    ),
     **{
         f"embed_seed_{name}": (
             _config_payload(process={"kind": "transformer", "vocab": 3, "attn_dim": 3,
@@ -657,8 +666,17 @@ def test_cli_bad_config_is_one_line_error(case, tmp_path):
     [
         ({"version": 1, "scenarios": None}, "'scenarios' must be a list"),
         ([1, 2], "manifest must be a JSON object, not [1, 2]"),
+        (
+            {"version": 1, "scenarios": [
+                _config_payload(scenario_id="same"),
+                _config_payload(scenario_id="same", process={"kind": "logreg", "d": 2},
+                                predictor={"kind": "ensemble", "size": 16},
+                                bounds=["logreg_error"]),
+            ]},
+            "scenario id 'same' is used more than once",
+        ),
     ],
-    ids=["scenarios_not_list", "manifest_not_object"],
+    ids=["scenarios_not_list", "manifest_not_object", "repeated_scenario_id"],
 )
 def test_cli_bad_manifest_is_one_line_error(payload, message, tmp_path):
     manifest = tmp_path / "manifest.json"

@@ -28,13 +28,14 @@ from infolab.processes import (
     LinRep,
     LinReg,
     LogReg,
-    ThetaLatent,
     Transformer,
     initial_history,
     sample_latent,
     step,
 )
 from infolab.rng import RngStream, SeedSpec
+
+from conftest import draw
 
 
 def stream(seed, *path):
@@ -175,18 +176,19 @@ def test_enumeration_weights_are_prior_times_likelihood():
     cases = [
         (
             LogReg(d=2),
-            [ThetaLatent(theta=np.array(t)) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])],
+            ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]),
             np.array([0.5, 0.3, 0.2]),
             lambda: int(gen.random() < 0.5),
         ),
         (
             LinReg(d=2, noise_var=1e-3),
-            [ThetaLatent(theta=np.array(t)) for t in ([0.5, 0.0], [0.0, 0.5], [-0.5, 0.5])],
+            ([0.5, 0.0], [0.0, 0.5], [-0.5, 0.5]),
             np.array([0.2, 0.3, 0.5]),
             lambda: float(gen.normal()),
         ),
     ]
-    for spec, support, prior, draw_y in cases:
+    for spec, thetas, prior, draw_y in cases:
+        support = [draw(spec, theta=t) for t in thetas]
         state = init_predictor(Enumeration(support=support, prior=prior), spec)
         logw_hand = np.log(prior)
         for _ in range(6):
@@ -196,18 +198,15 @@ def test_enumeration_weights_are_prior_times_likelihood():
             state.observe(spec, history, 0)
             hand = np.exp(logw_hand - logsumexp(logw_hand))
             assert np.max(np.abs(np.exp(state.log_weights) - hand)) < 1e-12
-        assert state.resamples == 0 and state.particles.latents == support
-        assert np.array_equal(state.particles.theta, [lat.theta for lat in support])
+        assert state.resamples == 0 and state.particles.latents is None
+        assert np.array_equal(state.particles.theta, thetas)
     w = np.exp(state.log_weights)
     assert 1.0 / np.sum(w * w) < 1.0 + 1e-6  # the LinReg weights collapsed
 
 
 def test_enumeration_symmetric_prior_predicts_half():
     spec = LogReg(d=2)
-    support = [
-        ThetaLatent(theta=np.array([1.0, 1.0])),
-        ThetaLatent(theta=np.array([-1.0, -1.0])),
-    ]
+    support = [draw(spec, theta=[1.0, 1.0]), draw(spec, theta=[-1.0, -1.0])]
     state = init_predictor(Enumeration(support=support, prior=np.array([0.5, 0.5])), spec)
     pred = predict(state, spec, one([0.7, -0.2]), 0)
     assert math.exp(-log_loss(pred, 1)) == pytest.approx(0.5, abs=1e-12)
@@ -238,7 +237,7 @@ def test_enumeration_matches_conjugate_on_discretized_prior():
     from scipy.stats import norm
 
     qs = norm.ppf((np.arange(16) + 0.5) / 16)
-    support = [ThetaLatent(theta=np.array([q])) for q in qs]
+    support = [draw(spec, theta=[q]) for q in qs]
     enum = init_predictor(Enumeration(support=support, prior=np.full(16, 1 / 16)), spec)
     conj = init_predictor(conjugate_kind(spec), spec)
     gen = np.random.default_rng(5)
@@ -462,10 +461,10 @@ def _pinned_cases():
     from infolab.processes import LinRep
 
     logreg_support = [
-        ThetaLatent(theta=np.array(t)) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])
+        draw(LogReg(d=2), theta=t) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])
     ]
     ark_support = [
-        ThetaLatent(theta=np.array(t))
+        draw(BinaryARK(d=2, context=2), theta=t)
         for t in (
             [[1.0, -0.5], [0.2, 0.3]], [[-0.4, 0.8], [0.0, -1.0]], [[0.5, 0.5], [-0.5, 0.5]]
         )
@@ -605,7 +604,7 @@ def _cache_cases():
     from infolab.predictors import OracleMetaEnsemble
     from infolab.processes import LinRep
 
-    support = [ThetaLatent(theta=np.array(t)) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])]
+    support = [draw(LogReg(d=2), theta=t) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])]
     other_x = lambda h, i: (History(y=h.y, x=h.x + 1.0), i)
     other_task = lambda h, i: (History(y=h.y, task=(h.task + 1) % 2), i)
     # One more bit, the flip of the last, so the context differs from h's.
@@ -735,9 +734,7 @@ def _state_kinds():
 
     linreg = LinReg(d=2, noise_var=0.5)
     ark = BinaryARK(d=2, context=2)
-    support = [
-        ThetaLatent(theta=np.array(t)) for t in ([[1.0, 0.0], [0.0, 1.0]], [[0.5, -0.5], [-1.0, 0.2]])
-    ]
+    support = [draw(ark, theta=t) for t in ([[1.0, 0.0], [0.0, 1.0]], [[0.5, -0.5], [-1.0, 0.2]])]
     return {
         "conjugate": (linreg, conjugate_kind(linreg)),
         "enumeration": (ark, Enumeration(support=support, prior=np.array([0.4, 0.6]))),
@@ -814,11 +811,9 @@ def test_a_label_every_particle_forbids_costs_the_loglik_floor():
     """Every hypothesis gives label 2 probability 0 (its softmax underflows):
     the step costs -log 1e-300, about 690.8 nats, where a mixture of the pmfs
     would give +inf, and the weights stay as they were, up to rounding."""
-    from infolab.processes import LinRepLatent
-
     spec = LinRep(d=3, r=1, tasks=1)
     psi = np.array([[1.0], [0.0], [0.0]])
-    support = [LinRepLatent(psi=psi, xi=np.array([[x]])) for x in (1000.0, 2000.0)]
+    support = [draw(spec, psi=psi, xi=[[x]]) for x in (1000.0, 2000.0)]
     h = one(y=2, task=0)
     for kind, latent in (
         (Enumeration(support=support, prior=np.array([0.3, 0.7])), None),
@@ -905,7 +900,7 @@ def test_short_ark_history_is_refused(case):
     spec = BinaryARK(d=2, context=3)
     kind = {
         "enumeration": Enumeration(
-            support=[ThetaLatent(theta=np.ones((3, 2)))], prior=np.array([1.0])
+            support=[draw(spec, theta=np.ones((3, 2)))], prior=np.array([1.0])
         ),
         "ensemble": PriorEnsemble(size=16),
         "omniscient": Omniscient(),

@@ -13,14 +13,13 @@ from infolab.processes import (
     LinRep,
     LinReg,
     LogReg,
-    ThetaLatent,
+    PROCESS_KINDS,
+    Particles,
     Transformer,
     attention_layer,
-    ark_logit,
     dirichlet_net_output,
     initial_history,
     irreducible_rate,
-    linrep_task_pmf,
     make_embeddings,
     orthonormal_columns,
     relu_forward,
@@ -30,6 +29,8 @@ from infolab.processes import (
     transformer_next_pmf,
 )
 from infolab.rng import RngStream, SeedSpec
+
+from conftest import draw
 
 
 def stream(seed, *path):
@@ -103,7 +104,7 @@ def test_deepnet_prior_layer_covariance():
     acc = np.zeros((4, 4))
     n = 10**3
     for i in range(n):
-        a1 = sample_latent(spec, s.derive(i)).weights[0]
+        a1 = sample_latent(spec, s.derive(i)).w0[0]
         acc += a1.T @ a1
     acc /= n
     target = (spec.width / spec.d) * np.eye(4)
@@ -123,9 +124,9 @@ def test_linrep_psi_orthonormal_every_draw():
     s = stream(5)
     for i in range(20):
         lat = sample_latent(spec, s.derive(i))
-        gram = lat.psi.T @ lat.psi
+        gram = lat.psi[0].T @ lat.psi[0]
         assert np.max(np.abs(gram - np.eye(2))) < 1e-10
-        assert lat.xi.shape == (3, 2)
+        assert lat.psi.shape == (1, 6, 2) and lat.xi.shape == (1, 3, 2)
 
 
 def test_orthonormal_columns_counts_a_zero_diagonal_as_positive():
@@ -150,14 +151,14 @@ def test_orthonormal_columns_stacked_equals_each_slice():
 def test_transformer_prior_value_rows():
     emb = make_embeddings(4, 4, stream(0))
     spec = Transformer(vocab=4, attn_dim=4, depth=2, context=2, embeddings=emb)
-    lat = sample_latent(spec, stream(6))
+    lat = sample_latent(spec, stream(6)).latents[0]
     assert lat.value[0].shape == (4, 4)
     assert lat.value[1].shape == (4, 4)  # final layer maps to vocab
     norms = np.linalg.norm(lat.value[0], axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     gauss = Transformer(vocab=4, attn_dim=4, depth=2, context=2, embeddings=emb,
                         v_prior="gaussian")
-    glat = sample_latent(gauss, stream(6))
+    glat = sample_latent(gauss, stream(6)).latents[0]
     assert glat.value[0].shape == (4, 4)
 
 
@@ -258,6 +259,52 @@ def test_a_rollout_is_a_prefix_of_a_longer_one(case):
             assert len(a) == len(b) - 18 and np.array_equal(a, b[:len(a)]), name
 
 
+def test_every_kind_is_in_the_rollout_specs():
+    assert sorted(_rollout_specs()) == sorted(PROCESS_KINDS)
+
+
+@pytest.mark.parametrize("case", list(_rollout_specs()))
+def test_a_latent_is_a_one_particle_draw(case):
+    spec = _rollout_specs()[case]
+    latent = sample_latent(spec, stream(38))
+    assert isinstance(latent, Particles) and latent.size == 1 and latent.prior is spec
+    assert all(len(a) == 1 for a in latent.arrays.values())
+    assert latent.latents is None or len(latent.latents) == 1
+
+
+@pytest.mark.parametrize("case", [c for c in _rollout_specs() if c not in ("linreg", "logreg")])
+def test_the_conditional_is_the_first_particle_statistic(case):
+    """At every step of a rollout, bit for bit.  LinReg and LogReg are exempt:
+    their conditional keeps the rollout's einsum, their particles BLAS."""
+    spec = _rollout_specs()[case]
+    s = stream(39)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    h = step(spec, latent, 12, s)
+    for n in range(len(h.y) - 12, len(h.y)):
+        stat = spec.particle_stat(latent, h, n)
+        assert len(stat) == 1
+        assert np.array_equal(spec.conditional(latent, h, n), stat[0]), n
+
+
+@pytest.mark.parametrize("case", list(_rollout_specs()))
+def test_the_statistic_of_stacked_latents_is_each_conditional(case):
+    """Particles.stack of K latents gives, per particle, that latent's
+    conditional: bit for bit, except LinReg's and LogReg's two forms."""
+    spec = _rollout_specs()[case]
+    s = stream(40)
+    latents = [sample_latent(spec, s.derive(("latent", k))) for k in range(5)]
+    stacked = Particles.stack(spec, latents)
+    assert stacked.size == 5
+    h = step(spec, latents[0], 12, s)
+    for n in range(len(h.y) - 12, len(h.y)):
+        stats = spec.particle_stat(stacked, h, n)
+        each = np.stack([spec.conditional(latent, h, n) for latent in latents])
+        if case in ("linreg", "logreg"):
+            np.testing.assert_allclose(stats, each, rtol=1e-12, atol=1e-15)
+        else:
+            assert np.array_equal(stats, each), n
+
+
 @pytest.mark.parametrize("case", ["linreg", "logreg"])
 def test_iid_rollouts_read_the_input_and_noise_blocks(case):
     """Seed contract 3: inputs are one (n, d) normal draw from ("inputs", 0)
@@ -271,9 +318,9 @@ def test_iid_rollouts_read_the_input_and_noise_blocks(case):
     draws = s.derive(("noise", 0))
     if case == "linreg":
         noise = draws.gen.normal(0.0, math.sqrt(spec.noise_var), 50)
-        assert np.array_equal(history.y, np.einsum("nd,d->n", x, latent.theta) + noise)
+        assert np.array_equal(history.y, np.einsum("nd,d->n", x, latent.theta[0]) + noise)
     else:
-        p1 = sigmoids(np.einsum("nd,d->n", x, latent.theta))
+        p1 = sigmoids(np.einsum("nd,d->n", x, latent.theta[0]))
         assert np.array_equal(history.y, (draws.gen.random(50) < p1).astype(int))
 
 
@@ -289,7 +336,7 @@ def test_the_iid_statistic_of_a_row_does_not_depend_on_the_batch():
 def test_transformer_pmf_normalized_and_positive():
     emb = make_embeddings(6, 4, stream(0))
     tf = Transformer(vocab=6, attn_dim=4, depth=2, context=3, embeddings=emb)
-    lat = sample_latent(tf, stream(22))
+    lat = sample_latent(tf, stream(22)).latents[0]
     pmf = transformer_next_pmf(tf, lat, [1, 4, 2])
     assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(pmf > 0)
@@ -370,7 +417,7 @@ def test_dirichlet_net_zero_mean_and_tail():
     s = stream(26)
     outs = []
     for i in range(2000):
-        lat = sample_latent(spec, s.derive(("lat", i)))
+        lat = sample_latent(spec, s.derive(("lat", i))).latents[0]
         x = s.derive(("x", i)).gen.normal(size=3)
         outs.append(dirichlet_net_output(spec, lat, x))
         assert lat.draw.tail_mass < 1e-8
@@ -383,11 +430,10 @@ def test_dirichlet_net_zero_mean_and_tail():
 def test_ark_logit_pairs_recent_bit_with_first_coefficient():
     spec = BinaryARK(d=2, context=2,
                      phi0=np.array([1.0, 0.0]), phi1=np.array([0.0, 1.0]))
-    theta = np.array([[1.0, 2.0], [3.0, 4.0]])
-    lat = ThetaLatent(theta=theta)
+    lat = draw(spec, theta=[[1.0, 2.0], [3.0, 4.0]])
     # bits [older, recent] = [0, 1]: k=1 pairs theta[0] with phi1, k=2 with phi0
-    assert ark_logit(spec, lat, [0, 1]) == pytest.approx(2.0 + 3.0)
-    assert ark_logit(spec, lat, [1, 0]) == pytest.approx(1.0 + 4.0)
+    assert spec.conditional(lat, History(y=np.array([0, 1])), 2) == pytest.approx(2.0 + 3.0)
+    assert spec.conditional(lat, History(y=np.array([1, 0])), 2) == pytest.approx(1.0 + 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +444,8 @@ def test_ark_logit_pairs_recent_bit_with_first_coefficient():
 def test_linrep_uniform_at_zero_task_latent():
     spec = LinRep(d=5, r=2, tasks=2)
     lat = sample_latent(spec, stream(27))
-    lat.xi[0][:] = 0.0
-    pmf = linrep_task_pmf(lat, 0)
+    lat.xi[0, 0] = 0.0
+    pmf = spec.task_pmfs(lat, 0)[0]
     assert np.max(np.abs(pmf - 0.2)) < 1e-12
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -410,7 +456,7 @@ def test_meta_step_and_logprob_consistency():
     h = step(spec, lat, 6, stream(29))
     assert h.task.tolist() == [0, 1, 2, 0, 1, 2] and set(h.y) <= {1, 2, 3, 4, 5}
     lp = cond_logprob(spec, lat, h, 1, h.y[1])
-    assert lp == pytest.approx(math.log(linrep_task_pmf(lat, 1)[h.y[1] - 1]))
+    assert lp == pytest.approx(math.log(spec.task_pmfs(lat, 1)[0, h.y[1] - 1]))
 
 
 @pytest.mark.parametrize("task", [None, -1, 3, 7])
