@@ -82,8 +82,15 @@ def _bound(bound_id: str, side: str):
 
 
 def _domain(params: Dict) -> str:
-    """The note of a horizon T or a dimension d below 1, where no bound is defined."""
-    return next((f"requires {k} >= 1" for k in ("T", "d") if params.get(k, 1) < 1), "")
+    """The note of a parameter outside the domain of every bound: a horizon T or a
+    dimension d below 1, a negative mu_sq_norm, or any other parameter at or below 0."""
+    for k in ("T", "d"):
+        if params.get(k, 1) < 1:
+            return f"requires {k} >= 1"
+    if params.get("mu_sq_norm", 0) < 0:
+        return "requires mu_sq_norm >= 0"
+    return next((f"requires {k} > 0" for k, v in params.items()
+                 if k not in ("T", "d", "mu_sq_norm") and not v > 0), "")
 
 
 def _reporting(bound_id: str, side: str, fn):
@@ -291,16 +298,16 @@ def icl_rd_upper(
     )
 
 
-def _rate_args(kind: str, params: Dict[str, float]):
-    """The rate function of `kind` and its arguments other than eps, read from params."""
+def _rate_args(kind: str, params: Dict[str, float], *given: str):
+    """The rate function of `kind` and its arguments but `given`, read from params."""
     if f"rd_{kind}" not in _BOUNDS:
         raise KeyError(f"unknown rate-distortion bound: {kind}")
     [(_, rate)] = _BOUNDS[f"rd_{kind}"]
-    return rate, _read_rate(f"rd_{kind}", rate, params, "eps")
+    return rate, _read_rate(f"rd_{kind}", rate, params, *given)
 
 
 def _read_rate(bound_id: str, rate, params: Dict, *given: str) -> list:
-    """_read of a rate function's arguments, refusing a horizon or dimension below 1."""
+    """_read of a rate function's arguments, refusing any outside the domain (`_domain`)."""
     args = _read(bound_id, rate, params, *given)
     note = _domain(dict(zip(inspect.signature(rate).parameters, args)))
     if note:
@@ -310,8 +317,8 @@ def _read_rate(bound_id: str, rate, params: Dict, *given: str) -> list:
 
 def rd_bound_eval(kind: str, params: Dict[str, float], eps: float) -> float:
     """Dispatch a rate-distortion bound by name."""
-    rate, args = _rate_args(kind, params)
-    return rate(*args, eps)
+    rate, args = _rate_args(kind, {**params, "eps": eps})
+    return rate(*args)
 
 
 # Distortion grid of the sandwich bounds: 64 points per decade over [1e-6, 10].
@@ -320,7 +327,7 @@ EPS_GRID = np.geomspace(1e-6, 10.0, 449)
 
 def rd_sandwich_upper(kind: str, params: Dict[str, float], T: int) -> Tuple[float, float]:
     """inf over the grid of H_eps/T + eps; returns (value, argmin eps)."""
-    rate, args = _rate_args(kind, params)
+    rate, args = _rate_args(kind, params, "eps")
     best, best_eps = math.inf, math.nan
     for eps in EPS_GRID:
         v = rate(*args, float(eps)) / T + float(eps)
@@ -333,7 +340,7 @@ def rd_sandwich_lower(kind: str, params: Dict[str, float], T: int) -> float:
     """sup over the grid of min(H_eps/T, eps): an error lower bound only when H_eps is
     a rate-distortion lower bound, and only `linreg_lower` is one.  For other kinds it
     bounds nothing: `icl` at T=100 gives 10.0, the last EPS_GRID point (upper: 90.4)."""
-    rate, args = _rate_args(kind, params)
+    rate, args = _rate_args(kind, params, "eps")
     best = 0.0
     for eps in EPS_GRID:
         v = min(rate(*args, float(eps)) / T, float(eps))

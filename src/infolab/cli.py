@@ -34,7 +34,7 @@ def _warn_if_unchecked(config: harness.ScenarioConfig) -> None:
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True))
 @click.option("--seed", type=int, default=None, help="Override the config master seed.")
-@click.option("--out", type=click.Path(), default=".", show_default=True)
+@click.option("--out", type=click.Path(file_okay=False), default=".", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def simulate(config_path: str, seed: Optional[int], out: str, fmt: str) -> None:
     """Run one scenario config and write curve/bound/verification files."""
@@ -58,7 +58,7 @@ def simulate(config_path: str, seed: Optional[int], out: str, fmt: str) -> None:
 @main.command()
 @click.argument("bound_id")
 @click.option("--params", required=True, help="JSON dict of bound parameters.")
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(file_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def bounds(
     bound_id: str,
@@ -94,7 +94,7 @@ def bounds(
 @main.command()
 @click.argument("manifest")
 @click.option("--seed", type=int, default=20240817, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(file_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def verify(manifest: str, seed: int, out: Optional[str], fmt: str) -> None:
     """Run a manifest of scenarios; exit nonzero if any bound check fails."""
@@ -129,7 +129,7 @@ def verify(manifest: str, seed: int, out: Optional[str], fmt: str) -> None:
 @click.option("--c-min", type=float, required=True)
 @click.option("--c-max", type=float, required=True)
 @click.option("--points", type=int, default=9, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(file_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def sweep_scaling_cmd(
     d: int,

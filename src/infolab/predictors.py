@@ -194,7 +194,7 @@ class MisspecifiedWidth(PredictorKind, Configurable):
     """Ensemble posterior whose particles come from the width-n snapped prior.
 
     The kind is also the particles' prior: it evaluates the width-n nets,
-    stacked as net_atoms (S, n, d) and net_signs (S, n).
+    stacked as net_atoms (S, n, d), net_signs (S, n) and net_scale (S,).
     """
 
     n: int
@@ -228,15 +228,16 @@ class MisspecifiedWidth(PredictorKind, Configurable):
             for sub in stream.children("particle", self.size)
         ]
         particles = Particles(
-            self, self.size, nets,
+            self, self.size,
             net_atoms=np.stack([net.atoms for net in nets]),
             net_signs=np.stack([net.signs for net in nets]),
+            net_scale=np.array([net.scale for net in nets]),
         )
         return EnsembleState.start(self, particles, Resampler(stream))
 
     def particle_stat(self, particles, history, n):
-        # The nets share one width and scale.
-        scale = particles.latents[0].scale / particles.net_signs.shape[1]
+        # The nets share one width; each carries its scale.
+        scale = particles.net_scale / particles.net_signs.shape[1]
         acts = np.maximum(np.einsum("snd,d->sn", particles.net_atoms, history.x[n]), 0.0)
         return scale * np.einsum("sn,sn->s", particles.net_signs, acts)
 

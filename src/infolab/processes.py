@@ -22,7 +22,6 @@ import numpy as np
 from .rng import (
     RngStream,
     SeedSpec,
-    StickBreakingDraw,
     categorical_indices,
     sample_gaussian,
     sample_stick_breaking,
@@ -122,22 +121,23 @@ class Mixture:
 
 
 class Particles:
-    """Prior draws: stacked per-particle arrays, a draw list, or both.
+    """Prior draws as stacked per-particle arrays.
 
     Every latent is a one-particle `Particles`, and an ensemble is many:
     `prior` (a process spec, or a predictor kind with its own prior) gives
     the per-particle statistic.  Every array in `arrays` has the particle
     axis first, so resampling indexes them all alike; each is also an
-    attribute of the same name.  `latents` lists the draws of specs whose
-    draws do not stack (Dirichlet nets, transformers).  `once` keeps
-    statistics that read only the particles, read-only, until resampling
-    builds new particles.
+    attribute of the same name.  `once` keeps statistics that read only the
+    particles, read-only, until resampling builds new particles.
     """
 
-    def __init__(self, prior, size: int, latents: Optional[List] = None, **arrays):
+    # Particles keep no draw list; the name stays, always None, because
+    # perfbench's unique_particle_frac still reads it.
+    latents = None
+
+    def __init__(self, prior, size: int, **arrays):
         self.prior = prior
         self.size = size
-        self.latents = latents
         self.arrays = arrays
         for name, value in arrays.items():
             setattr(self, name, value)
@@ -152,15 +152,22 @@ class Particles:
 
     @classmethod
     def stack(cls, prior, draws: List["Particles"]) -> "Particles":
-        """The draws (e.g. an enumeration support) as one Particles, in order."""
-        latents = None if draws[0].latents is None else [l for p in draws for l in p.latents]
-        arrays = {name: np.concatenate([p.arrays[name] for p in draws]) for name in draws[0].arrays}
-        return cls(prior, sum(p.size for p in draws), latents, **arrays)
+        """The draws (e.g. an enumeration support) as one Particles, in order.
+
+        An array whose draws differ in shape (Dirichlet atoms) is zero-padded
+        to the largest; a padded atom has zero weight, so it adds nothing."""
+        arrays = {}
+        for name in draws[0].arrays:
+            rows = [row for p in draws for row in p.arrays[name]]  # one per particle
+            shape = (len(rows),) + tuple(np.max([row.shape for row in rows], axis=0))
+            arrays[name] = out = np.zeros(shape, rows[0].dtype)
+            for i, row in enumerate(rows):
+                out[(i,) + tuple(map(slice, row.shape))] = row
+        return cls(prior, sum(p.size for p in draws), **arrays)
 
     def resample(self, indices: np.ndarray) -> "Particles":
-        latents = None if self.latents is None else [self.latents[i] for i in indices]
         arrays = {name: a[indices] for name, a in self.arrays.items()}
-        return Particles(self.prior, len(indices), latents, **arrays)
+        return Particles(self.prior, len(indices), **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +202,9 @@ class Process(Configurable):
     attribute).  It implements `sample_latent` (a `Particles` of size 1),
     `rollout` (one replicate's `History`, drawn in blocks) and
     `particle_stat`: per particle, the statistic of label n of a history
-    given the labels before it.  Specs with array latents batch
-    `sample_particles` and vectorize `particle_stat`; the others write
-    `draw_stat` for one draw of their list, which the default maps.  The
+    given the labels before it, for all particles at once; there is no
+    per-draw default.  Specs whose draws are one block batch
+    `sample_particles`; the default stacks one latent per particle.  The
     output family supplies `label_draws`, `label` and `loglik` (elementwise
     over statistics), which `Mixture` mixes into a predictive; meta processes
     read the task of each step from the history and iid ones their input.
@@ -212,14 +219,10 @@ class Process(Configurable):
         return None
 
     def sample_particles(self, size: int, stream: RngStream) -> Particles:
-        """`size` iid prior draws; processes with array latents batch this."""
+        """`size` iid prior draws, one latent per ("particle", j) stream, stacked."""
         return Particles.stack(
             self, [self.sample_latent(sub) for sub in stream.children("particle", size)]
         )
-
-    def particle_stat(self, particles: Particles, history: "History", n: int) -> np.ndarray:
-        # Draw-list particles, e.g. Dirichlet draws whose atom counts differ.
-        return np.array([self.draw_stat(draw, history, n) for draw in particles.latents])
 
     def conditional(self, latent: Particles, history: "History", n: int):
         """The statistic of label n given the latent and the labels before it."""
@@ -511,16 +514,19 @@ class DirichletNet(_Iid, _Gaussian):
     def output_scale(self) -> float:
         return math.sqrt(self.scale + 1.0 if self.plus_one_scaling else self.scale)
 
+    # atoms (S, A, d) unit rows, weights (S, A), signs (S, A) +-1 and tail_mass (S,).
     def sample_latent(self, stream: RngStream) -> Particles:
         draw = sample_stick_breaking(stream, self.scale, self.d, self.tail_tol)
         signs = np.where(stream.gen.random(len(draw.weights)) < 0.5, 1.0, -1.0)
-        return Particles(self, 1, [DirichletNetLatent(draw=draw, signs=signs)])
+        return Particles(self, 1, atoms=draw.atoms[None], weights=draw.weights[None],
+                         signs=signs[None], tail_mass=np.array([draw.tail_mass]))
 
     def stats(self, latent, x):
-        return dirichlet_net_output(self, latent.latents[0], x)
+        return dirichlet_net_output(self, latent, x)
 
-    def draw_stat(self, draw, history, n):
-        return dirichlet_net_output(self, draw, history.x[n])
+    def particle_stat(self, particles, history, n):
+        acts = np.maximum(np.einsum("sad,d->sa", particles.atoms, history.x[n]), 0.0)
+        return self.output_scale * np.sum(particles.signs * particles.weights * acts, axis=-1)
 
 
 def _default_ark_embeddings(d: int):
@@ -625,23 +631,22 @@ class Transformer(_Sequence, _Categorical):
     def seed_labels(self, stream: RngStream, k: int) -> np.ndarray:
         return stream.gen.integers(self.vocab, size=k) + 1
 
+    # Layer l is the attention matrix a{l} (S, r, r) and the value matrix v{l}
+    # (S, out, r): out is r below the last layer and vocab at it.
     def sample_latent(self, stream: RngStream) -> Particles:
-        attn = []
-        value = []
-        r = self.attn_dim
+        arrays, r = {}, self.attn_dim
         for layer in range(self.depth):
             sub = stream.derive(("layer", layer))
-            attn.append(sub.gen.normal(size=(r, r)))
-            out_rows = self.vocab if layer == self.depth - 1 else r
+            arrays[f"a{layer}"] = sub.gen.normal(size=(1, r, r))
+            rows = self.vocab if layer == self.depth - 1 else r
             if self.v_prior == "sphere_rows":
-                rows = [sample_unit_sphere(sub, r) for _ in range(out_rows)]
-                value.append(np.array(rows))
+                arrays[f"v{layer}"] = np.array([[sample_unit_sphere(sub, r) for _ in range(rows)]])
             else:
-                value.append(sub.gen.normal(0.0, math.sqrt(1.0 / r), size=(out_rows, r)))
-        return Particles(self, 1, [TransformerLatent(attn=attn, value=value)])
+                arrays[f"v{layer}"] = sub.gen.normal(0.0, math.sqrt(1.0 / r), size=(1, rows, r))
+        return Particles(self, 1, **arrays)
 
-    def draw_stat(self, draw, history, n) -> np.ndarray:
-        return transformer_next_pmf(self, draw, history.y[:n])
+    def particle_stat(self, particles, history, n) -> np.ndarray:
+        return transformer_next_pmf(self, particles, history.y[:n])
 
 
 @dataclass(frozen=True)
@@ -734,23 +739,6 @@ def make_embeddings(vocab: int, attn_dim: int, stream: RngStream) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Latent parameters
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DirichletNetLatent:
-    draw: StickBreakingDraw
-    signs: np.ndarray  # +-1 per atom, drawn once and frozen
-
-
-@dataclass
-class TransformerLatent:
-    attn: List[np.ndarray]  # A^(l), each (r, r)
-    value: List[np.ndarray]  # V^(l): (r, r) for l < L, (vocab, r) for l = L
-
-
-# ---------------------------------------------------------------------------
 # Histories
 # ---------------------------------------------------------------------------
 
@@ -807,27 +795,28 @@ def relu_forward(weights: List[np.ndarray], x: np.ndarray):
     return u[..., 0]
 
 
-def dirichlet_net_output(spec: DirichletNet, latent: DirichletNetLatent, x: np.ndarray):
-    """Noiseless output c sum_w theta_w ReLU(w^T x) of the truncated draw, at an
-    input (d,) or at each row of inputs (n, d)."""
-    acts = np.maximum(np.einsum("...d,ad->...a", x, latent.draw.atoms), 0.0)
+def dirichlet_net_output(spec: DirichletNet, latent: Particles, x: np.ndarray):
+    """Noiseless output c sum_w theta_w ReLU(w^T x) of the one-particle latent's
+    truncated draw, at an input (d,) or at each row of inputs (n, d)."""
+    acts = np.maximum(np.einsum("...d,ad->...a", x, latent.atoms[0]), 0.0)
     # quantizers._squared_gap writes the batched form `acts @ (signs * weights)`; the two
     # orders differ in the last bit, and each is pinned (rollouts here, width reduction there).
-    return spec.output_scale * np.sum(latent.signs * latent.draw.weights * acts, axis=-1)
+    return spec.output_scale * np.sum(latent.signs[0] * latent.weights[0] * acts, axis=-1)
 
 
 def _clip_columns(u: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(u, axis=0, keepdims=True)
+    norms = np.linalg.norm(u, axis=-2, keepdims=True)
     factor = np.minimum(1.0, 1.0 / np.maximum(norms, 1e-300))
     return u * factor
 
 
 def attention_layer(U: np.ndarray, A: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """One transformer layer: Clip(V U Softmax(U^T A U / sqrt(r)))."""
-    r = A.shape[0]
-    if U.shape[0] != r or A.shape != (r, r) or V.shape[1] != U.shape[0]:
+    """One transformer layer: Clip(V U Softmax(U^T A U / sqrt(r))) of U (..., r, K), A (..., r, r)
+    and V (..., out, r); leading (particle) axes broadcast, each slice with its 2-D bits."""
+    r = A.shape[-1]
+    if U.shape[-2] != r or A.shape[-2:] != (r, r) or V.shape[-1] != r:
         raise ValueError("shape mismatch in attention layer")
-    attn = softmax((U.T @ A @ U) / math.sqrt(r), axis=0)
+    attn = softmax((U.swapaxes(-1, -2) @ A @ U) / math.sqrt(r), axis=-2)
     return _clip_columns(V @ (U @ attn))
 
 
@@ -838,14 +827,13 @@ def _context(spec, labels: np.ndarray) -> np.ndarray:
     return np.asarray(labels[len(labels) - spec.context:])
 
 
-def transformer_next_pmf(
-    spec: Transformer, latent: TransformerLatent, tokens: List[int]
-) -> np.ndarray:
-    """Next-token pmf given the last `context` tokens (1-based indices)."""
+def transformer_next_pmf(spec: Transformer, particles: Particles, tokens: List[int]) -> np.ndarray:
+    """(S, vocab) next-token pmfs of the particles given the last `context`
+    tokens (1-based indices)."""
     u = spec.embeddings[_context(spec, tokens) - 1].T  # (r, K)
     for layer in range(spec.depth):
-        u = attention_layer(u, latent.attn[layer], latent.value[layer])
-    return softmax(u[:, -1])
+        u = attention_layer(u, particles.arrays[f"a{layer}"], particles.arrays[f"v{layer}"])
+    return softmax(u[..., -1])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .processes import DirichletNet, DirichletNetLatent, mean_se, sample_latent
+from .processes import DirichletNet, Particles, mean_se, sample_latent
 from .rng import RngStream, categorical_indices
 
 # Distortion figures below are the squared-function-gap surrogate the
@@ -101,17 +101,16 @@ def linreg_quantizer_delta2(eps: float, noise_var: float) -> float:
 
 
 def width_reduce(
-    spec: DirichletNet, latent: DirichletNetLatent, m: int, stream: RngStream
+    spec: DirichletNet, latent: Particles, m: int, stream: RngStream
 ) -> FiniteWidthNet:
-    """Multinomial width reduction: m atom draws from the stick weights, by m uniforms."""
+    """Multinomial width reduction of a one-particle latent: m atom draws from its
+    stick weights, by m uniforms."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    w = latent.draw.weights / (1.0 - latent.draw.tail_mass)
+    w = latent.weights[0] / (1.0 - latent.tail_mass[0])
     idx = categorical_indices(w, stream.gen.random(m))
     return FiniteWidthNet(
-        signs=latent.signs[idx],
-        atoms=latent.draw.atoms[idx],
-        scale=spec.output_scale,
+        signs=latent.signs[0][idx], atoms=latent.atoms[0][idx], scale=spec.output_scale
     )
 
 
@@ -124,15 +123,15 @@ def _reduce(spec, latent, m: int, eps: float, stream: RngStream) -> FiniteWidthN
 def _squared_gap(spec, latent, net, n_inputs: int, stream: RngStream) -> np.ndarray:
     """(F - F_m)^2 of the latent's net and the reduced one at fresh standard-normal inputs."""
     X = stream.derive(("inputs", 0)).gen.normal(size=(n_inputs, spec.d))
-    acts = np.maximum(X @ latent.draw.atoms.T, 0.0)  # (n, atoms)
+    acts = np.maximum(X @ latent.atoms[0].T, 0.0)  # (n, atoms)
     # The batched processes.dirichlet_net_output; its sum order is kept apart, since
     # the two orders differ in the last bit and each is pinned.
-    return (spec.output_scale * (acts @ (latent.signs * latent.draw.weights)) - net.output(X)) ** 2
+    return (spec.output_scale * (acts @ (latent.signs[0] * latent.weights[0])) - net.output(X)) ** 2
 
 
 def multinomial_width_reduce(
     spec: DirichletNet,
-    latent: DirichletNetLatent,
+    latent: Particles,
     m: int,
     stream: RngStream,
     n_inputs: int = 512,
@@ -164,9 +163,9 @@ def width_reduction_distortion(
     """
     means = np.empty(n_latents)
     for i, sub in enumerate(stream.children("latent", n_latents)):
-        draw = sample_latent(spec, sub.derive(("prior", 0))).latents[0]
-        net = _reduce(spec, draw, m, eps, sub)
-        means[i] = np.mean(_squared_gap(spec, draw, net, n_inputs, sub))
+        latent = sample_latent(spec, sub.derive(("prior", 0)))
+        net = _reduce(spec, latent, m, eps, sub)
+        means[i] = np.mean(_squared_gap(spec, latent, net, n_inputs, sub))
     return mean_se(means)
 
 
@@ -243,8 +242,7 @@ def misspecified_width_prior_sample(
 ) -> FiniteWidthNet:
     """One draw from the reduced-width function prior.
 
-    Samples a fresh process latent, reduces its one draw to width n by
-    multinomial draws, and (for eps > 0) snaps each atom to an eps-cover.
+    Samples a fresh process latent, reduces it to width n by multinomial
+    draws, and (for eps > 0) snaps each atom to an eps-cover.
     """
-    draw = sample_latent(spec, stream.derive(("prior", 0))).latents[0]
-    return _reduce(spec, draw, n, eps, stream)
+    return _reduce(spec, sample_latent(spec, stream.derive(("prior", 0))), n, eps, stream)

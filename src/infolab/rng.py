@@ -27,9 +27,9 @@ reading under each replicate's stream:
 
 - ``("pred", 0)``: the prior state of each kind (every kind's state is
   built from this same path), which reads below it
-  - ``("particles", 0)``: a prior ensemble's particles, drawn in one call by
-    specs with array latents and from ``("particle", j)`` below it, one
-    latent per particle, by the others;
+  - ``("particles", 0)``: a prior ensemble's particles, one draw, except that
+    Dirichlet nets and transformers stack one latent per particle, drawn from
+    ``("particle", j)`` below it;
   - ``("particle", j)``: particle j of a width-misspecified ensemble (its
     prior net and its width reduction);
   - ``("task", m)``: the oracle-meta filter's particles for task m, one

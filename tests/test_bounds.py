@@ -413,6 +413,16 @@ def test_a_rate_below_one_step_or_dimension_is_refused(kind, params):
         bnd.rd_sandwich_upper(kind, params, 100)
 
 
+@pytest.mark.parametrize("kind, params, eps, name", [
+    ("ark", {"d": 2, "K": 2}, 0.0, "eps"),
+    ("icl", {"d": 6, "r": 4, "L": 2, "K": 3, "R": 2.0, "N": 8, "M": 16, "T": 64}, -1.0, "eps"),
+    ("dirichlet", {"d": 3, "K": 2.0, "noise_var": 0.0}, 0.1, "noise_var"),
+])
+def test_a_rate_with_a_parameter_at_or_below_zero_is_refused(kind, params, eps, name):
+    with pytest.raises(ValueError, match=f"^requires {name} > 0$"):
+        bnd.rd_bound_eval(kind, params, eps)
+
+
 @pytest.mark.parametrize("C", [math.inf, math.nan, -math.inf])
 def test_scaling_optimal_width_refuses_a_budget_that_is_not_finite(C):
     with pytest.raises(ValueError, match=r"^budget C must be a finite number, not -?(inf|nan)$"):

@@ -432,6 +432,28 @@ def test_cli_seed_out_of_range_is_one_line_error(command, tmp_path):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "CONFIG"], ["bounds", "logreg_error", "--params", '{"d": 3, "T": 5}'],
+     ["verify", "desk_suite"],
+     ["sweep-scaling", "--d", "4", "--k", "4", "--c-min", "1e6", "--c-max", "1e10"]],
+    ids=["simulate", "bounds", "verify", "sweep-scaling"],
+)
+def test_cli_out_naming_a_file_is_refused_before_any_work(command, tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_config_payload()))
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    monkeypatch.setattr(harness, "run_scenario", None)  # any run would raise
+    monkeypatch.setattr(harness, "verify_suite", None)
+    args = [str(cfg_path) if a == "CONFIG" else a for a in command] + ["--out", str(afile)]
+    res = CliRunner().invoke(cli_main, args)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    errors = [line for line in res.output.splitlines() if line.startswith("Error: ")]
+    assert errors == [f"Error: Invalid value for '--out': Directory '{afile}' is a file."]
+    assert "Traceback" not in res.output and afile.read_text() == "kept"
+
+
 # (d, K, c_min, c_max) outside the sweep's domain -> the start of its message.
 _GRID = "budget grid must be positive, finite and span at least 3 decades"
 BAD_SWEEPS = {

@@ -219,6 +219,19 @@ def test_cli_bounds_json_golden():
          "bound 'logreg_error': parameter 'd': 5.7 is not an integer"),
         ("rd_linrep_meta", '{"d": 6, "r": 2, "M": 8, "T": 0, "eps": 0.1}',
          "bound 'rd_linrep_meta': requires T >= 1"),
+        # A rate at eps 0 divides by zero, and a negative eps gives no rate.
+        ("rd_dirichlet", '{"d": 2, "K": 2.0, "noise_var": 0.5, "eps": 0}',
+         "bound 'rd_dirichlet': requires eps > 0"),
+        ("rd_deepnet", '{"d": 2, "width": 3, "depth": 2, "noise_var": 0.5, "eps": 0}',
+         "bound 'rd_deepnet': requires eps > 0"),
+        ("rd_linrep_intra", '{"r": 2, "eps": 0}', "bound 'rd_linrep_intra': requires eps > 0"),
+        ("rd_linrep_meta", '{"d": 6, "r": 2, "M": 8, "T": 10, "eps": 0}',
+         "bound 'rd_linrep_meta': requires eps > 0"),
+        ("rd_transformer", '{"d": 3, "r": 3, "L": 1, "K": 2, "T": 10, "eps": 0}',
+         "bound 'rd_transformer': requires eps > 0"),
+        ("rd_ark", '{"d": 2, "K": 2, "eps": -0.5}', "bound 'rd_ark': requires eps > 0"),
+        ("rd_icl", '{"d": 3, "r": 2, "L": 1, "K": 2, "R": 1, "N": 4, "M": 8, "T": 10, "eps": -1}',
+         "bound 'rd_icl': requires eps > 0"),
     ],
 )
 def test_cli_bounds_errors_are_one_line(bound_id, params, message):
@@ -229,20 +242,32 @@ def test_cli_bounds_errors_are_one_line(bound_id, params, message):
     assert res.output.startswith("Error: " + message)
 
 
-@pytest.mark.parametrize("params, note", [
-    ('{"d": 3, "T": 0}', "requires T >= 1"), ('{"d": 0, "T": 10}', "requires d >= 1"),
+@pytest.mark.parametrize("bound_id, params, note", [
+    ("logreg_error", '{"d": 3, "T": 0}', "requires T >= 1"),
+    ("logreg_error", '{"d": 0, "T": 10}', "requires d >= 1"),
+    ("linreg_error", '{"d": 3, "noise_var": 0, "T": 10}', "requires noise_var > 0"),
+    ("deepnet_error", '{"d": 2, "width": 3, "depth": 2, "noise_var": 0, "T": 10}',
+     "requires noise_var > 0"),
+    ("dirichlet_error", '{"d": 2, "K": 0, "noise_var": 0.5, "T": 10}', "requires K > 0"),
+    ("ark_error", '{"d": 2, "K": 0, "T": 10}', "requires K > 0"),
+    ("linrep_error", '{"d": 6, "r": 2, "M": 0, "T": 10}', "requires M > 0"),
+    ("linrep_error", '{"d": 6, "r": 0, "M": 8, "T": 10}', "requires r > 0"),
+    ("icl_error", '{"d": 3, "r": 2, "L": 1, "K": 2, "R": 0, "N": 4, "M": 8, "T": 10}',
+     "requires R > 0"),
+    ("transformer_error", '{"d": 3, "r": 3, "L": 0, "K": 2, "T": 10}', "requires L > 0"),
+    ("misspec_mean", '{"mu_sq_norm": -1, "T": 10}', "requires mu_sq_norm >= 0"),
 ])
-def test_cli_bounds_outside_the_domain_print_the_note(params, note):
-    """A horizon or dimension below 1 gives an invalid report, not a traceback."""
-    res = CliRunner().invoke(cli_main, ["bounds", "logreg_error", "--params", params])
+def test_cli_bounds_outside_the_domain_print_the_note(bound_id, params, note):
+    """A parameter outside the bounds' domain gives invalid reports, not a traceback."""
+    res = CliRunner().invoke(cli_main, ["bounds", bound_id, "--params", params])
     assert res.exit_code == 0, res.output
-    assert res.output.splitlines()[1].endswith(",,false")
+    assert all(line.endswith(",,false") for line in res.output.splitlines()[1:])
     res = CliRunner().invoke(
-        cli_main, ["bounds", "logreg_error", "--params", params, "--format", "json"]
+        cli_main, ["bounds", bound_id, "--params", params, "--format", "json"]
     )
     assert res.exit_code == 0, res.output
-    [report] = json.loads(res.output)
-    assert (report["valid"], report["value"], report["note"]) == (False, None, note)
+    for report in json.loads(res.output):
+        assert (report["valid"], report["value"], report["note"]) == (False, None, note)
 
 
 _LINREG = {"kind": "linreg", "d": 3, "noise_var": 0.25}

@@ -669,7 +669,7 @@ def test_memoised_statistics_match_fresh_ones_after_every_observe(oracle):
         state.observe(spec, h, i)
         for filt, tasks in filters:
             parts = filt.particles
-            unmemoised = Particles(parts.prior, parts.size, parts.latents, **parts.arrays)
+            unmemoised = Particles(parts.prior, parts.size, **parts.arrays)
             for task in tasks:
                 probe = one(y=1, task=task)
                 kept = parts.prior.particle_stat(parts, probe, 0)

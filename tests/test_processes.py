@@ -15,6 +15,7 @@ from infolab.processes import (
     LogReg,
     PROCESS_KINDS,
     Particles,
+    Process,
     Transformer,
     attention_layer,
     dirichlet_net_output,
@@ -151,15 +152,15 @@ def test_orthonormal_columns_stacked_equals_each_slice():
 def test_transformer_prior_value_rows():
     emb = make_embeddings(4, 4, stream(0))
     spec = Transformer(vocab=4, attn_dim=4, depth=2, context=2, embeddings=emb)
-    lat = sample_latent(spec, stream(6)).latents[0]
-    assert lat.value[0].shape == (4, 4)
-    assert lat.value[1].shape == (4, 4)  # final layer maps to vocab
-    norms = np.linalg.norm(lat.value[0], axis=1)
+    lat = sample_latent(spec, stream(6))
+    assert lat.v0.shape == (1, 4, 4)
+    assert lat.v1.shape == (1, 4, 4)  # final layer maps to vocab
+    norms = np.linalg.norm(lat.v0[0], axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     gauss = Transformer(vocab=4, attn_dim=4, depth=2, context=2, embeddings=emb,
                         v_prior="gaussian")
-    glat = sample_latent(gauss, stream(6)).latents[0]
-    assert glat.value[0].shape == (4, 4)
+    glat = sample_latent(gauss, stream(6))
+    assert glat.v0.shape == (1, 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +270,7 @@ def test_a_latent_is_a_one_particle_draw(case):
     latent = sample_latent(spec, stream(38))
     assert isinstance(latent, Particles) and latent.size == 1 and latent.prior is spec
     assert all(len(a) == 1 for a in latent.arrays.values())
-    assert latent.latents is None or len(latent.latents) == 1
+    assert latent.latents is None
 
 
 @pytest.mark.parametrize("case", [c for c in _rollout_specs() if c not in ("linreg", "logreg")])
@@ -286,10 +287,41 @@ def test_the_conditional_is_the_first_particle_statistic(case):
         assert np.array_equal(spec.conditional(latent, h, n), stat[0]), n
 
 
+def test_every_spec_writes_its_one_batched_statistic():
+    """The protocol keeps no per-draw statistic to fall back on."""
+    assert "particle_stat" not in vars(Process)
+    for cls in PROCESS_KINDS.values():
+        assert hasattr(cls, "particle_stat"), cls
+
+
+def test_stacked_dirichlet_latents_are_zero_padded_and_resample_keeps_the_shape():
+    spec = _rollout_specs()["dirichlet"]
+    s = stream(41)
+    latents = [sample_latent(spec, s.derive(("latent", k))) for k in range(6)]
+    counts = [lat.atoms.shape[1] for lat in latents]
+    assert len(set(counts)) > 1  # the draws differ in atom count
+    stacked = Particles.stack(spec, latents)
+    A = max(counts)
+    assert stacked.atoms.shape == (6, A, spec.d) and stacked.weights.shape == (6, A)
+    assert stacked.signs.shape == (6, A) and stacked.tail_mass.shape == (6,)
+    for k, (lat, a) in enumerate(zip(latents, counts)):
+        for name in ("atoms", "weights", "signs"):
+            arr = stacked.arrays[name][k]
+            assert np.array_equal(arr[:a], lat.arrays[name][0]), name
+            assert not np.any(arr[a:]), name
+        assert stacked.tail_mass[k] == lat.tail_mass[0]
+    resampled = stacked.resample(np.array([5, 0, 0, 3]))
+    assert resampled.size == 4
+    for name, arr in resampled.arrays.items():  # equal arrays have equal shapes
+        assert np.array_equal(arr, stacked.arrays[name][[5, 0, 0, 3]]), name
+
+
 @pytest.mark.parametrize("case", list(_rollout_specs()))
 def test_the_statistic_of_stacked_latents_is_each_conditional(case):
     """Particles.stack of K latents gives, per particle, that latent's
-    conditional: bit for bit, except LinReg's and LogReg's two forms."""
+    conditional: bit for bit, except LinReg's and LogReg's two forms and the
+    Dirichlet net, whose atoms are zero-padded to the largest count, which
+    changes numpy's pairwise summation order."""
     spec = _rollout_specs()[case]
     s = stream(40)
     latents = [sample_latent(spec, s.derive(("latent", k))) for k in range(5)]
@@ -299,7 +331,7 @@ def test_the_statistic_of_stacked_latents_is_each_conditional(case):
     for n in range(len(h.y) - 12, len(h.y)):
         stats = spec.particle_stat(stacked, h, n)
         each = np.stack([spec.conditional(latent, h, n) for latent in latents])
-        if case in ("linreg", "logreg"):
+        if case in ("linreg", "logreg", "dirichlet"):
             np.testing.assert_allclose(stats, each, rtol=1e-12, atol=1e-15)
         else:
             assert np.array_equal(stats, each), n
@@ -336,8 +368,8 @@ def test_the_iid_statistic_of_a_row_does_not_depend_on_the_batch():
 def test_transformer_pmf_normalized_and_positive():
     emb = make_embeddings(6, 4, stream(0))
     tf = Transformer(vocab=6, attn_dim=4, depth=2, context=3, embeddings=emb)
-    lat = sample_latent(tf, stream(22)).latents[0]
-    pmf = transformer_next_pmf(tf, lat, [1, 4, 2])
+    lat = sample_latent(tf, stream(22))
+    [pmf] = transformer_next_pmf(tf, lat, [1, 4, 2])
     assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(pmf > 0)
 
@@ -392,6 +424,19 @@ def test_attention_layer_invariants():
         attention_layer(np.zeros((r, K)), np.eye(r + 1), np.eye(r))
 
 
+def test_attention_layer_on_stacks_is_the_layer_on_each_slice():
+    """Bit for bit, with the input shared by all slices or stacked with them."""
+    gen = np.random.default_rng(42)
+    S, r, K, out = 16, 3, 4, 5
+    U = gen.normal(size=(r, K))
+    Us, A, V = gen.normal(size=(S, r, K)), gen.normal(size=(S, r, r)), gen.normal(size=(S, out, r))
+    shared, stacked = attention_layer(U, A, V), attention_layer(Us, A, V)
+    assert shared.shape == stacked.shape == (S, out, K)
+    for i in range(S):
+        assert np.array_equal(shared[i], attention_layer(U, A[i], V[i])), i
+        assert np.array_equal(stacked[i], attention_layer(Us[i], A[i], V[i])), i
+
+
 def test_attention_layer_lipschitz_bound():
     gen = np.random.default_rng(25)
     r, K = 3, 4
@@ -417,10 +462,10 @@ def test_dirichlet_net_zero_mean_and_tail():
     s = stream(26)
     outs = []
     for i in range(2000):
-        lat = sample_latent(spec, s.derive(("lat", i))).latents[0]
+        lat = sample_latent(spec, s.derive(("lat", i)))
         x = s.derive(("x", i)).gen.normal(size=3)
         outs.append(dirichlet_net_output(spec, lat, x))
-        assert lat.draw.tail_mass < 1e-8
+        assert lat.tail_mass[0] < 1e-8
     mean = float(np.mean(outs))
     se = float(np.std(outs, ddof=1) / math.sqrt(len(outs)))
     assert abs(mean) <= 3 * se

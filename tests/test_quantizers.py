@@ -67,20 +67,20 @@ def test_width_reduce_draws_what_one_draw_per_atom_draws():
     """The m atoms of one call are the m sample_categorical draws of the same stream."""
     spec = _dirichlet_spec(3, 2.0)
     stream = derive_stream(SeedSpec(4))
-    latent = sample_latent(spec, stream.derive(0)).latents[0]
-    w = latent.draw.weights / (1.0 - latent.draw.tail_mass)
+    latent = sample_latent(spec, stream.derive(0))
+    w = latent.weights[0] / (1.0 - latent.tail_mass[0])
     sequential, draws = derive_stream(SeedSpec(4)).derive(1), []
     for _ in range(64):
         draws.append(sample_categorical(sequential, w))
     net = qt.width_reduce(spec, latent, 64, stream.derive(1))
-    assert np.array_equal(net.atoms, latent.draw.atoms[draws])
-    assert np.array_equal(net.signs, latent.signs[draws])
+    assert np.array_equal(net.atoms, latent.atoms[0][draws])
+    assert np.array_equal(net.signs, latent.signs[0][draws])
 
 
 def test_width_reduce_validation_and_output():
     spec = _dirichlet_spec(3, 2.0)
     stream = derive_stream(SeedSpec(4))
-    latent = sample_latent(spec, stream.derive(0)).latents[0]
+    latent = sample_latent(spec, stream.derive(0))
     with pytest.raises(ValueError):
         qt.width_reduce(spec, latent, 0, stream.derive(1))
     net = qt.width_reduce(spec, latent, 16, stream.derive(1))
@@ -116,7 +116,7 @@ def test_width_reduction_halving_ratio():
 def test_multinomial_width_reduce_report():
     spec = _dirichlet_spec(2, 2.0)
     stream = derive_stream(SeedSpec(7))
-    latent = sample_latent(spec, stream.derive(0)).latents[0]
+    latent = sample_latent(spec, stream.derive(0))
     net, rep = qt.multinomial_width_reduce(spec, latent, 32, stream.derive(1))
     assert rep.distortion_bound == pytest.approx(spec.scale / 32)
     assert rep.empirical_distortion >= 0 and rep.distortion_se >= 0
@@ -178,7 +178,7 @@ def test_quantize_to_cover_within_radius():
 def test_snap_to_cover_preserves_signs_and_scale():
     spec = _dirichlet_spec(2, 2.0)
     stream = derive_stream(SeedSpec(10))
-    latent = sample_latent(spec, stream.derive(0)).latents[0]
+    latent = sample_latent(spec, stream.derive(0))
     net = qt.width_reduce(spec, latent, 16, stream.derive(1))
     cover = qt.get_sphere_cover(2, 0.3)
     snapped = qt.snap_to_cover(net, cover)
@@ -203,7 +203,7 @@ def test_misspecified_width_prior_eps_zero_is_plain_reduction():
     spec = _dirichlet_spec(2, 2.0)
     net = qt.misspecified_width_prior_sample(spec, 8, 0.0, derive_stream(SeedSpec(11)))
     stream = derive_stream(SeedSpec(11))
-    latent = sample_latent(spec, stream.derive(("prior", 0))).latents[0]
+    latent = sample_latent(spec, stream.derive(("prior", 0)))
     ref = qt.width_reduce(spec, latent, 8, stream.derive(("reduce", 0)))
     assert np.array_equal(net.atoms, ref.atoms)
     assert np.array_equal(net.signs, ref.signs)
@@ -223,7 +223,7 @@ def test_batched_gap_output_agrees_with_the_process_output():
     """The two writings of the Dirichlet-net output (sum and dot order) agree to 1e-12."""
     spec = _dirichlet_spec(3, 2.0)
     stream = derive_stream(SeedSpec(12))
-    latent = sample_latent(spec, stream.derive(0)).latents[0]
+    latent = sample_latent(spec, stream.derive(0))
     zero = qt.FiniteWidthNet(signs=np.zeros(1), atoms=np.zeros((1, 3)), scale=spec.output_scale)
     gap = qt._squared_gap(spec, latent, zero, 64, stream.derive(1))
     X = stream.derive(1).derive(("inputs", 0)).gen.normal(size=(64, 3))
