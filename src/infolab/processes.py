@@ -152,17 +152,15 @@ class Particles:
 
     @classmethod
     def stack(cls, prior, draws: List["Particles"]) -> "Particles":
-        """The draws (e.g. an enumeration support) as one Particles, in order.
-
-        An array whose draws differ in shape (Dirichlet atoms) is zero-padded
-        to the largest; a padded atom has zero weight, so it adds nothing."""
+        """The draws (e.g. an enumeration support) as one Particles, in order; the
+        arrays the prior names `ragged` are zero-padded along axis 1 to the longest."""
         arrays = {}
         for name in draws[0].arrays:
             rows = [row for p in draws for row in p.arrays[name]]  # one per particle
-            shape = (len(rows),) + tuple(np.max([row.shape for row in rows], axis=0))
-            arrays[name] = out = np.zeros(shape, rows[0].dtype)
-            for i, row in enumerate(rows):
-                out[(i,) + tuple(map(slice, row.shape))] = row
+            if name in prior.ragged:
+                width = max(map(len, rows))
+                rows = [np.concatenate([r, np.zeros((width - len(r),) + r.shape[1:])]) for r in rows]
+            arrays[name] = np.stack(rows)
         return cls(prior, sum(p.size for p in draws), **arrays)
 
     def resample(self, indices: np.ndarray) -> "Particles":
@@ -211,6 +209,7 @@ class Process(Configurable):
     """
 
     meta = False
+    ragged = ()  # arrays whose draws differ in length along axis 1; see Particles.stack
 
     def bound_params(self) -> Dict:
         return {name: getattr(self, attr) for name, attr in self.bound_args.items()}
@@ -515,6 +514,10 @@ class DirichletNet(_Iid, _Gaussian):
         return math.sqrt(self.scale + 1.0 if self.plus_one_scaling else self.scale)
 
     # atoms (S, A, d) unit rows, weights (S, A), signs (S, A) +-1 and tail_mass (S,).
+    # Draws differ in their atom count A; a stack pads the shorter ones with zero-weight
+    # atoms, which add nothing to the output.
+    ragged = ("atoms", "weights", "signs")
+
     def sample_latent(self, stream: RngStream) -> Particles:
         draw = sample_stick_breaking(stream, self.scale, self.d, self.tail_tol)
         signs = np.where(stream.gen.random(len(draw.weights)) < 0.5, 1.0, -1.0)
@@ -522,11 +525,10 @@ class DirichletNet(_Iid, _Gaussian):
                          signs=signs[None], tail_mass=np.array([draw.tail_mass]))
 
     def stats(self, latent, x):
-        return dirichlet_net_output(self, latent, x)
+        return dirichlet_net_output(self, latent, x)[..., 0]
 
     def particle_stat(self, particles, history, n):
-        acts = np.maximum(np.einsum("sad,d->sa", particles.atoms, history.x[n]), 0.0)
-        return self.output_scale * np.sum(particles.signs * particles.weights * acts, axis=-1)
+        return dirichlet_net_output(self, particles, history.x[n])
 
 
 def _default_ark_embeddings(d: int):
@@ -795,13 +797,13 @@ def relu_forward(weights: List[np.ndarray], x: np.ndarray):
     return u[..., 0]
 
 
-def dirichlet_net_output(spec: DirichletNet, latent: Particles, x: np.ndarray):
-    """Noiseless output c sum_w theta_w ReLU(w^T x) of the one-particle latent's
-    truncated draw, at an input (d,) or at each row of inputs (n, d)."""
-    acts = np.maximum(np.einsum("...d,ad->...a", x, latent.atoms[0]), 0.0)
+def dirichlet_net_output(spec: DirichletNet, particles: Particles, x: np.ndarray):
+    """Noiseless output c sum_w theta_w ReLU(w^T x) of each particle's truncated
+    draw, at an input (d,) or at each row of inputs (n, d): shape (S,) or (n, S)."""
+    acts = np.maximum(np.einsum("...d,sad->...sa", x, particles.atoms), 0.0)
     # quantizers._squared_gap writes the batched form `acts @ (signs * weights)`; the two
     # orders differ in the last bit, and each is pinned (rollouts here, width reduction there).
-    return spec.output_scale * np.sum(latent.signs[0] * latent.weights[0] * acts, axis=-1)
+    return spec.output_scale * np.sum(particles.signs * particles.weights * acts, axis=-1)
 
 
 def _clip_columns(u: np.ndarray) -> np.ndarray:

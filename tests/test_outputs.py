@@ -261,13 +261,16 @@ def test_cli_bounds_outside_the_domain_print_the_note(bound_id, params, note):
     """A parameter outside the bounds' domain gives invalid reports, not a traceback."""
     res = CliRunner().invoke(cli_main, ["bounds", bound_id, "--params", params])
     assert res.exit_code == 0, res.output
-    assert all(line.endswith(",,false") for line in res.output.splitlines()[1:])
+    rows = res.output.splitlines()[1:]
+    assert rows and all(line.endswith(",,false") for line in rows)
     res = CliRunner().invoke(
         cli_main, ["bounds", bound_id, "--params", params, "--format", "json"]
     )
     assert res.exit_code == 0, res.output
-    for report in json.loads(res.output):
-        assert (report["valid"], report["value"], report["note"]) == (False, None, note)
+    reports = json.loads(res.output)
+    assert reports and all(
+        (r["valid"], r["value"], r["note"]) == (False, None, note) for r in reports
+    )
 
 
 _LINREG = {"kind": "linreg", "d": 3, "noise_var": 0.25}

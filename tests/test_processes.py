@@ -316,6 +316,13 @@ def test_stacked_dirichlet_latents_are_zero_padded_and_resample_keeps_the_shape(
         assert np.array_equal(arr, stacked.arrays[name][[5, 0, 0, 3]]), name
 
 
+def test_only_the_ragged_arrays_of_a_stack_are_padded():
+    """A theta of the wrong length is refused, not padded with zeros."""
+    spec = LinReg(d=3, noise_var=0.25)
+    with pytest.raises(ValueError):
+        Particles.stack(spec, [draw(spec, theta=[1.0, 2.0, 3.0]), draw(spec, theta=[1.0, 2.0])])
+
+
 @pytest.mark.parametrize("case", list(_rollout_specs()))
 def test_the_statistic_of_stacked_latents_is_each_conditional(case):
     """Particles.stack of K latents gives, per particle, that latent's
@@ -464,7 +471,7 @@ def test_dirichlet_net_zero_mean_and_tail():
     for i in range(2000):
         lat = sample_latent(spec, s.derive(("lat", i)))
         x = s.derive(("x", i)).gen.normal(size=3)
-        outs.append(dirichlet_net_output(spec, lat, x))
+        outs.append(dirichlet_net_output(spec, lat, x)[0])
         assert lat.tail_mass[0] < 1e-8
     mean = float(np.mean(outs))
     se = float(np.std(outs, ddof=1) / math.sqrt(len(outs)))

@@ -227,5 +227,5 @@ def test_batched_gap_output_agrees_with_the_process_output():
     zero = qt.FiniteWidthNet(signs=np.zeros(1), atoms=np.zeros((1, 3)), scale=spec.output_scale)
     gap = qt._squared_gap(spec, latent, zero, 64, stream.derive(1))
     X = stream.derive(1).derive(("inputs", 0)).gen.normal(size=(64, 3))
-    single = np.array([dirichlet_net_output(spec, latent, x) for x in X])
+    single = np.array([dirichlet_net_output(spec, latent, x)[0] for x in X])
     np.testing.assert_allclose(np.sqrt(gap), np.abs(single), rtol=1e-12)
