@@ -93,10 +93,10 @@ def bounds(
 
 @main.command()
 @click.argument("manifest")
-@click.option("--seed", type=int, default=20240817, show_default=True)
+@click.option("--seed", type=int, default=None, help="desk_suite's seed [default: 20240817]")
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def verify(manifest: str, seed: int, out: Optional[str], fmt: str) -> None:
+def verify(manifest: str, seed: Optional[int], out: Optional[str], fmt: str) -> None:
     """Run a manifest of scenarios; exit nonzero if any bound check fails."""
     try:
         configs = harness.load_manifest(manifest, master_seed=seed)

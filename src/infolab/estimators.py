@@ -148,7 +148,7 @@ class EnumerationModel:
         c = np.asarray(self.cond, dtype=float)
         if c.ndim != 2 or c.shape[0] != len(p) or np.any(c < 0):
             raise ValueError("cond must be (H, A) with nonnegative entries")
-        if np.max(np.abs(c.sum(axis=1) - 1.0)) > 1e-9:
+        if not np.max(np.abs(c.sum(axis=1) - 1.0)) <= 1e-9:  # a NaN row fails too
             raise ValueError("conditional rows must be pmfs")
         object.__setattr__(self, "prior", p)
         object.__setattr__(self, "cond", c)
@@ -184,6 +184,8 @@ def _count_pass(model: EnumerationModel, T: int, q: Optional[np.ndarray] = None)
     log-loss of the posterior predictive and of q's, and the KL between
     them) and the terminal I(theta; Y_{1:T}), checked against the excess.
     """
+    if T < 0:
+        raise ValueError(f"horizon T must be >= 0, not {T}")
     H, A = model.n_hyp, model.alphabet
     if H * math.comb(T + A - 1, A - 1) > MAX_ENUM_STATES:
         raise ResourceWarning("label-count space exceeds the exact-enumeration cap")
@@ -204,7 +206,7 @@ def _count_pass(model: EnumerationModel, T: int, q: Optional[np.ndarray] = None)
         if t == T:
             mi = float(mass @ np.sum(post * (loglik - log_marg[:, None]), axis=1))
             gap = float(np.sum(excess))
-            if abs(mi - gap) > 1e-9:
+            if not abs(mi - gap) <= 1e-9:  # NaN fails too
                 raise AssertionError(f"information/loss identity violated: {mi} vs {gap}")
             return info, excess, excess_q, kl, mi
         mix = post @ cond  # (S, A) posterior predictive
@@ -256,6 +258,8 @@ def misspec_decomposition(
     misspecification term (+inf when the misspecified prior kills a
     hypothesis of positive true mass).
     """
+    if T < 1:
+        raise ValueError(f"horizon T must be >= 1, not {T}")
     q = check_pmf(misspec_prior, "misspecified prior")
     if len(q) != model.n_hyp:
         raise ValueError("misspecified prior must be a pmf over the same support")

@@ -294,8 +294,8 @@ BUILTIN_SCENARIOS = {
 }
 
 
-def builtin_scenario(name: str, master_seed: int = 20240817) -> ScenarioConfig:
-    """Named scenario configs shipped with the library."""
+def builtin_scenario(name: str, master_seed: Optional[int] = None) -> ScenarioConfig:
+    """Named scenario configs shipped with the library, at master_seed (20240817 if None)."""
     if name not in BUILTIN_SCENARIOS:
         raise ValueError(f"unknown built-in scenario: {name}")
     process, predictor, horizons, replicates, bound_id = BUILTIN_SCENARIOS[name]
@@ -307,7 +307,7 @@ def builtin_scenario(name: str, master_seed: int = 20240817) -> ScenarioConfig:
             "predictor": predictor,
             "horizons": horizons,
             "replicates": replicates,
-            "master_seed": master_seed,
+            "master_seed": 20240817 if master_seed is None else master_seed,
             "bounds": [bound_id],
         }
     )
@@ -316,10 +316,13 @@ def builtin_scenario(name: str, master_seed: int = 20240817) -> ScenarioConfig:
 DESK_SUITE = list(BUILTIN_SCENARIOS)
 
 
-def load_manifest(name_or_path: str, master_seed: int = 20240817) -> List[ScenarioConfig]:
-    """Resolve a manifest: the built-in name or a JSON file of configs."""
+def load_manifest(name_or_path: str, master_seed: Optional[int] = None) -> List[ScenarioConfig]:
+    """Resolve a manifest: the built-in name, at master_seed if given, or a JSON file of
+    configs, which carry their own seeds and so refuse master_seed."""
     if name_or_path == "desk_suite":
         return [builtin_scenario(n, master_seed) for n in DESK_SUITE]
+    if master_seed is not None:
+        raise ValueError("its configs carry their own seeds; a seed applies only to desk_suite")
     with open(name_or_path, "r", encoding="utf-8") as f:
         payload = json.load(f)
     _check_object(payload, "manifest")

@@ -28,11 +28,12 @@ class GaussianParams:
 
 
 def check_psd(cov: np.ndarray, name: str = "covariance") -> None:
-    """Refuse a matrix that is not symmetric and positive semi-definite, each within 1e-10."""
+    """Refuse a non-finite matrix, or one not symmetric and positive semi-definite within 1e-10."""
     cov = np.asarray(cov, dtype=float)
-    if np.max(np.abs(cov - cov.T)) > 1e-10:
+    finite = np.all(np.isfinite(cov))
+    if finite and np.max(np.abs(cov - cov.T)) > 1e-10:
         raise ValueError(f"{name} must be symmetric")
-    if np.min(np.linalg.eigvalsh(cov)) < -1e-10:
+    if not finite or np.min(np.linalg.eigvalsh(cov)) < -1e-10:
         raise ValueError(f"{name} must be positive semi-definite")
 
 

@@ -193,8 +193,8 @@ class MisspecifiedConjugate(ConjugateLinReg):
 class MisspecifiedWidth(PredictorKind, Configurable):
     """Ensemble posterior whose particles come from the width-n snapped prior.
 
-    The kind is also the particles' prior: it evaluates the width-n nets,
-    stacked as net_atoms (S, n, d), net_signs (S, n) and net_scale (S,).
+    Each particle is a width-n net, a DirichletNet draw of n atoms with weights
+    1/n and no tail mass, so the process spec scores them as it scores its own.
     """
 
     n: int
@@ -227,19 +227,7 @@ class MisspecifiedWidth(PredictorKind, Configurable):
             misspecified_width_prior_sample(spec, self.n, self.eps, sub)
             for sub in stream.children("particle", self.size)
         ]
-        particles = Particles(
-            self, self.size,
-            net_atoms=np.stack([net.atoms for net in nets]),
-            net_signs=np.stack([net.signs for net in nets]),
-            net_scale=np.array([net.scale for net in nets]),
-        )
-        return EnsembleState.start(self, particles, Resampler(stream))
-
-    def particle_stat(self, particles, history, n):
-        # The nets share one width; each carries its scale.
-        scale = particles.net_scale / particles.net_signs.shape[1]
-        acts = np.maximum(np.einsum("snd,d->sn", particles.net_atoms, history.x[n]), 0.0)
-        return scale * np.einsum("sn,sn->s", particles.net_signs, acts)
+        return EnsembleState.start(self, Particles.stack(spec, nets), Resampler(stream))
 
 
 # Config "kind" -> predictor kind, for every predictor a scenario config can name.

@@ -124,8 +124,8 @@ class Particles:
     """Prior draws as stacked per-particle arrays.
 
     Every latent is a one-particle `Particles`, and an ensemble is many:
-    `prior` (a process spec, or a predictor kind with its own prior) gives
-    the per-particle statistic.  Every array in `arrays` has the particle
+    `prior` (a process spec, or the oracle's known-representation prior)
+    gives the per-particle statistic.  Every array in `arrays` has the particle
     axis first, so resampling indexes them all alike; each is also an
     attribute of the same name.  `once` keeps statistics that read only the
     particles, read-only, until resampling builds new particles.
@@ -801,8 +801,9 @@ def dirichlet_net_output(spec: DirichletNet, particles: Particles, x: np.ndarray
     """Noiseless output c sum_w theta_w ReLU(w^T x) of each particle's truncated
     draw, at an input (d,) or at each row of inputs (n, d): shape (S,) or (n, S)."""
     acts = np.maximum(np.einsum("...d,sad->...sa", x, particles.atoms), 0.0)
-    # quantizers._squared_gap writes the batched form `acts @ (signs * weights)`; the two
-    # orders differ in the last bit, and each is pinned (rollouts here, width reduction there).
+    # quantizers._net_outputs writes one net at many inputs as `acts @ (signs * weights)`;
+    # the two orders differ in the last bit, and each is pinned (rollouts here, width
+    # reduction there).
     return spec.output_scale * np.sum(particles.signs * particles.weights * acts, axis=-1)
 
 

@@ -44,20 +44,6 @@ class SphereCover:
     radius: float  # probe-verified covering radius estimate
 
 
-@dataclass
-class FiniteWidthNet:
-    """Width-m surrogate net (scale/m) sum_i sign_i ReLU(atom_i^T x)."""
-
-    signs: np.ndarray  # (m,)
-    atoms: np.ndarray  # (m, d)
-    scale: float  # sqrt(K) or sqrt(K+1) per the process config
-
-    def output(self, x: np.ndarray):
-        """The output at an input (d,), or at each row of inputs (n, d)."""
-        acts = np.maximum(x @ self.atoms.T, 0.0)
-        return self.scale / len(self.signs) * (acts @ self.signs)
-
-
 def gaussian_quantize(
     theta: np.ndarray,
     delta2: float,
@@ -100,33 +86,35 @@ def linreg_quantizer_delta2(eps: float, noise_var: float) -> float:
     return s / (1.0 - s)
 
 
-def width_reduce(
-    spec: DirichletNet, latent: Particles, m: int, stream: RngStream
-) -> FiniteWidthNet:
+def width_reduce(spec: DirichletNet, latent: Particles, m: int, stream: RngStream) -> Particles:
     """Multinomial width reduction of a one-particle latent: m atom draws from its
-    stick weights, by m uniforms."""
+    stick weights, by m uniforms, as a one-particle net of weights 1/m and no tail."""
     if m < 1:
         raise ValueError("m must be >= 1")
     w = latent.weights[0] / (1.0 - latent.tail_mass[0])
     idx = categorical_indices(w, stream.gen.random(m))
-    return FiniteWidthNet(
-        signs=latent.signs[0][idx], atoms=latent.atoms[0][idx], scale=spec.output_scale
-    )
+    return Particles(spec, 1, atoms=latent.atoms[:, idx], weights=np.full((1, m), 1.0 / m),
+                     signs=latent.signs[:, idx], tail_mass=np.zeros(1))
 
 
-def _reduce(spec, latent, m: int, eps: float, stream: RngStream) -> FiniteWidthNet:
+def _reduce(spec, latent, m: int, eps: float, stream: RngStream) -> Particles:
     """The latent reduced to width m, snapped to an eps-cover of the sphere when eps > 0."""
     net = width_reduce(spec, latent, m, stream.derive(("reduce", 0)))
     return snap_to_cover(net, get_sphere_cover(spec.d, eps)) if eps > 0 else net
 
 
+def _net_outputs(spec: DirichletNet, net: Particles, X: np.ndarray) -> np.ndarray:
+    """processes.dirichlet_net_output of a one-particle net at each row of inputs X (n, d)."""
+    # Written apart as two BLAS matmuls: over an input batch the einsum over a particle
+    # axis is about 6x slower, and its sum order differs in the last bit.
+    acts = np.maximum(X @ net.atoms[0].T, 0.0)  # (n, atoms)
+    return spec.output_scale * (acts @ (net.signs[0] * net.weights[0]))
+
+
 def _squared_gap(spec, latent, net, n_inputs: int, stream: RngStream) -> np.ndarray:
     """(F - F_m)^2 of the latent's net and the reduced one at fresh standard-normal inputs."""
     X = stream.derive(("inputs", 0)).gen.normal(size=(n_inputs, spec.d))
-    acts = np.maximum(X @ latent.atoms[0].T, 0.0)  # (n, atoms)
-    # The batched processes.dirichlet_net_output; its sum order is kept apart, since
-    # the two orders differ in the last bit and each is pinned.
-    return (spec.output_scale * (acts @ (latent.signs[0] * latent.weights[0])) - net.output(X)) ** 2
+    return (_net_outputs(spec, latent, X) - _net_outputs(spec, net, X)) ** 2
 
 
 def multinomial_width_reduce(
@@ -135,7 +123,7 @@ def multinomial_width_reduce(
     m: int,
     stream: RngStream,
     n_inputs: int = 512,
-) -> Tuple[FiniteWidthNet, QuantizerReport]:
+) -> Tuple[Particles, QuantizerReport]:
     """Width reduction plus an MC report of the squared function gap.
 
     The gap E[(F - F_m)^2] is estimated over fresh standard-normal inputs for
@@ -225,10 +213,10 @@ def _sq_dists(points: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     )
 
 
-def snap_to_cover(net: FiniteWidthNet, cover: SphereCover) -> FiniteWidthNet:
-    """The net with each atom replaced by its nearest cover atom."""
-    idx = np.argmin(_sq_dists(net.atoms, cover.atoms), axis=1)
-    return FiniteWidthNet(signs=net.signs, atoms=cover.atoms[idx], scale=net.scale)
+def snap_to_cover(net: Particles, cover: SphereCover) -> Particles:
+    """The one-particle net with each atom replaced by its nearest cover atom."""
+    idx = np.argmin(_sq_dists(net.atoms[0], cover.atoms), axis=1)
+    return Particles(net.prior, 1, **{**net.arrays, "atoms": cover.atoms[idx][None]})
 
 
 @functools.cache
@@ -239,8 +227,8 @@ def get_sphere_cover(d: int, eps: float) -> SphereCover:
 
 def misspecified_width_prior_sample(
     spec: DirichletNet, n: int, eps: float, stream: RngStream
-) -> FiniteWidthNet:
-    """One draw from the reduced-width function prior.
+) -> Particles:
+    """One draw from the reduced-width function prior, a one-particle net.
 
     Samples a fresh process latent, reduces it to width n by multinomial
     draws, and (for eps > 0) snaps each atom to an eps-cover.

@@ -94,15 +94,11 @@ class SeedSpec:
         """
         h = hashlib.blake2b(digest_size=16)
         h.update(int(self.master_seed).to_bytes(8, "little"))
-        for label, idx in self.path:
-            h.update(label.encode("utf-8") + b"\x00")
-            h.update(int(idx).to_bytes(8, "little", signed=True))
-        raw = h.digest()
-        return np.frombuffer(raw, dtype=np.uint64)
+        return np.frombuffer(_hash_path(h, self.path).digest(), dtype=np.uint64)
 
 
 def _hash_path(h, path: Tuple[Tuple[str, int], ...]):
-    """Extend a blake2b state by normalized path entries, as SeedSpec.key does."""
+    """Extend a blake2b state by normalized path entries; SeedSpec.key and RngStream share it."""
     for label, idx in path:
         h.update(label.encode("utf-8") + b"\x00")
         h.update(int(idx).to_bytes(8, "little", signed=True))
@@ -198,7 +194,7 @@ def sample_unit_sphere(stream: RngStream, d: int) -> np.ndarray:
 def check_pmf(pmf, name: str = "pmf") -> np.ndarray:
     """pmf as a float array, refused unless it is 1-D, nonnegative and sums to 1 within 1e-9."""
     pmf = np.asarray(pmf, dtype=float)
-    if pmf.ndim != 1 or np.any(pmf < 0) or abs(pmf.sum() - 1.0) > 1e-9:
+    if pmf.ndim != 1 or np.any(pmf < 0) or not abs(pmf.sum() - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError(f"{name} must be a 1-D array, nonnegative and summing to 1")
     return pmf
 

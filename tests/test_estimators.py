@@ -94,6 +94,33 @@ def test_enumeration_cap_enforced():
         exact_mi_enumeration(model, 310)  # 2 * C(313, 3) > 10^7 count states
 
 
+def test_enumeration_model_refuses_a_nan_conditional_row():
+    with pytest.raises(ValueError, match="^conditional rows must be pmfs$"):
+        EnumerationModel(prior=np.array([0.5, 0.5]), cond=np.array([[np.nan, np.nan], [0.5, 0.5]]))
+
+
+def test_information_identity_check_fails_on_nan():
+    """A NaN loss gap fails the 1e-9 identity check rather than passing it."""
+    model = EnumerationModel(prior=np.array([0.5, 0.5]), cond=np.full((2, 2), 0.5))
+    object.__setattr__(model, "cond", np.array([[np.nan, np.nan], [0.5, 0.5]]))  # past the check
+    with pytest.raises(AssertionError, match="information/loss identity violated"):
+        exact_mi_enumeration(model, 2)
+
+
+@pytest.mark.parametrize(
+    "call, T",
+    [(exact_mi_enumeration, -1), (per_step_info, -3),
+     (lambda model, T: misspec_decomposition(model, [0.5, 0.5], T), -1),
+     (lambda model, T: misspec_decomposition(model, [0.5, 0.5], T), 0)],
+    ids=["mi", "per_step", "misspec_negative", "misspec_zero"],
+)
+def test_exact_enumeration_refuses_a_horizon_out_of_range(call, T):
+    model = EnumerationModel(prior=np.array([0.5, 0.5]), cond=np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match=rf"^horizon T must be >= [01], not {T}$"):
+        call(model, T)
+    assert exact_mi_enumeration(model, 0) == (0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # label-count pass against an A^T sequence oracle
 # ---------------------------------------------------------------------------

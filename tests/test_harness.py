@@ -709,6 +709,18 @@ def test_cli_bad_manifest_is_one_line_error(payload, message, tmp_path):
     assert message in res.output
 
 
+def test_cli_verify_refuses_a_seed_for_a_manifest_file(tmp_path):
+    """A manifest file's configs carry their own master_seed; desk_suite's defaults."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"version": 1, "scenarios": [_config_payload()]}))
+    res = CliRunner().invoke(cli_main, ["verify", str(manifest), "--seed", "1"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith(f"Error: {manifest}: ") and len(res.output.splitlines()) == 1
+    assert "a seed applies only to desk_suite" in res.output
+    assert {c.master_seed for c in harness.load_manifest("desk_suite")} == {20240817}
+    assert {c.master_seed for c in harness.load_manifest("desk_suite", 5)} == {5}
+
+
 def test_cli_simulate_of_a_directory_is_one_line_error(tmp_path):
     res = CliRunner().invoke(cli_main, ["simulate", str(tmp_path)])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)

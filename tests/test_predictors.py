@@ -764,6 +764,37 @@ def test_observe_returns_the_log_loss_of_predict(case):
         assert state.resamples > 0
 
 
+def test_misspecified_width_particles_are_dirichlet_draws_scored_by_the_spec():
+    """The width-n nets are one-particle DirichletNet draws, stacked: at every step
+    the state's statistic is DirichletNet.particle_stat of its nets, bit for bit,
+    and c/n sum sign ReLU(atom . x) of each net to 1e-12."""
+    from infolab.processes import Particles
+    from infolab.quantizers import misspecified_width_prior_sample
+
+    spec = DirichletNet(d=2, scale=2.0, noise_var=0.1)
+    kind = MisspecifiedWidth(n=3, eps=0.3, size=32)
+    s = stream(88)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    state = init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0)))
+    nets = [misspecified_width_prior_sample(spec, 3, 0.3, sub)
+            for sub in s.derive(("pred", 0)).children("particle", 32)]
+    stacked = Particles.stack(spec, nets)
+    assert state.particles.prior is spec
+    for name, value in stacked.arrays.items():
+        assert np.array_equal(state.particles.arrays[name], value), name
+    h = step(spec, latent, 40, s)
+    for i in range(len(h.y)):
+        stat = predict(state, spec, h, i).stats
+        assert np.array_equal(stat, DirichletNet.particle_stat(spec, state.particles, h, i)), i
+        p = state.particles
+        acts = np.maximum(np.einsum("snd,d->sn", p.atoms, h.x[i]), 0.0)
+        np.testing.assert_allclose(
+            stat, spec.output_scale / 3 * np.sum(p.signs * acts, axis=1), rtol=1e-12, atol=1e-15
+        )
+        state.observe(spec, h, i)
+    assert state.resamples > 0
+
+
 def _gaussian_loglik(spec, mean, y):
     return -0.5 * math.log(2 * math.pi * spec.noise_var) - (y - mean) ** 2 / (2 * spec.noise_var)
 
@@ -916,8 +947,10 @@ def test_short_ark_history_is_refused(case):
 
 @pytest.mark.parametrize(
     "cov, message",
-    [(np.diag([1.0, -1.0]), "positive semi-definite"), ([[1.0, 0.5], [0.0, 1.0]], "symmetric")],
-    ids=["indefinite", "asymmetric"],
+    [(np.diag([1.0, -1.0]), "positive semi-definite"), ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+     ([[np.nan, 0.0], [0.0, 1.0]], "positive semi-definite"),
+     (np.diag([1.0, np.inf]), "positive semi-definite")],
+    ids=["indefinite", "asymmetric", "nan", "inf"],
 )
 def test_conjugate_prior_covariance_is_checked_at_construction(cov, message):
     with pytest.raises(ValueError, match=f"^prior covariance must be {message}$"):

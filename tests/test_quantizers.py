@@ -7,7 +7,7 @@ import pytest
 
 from infolab import bounds as bnd
 from infolab import quantizers as qt
-from infolab.processes import DirichletNet, dirichlet_net_output, sample_latent
+from infolab.processes import DirichletNet, Particles, dirichlet_net_output, sample_latent
 from infolab.rng import SeedSpec, derive_stream, sample_categorical
 
 
@@ -73,8 +73,8 @@ def test_width_reduce_draws_what_one_draw_per_atom_draws():
     for _ in range(64):
         draws.append(sample_categorical(sequential, w))
     net = qt.width_reduce(spec, latent, 64, stream.derive(1))
-    assert np.array_equal(net.atoms, latent.atoms[0][draws])
-    assert np.array_equal(net.signs, latent.signs[0][draws])
+    assert np.array_equal(net.atoms[0], latent.atoms[0][draws])
+    assert np.array_equal(net.signs[0], latent.signs[0][draws])
 
 
 def test_width_reduce_validation_and_output():
@@ -84,12 +84,16 @@ def test_width_reduce_validation_and_output():
     with pytest.raises(ValueError):
         qt.width_reduce(spec, latent, 0, stream.derive(1))
     net = qt.width_reduce(spec, latent, 16, stream.derive(1))
-    assert net.signs.shape == (16,) and net.atoms.shape == (16, 3)
+    assert net.size == 1 and net.signs.shape == (1, 16) and net.atoms.shape == (1, 16, 3)
+    assert np.all(net.weights == 1 / 16) and net.tail_mass[0] == 0.0
     x = stream.derive(2).gen.normal(size=3)
-    manual = net.scale / 16 * np.sum(net.signs * np.maximum(net.atoms @ x, 0.0))
-    assert net.output(x) == pytest.approx(manual, rel=1e-12)
+    manual = spec.output_scale / 16 * np.sum(net.signs[0] * np.maximum(net.atoms[0] @ x, 0.0))
+    assert dirichlet_net_output(spec, net, x)[0] == pytest.approx(manual, rel=1e-12)
     X = stream.derive(3).gen.normal(size=(4, 3))
-    np.testing.assert_allclose(net.output(X), [net.output(row) for row in X], rtol=1e-12)
+    np.testing.assert_allclose(
+        qt._net_outputs(spec, net, X), [dirichlet_net_output(spec, net, row)[0] for row in X],
+        rtol=1e-12,
+    )
 
 
 def test_width_reduction_distortion_meets_bound():
@@ -120,7 +124,7 @@ def test_multinomial_width_reduce_report():
     net, rep = qt.multinomial_width_reduce(spec, latent, 32, stream.derive(1))
     assert rep.distortion_bound == pytest.approx(spec.scale / 32)
     assert rep.empirical_distortion >= 0 and rep.distortion_se >= 0
-    assert len(net.signs) == 32
+    assert net.size == 1 and net.signs.shape == (1, 32)
 
 
 @pytest.mark.parametrize(
@@ -169,13 +173,13 @@ def test_quantize_to_cover_within_radius():
     for _ in range(200):
         v = stream.gen.normal(size=3)
         v /= np.linalg.norm(v)
-        net = qt.FiniteWidthNet(signs=np.ones(1), atoms=v[None, :], scale=1.0)
-        q = qt.snap_to_cover(net, cover).atoms[0]
+        net = Particles(None, 1, atoms=v[None, None, :], signs=np.ones((1, 1)))
+        q = qt.snap_to_cover(net, cover).atoms[0, 0]
         assert np.linalg.norm(q - v) <= cover.radius + 1e-12
         assert any(np.array_equal(q, a) for a in cover.atoms)
 
 
-def test_snap_to_cover_preserves_signs_and_scale():
+def test_snap_to_cover_preserves_signs_and_weights():
     spec = _dirichlet_spec(2, 2.0)
     stream = derive_stream(SeedSpec(10))
     latent = sample_latent(spec, stream.derive(0))
@@ -183,8 +187,8 @@ def test_snap_to_cover_preserves_signs_and_scale():
     cover = qt.get_sphere_cover(2, 0.3)
     snapped = qt.snap_to_cover(net, cover)
     assert np.array_equal(snapped.signs, net.signs)
-    assert snapped.scale == net.scale
-    gaps = np.linalg.norm(snapped.atoms - net.atoms, axis=1)
+    assert np.array_equal(snapped.weights, net.weights) and snapped.prior is spec
+    gaps = np.linalg.norm(snapped.atoms[0] - net.atoms[0], axis=1)
     assert np.max(gaps) <= cover.radius + 1e-12
 
 
@@ -224,8 +228,16 @@ def test_batched_gap_output_agrees_with_the_process_output():
     spec = _dirichlet_spec(3, 2.0)
     stream = derive_stream(SeedSpec(12))
     latent = sample_latent(spec, stream.derive(0))
-    zero = qt.FiniteWidthNet(signs=np.zeros(1), atoms=np.zeros((1, 3)), scale=spec.output_scale)
+    zero = Particles(spec, 1, atoms=np.zeros((1, 1, 3)), weights=np.ones((1, 1)),
+                     signs=np.zeros((1, 1)), tail_mass=np.zeros(1))
     gap = qt._squared_gap(spec, latent, zero, 64, stream.derive(1))
     X = stream.derive(1).derive(("inputs", 0)).gen.normal(size=(64, 3))
     single = np.array([dirichlet_net_output(spec, latent, x)[0] for x in X])
     np.testing.assert_allclose(np.sqrt(gap), np.abs(single), rtol=1e-12)
+
+
+def test_squared_gap_of_a_reduced_net_against_itself_is_zero():
+    spec = _dirichlet_spec(2, 2.0)
+    stream = derive_stream(SeedSpec(13))
+    net = qt.misspecified_width_prior_sample(spec, 8, 0.3, stream.derive(0))
+    assert np.array_equal(qt._squared_gap(spec, net, net, 64, stream.derive(1)), np.zeros(64))

@@ -279,7 +279,7 @@ def _pmf_sites():
 
 
 @pytest.mark.parametrize("site", sorted(_pmf_sites()))
-@pytest.mark.parametrize("pmf", [[0.5, 0.6], [1.5, -0.5], [[0.5, 0.5]]], ids=str)
+@pytest.mark.parametrize("pmf", [[0.5, 0.6], [1.5, -0.5], [[0.5, 0.5]], [0.5, np.nan]], ids=str)
 def test_every_pmf_check_is_the_one_rule(site, pmf):
     with pytest.raises(ValueError, match="must be a 1-D array, nonnegative and summing to 1$"):
         _pmf_sites()[site](np.array(pmf))
