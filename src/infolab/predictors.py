@@ -15,8 +15,9 @@ arrays: label n, given the labels before it (seed context included).  No
 state copies it.  `predict` is a query with no side effects; `observe`
 conditions on label n and returns the log-loss that `predict` gave it
 before, so a rollout is scored by observing alone.  A kind's `score` runs a
-chunk of states along their rollouts' histories: one state at a time by
-default, all at once for the conjugate kinds.
+chunk of states along their rollouts' histories: one state and one step at a
+time by default, all states at once for the conjugate kinds, and all steps
+of a history at once for the omniscient on an iid process.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .processes import (
     Mixture,
     Particles,
     Process,
+    _Iid,
     float_array,
     gaussian_log_loss,
     logsumexp,
@@ -172,13 +174,34 @@ class PriorEnsemble(PredictorKind, Configurable):
 
 @dataclass(frozen=True)
 class Omniscient(PredictorKind, Configurable):
+    """The true latent's predictive, the baseline of a process's irreducible loss."""
+
     kind = "omniscient"
     config = {}
+
+    @classmethod
+    def from_config(cls, values, spec=None) -> "Omniscient":
+        if spec.irreducible_rate() is None:
+            raise ValueError(
+                f"{cls.kind} predictor needs a process with an irreducible rate; on "
+                f"'{spec.kind}' it is scored against itself, so its curve is 0 on every seed"
+            )
+        return cls()
 
     def init(self, spec, latent, stream) -> "OmniscientState":
         if latent is None:
             raise ValueError("Omniscient requires the true latent")
         return OmniscientState(latent=latent)
+
+    def score(self, spec, states, histories, n):
+        """The default's losses; on an iid spec, one `stats` and one `loglik` call
+        per history, since a statistic and a loss get the same bits in any batch."""
+        if not isinstance(spec, _Iid):
+            return super().score(spec, states, histories, n)
+        return np.stack([
+            -spec.loglik(spec.stats(state.latent, h.x[-n:]), h.y[-n:])
+            for state, h in zip(states, histories)
+        ])
 
 
 @dataclass(frozen=True)
@@ -355,16 +378,22 @@ class EnsembleState:
     weights.  `observe` reweights by each particle's likelihood of the label
     and returns minus the log of the normaliser, which is that mixture's
     log-loss; summed over a history it is -log p(H_T), exact for enumeration
-    and the SMC evidence estimate for ensembles.  After each reweighting the
-    particles are resampled when the effective sample size falls below
-    `kind.resample_ess_frac` of the ensemble; a state without a resampler
-    (exact enumeration) keeps its weights.
+    and the SMC evidence estimate for ensembles.  One exp pass over the
+    particles gives both the normaliser and the effective sample size `ess`,
+    (sum w)^2 / sum w^2 of the new weights.  After each reweighting the
+    particles are resampled when `ess` falls below `kind.resample_ess_frac`
+    of the ensemble; a state without a resampler (exact enumeration) keeps
+    its weights.
     """
 
     kind: object
     particles: Particles
     log_weights: np.ndarray
     resampler: Optional[Resampler]
+
+    def __post_init__(self):
+        w = np.exp(self.log_weights)
+        self.ess = 1.0 / float(np.sum(w * w))
 
     @classmethod
     def start(cls, kind, particles: Particles, resampler: Resampler) -> "EnsembleState":
@@ -382,17 +411,24 @@ class EnsembleState:
         return 0 if self.resampler is None else self.resampler.count
 
     def _maybe_resample(self) -> None:
-        w = np.exp(self.log_weights)
         size = self.particles.size
-        if 1.0 / float(np.sum(w * w)) < self.kind.resample_ess_frac * size:
-            self.particles = self.particles.resample(self.resampler.indices(w))
+        if self.ess < self.kind.resample_ess_frac * size:
+            indices = self.resampler.indices(np.exp(self.log_weights))
+            self.particles = self.particles.resample(indices)
             self.log_weights = np.full(size, -math.log(size))
+            self.ess = float(size)
 
     def observe(self, spec: Process, history: History, n: int) -> float:
         stat = self.particles.prior.particle_stat(self.particles, history, n)
         log_weights = self.log_weights + spec.loglik(stat, history.y[n])
-        log_norm = logsumexp(log_weights)
+        # `logsumexp`, keeping its exp pass; np.sum, unlike a BLAS dot, gives
+        # the ESS the same bits on any thread count.
+        m = np.max(log_weights)
+        e = np.exp(log_weights - m)
+        total = np.sum(e)
+        log_norm = float(m + np.log(total)) if np.isfinite(m) else float(m)
         self.log_weights = log_weights - log_norm
+        self.ess = float(total * total / np.sum(e * e))
         if self.resampler is not None:
             self._maybe_resample()
         return -log_norm
@@ -407,7 +443,8 @@ class OmniscientState:
     latent: object
 
     def observe(self, spec: Process, history: History, n: int) -> float:
-        return self.predict(spec, history, n).log_loss(history.y[n])  # the latent stays
+        stat = np.asarray(spec.conditional(self.latent, history, n))
+        return -spec.loglik(stat[None], history.y[n])[0]  # the latent stays
 
     def predict(self, spec: Process, history: History, n: int) -> Mixture:
         stat = np.asarray(spec.conditional(self.latent, history, n))

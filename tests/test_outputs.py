@@ -284,8 +284,8 @@ _OMNISCIENT = {"kind": "omniscient"}
 # One small config per process/predictor pair a config can name -> sha256 of
 # the files `simulate` writes in csv and in json, recorded under seed contract
 # 3 (the ensemble ones with each loss the log-normaliser of its reweighting).
-# An omniscient on a discrete process is scored against an omniscient, so its
-# curve is zero on any draws.
+# A config cannot name an omniscient on a discrete process (see
+# test_cli_refuses_an_omniscient_without_an_irreducible_rate).
 SIMULATE_DIGESTS = {
     "linreg_conjugate": (_LINREG, {"kind": "conjugate"},
         "35da2f01d2750f8045661a2356422d8f0c1823d752c634c9795845c6e5c3b739"),
@@ -296,10 +296,10 @@ SIMULATE_DIGESTS = {
     "linreg_misspecified_conjugate": (
         _LINREG, {"kind": "misspecified_conjugate", "prior_mean": [0.5, 0.0, 0.0]},
         "dd6ed3ba0e7c30125e629f5f9f4e89005131cee4c5affbf54bbaaef2186789c9"),
+    # Re-recorded with the log1p form of the Bernoulli log-loss (as ark_ensemble): the
+    # T=2 SE moved by 2.8e-17 and its row's margin by 2.2e-16.
     "logreg_ensemble": ({"kind": "logreg", "d": 3}, _ENSEMBLE,
-        "12db72bd7f9f2308a9df5d2da3aa9f8f6a50778bdbc7ac2ba557f00fa3e54de2"),
-    "logreg_omniscient": ({"kind": "logreg", "d": 3}, _OMNISCIENT,
-        "67ae03d3ff5e58b600fcd3f6b6c65e33fd1b8b69bc1838bd3a207f1c46703ddd"),
+        "0b93f85688a9018a62a11b61588c252764e86ec7179b26fc990f51f2464c57e9"),
     "deepnet_ensemble": (_DEEPNET, _ENSEMBLE,
         "95f9e31257f12d479b6741073f13daf204837290192116249e8e524b277e7c9d"),
     "deepnet_omniscient": (_DEEPNET, _OMNISCIENT,
@@ -313,14 +313,11 @@ SIMULATE_DIGESTS = {
     "dirichlet_misspecified_width": (
         _DIRICHLET, {"kind": "misspecified_width", "n": 3, "eps": 0.3, "size": 16},
         "c638af73f7c9290d1a0df4557df3c17792b99231753f4d54a4ffae0a95cc4536"),
+    # The T=5 mean moved by 1.4e-17.
     "ark_ensemble": (_ARK, _ENSEMBLE,
-        "4a6d4a19aa9c9ae714b38178e1f06be4f93e128a6c705de0bc1fc72f1047541c"),
-    "ark_omniscient": (_ARK, _OMNISCIENT,
-        "f8a08a6982b6fb77ea76c4d2a808ef9720a618818a08536138bc74c211377630"),
+        "c74051bcd0999ff7a98e1048094a14d4f3f190f15ae4224869f2128711bf3d1b"),
     "transformer_ensemble": (_TRANSFORMER, _ENSEMBLE,
         "a2dd5148282bbc4d721b6123fe26bbb8e078ebf3457eb469076a5acea6a1a8ec"),
-    "transformer_omniscient": (_TRANSFORMER, _OMNISCIENT,
-        "4976b1398a848975cfe3db121fe150e94abfc7310524f79025f61d9dbdb172d4"),
 }
 
 
@@ -343,3 +340,25 @@ def test_simulate_output_digests(case, tmp_path):
         for name in sorted(os.listdir(out)):
             h.update(name.encode() + b"\n" + (out / name).read_bytes())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("process", [{"kind": "logreg", "d": 3}, _ARK, _TRANSFORMER],
+                         ids=lambda p: p["kind"])
+def test_cli_refuses_an_omniscient_without_an_irreducible_rate(process, tmp_path):
+    """On a process without an irreducible rate an omniscient is measured
+    against an omniscient on the same rollout, so its curve is 0 on every seed:
+    the config is refused before anything runs."""
+    payload = {
+        "version": 1, "scenario_id": "omni", "process": process, "predictor": _OMNISCIENT,
+        "horizons": [2, 5], "replicates": 3, "master_seed": 11,
+        "bounds": [PROCESS_KINDS[process["kind"]].bound_id],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    res = CliRunner().invoke(cli_main, ["simulate", str(cfg), "--out", str(tmp_path / "out")])
+    assert res.exit_code != 0 and isinstance(res.exception, SystemExit)
+    assert res.output == (
+        f"Error: {cfg}: omniscient predictor needs a process with an irreducible rate; on "
+        f"'{process['kind']}' it is scored against itself, so its curve is 0 on every seed\n"
+    )
+    assert not (tmp_path / "out").exists()

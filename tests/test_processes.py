@@ -18,6 +18,7 @@ from infolab.processes import (
     Process,
     Transformer,
     attention_layer,
+    bernoulli_log_loss,
     dirichlet_net_output,
     initial_history,
     irreducible_rate,
@@ -198,6 +199,28 @@ def test_cond_logprob_normalization_discrete():
         cond_logprob(ark, alat, hist, 2, 1)
     )
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bernoulli_log_loss_agrees_with_logaddexp_and_is_the_same_alone_and_in_a_batch():
+    """max(z, 0) + log1p(e^-|z|) is within 4.5e-16 max(1, loss) of
+    np.logaddexp(0, z) at the edges of the double range, never negative, and
+    gives each logit the same bits alone as in a batch."""
+    edges = [0.0, 1e-300, 20.0, 40.0, 709.0, 800.0, math.inf]
+    z = np.array([sign * v for v in edges for sign in (1.0, -1.0)])
+    ref = np.logaddexp(0.0, z)
+    finite = np.isfinite(ref)
+    for y in (0, 1):
+        loss = bernoulli_log_loss((1 - 2 * y) * z, y)  # label 1 flips the logit's sign
+        assert np.all(loss >= 0)
+        assert np.array_equal(loss[~finite], ref[~finite])
+        gap = np.abs(loss[finite] - ref[finite])
+        assert np.all(gap <= 4.5e-16 * np.maximum(1.0, ref[finite]))
+    logits = stream(15).gen.normal(0.0, 30.0, size=257)
+    labels = stream(16).gen.integers(2, size=257)
+    batch = bernoulli_log_loss(logits, labels)
+    assert np.array_equal([bernoulli_log_loss(l, y) for l, y in zip(logits, labels)], batch)
+    assert np.array_equal([bernoulli_log_loss(float(l), int(y)) for l, y in zip(logits, labels)],
+                          batch)
 
 
 def test_linreg_cond_logprob_standard_normal():
