@@ -15,9 +15,8 @@ arrays: label n, given the labels before it (seed context included).  No
 state copies it.  `predict` is a query with no side effects; `observe`
 conditions on label n and returns the log-loss that `predict` gave it
 before, so a rollout is scored by observing alone.  A kind's `score` runs a
-chunk of states along their rollouts' histories: one state and one step at a
-time by default, all states at once for the conjugate kinds, and all steps
-of a history at once for the omniscient on an iid process.
+chunk of states along their rollouts' histories: one state at a time by
+default, all at once for the conjugate kinds.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .processes import (
     Mixture,
     Particles,
     Process,
-    _Iid,
     float_array,
     gaussian_log_loss,
     logsumexp,
@@ -192,16 +190,6 @@ class Omniscient(PredictorKind, Configurable):
         if latent is None:
             raise ValueError("Omniscient requires the true latent")
         return OmniscientState(latent=latent)
-
-    def score(self, spec, states, histories, n):
-        """The default's losses; on an iid spec, one `stats` and one `loglik` call
-        per history, since a statistic and a loss get the same bits in any batch."""
-        if not isinstance(spec, _Iid):
-            return super().score(spec, states, histories, n)
-        return np.stack([
-            -spec.loglik(spec.stats(state.latent, h.x[-n:]), h.y[-n:])
-            for state, h in zip(states, histories)
-        ])
 
 
 @dataclass(frozen=True)
@@ -380,20 +368,16 @@ class EnsembleState:
     log-loss; summed over a history it is -log p(H_T), exact for enumeration
     and the SMC evidence estimate for ensembles.  One exp pass over the
     particles gives both the normaliser and the effective sample size `ess`,
-    (sum w)^2 / sum w^2 of the new weights.  After each reweighting the
-    particles are resampled when `ess` falls below `kind.resample_ess_frac`
-    of the ensemble; a state without a resampler (exact enumeration) keeps
-    its weights.
+    (sum w)^2 / sum w^2 of the new weights, set by every `observe`.  After
+    each reweighting the particles are resampled when `ess` falls below
+    `kind.resample_ess_frac` of the ensemble; a state without a resampler
+    (exact enumeration) keeps its weights.
     """
 
     kind: object
     particles: Particles
     log_weights: np.ndarray
     resampler: Optional[Resampler]
-
-    def __post_init__(self):
-        w = np.exp(self.log_weights)
-        self.ess = 1.0 / float(np.sum(w * w))
 
     @classmethod
     def start(cls, kind, particles: Particles, resampler: Resampler) -> "EnsembleState":

@@ -342,8 +342,9 @@ def test_simulate_output_digests(case, tmp_path):
     assert h.hexdigest() == digest
 
 
-@pytest.mark.parametrize("process", [{"kind": "logreg", "d": 3}, _ARK, _TRANSFORMER],
-                         ids=lambda p: p["kind"])
+@pytest.mark.parametrize("process", [
+    {"kind": "logreg", "d": 3}, _ARK, _TRANSFORMER, {"kind": "linrep", "d": 6, "r": 2, "tasks": 4},
+], ids=lambda p: p["kind"])
 def test_cli_refuses_an_omniscient_without_an_irreducible_rate(process, tmp_path):
     """On a process without an irreducible rate an omniscient is measured
     against an omniscient on the same rollout, so its curve is 0 on every seed:

@@ -318,33 +318,14 @@ def test_ensemble_weights_normalized_and_resampling_counts():
 ], ids=["linreg", "logreg", "ark", "enumeration"])
 def test_ensemble_ess_is_the_ess_of_its_weights_after_every_observe(spec, kind):
     """The ESS that observe keeps from its one exp pass, (sum e)^2 / sum e^2, is
-    1 / sum w^2 of the normalised weights: at the prior, and after each
-    observe, resampled or not."""
+    1 / sum w^2 of the normalised weights after each observe, resampled or not."""
     lat = sample_latent(spec, stream(13))
     state = init_predictor(kind, spec, stream=stream(14))
     h = step(spec, lat, 40, stream(15))
-    for t in [None, *range(len(h.y) - 40, len(h.y))]:
-        if t is not None:
-            state.observe(spec, h, t)
+    for t in range(len(h.y) - 40, len(h.y)):
+        state.observe(spec, h, t)
         assert state.ess == pytest.approx(1.0 / np.sum(np.exp(state.log_weights) ** 2), rel=1e-12)
     assert state.resamples > 0 or state.resampler is None
-
-
-@pytest.mark.parametrize("spec", [
-    LinReg(d=3, noise_var=0.25), LogReg(d=3), DeepNet(d=2, width=3, depth=3, noise_var=0.5),
-    DirichletNet(d=2, scale=2.0, noise_var=0.5),
-], ids=lambda spec: spec.kind)
-def test_omniscient_scores_an_iid_history_at_once_with_the_bits_of_each_step(spec):
-    """Omniscient.score's one stats and one loglik call per history give each
-    step the loss that OmniscientState.observe gives it alone."""
-    T, R = 500, 20
-    latents = [sample_latent(spec, stream(71, ("latent", r))) for r in range(R)]
-    histories = [step(spec, lat, T, stream(71, ("rep", r))) for r, lat in enumerate(latents)]
-    states = (init_predictor(Omniscient(), spec, latent=lat) for lat in latents)
-    batched = Omniscient().score(spec, states, histories, T)
-    for lat, h, row in zip(latents, histories, batched):
-        state = init_predictor(Omniscient(), spec, latent=lat)
-        assert [state.observe(spec, h, i) for i in range(T)] == row.tolist()
 
 
 def test_predictor_kind_validation():
