@@ -23,7 +23,6 @@ from .rng import (
     RngStream,
     SeedSpec,
     categorical_indices,
-    sample_gaussian,
     sample_stick_breaking,
     sample_unit_sphere,
 )
@@ -203,15 +202,15 @@ class Process(Configurable):
     A latent is a one-particle draw from the prior, so adding a process
     means writing one spec class.  A spec sets `kind` and `config` (see
     `Configurable`), `bound_id` and `bound_args` (bound parameter ->
-    attribute).  It implements `sample_latent` (a `Particles` of size 1),
-    `rollout` (one replicate's `History`, drawn in blocks) and
-    `particle_stat`: per particle, the statistic of label n of a history
-    given the labels before it, for all particles at once; there is no
-    per-draw default.  Specs whose draws are one block batch
-    `sample_particles`; the default stacks one latent per particle.  The
-    output family supplies `label_draws`, `label` and `loglik` (elementwise
-    over statistics), which `Mixture` mixes into a predictive; meta processes
-    read the task of each step from the history and iid ones their input.
+    attribute).  It implements `sample_particles(size, stream)` (`size` iid
+    prior draws as block draws from the one stream; `sample_latent` is its
+    block of one), `rollout` (one replicate's `History`, drawn in blocks)
+    and `particle_stat`: per particle, the statistic of label n of a history
+    given the labels before it, for all particles at once.  Neither has a
+    per-draw default.  The output family supplies `label_draws`, `label` and
+    `loglik` (elementwise over statistics), which `Mixture` mixes into a
+    predictive; meta processes read the task of each step from the history
+    and iid ones their input.
     """
 
     meta = False
@@ -222,12 +221,6 @@ class Process(Configurable):
 
     def irreducible_rate(self) -> Optional[float]:
         return None
-
-    def sample_particles(self, size: int, stream: RngStream) -> Particles:
-        """`size` iid prior draws, one latent per ("particle", j) stream, stacked."""
-        return Particles.stack(
-            self, [self.sample_latent(sub) for sub in stream.children("particle", size)]
-        )
 
     def conditional(self, latent: Particles, history: "History", n: int):
         """The statistic of label n given the latent and the labels before it."""
@@ -320,9 +313,6 @@ class _Sequence:
 
 class _GaussianTheta:
     """Specs whose latent is theta, iid N(0, prior_var) entries shaped theta_shape."""
-
-    def sample_latent(self, stream: RngStream) -> Particles:
-        return self.sample_particles(1, stream)
 
     def sample_particles(self, size: int, stream: RngStream) -> Particles:
         theta = stream.gen.normal(0.0, math.sqrt(self.prior_var), size=(size,) + self.theta_shape)
@@ -467,12 +457,6 @@ class DeepNet(_Iid, _Gaussian):
         return [((n, d), math.sqrt(1.0 / d))] + hidden + [((1, n), math.sqrt(1.0 / n))]
 
     # Layer i is the array w{i}, shaped (S, out, in); arrays keep layer order.
-    def sample_latent(self, stream: RngStream) -> Particles:
-        return Particles(self, 1, **{
-            f"w{i}": stream.derive(("layer", i)).gen.normal(0.0, sd, size=(1,) + shape)
-            for i, (shape, sd) in enumerate(self._layers())
-        })
-
     def sample_particles(self, size: int, stream: RngStream) -> Particles:
         return Particles(self, size, **{
             f"w{i}": stream.gen.normal(0.0, sd, size=(size,) + shape)
@@ -520,15 +504,17 @@ class DirichletNet(_Iid, _Gaussian):
         return math.sqrt(self.scale + 1.0 if self.plus_one_scaling else self.scale)
 
     # atoms (S, A, d) unit rows, weights (S, A), signs (S, A) +-1 and tail_mass (S,).
-    # Draws differ in their atom count A; a stack pads the shorter ones with zero-weight
-    # atoms, which add nothing to the output.
+    # Draws differ in their atom count; A is the largest, and a shorter draw has zero
+    # weights past its own count, which add nothing to the output.  A stack pads the
+    # same way.
     ragged = ("atoms", "weights", "signs")
 
-    def sample_latent(self, stream: RngStream) -> Particles:
-        draw = sample_stick_breaking(stream, self.scale, self.d, self.tail_tol)
-        signs = np.where(stream.gen.random(len(draw.weights)) < 0.5, 1.0, -1.0)
-        return Particles(self, 1, atoms=draw.atoms[None], weights=draw.weights[None],
-                         signs=signs[None], tail_mass=np.array([draw.tail_mass]))
+    def sample_particles(self, size: int, stream: RngStream) -> Particles:
+        weights, atoms, tail_mass = sample_stick_breaking(
+            stream, size, self.scale, self.d, self.tail_tol
+        )
+        signs = np.where(stream.gen.random(weights.shape) < 0.5, 1.0, -1.0)
+        return Particles(self, size, atoms=atoms, weights=weights, signs=signs, tail_mass=tail_mass)
 
     def stats(self, latent, x):
         return dirichlet_net_output(self, latent, x)[..., 0]
@@ -641,17 +627,16 @@ class Transformer(_Sequence, _Categorical):
 
     # Layer l is the attention matrix a{l} (S, r, r) and the value matrix v{l}
     # (S, out, r): out is r below the last layer and vocab at it.
-    def sample_latent(self, stream: RngStream) -> Particles:
+    def sample_particles(self, size: int, stream: RngStream) -> Particles:
         arrays, r = {}, self.attn_dim
         for layer in range(self.depth):
-            sub = stream.derive(("layer", layer))
-            arrays[f"a{layer}"] = sub.gen.normal(size=(1, r, r))
+            arrays[f"a{layer}"] = stream.gen.normal(size=(size, r, r))
             rows = self.vocab if layer == self.depth - 1 else r
-            if self.v_prior == "sphere_rows":
-                arrays[f"v{layer}"] = np.array([[sample_unit_sphere(sub, r) for _ in range(rows)]])
-            else:
-                arrays[f"v{layer}"] = sub.gen.normal(0.0, math.sqrt(1.0 / r), size=(1, rows, r))
-        return Particles(self, 1, **arrays)
+            arrays[f"v{layer}"] = (
+                sample_unit_sphere(stream, r, (size, rows)) if self.v_prior == "sphere_rows"
+                else stream.gen.normal(0.0, math.sqrt(1.0 / r), size=(size, rows, r))
+            )
+        return Particles(self, size, **arrays)
 
     def particle_stat(self, particles, history, n) -> np.ndarray:
         return transformer_next_pmf(self, particles, history.y[:n])
@@ -690,16 +675,6 @@ class LinRep(_Categorical):
         return task
 
     # psi (S, d, r) has orthonormal columns; xi is (S, tasks, r).
-    def sample_latent(self, stream: RngStream) -> Particles:
-        psi = orthonormal_columns(stream.derive(("psi", 0)).gen.normal(size=(self.d, self.r)))
-        xi = np.stack(
-            [
-                sample_gaussian(stream.derive(("xi", m)), self.r, 1.0 / self.r)
-                for m in range(self.tasks)
-            ]
-        )
-        return Particles(self, 1, psi=psi[None], xi=xi[None])
-
     def sample_particles(self, size: int, stream: RngStream) -> Particles:
         psi = orthonormal_columns(stream.gen.normal(size=(size, self.d, self.r)))
         xi = stream.gen.normal(0.0, math.sqrt(1.0 / self.r), size=(size, self.tasks, self.r))
@@ -807,7 +782,7 @@ def dirichlet_net_output(spec: DirichletNet, particles: Particles, x: np.ndarray
     """Noiseless output c sum_w theta_w ReLU(w^T x) of each particle's truncated
     draw, at an input (d,) or at each row of inputs (n, d): shape (S,) or (n, S)."""
     acts = np.maximum(np.einsum("...d,sad->...sa", x, particles.atoms), 0.0)
-    # quantizers._net_outputs writes one net at many inputs as `acts @ (signs * weights)`;
+    # quantizers._net_outputs writes each net at many inputs as `acts @ (signs * weights)`;
     # the two orders differ in the last bit, and each is pinned (rollouts here, width
     # reduction there).
     return spec.output_scale * np.sum(particles.signs * particles.weights * acts, axis=-1)
@@ -850,9 +825,9 @@ def transformer_next_pmf(spec: Transformer, particles: Particles, tokens: List[i
 # ---------------------------------------------------------------------------
 
 
-def sample_latent(spec: Process, stream: RngStream):
-    """Draw latent parameters exactly from the process prior."""
-    return spec.sample_latent(stream)
+def sample_latent(spec: Process, stream: RngStream) -> Particles:
+    """Draw latent parameters exactly from the process prior: its block of one particle."""
+    return spec.sample_particles(1, stream)
 
 
 def initial_history(spec: Process, latent, stream: RngStream) -> History:

@@ -1,8 +1,8 @@
 """Operational rate-distortion constructions.
 
 Gaussian latent quantizers, multinomial width reduction of Dirichlet-process
-networks, greedy sphere covers, and the reduced-width misspecified prior
-sampler built from them.
+networks (a block of nets at once, optionally snapped to a greedy sphere
+cover), and the squared function gap it costs.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .processes import DirichletNet, Particles, mean_se, sample_latent
-from .rng import RngStream, categorical_indices
+from .processes import DirichletNet, Particles, mean_se
+from .rng import RngStream
 
 # Distortion figures below are the squared-function-gap surrogate the
 # analytic bounds control, not a raw mutual information.
@@ -31,11 +31,6 @@ class QuantizerReport:
     def __post_init__(self):
         if self.rate_nats < 0:
             raise ValueError("rate must be nonnegative")
-
-    @classmethod
-    def from_samples(cls, rate_nats: float, distortions: np.ndarray, bound: Optional[float]):
-        """The report whose distortion is the mean, with its SE, of the samples."""
-        return cls(rate_nats, *mean_se(distortions), bound)
 
 
 @dataclass
@@ -71,7 +66,7 @@ def gaussian_quantize(
     bound = None
     if noise_var is not None:
         bound = 0.5 * math.log1p(delta2 / ((1.0 + delta2) * noise_var))
-    return theta + noise[0], QuantizerReport.from_samples(rate, sq, bound)
+    return theta + noise[0], QuantizerReport(rate, *mean_se(sq), bound)
 
 
 def linreg_quantizer_delta2(eps: float, noise_var: float) -> float:
@@ -86,53 +81,48 @@ def linreg_quantizer_delta2(eps: float, noise_var: float) -> float:
     return s / (1.0 - s)
 
 
-def width_reduce(spec: DirichletNet, latent: Particles, m: int, stream: RngStream) -> Particles:
-    """Multinomial width reduction of a one-particle latent: m atom draws from its
-    stick weights, by m uniforms, as a one-particle net of weights 1/m and no tail."""
+def width_reduce(
+    spec: DirichletNet, nets: Particles, m: int, stream: RngStream, eps: float = 0.0
+) -> Particles:
+    """Multinomial width reduction of each of the nets: m atom draws from its stick
+    weights, by its row of one (S, m) block of uniforms, as nets of weights 1/m and
+    no tail.  With eps > 0 each drawn atom is snapped to an eps-cover of the sphere.
+
+    Row by row this is `rng.categorical_indices`: a uniform at or past a net's last
+    partial sum (by rounding) takes its last atom with mass, never a zero-weight pad.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    w = latent.weights[0] / (1.0 - latent.tail_mass[0])
-    idx = categorical_indices(w, stream.gen.random(m))
-    return Particles(spec, 1, atoms=latent.atoms[:, idx], weights=np.full((1, m), 1.0 / m),
-                     signs=latent.signs[:, idx], tail_mass=np.zeros(1))
+    w = nets.weights / (1.0 - nets.tail_mass[:, None])
+    u = stream.gen.random((nets.size, m))
+    # searchsorted(side="right") in each row's cdf, as a count of the partial sums <= u
+    idx = np.sum(np.cumsum(w, axis=1)[:, None, :] <= u[..., None], axis=2)
+    with_mass = np.maximum.accumulate(np.where(w > 0, np.arange(w.shape[1]), 0), axis=1)
+    idx = np.take_along_axis(with_mass, np.minimum(idx, w.shape[1] - 1), axis=1)
+    rows = np.arange(nets.size)[:, None]
+    reduced = Particles(spec, nets.size, atoms=nets.atoms[rows, idx], signs=nets.signs[rows, idx],
+                        weights=np.full((nets.size, m), 1.0 / m), tail_mass=np.zeros(nets.size))
+    return snap_to_cover(reduced, get_sphere_cover(spec.d, eps)) if eps > 0 else reduced
 
 
-def _reduce(spec, latent, m: int, eps: float, stream: RngStream) -> Particles:
-    """The latent reduced to width m, snapped to an eps-cover of the sphere when eps > 0."""
-    net = width_reduce(spec, latent, m, stream.derive(("reduce", 0)))
-    return snap_to_cover(net, get_sphere_cover(spec.d, eps)) if eps > 0 else net
+def _net_outputs(spec: DirichletNet, nets: Particles, X: np.ndarray) -> np.ndarray:
+    """processes.dirichlet_net_output of each of S nets at its own rows of inputs X
+    (S, n, d): shape (S, n)."""
+    # Written apart as two BLAS matmuls per net: over an input batch the einsum over a
+    # particle axis is about 6x slower, and its sum order differs in the last bit.  One
+    # net at a time keeps one net's (n, atoms) activations, not all S nets' (at S = 64,
+    # n = 256 and m = 128 the batched form peaked 44 MB higher, and was no faster).
+    return spec.output_scale * np.stack([
+        np.maximum(x @ atoms.T, 0.0) @ (signs * weights)
+        for x, atoms, signs, weights in zip(X, nets.atoms, nets.signs, nets.weights)
+    ])
 
 
-def _net_outputs(spec: DirichletNet, net: Particles, X: np.ndarray) -> np.ndarray:
-    """processes.dirichlet_net_output of a one-particle net at each row of inputs X (n, d)."""
-    # Written apart as two BLAS matmuls: over an input batch the einsum over a particle
-    # axis is about 6x slower, and its sum order differs in the last bit.
-    acts = np.maximum(X @ net.atoms[0].T, 0.0)  # (n, atoms)
-    return spec.output_scale * (acts @ (net.signs[0] * net.weights[0]))
-
-
-def _squared_gap(spec, latent, net, n_inputs: int, stream: RngStream) -> np.ndarray:
-    """(F - F_m)^2 of the latent's net and the reduced one at fresh standard-normal inputs."""
-    X = stream.derive(("inputs", 0)).gen.normal(size=(n_inputs, spec.d))
-    return (_net_outputs(spec, latent, X) - _net_outputs(spec, net, X)) ** 2
-
-
-def multinomial_width_reduce(
-    spec: DirichletNet,
-    latent: Particles,
-    m: int,
-    stream: RngStream,
-    n_inputs: int = 512,
-) -> Tuple[Particles, QuantizerReport]:
-    """Width reduction plus an MC report of the squared function gap.
-
-    The gap E[(F - F_m)^2] is estimated over fresh standard-normal inputs for
-    this latent and this reduction draw; the analytic target is K/m averaged
-    over everything, so grid tests additionally average over latents.
-    """
-    net = _reduce(spec, latent, m, 0.0, stream)
-    gap = _squared_gap(spec, latent, net, n_inputs, stream)
-    return net, QuantizerReport.from_samples(0.0, gap, spec.scale / m)
+def _squared_gap(spec, latents, nets, n_inputs: int, stream: RngStream) -> np.ndarray:
+    """(S, n_inputs) squared gaps (F - F_m)^2 of each latent's net and its reduced net,
+    at fresh standard-normal inputs of its own from path ("inputs", 0)."""
+    X = stream.derive(("inputs", 0)).gen.normal(size=(latents.size, n_inputs, spec.d))
+    return (_net_outputs(spec, latents, X) - _net_outputs(spec, nets, X)) ** 2
 
 
 def width_reduction_distortion(
@@ -146,15 +136,13 @@ def width_reduction_distortion(
     """Full-MC squared function gap, averaged over latents, reductions, inputs.
 
     Returns (mean, standard error) with replicate-level (per-latent) variance.
-    With eps > 0 the reduced net's atoms are additionally snapped to an
-    eps-cover of the sphere.
+    The latents are one prior block from path ("prior", 0), reduced by the
+    uniforms of ("reduce", 0); with eps > 0 the reduced nets' atoms are
+    additionally snapped to an eps-cover of the sphere.
     """
-    means = np.empty(n_latents)
-    for i, sub in enumerate(stream.children("latent", n_latents)):
-        latent = sample_latent(spec, sub.derive(("prior", 0)))
-        net = _reduce(spec, latent, m, eps, sub)
-        means[i] = np.mean(_squared_gap(spec, latent, net, n_inputs, sub))
-    return mean_se(means)
+    latents = spec.sample_particles(n_latents, stream.derive(("prior", 0)))
+    nets = width_reduce(spec, latents, m, stream.derive(("reduce", 0)), eps)
+    return mean_se(np.mean(_squared_gap(spec, latents, nets, n_inputs, stream), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +201,11 @@ def _sq_dists(points: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     )
 
 
-def snap_to_cover(net: Particles, cover: SphereCover) -> Particles:
-    """The one-particle net with each atom replaced by its nearest cover atom."""
-    idx = np.argmin(_sq_dists(net.atoms[0], cover.atoms), axis=1)
-    return Particles(net.prior, 1, **{**net.arrays, "atoms": cover.atoms[idx][None]})
+def snap_to_cover(nets: Particles, cover: SphereCover) -> Particles:
+    """The nets with each atom replaced by its nearest cover atom."""
+    atoms = nets.atoms.reshape(-1, nets.atoms.shape[-1])
+    idx = np.argmin(_sq_dists(atoms, cover.atoms), axis=1).reshape(nets.atoms.shape[:-1])
+    return Particles(nets.prior, nets.size, **{**nets.arrays, "atoms": cover.atoms[idx]})
 
 
 @functools.cache
@@ -224,13 +213,3 @@ def get_sphere_cover(d: int, eps: float) -> SphereCover:
     """Deterministic cached cover for (d, eps)."""
     return build_sphere_cover(d, eps)
 
-
-def misspecified_width_prior_sample(
-    spec: DirichletNet, n: int, eps: float, stream: RngStream
-) -> Particles:
-    """One draw from the reduced-width function prior, a one-particle net.
-
-    Samples a fresh process latent, reduces it to width n by multinomial
-    draws, and (for eps > 0) snaps each atom to an eps-cover.
-    """
-    return _reduce(spec, sample_latent(spec, stream.derive(("prior", 0))), n, eps, stream)

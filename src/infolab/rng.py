@@ -2,7 +2,7 @@
 
 All randomness in the library flows through ``RngStream`` objects derived
 from a ``SeedSpec``.  Streams are counter-based (Philox) and keyed by a hash
-of ``(master_seed, path)``, so any replicate/task/layer stream can be
+of ``(master_seed, path)``, so any replicate or task stream can be
 re-derived independently of scheduling order.
 
 The seed contract fixes which path each draw reads; results are
@@ -13,7 +13,8 @@ It first rolls out each replicate's process alone into arrays
 (``processes.History``), one block draw per path under the replicate's
 stream:
 
-- ``("latent", 0)``: the process latent (``sample_latent``);
+- ``("latent", 0)``: the process latent, the spec's prior draw of one
+  particle (``sample_particles(1, ...)``, drawn as a block of one);
 - ``("init", 0)``: the seed labels of sequence processes;
 - ``("inputs", 0)``: the (n, d) inputs of iid processes;
 - ``("noise", 0)``: the n label draws, one per step: Gaussian noises, or the
@@ -27,11 +28,11 @@ reading under each replicate's stream:
 
 - ``("pred", 0)``: the prior state of each kind (every kind's state is
   built from this same path), which reads below it
-  - ``("particles", 0)``: a prior ensemble's particles, one draw, except that
-    Dirichlet nets and transformers stack one latent per particle, drawn from
-    ``("particle", j)`` below it;
-  - ``("particle", j)``: particle j of a width-misspecified ensemble (its
-    prior net and its width reduction);
+  - ``("particles", 0)``: a prior ensemble's particles, one block draw from
+    the spec's prior; a width-misspecified ensemble draws its full-width
+    nets here the same way;
+  - ``("reduce", 0)``: the (size, n) uniforms that reduce a
+    width-misspecified ensemble's nets to width n;
   - ``("task", m)``: the oracle-meta filter's particles for task m, one
     (size, r) normal draw;
   - ``("sis", 0)``: the resampler, whose k-th draw reads ``("resample", k)``
@@ -56,11 +57,13 @@ import numpy as np
 
 PathEntry = Union[int, Tuple[str, int]]
 
-# Version 3 rolls a replicate out from one block draw per path (latent, seed
+# Version 4 draws every prior as one block per spec: a latent is the block of one
+# particle, and no prior reads a ("particle", j), ("layer", i), ("psi", 0) or ("xi", m)
+# path.  Version 3 rolls a replicate out from one block draw per path (latent, seed
 # labels, inputs, label draws) in place of one ("step", i) stream per step.
 # Version 2 dropped the ("particle", j) level under the oracle-meta filter's
 # ("task", m): a task's particles are one draw, not one stream per particle.
-SEED_CONTRACT = 3
+SEED_CONTRACT = 4
 
 
 def _normalize_path(path: Sequence[PathEntry]) -> Tuple[Tuple[str, int], ...]:
@@ -178,17 +181,14 @@ def sample_gaussian(stream: RngStream, n: int, variance: float) -> np.ndarray:
     return stream.gen.normal(0.0, np.sqrt(variance), size=n)
 
 
-def sample_unit_sphere(stream: RngStream, d: int) -> np.ndarray:
-    """Draw a uniformly distributed unit vector in R^d."""
+def sample_unit_sphere(stream: RngStream, d: int, shape: Tuple[int, ...] = ()) -> np.ndarray:
+    """Draw an array `shape` of uniformly distributed unit vectors in R^d, shaped shape + (d,)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if d == 1:
-        return np.array([1.0 if stream.gen.random() < 0.5 else -1.0])
-    while True:
-        v = stream.gen.normal(size=d)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            return v / norm
+        return np.where(stream.gen.random(shape + (1,)) < 0.5, 1.0, -1.0)
+    v = stream.gen.normal(size=shape + (d,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)  # a zero norm has probability 0
 
 
 def check_pmf(pmf, name: str = "pmf") -> np.ndarray:
@@ -217,40 +217,30 @@ def sample_categorical(stream: RngStream, pmf: np.ndarray) -> int:
     return int(categorical_indices(pmf, stream.gen.random()))
 
 
-@dataclass
-class StickBreakingDraw:
-    """Truncated stick-breaking realization of a Dirichlet process."""
-
-    weights: np.ndarray
-    atoms: np.ndarray  # shape (n_atoms, d), unit rows
-    tail_mass: float
-
-    def __post_init__(self):
-        total = float(np.sum(self.weights)) + self.tail_mass
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError("weights + tail_mass must sum to 1")
-
-
 def sample_stick_breaking(
-    stream: RngStream, scale: float, d: int, tail_tol: float = 1e-8
-) -> StickBreakingDraw:
-    """Sample a Dirichlet process with Unif(S^{d-1}) base, truncated by tail mass.
+    stream: RngStream, size: int, scale: float, d: int, tail_tol: float = 1e-8
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`size` Dirichlet processes with Unif(S^{d-1}) base, each truncated by its tail mass.
 
-    Sticks are Beta(1, scale); truncation continues until the remaining tail
-    mass drops below tail_tol.
+    Returns weights (size, A), atoms (size, A, d) and tail masses (size,).  The
+    Beta(1, scale) sticks are one (size, K) block, and K doubles (the new
+    sticks drawn after the old) until every tail mass is below tail_tol.  Each
+    draw stops at its own first crossing, so its weights plus its tail sum to
+    1; A is the largest atom count, and a draw's weights past its count are 0.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     if not 0 < tail_tol < 1:
         raise ValueError("tail_tol must lie in (0, 1)")
-    weights = []
-    atoms = []
-    remaining = 1.0
-    while remaining >= tail_tol:
-        frac = stream.gen.beta(1.0, scale)
-        weights.append(remaining * frac)
-        atoms.append(sample_unit_sphere(stream, d))
-        remaining *= 1.0 - frac
-    return StickBreakingDraw(
-        weights=np.array(weights), atoms=np.array(atoms), tail_mass=remaining
-    )
+    fracs = stream.gen.beta(1.0, scale, size=(size, 16))
+    while True:
+        remaining = np.cumprod(1.0 - fracs, axis=1)  # nonincreasing along each row
+        if np.all(remaining[:, -1] < tail_tol):
+            break
+        fracs = np.hstack([fracs, stream.gen.beta(1.0, scale, size=fracs.shape)])
+    counts = np.argmax(remaining < tail_tol, axis=1) + 1
+    width = int(counts.max())
+    before = np.hstack([np.ones((size, 1)), remaining[:, : width - 1]])
+    weights = np.where(np.arange(width) < counts[:, None], before * fracs[:, :width], 0.0)
+    tail_mass = remaining[np.arange(size), counts - 1]
+    return weights, sample_unit_sphere(stream, d, (size, width)), tail_mass

@@ -283,7 +283,9 @@ _OMNISCIENT = {"kind": "omniscient"}
 
 # One small config per process/predictor pair a config can name -> sha256 of
 # the files `simulate` writes in csv and in json, recorded under seed contract
-# 3 (the ensemble ones with each loss the log-normaliser of its reweighting).
+# 3 (the ensemble ones with each loss the log-normaliser of its reweighting); the
+# deepnet, dirichlet and transformer ones under contract 4, which draws each prior
+# (the latent too) as one block.
 # A config cannot name an omniscient on a discrete process (see
 # test_cli_refuses_an_omniscient_without_an_irreducible_rate).
 SIMULATE_DIGESTS = {
@@ -301,23 +303,21 @@ SIMULATE_DIGESTS = {
     "logreg_ensemble": ({"kind": "logreg", "d": 3}, _ENSEMBLE,
         "0b93f85688a9018a62a11b61588c252764e86ec7179b26fc990f51f2464c57e9"),
     "deepnet_ensemble": (_DEEPNET, _ENSEMBLE,
-        "95f9e31257f12d479b6741073f13daf204837290192116249e8e524b277e7c9d"),
+        "ff705a68b968d1b53496786f5d4711b6fdfa09a3451c4ecee37ac783796546d6"),
     "deepnet_omniscient": (_DEEPNET, _OMNISCIENT,
-        "99fa064e1bb11d1738a97b2b03e1f9dcad15a2daeff58ae609a2adce42822373"),
+        "976df80969652ff7a73432bba5fbc8de3b3c344b031828162e452cd4ccc3f8f8"),
     "dirichlet_ensemble": (_DIRICHLET, _ENSEMBLE,
-        "c10419940fd1f8244852a776517eb8baa746ee4fb86fab821955f90363898e72"),
+        "1353258dcc0a5c732c4c8d9ec3702c99d888d37c17edf66bfb9ea65da75bbfcc"),
     "dirichlet_omniscient": (_DIRICHLET, _OMNISCIENT,
-        "4480d2783295a2d2027d9d44739f677342457e091b597c76a275318a9934f85e"),
-    # Re-recorded when width-n nets became Dirichlet draws of weight 1/n: at n = 3 the
-    # rounded 1/3 moved the curve's means and SEs by at most 1.2e-16.
+        "0cc51b9625a0557138134357dcf558807fa52a402e1c222417fc748296827f2a"),
     "dirichlet_misspecified_width": (
         _DIRICHLET, {"kind": "misspecified_width", "n": 3, "eps": 0.3, "size": 16},
-        "c638af73f7c9290d1a0df4557df3c17792b99231753f4d54a4ffae0a95cc4536"),
+        "950f0abc613c68b7e4c848865addb1658cda4146474a064c30eef66df13ea835"),
     # The T=5 mean moved by 1.4e-17.
     "ark_ensemble": (_ARK, _ENSEMBLE,
         "c74051bcd0999ff7a98e1048094a14d4f3f190f15ae4224869f2128711bf3d1b"),
     "transformer_ensemble": (_TRANSFORMER, _ENSEMBLE,
-        "a2dd5148282bbc4d721b6123fe26bbb8e078ebf3457eb469076a5acea6a1a8ec"),
+        "af5234c489b1782c252c3e62ebcdebac5bc99393abe3a285775b4403a439ed48"),
 }
 
 

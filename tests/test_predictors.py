@@ -471,6 +471,24 @@ def test_latent_list_ensembles_stay_finite_and_normalized(spec, kind):
     assert state.particles.size == kind.size
 
 
+def test_resampler_indices_are_the_cdf_search_of_the_unsorted_uniforms():
+    """Searching the uniforms in sorted order and scattering the results back gives
+    draw k the plain cdf search of its uniforms, and never a zero weight."""
+    from infolab.predictors import Resampler
+
+    weights = stream(89).gen.random(4096)
+    weights[1::7] = 0.0
+    weights /= weights.sum()
+    cdf = np.cumsum(weights)
+    cdf[-1] = 1.0
+    resampler = Resampler(stream(90))
+    for k in range(3):
+        u = stream(90, ("sis", 0), ("resample", k)).gen.random(4096)
+        idx = resampler.indices(weights)
+        assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
+        assert np.all(weights[idx] > 0)
+
+
 # ---------------------------------------------------------------------------
 # rollout losses pinned to recorded values
 # ---------------------------------------------------------------------------
@@ -517,24 +535,24 @@ def _pinned_cases():
         "misspecified_width": (
             DirichletNet(d=2, scale=2.0, noise_var=0.1),
             MisspecifiedWidth(n=3, eps=0.3, size=32),
-            [0.09915366864510355, 0.3956176220984453, 0.12236092730368098, 0.9087187655503699,
-             0.25874896504854306, -0.0865004150098252, 0.8805363383435503, -0.08669085396100584],
+            [0.14363909996080615, 0.4254237539073511, 0.4501600115155209, 0.6005330131511002,
+             0.5839425032258254, 0.46383548936541974, 0.12195366657775164, -0.07418337187546342],
         ),
         "oracle_meta": (
             LinRep(d=4, r=2, tasks=2),
             OracleMetaEnsemble(size=64),
-            [1.469297055218203, 1.4507574689792455, 1.4487831972261607, 1.2839032160285406,
-             1.4679537561642535, 1.5525996404116662, 1.4323027261023453, 1.3583789070557695,
-             1.3576897004516706, 1.4024193911300376, 1.4186577025802103, 1.5849052402649593,
-             1.5392640099064716, 1.4421692121695893, 1.3973334728817013, 1.5454000833504848],
+            [1.4974523154943413, 1.3970212745596315, 1.3047153805664968, 1.1179014434201835,
+             1.524354505428739, 1.5751467977616112, 1.2448528235768643, 1.559124339880594,
+             1.4306583556396228, 0.959523091815579, 1.109977132128697, 0.8694645667593797,
+             1.7609625961783868, 0.8087608850441512, 1.5302083464184602, 0.7632141424578212],
         ),
         "ensemble_linrep": (
             LinRep(d=4, r=2, tasks=2),
             PriorEnsemble(size=64),
-            [1.4505987110998189, 1.415079451359421, 1.4733879003104395, 1.2074887592797099,
-             1.428641358535076, 1.0759669039506297, 1.264465767570209, 1.7375208460047609,
-             1.2141737771097125, 1.5383379643051356, 1.0774119780734666, 1.056871991474855,
-             1.4296943894854588, 1.686352046057856, 1.6819800666742268, 1.0103993979079204],
+            [1.4505987110998193, 1.4150794513594214, 1.409562490045094, 1.2101814894371898,
+             1.4729587292250557, 1.0667568356181074, 1.4088717376894628, 1.5251806937074828,
+             1.2684608061408755, 1.3688773177342255, 1.1969935962341482, 0.9449708274060598,
+             1.533003047163203, 2.0812713856366205, 1.408093085324543, 0.9183046085710491],
         ),
     }
 
@@ -542,7 +560,8 @@ def _pinned_cases():
 @pytest.mark.parametrize("index, case", enumerate(_pinned_cases()), ids=list(_pinned_cases()))
 def test_rollout_losses_match_recorded_values(index, case):
     """Losses of fixed-seed rollouts, recorded under seed contract 3 (the
-    ensemble and oracle ones resample during the rollout)."""
+    ensemble and oracle ones resample during the rollout); the Dirichlet and
+    LinRep ones under contract 4, which draws each prior as one block."""
     spec, kind, recorded = _pinned_cases()[case]
     losses = run_replicate(spec, (kind,), 8, stream(41, ("pin", index)))[0]
     np.testing.assert_allclose(losses, recorded, rtol=1e-9, atol=0)
@@ -571,20 +590,20 @@ def _exact_pinned_cases():
         "ensemble_deepnet": (
             DeepNet(d=2, width=3, depth=2, noise_var=0.5),
             PriorEnsemble(size=32),
-            [1.089426472794932, 0.7219704121214519, 0.779934246925801, 0.8790456551858297,
-             3.682375420981143, 1.8834885859660457, 0.6784222519163339, 0.7137272385504745],
+            [5.342060267272363, 1.6130893463384774, 1.479820149029758, 0.7566149808221114,
+             1.3819651023925208, 0.9403364606174027, 3.4301616741169454, 0.5927554777314756],
         ),
         "ensemble_dirichlet": (
             DirichletNet(d=2, scale=2.0, noise_var=0.5),
             PriorEnsemble(size=16),
-            [1.9179373730958602, 1.2038918880911276, 1.4615247133018578, 0.8086007584382049,
-             1.0986086385112825, 0.7939803002318886, 2.5368708395962996, 1.2388429609053415],
+            [0.8012839794390314, 0.6894986833527836, 1.5491503795063568, 1.3886911710728262,
+             2.3469831111943082, 2.825515450674331, 6.04824764476127, 2.2812312103633743],
         ),
         "ensemble_transformer": (
             inner,
             PriorEnsemble(size=16),
-            [1.0516010249430026, 1.0298301221629926, 0.9342537921237721, 1.3133215178807083,
-             0.9290874257091257, 1.141108159776778, 1.1816048408382296, 1.17403545143763],
+            [0.9404048624064414, 0.8454003421872622, 1.1181531972311767, 1.1509005306049902,
+             0.7097452232529369, 1.4162401199616506, 1.133890680778383, 0.7673473018352865],
         ),
     }
 
@@ -594,7 +613,9 @@ def _exact_pinned_cases():
 )
 def test_rollout_losses_equal_recorded_values(index, case):
     """Losses of fixed-seed rollouts, bit for bit, recorded under seed contract 3
-    (the ensemble ones as the log-normalisers of their reweightings)."""
+    (the ensemble ones as the log-normalisers of their reweightings); the deepnet,
+    Dirichlet and transformer ones under contract 4, which draws each prior as one
+    block."""
     spec, kind, recorded = _exact_pinned_cases()[case]
     losses = run_replicate(spec, (kind,), 8, stream(43, ("exact_pin", index)))[0]
     assert losses.tolist() == recorded
@@ -785,22 +806,21 @@ def test_observe_returns_the_log_loss_of_predict(case):
 
 
 def test_misspecified_width_particles_are_dirichlet_draws_scored_by_the_spec():
-    """The width-n nets are one-particle DirichletNet draws, stacked: at every step
-    the state's statistic is DirichletNet.particle_stat of its nets, bit for bit,
-    and c/n sum sign ReLU(atom . x) of each net to 1e-12."""
-    from infolab.processes import Particles
-    from infolab.quantizers import misspecified_width_prior_sample
+    """The width-n nets are one DirichletNet block from path ("particles", 0), reduced by
+    the uniforms of ("reduce", 0) and snapped: at every step the state's statistic is
+    DirichletNet.particle_stat of its nets, bit for bit, and c/n sum sign ReLU(atom . x)
+    of each net to 1e-12."""
+    from infolab.quantizers import width_reduce
 
     spec = DirichletNet(d=2, scale=2.0, noise_var=0.1)
     kind = MisspecifiedWidth(n=3, eps=0.3, size=32)
     s = stream(88)
     latent = sample_latent(spec, s.derive(("latent", 0)))
     state = init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0)))
-    nets = [misspecified_width_prior_sample(spec, 3, 0.3, sub)
-            for sub in s.derive(("pred", 0)).children("particle", 32)]
-    stacked = Particles.stack(spec, nets)
-    assert state.particles.prior is spec
-    for name, value in stacked.arrays.items():
+    full = spec.sample_particles(32, s.derive(("pred", 0), ("particles", 0)))
+    nets = width_reduce(spec, full, 3, s.derive(("pred", 0), ("reduce", 0)), eps=0.3)
+    assert state.particles.prior is spec and state.particles.atoms.shape == (32, 3, 2)
+    for name, value in nets.arrays.items():
         assert np.array_equal(state.particles.arrays[name], value), name
     h = step(spec, latent, 40, s)
     for i in range(len(h.y)):

@@ -296,6 +296,18 @@ def test_a_latent_is_a_one_particle_draw(case):
     assert latent.latents is None
 
 
+@pytest.mark.parametrize("case", list(_rollout_specs()))
+def test_a_latent_is_the_block_of_one_particle(case):
+    """Seed contract 4: a latent reads its stream as `sample_particles(1, ...)` does,
+    bit for bit, and no spec keeps a sampler of its own for the latent."""
+    spec = _rollout_specs()[case]
+    latent, block = sample_latent(spec, stream(40)), spec.sample_particles(1, stream(40))
+    assert latent.arrays.keys() == block.arrays.keys()
+    for name, value in block.arrays.items():
+        assert np.array_equal(latent.arrays[name], value), name
+    assert not any("sample_latent" in vars(cls) for cls in type(spec).__mro__)
+
+
 @pytest.mark.parametrize("case", [c for c in _rollout_specs() if c not in ("linreg", "logreg")])
 def test_the_conditional_is_the_first_particle_statistic(case):
     """At every step of a rollout, bit for bit.  LinReg and LogReg are exempt:
@@ -311,10 +323,10 @@ def test_the_conditional_is_the_first_particle_statistic(case):
 
 
 def test_every_spec_writes_its_one_batched_statistic():
-    """The protocol keeps no per-draw statistic to fall back on."""
-    assert "particle_stat" not in vars(Process)
+    """The protocol keeps no per-draw statistic or prior sampler to fall back on."""
+    assert "particle_stat" not in vars(Process) and "sample_particles" not in vars(Process)
     for cls in PROCESS_KINDS.values():
-        assert hasattr(cls, "particle_stat"), cls
+        assert hasattr(cls, "particle_stat") and hasattr(cls, "sample_particles"), cls
 
 
 def test_stacked_dirichlet_latents_are_zero_padded_and_resample_keeps_the_shape():

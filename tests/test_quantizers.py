@@ -1,6 +1,7 @@
 """Tests for operational quantizers: Gaussian channels, width reduction, covers."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from infolab import bounds as bnd
 from infolab import quantizers as qt
 from infolab.processes import DirichletNet, Particles, dirichlet_net_output, sample_latent
-from infolab.rng import SeedSpec, derive_stream, sample_categorical
+from infolab.rng import SeedSpec, categorical_indices, derive_stream, sample_categorical
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +92,8 @@ def test_width_reduce_validation_and_output():
     assert dirichlet_net_output(spec, net, x)[0] == pytest.approx(manual, rel=1e-12)
     X = stream.derive(3).gen.normal(size=(4, 3))
     np.testing.assert_allclose(
-        qt._net_outputs(spec, net, X), [dirichlet_net_output(spec, net, row)[0] for row in X],
+        qt._net_outputs(spec, net, X[None])[0],
+        [dirichlet_net_output(spec, net, row)[0] for row in X],
         rtol=1e-12,
     )
 
@@ -117,23 +119,48 @@ def test_width_reduction_halving_ratio():
     assert 0.35 <= m32 / m16 <= 0.7
 
 
-def test_multinomial_width_reduce_report():
+def _uniforms(u):
+    """A stand-in stream whose one block of uniforms is u."""
+    return SimpleNamespace(gen=SimpleNamespace(random=lambda shape: np.asarray(u).reshape(shape)))
+
+
+def test_batched_width_reduce_is_categorical_indices_row_by_row():
+    """Each net's atoms are the ones `categorical_indices` draws from its own weights
+    by its own row of uniforms: atoms with mass only, and a uniform at or past the
+    last partial sum takes the last atom with mass, never a zero-weight pad."""
     spec = _dirichlet_spec(2, 2.0)
-    stream = derive_stream(SeedSpec(7))
-    latent = sample_latent(spec, stream.derive(0))
-    net, rep = qt.multinomial_width_reduce(spec, latent, 32, stream.derive(1))
-    assert rep.distortion_bound == pytest.approx(spec.scale / 32)
-    assert rep.empirical_distortion >= 0 and rep.distortion_se >= 0
-    assert net.size == 1 and net.signs.shape == (1, 32)
+    weights = np.array([[0.5, 0.0, 0.3, 0.0], [0.2, 0.2, 0.2, 0.2], [0.6, 0.2, 0.0, 0.0]])
+    angles = np.arange(12.0).reshape(3, 4)
+    nets = Particles(spec, 3, atoms=np.stack([np.cos(angles), np.sin(angles)], axis=2),
+                     weights=weights, signs=np.ones((3, 4)), tail_mass=1.0 - weights.sum(axis=1))
+    w = weights / weights.sum(axis=1, keepdims=True)
+    u = np.hstack([np.cumsum(w, axis=1), np.tile([0.0, 0.33, 1.0 - 2.0**-53, 1.0], (3, 1))])
+    reduced = qt.width_reduce(spec, nets, 8, _uniforms(u))
+    for s in range(3):
+        idx = categorical_indices(w[s], u[s])
+        assert np.all(w[s][idx] > 0) and idx[-1] == np.flatnonzero(w[s])[-1]
+        assert np.array_equal(reduced.atoms[s], nets.atoms[s][idx])
+    # a block of prior draws, whose shorter draws are padded with zero weights
+    nets = spec.sample_particles(64, derive_stream(SeedSpec(7)).derive(0))
+    assert np.any(nets.weights == 0)
+    reduced = qt.width_reduce(spec, nets, 32, derive_stream(SeedSpec(7)).derive(1))
+    u = derive_stream(SeedSpec(7)).derive(1).gen.random((64, 32))
+    for s in range(64):
+        idx = categorical_indices(nets.weights[s] / (1.0 - nets.tail_mass[s]), u[s])
+        assert np.all(nets.weights[s][idx] > 0)
+        assert np.array_equal(reduced.atoms[s], nets.atoms[s][idx])
+        assert np.array_equal(reduced.signs[s], nets.signs[s][idx])
+    assert np.all(reduced.weights == 1 / 32) and np.all(reduced.tail_mass == 0.0)
 
 
 @pytest.mark.parametrize(
     "eps, recorded",
-    [(0.0, (0.07741066517158618, 0.031147737328931852)),
-     (0.3, (0.07547075420849216, 0.02765032641697495))],
+    [(0.0, (0.08175982184469509, 0.03135782463292335)),
+     (0.3, (0.0955049537721932, 0.030925677603946086))],
 )
 def test_width_reduction_distortion_equals_recorded_values(eps, recorded):
-    """Recorded before one width-n net output served every caller."""
+    """Recorded under seed contract 4: the latents are one prior block, reduced by one
+    block of uniforms."""
     spec = DirichletNet(d=2, scale=2.0, noise_var=1.0)
     got = qt.width_reduction_distortion(
         spec, 8, derive_stream(SeedSpec(47)), n_latents=8, n_inputs=32, eps=eps
@@ -203,14 +230,14 @@ def test_get_sphere_cover_cached():
 # ---------------------------------------------------------------------------
 
 
-def test_misspecified_width_prior_eps_zero_is_plain_reduction():
+def test_snapped_reduction_is_the_plain_reduction_snapped():
     spec = _dirichlet_spec(2, 2.0)
-    net = qt.misspecified_width_prior_sample(spec, 8, 0.0, derive_stream(SeedSpec(11)))
-    stream = derive_stream(SeedSpec(11))
-    latent = sample_latent(spec, stream.derive(("prior", 0)))
-    ref = qt.width_reduce(spec, latent, 8, stream.derive(("reduce", 0)))
-    assert np.array_equal(net.atoms, ref.atoms)
-    assert np.array_equal(net.signs, ref.signs)
+    nets = spec.sample_particles(16, derive_stream(SeedSpec(11)).derive(0))
+    snapped = qt.width_reduce(spec, nets, 8, derive_stream(SeedSpec(11)).derive(1), eps=0.3)
+    plain = qt.width_reduce(spec, nets, 8, derive_stream(SeedSpec(11)).derive(1))
+    ref = qt.snap_to_cover(plain, qt.get_sphere_cover(2, 0.3))
+    assert np.array_equal(snapped.atoms, ref.atoms)
+    assert np.array_equal(snapped.signs, plain.signs)
 
 
 def test_snapped_reduction_meets_composite_bound():
@@ -230,7 +257,7 @@ def test_batched_gap_output_agrees_with_the_process_output():
     latent = sample_latent(spec, stream.derive(0))
     zero = Particles(spec, 1, atoms=np.zeros((1, 1, 3)), weights=np.ones((1, 1)),
                      signs=np.zeros((1, 1)), tail_mass=np.zeros(1))
-    gap = qt._squared_gap(spec, latent, zero, 64, stream.derive(1))
+    gap = qt._squared_gap(spec, latent, zero, 64, stream.derive(1))[0]
     X = stream.derive(1).derive(("inputs", 0)).gen.normal(size=(64, 3))
     single = np.array([dirichlet_net_output(spec, latent, x)[0] for x in X])
     np.testing.assert_allclose(np.sqrt(gap), np.abs(single), rtol=1e-12)
@@ -239,5 +266,7 @@ def test_batched_gap_output_agrees_with_the_process_output():
 def test_squared_gap_of_a_reduced_net_against_itself_is_zero():
     spec = _dirichlet_spec(2, 2.0)
     stream = derive_stream(SeedSpec(13))
-    net = qt.misspecified_width_prior_sample(spec, 8, 0.3, stream.derive(0))
-    assert np.array_equal(qt._squared_gap(spec, net, net, 64, stream.derive(1)), np.zeros(64))
+    nets = spec.sample_particles(4, stream.derive(0))
+    nets = qt.width_reduce(spec, nets, 8, stream.derive(1), eps=0.3)
+    gap = qt._squared_gap(spec, nets, nets, 64, stream.derive(2))
+    assert np.array_equal(gap, np.zeros((4, 64)))

@@ -73,8 +73,12 @@ def test_unit_sphere_norms_and_sign_symmetry():
     for d in (2, 3, 7):
         v = sample_unit_sphere(s, d)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-    signs = [sample_unit_sphere(s, 1)[0] for _ in range(10**4)]
-    frac = np.mean(np.array(signs) > 0)
+    block = sample_unit_sphere(s, 3, (4, 5))
+    assert block.shape == (4, 5, 3)
+    assert np.max(np.abs(np.linalg.norm(block, axis=2) - 1.0)) < 1e-12
+    signs = sample_unit_sphere(s, 1, (10**4,))
+    assert signs.shape == (10**4, 1) and set(np.unique(signs)) == {-1.0, 1.0}
+    frac = np.mean(signs > 0)
     assert abs(frac - 0.5) < 0.02
     with pytest.raises(ValueError):
         sample_unit_sphere(s, 0)
@@ -82,7 +86,7 @@ def test_unit_sphere_norms_and_sign_symmetry():
 
 def test_unit_sphere_coordinate_symmetry():
     s = derive_stream(SeedSpec(4))
-    vs = np.stack([sample_unit_sphere(s, 3) for _ in range(10**5)])
+    vs = sample_unit_sphere(s, 3, (10**5,))
     assert np.max(np.abs(vs.mean(axis=0))) < 0.02
 
 
@@ -123,34 +127,40 @@ def test_categorical_indices_equal_one_draw_per_uniform(pmf):
 
 
 def test_stick_breaking_invariants():
-    s = derive_stream(SeedSpec(6))
-    draw = sample_stick_breaking(s, 2.0, 3, tail_tol=1e-6)
-    assert np.all(draw.weights >= 0)
-    assert float(np.sum(draw.weights)) + draw.tail_mass == pytest.approx(
-        1.0, abs=1e-12
-    )
-    norms = np.linalg.norm(draw.atoms, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-12
-    assert draw.tail_mass < 1e-6
+    """Per draw of one block: weights plus tail sum to 1, the tail is below tail_tol,
+    the weights are positive up to the first crossing and 0 after it, atoms are unit rows."""
+    size, tol = 500, 1e-6
+    weights, atoms, tail = sample_stick_breaking(derive_stream(SeedSpec(6)), size, 2.0, 3, tol)
+    assert atoms.shape == weights.shape + (3,) and tail.shape == (size,)
+    np.testing.assert_allclose(weights.sum(axis=1) + tail, 1.0, rtol=0, atol=1e-12)
+    assert np.all(tail < tol)
+    counts = np.sum(weights > 0, axis=1)
+    assert weights.shape[1] == counts.max()
+    assert np.array_equal(weights > 0, np.arange(weights.shape[1]) < counts[:, None])
+    # the tail before a draw's last atom has not crossed yet, so its count is the first crossing
+    assert np.all(tail + weights[np.arange(size), counts - 1] >= tol)
+    assert np.max(np.abs(np.linalg.norm(atoms, axis=2) - 1.0)) < 1e-12
 
 
 def test_stick_breaking_first_stick_mean():
-    s = derive_stream(SeedSpec(7))
-    firsts = [
-        sample_stick_breaking(s.derive(i), 2.0, 2, tail_tol=1e-6).weights[0]
-        for i in range(10**4)
-    ]
-    assert abs(float(np.mean(firsts)) - 1.0 / 3.0) < 0.01
+    """E[first weight] = 1 / (1 + scale), over 10^4 draws of one call."""
+    weights, _, _ = sample_stick_breaking(derive_stream(SeedSpec(7)), 10**4, 2.0, 2, 1e-6)
+    assert abs(float(np.mean(weights[:, 0])) - 1.0 / 3.0) < 0.01
 
 
 def test_stick_breaking_truncation_monotone():
-    coarse = sample_stick_breaking(derive_stream(SeedSpec(8)), 2.0, 2, tail_tol=1e-3)
-    fine = sample_stick_breaking(derive_stream(SeedSpec(8)), 2.0, 2, tail_tol=1e-6)
-    assert len(fine.weights) >= len(coarse.weights)
+    """A finer tail_tol draws the same sticks further: per draw, at least as many
+    atoms, and the coarse weights are the first ones of the fine draw."""
+    coarse, _, _ = sample_stick_breaking(derive_stream(SeedSpec(8)), 64, 2.0, 2, tail_tol=1e-3)
+    fine, _, _ = sample_stick_breaking(derive_stream(SeedSpec(8)), 64, 2.0, 2, tail_tol=1e-6)
+    coarse_counts, fine_counts = np.sum(coarse > 0, axis=1), np.sum(fine > 0, axis=1)
+    assert np.all(fine_counts >= coarse_counts) and np.any(fine_counts > coarse_counts)
+    for c, f, k in zip(coarse, fine, coarse_counts):
+        assert np.array_equal(c[:k], f[:k])
     with pytest.raises(ValueError):
-        sample_stick_breaking(derive_stream(SeedSpec(8)), 2.0, 2, tail_tol=0.0)
+        sample_stick_breaking(derive_stream(SeedSpec(8)), 1, 2.0, 2, tail_tol=0.0)
     with pytest.raises(ValueError):
-        sample_stick_breaking(derive_stream(SeedSpec(8)), 0.0, 2)
+        sample_stick_breaking(derive_stream(SeedSpec(8)), 1, 0.0, 2)
 
 
 # ---------------------------------------------------------------------------
