@@ -133,7 +133,9 @@ class Particles:
     gives the per-particle statistic.  Every array in `arrays` has the particle
     axis first, so resampling indexes them all alike; each is also an
     attribute of the same name.  `once` keeps statistics that read only the
-    particles, read-only, until resampling builds new particles.
+    particles, read-only, and they survive resampling, carried along by row.
+    It holds at most `tasks` entries for LinRep and one for the oracle's
+    filter of a task.
     """
 
     # Particles keep no draw list; the name stays, always None, because
@@ -149,7 +151,8 @@ class Particles:
         self._memo = {}
 
     def once(self, key, compute) -> np.ndarray:
-        """compute(), computed on the first call per key and kept read-only."""
+        """compute(), computed on the first call per key and kept read-only; its
+        row of a particle must read that particle alone, as `resample` carries rows."""
         if key not in self._memo:
             self._memo[key] = value = compute()
             value.flags.writeable = False
@@ -169,8 +172,13 @@ class Particles:
         return cls(prior, sum(p.size for p in draws), **arrays)
 
     def resample(self, indices: np.ndarray) -> "Particles":
-        arrays = {name: a[indices] for name, a in self.arrays.items()}
-        return Particles(self.prior, len(indices), **arrays)
+        """The particles and kept statistics at `indices`, by `take`: the bits of
+        `a[indices]`, and several times faster on (S, k[, m]) arrays."""
+        arrays = {name: a.take(indices, axis=0) for name, a in self.arrays.items()}
+        out = Particles(self.prior, len(indices), **arrays)
+        for key, value in self._memo.items():
+            out.once(key, lambda: value.take(indices, axis=0))  # called at once, in the loop
+        return out
 
 
 # ---------------------------------------------------------------------------

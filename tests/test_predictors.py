@@ -686,14 +686,15 @@ def test_predict_then_observe_equals_observe_only(case):
 
 
 # ---------------------------------------------------------------------------
-# statistics kept per task on the particles die with them at a resample
+# statistics kept per task on the particles survive a resample, carried along
+# by the same indices
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("oracle", [False, True], ids=["ensemble_linrep", "oracle_meta"])
 def test_memoised_statistics_match_fresh_ones_after_every_observe(oracle):
     from infolab.predictors import OracleMetaEnsemble
-    from infolab.processes import LinRep, Particles
+    from infolab.processes import Particles
 
     spec = LinRep(d=4, r=2, tasks=2)
     kind = OracleMetaEnsemble(size=64) if oracle else PriorEnsemble(size=64)
@@ -705,9 +706,15 @@ def test_memoised_statistics_match_fresh_ones_after_every_observe(oracle):
         (state, range(spec.tasks))
     ]
     h = step(spec, latent, 40 * spec.tasks, s)
+    carried = 0
     for i in range(len(h.y)):
+        resamples = state.resamples
         state.predict(spec, h, i)
         state.observe(spec, h, i)
+        # the statistic the step read is still kept, on resampled particles too
+        task = int(h.task[i])
+        assert task in (state.tasks[task] if oracle else state).particles._memo, i
+        carried += state.resamples > resamples
         for filt, tasks in filters:
             parts = filt.particles
             unmemoised = Particles(parts.prior, parts.size, **parts.arrays)
@@ -717,7 +724,7 @@ def test_memoised_statistics_match_fresh_ones_after_every_observe(oracle):
                 fresh = parts.prior.particle_stat(unmemoised, probe, 0)
                 assert np.array_equal(kept, fresh), (i, task)
                 assert not kept.flags.writeable
-    assert state.resamples > 0
+    assert carried > 0
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,24 @@ def test_stacked_dirichlet_latents_are_zero_padded_and_resample_keeps_the_shape(
         assert np.array_equal(arr, stacked.arrays[name][[5, 0, 0, 3]]), name
 
 
+def test_resample_takes_every_array_and_kept_statistic_by_the_indices():
+    spec = LinRep(d=4, r=2, tasks=3)
+    parts = spec.sample_particles(6, stream(43))
+    for task in range(spec.tasks):
+        spec.task_pmfs(parts, task)
+    idx = np.array([5, 0, 0, 3, 5, 1, 2])
+    resampled = parts.resample(idx)
+    assert resampled.size == len(idx) and resampled.arrays.keys() == parts.arrays.keys()
+    for name, arr in resampled.arrays.items():
+        assert np.array_equal(arr, parts.arrays[name][idx]), name
+        assert getattr(resampled, name) is arr  # perfbench reads the arrays as attributes
+    assert resampled._memo.keys() == parts._memo.keys() == set(range(spec.tasks))
+    for key, kept in resampled._memo.items():
+        assert np.array_equal(kept, parts._memo[key][idx]), key
+        assert not kept.flags.writeable
+    assert Particles.stack(spec, [parts, resampled])._memo == {}
+
+
 def test_only_the_ragged_arrays_of_a_stack_are_padded():
     """A theta of the wrong length is refused, not padded with zeros."""
     spec = LinReg(d=3, noise_var=0.25)
