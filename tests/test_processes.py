@@ -1,5 +1,6 @@
 """Tests for the data-generating processes and their generator interface."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -362,11 +363,38 @@ def test_resample_takes_every_array_and_kept_statistic_by_the_indices():
     for name, arr in resampled.arrays.items():
         assert np.array_equal(arr, parts.arrays[name][idx]), name
         assert getattr(resampled, name) is arr  # perfbench reads the arrays as attributes
+        assert arr.flags.c_contiguous, name
     assert resampled._memo.keys() == parts._memo.keys() == set(range(spec.tasks))
     for key, kept in resampled._memo.items():
         assert np.array_equal(kept, parts._memo[key][idx]), key
-        assert not kept.flags.writeable
+        assert not kept.flags.writeable and kept.flags.c_contiguous
     assert Particles.stack(spec, [parts, resampled])._memo == {}
+
+
+def test_resample_keeps_each_array_layout():
+    """DeepNet's particle-contiguous weights stay particle-contiguous through
+    resampling, twice over, as do kept statistics in that layout; C-contiguous
+    kept statistics stay C-contiguous.  Every result is `a[idx]`."""
+    spec = DeepNet(d=2, width=3, depth=3, noise_var=0.5)
+    parts = spec.sample_particles(64, stream(44))
+    assert all(a.flags.f_contiguous and not a.flags.c_contiguous for a in parts.arrays.values())
+    parts.once("c", lambda: np.ascontiguousarray(parts.w0.sum(axis=2)))
+    parts.once("f", lambda: np.asfortranarray(parts.w1 * 2.0))
+    idx = stream(45).gen.integers(64, size=(2, 64))
+    once = parts.resample(idx[0])
+    twice = once.resample(idx[1])
+    rows = idx[0][idx[1]]
+    for out, at in ((once, idx[0]), (twice, rows)):
+        assert out.arrays.keys() == parts.arrays.keys()
+        for name, arr in out.arrays.items():
+            assert np.array_equal(arr, parts.arrays[name][at]), name
+            assert arr.flags.f_contiguous and not arr.flags.c_contiguous, name
+            assert getattr(out, name) is arr  # perfbench reads the arrays as attributes
+        assert np.array_equal(out._memo["c"], parts._memo["c"][at])
+        assert out._memo["c"].flags.c_contiguous
+        assert np.array_equal(out._memo["f"], parts._memo["f"][at])
+        assert out._memo["f"].flags.f_contiguous and not out._memo["f"].flags.c_contiguous
+        assert not any(kept.flags.writeable for kept in out._memo.values())
 
 
 def test_only_the_ragged_arrays_of_a_stack_are_padded():
@@ -423,6 +451,73 @@ def test_the_iid_statistic_of_a_row_does_not_depend_on_the_batch():
         batch = spec.stats(latent, x)
         assert np.array_equal([spec.stats(latent, row) for row in x], batch)
         assert np.array_equal(spec.stats(latent, x[:7]), batch[:7])
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_deepnet_particle_stat_is_relu_forward_in_c_order(depth):
+    """At 4096 particle-contiguous particles, the statistic is relu_forward on
+    C-contiguous copies of the weights up to rounding.  A ReLU net's output can
+    cancel to near 0, where the two summation orders differ by a few 1e-15 in
+    absolute terms, so the tolerance scales with the largest output."""
+    spec = DeepNet(d=4, width=8, depth=depth, noise_var=0.5)
+    parts = spec.sample_particles(4096, stream(46))
+    assert all(a.flags.f_contiguous for a in parts.arrays.values())
+    copies = [np.ascontiguousarray(a) for a in parts.arrays.values()]
+    x = stream(47).gen.normal(size=(20, spec.d))
+    for n in range(len(x)):
+        stat = spec.particle_stat(parts, History(y=np.zeros(len(x)), x=x), n)
+        ref = relu_forward(copies, x[n])
+        np.testing.assert_allclose(stat, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("d, context", [(2, 2), (2, 3), (3, 8)])
+def test_ark_statistic_is_the_einsum_over_the_context(d, context):
+    """The gemv over the flattened (K d) axis is the einsum "skd,kd->s": bit for
+    bit at context 2, within 1e-15 of the largest logit at contexts 3 and 8."""
+    spec = BinaryARK(d=d, context=context)
+    parts = spec.sample_particles(4096, stream(48))
+    s = stream(49)
+    h = step(spec, sample_latent(spec, s.derive(("latent", 0))), 40, s)
+    for n in range(context, len(h.y)):
+        bits = h.y[n - context:n][::-1, None]
+        ref = np.einsum("skd,kd->s", parts.theta, np.where(bits == 1, spec.phi1, spec.phi0))
+        stat = spec.particle_stat(parts, h, n)
+        if context == 2:
+            assert np.array_equal(stat, ref), n
+        else:
+            np.testing.assert_allclose(stat, ref, rtol=0, atol=1e-15 * np.max(np.abs(ref)))
+
+
+def _history_digest(spec, seeds=20, n=200):
+    """sha256 of the labels (and inputs, where present) of `seeds` rollouts of n steps."""
+    h = hashlib.sha256()
+    for seed in range(seeds):
+        s = stream(seed)
+        history = step(spec, sample_latent(spec, s.derive(("latent", 0))), n, s)
+        for arr in (history.y, history.x):
+            if arr is not None:
+                h.update(np.asarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+ROLLOUT_PINS = {
+    "deepnet_w3_depth3": (DeepNet(d=2, width=3, depth=3, noise_var=0.5),
+        "ea06ccecdfb475ed713531305a3c9ace244df464a15284bb7f55ce1ce6152e90"),
+    "deepnet_w8_depth4": (DeepNet(d=4, width=8, depth=4, noise_var=0.5),
+        "ded707d8a4e3df0ca43004acddaf8e10b0cc4ad71e554c815d464d272a870d2f"),
+    "ark_context3": (BinaryARK(d=2, context=3),
+        "b65cec157912e2232e5e4e93c505e8d30dc884a17c6afa0a52aec394695aea8f"),
+    "ark_context8": (BinaryARK(d=3, context=8),
+        "886add20617d9c6b0cf5a02ba7e1ed45771c099d4fa934dbcd2315207c0f8d31"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROLLOUT_PINS))
+def test_rollouts_are_pinned(case):
+    """The histories of 20 seeds x 200 steps, bit for bit: a change to how the
+    weights or the statistic are laid out or summed must not move a label."""
+    spec, digest = ROLLOUT_PINS[case]
+    assert _history_digest(spec) == digest
 
 
 def test_transformer_pmf_normalized_and_positive():
