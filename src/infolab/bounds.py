@@ -315,12 +315,6 @@ def _read_rate(bound_id: str, rate, params: Dict, *given: str) -> list:
     return args
 
 
-def rd_bound_eval(kind: str, params: Dict[str, float], eps: float) -> float:
-    """Dispatch a rate-distortion bound by name."""
-    rate, args = _rate_args(kind, {**params, "eps": eps})
-    return rate(*args)
-
-
 # Distortion grid of the sandwich bounds: 64 points per decade over [1e-6, 10].
 EPS_GRID = np.geomspace(1e-6, 10.0, 449)
 

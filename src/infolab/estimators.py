@@ -16,7 +16,7 @@ import numpy as np
 
 from .info import linreg_mi_given_inputs
 from .predictors import Omniscient, OracleMetaEnsemble, PriorEnsemble, init_predictor
-from .processes import LinRep, Process, mean_se, sample_latent, step
+from .processes import LinRep, Process, _Categorical, mean_se, sample_latent, step
 from .rng import RngStream, check_pmf
 
 MAX_ENUM_STATES = 10**7
@@ -137,8 +137,12 @@ def aggregate_error_curve(
 
 
 @dataclass(frozen=True)
-class EnumerationModel:
-    """Finite iid model: hypothesis prior and per-hypothesis label pmfs."""
+class EnumerationModel(_Categorical):
+    """Finite iid model: hypothesis prior and per-hypothesis label pmfs.
+
+    As a process its particles carry a hypothesis index `h`, so the
+    weighted-particle state scores it over Particles(model, H, h=np.arange(H)).
+    """
 
     prior: np.ndarray  # (H,)
     cond: np.ndarray  # (H, A): P(Y = a | hypothesis h)
@@ -160,6 +164,9 @@ class EnumerationModel:
     @property
     def alphabet(self) -> int:
         return self.cond.shape[1]
+
+    def particle_stat(self, particles, history, n):
+        return self.cond[particles.h]
 
 
 def _safe_log(x: np.ndarray) -> np.ndarray:
@@ -277,22 +284,16 @@ def misspec_decomposition(
 
 
 def linreg_mi_mc(
-    d: int,
-    noise_var: float,
-    T: int,
-    replicates: int,
-    stream: RngStream,
-    prior_var: Optional[float] = None,
+    d: int, noise_var: float, T: int, replicates: int, stream: RngStream
 ) -> Tuple[float, float]:
-    """MC mean of the exact conditional MI over input draws, with SE."""
+    """MC mean of the exact conditional MI over input draws, with SE, under
+    the prior N(0, I_d / d)."""
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
-    if prior_var is None:
-        prior_var = 1.0 / d
     vals = np.empty(replicates)
     for i, sub in enumerate(stream.children("rep", replicates)):
         X = sub.gen.normal(size=(T, d))
-        vals[i] = linreg_mi_given_inputs(X, prior_var, noise_var)
+        vals[i] = linreg_mi_given_inputs(X, 1.0 / d, noise_var)
     return mean_se(vals)
 
 

@@ -7,7 +7,7 @@ variants (wrong conjugate prior; reduced-width function prior).  Each
 predictor kind builds its own state; the process spec supplies every
 family-specific piece (particle statistics, log-likelihoods).  A latent is
 a one-particle `Particles`: the omniscient holds the true one, and an
-enumeration support is a list of them, stacked.  Enumeration, ensembles and
+enumeration support is one block of them.  Enumeration, ensembles and
 the oracle-meta filter all hold one kind of state: weighted particles
 (`EnsembleState`).  `predict(spec, history, n)` and
 `observe(spec, history, n)` read the caller's history, a rollout's
@@ -135,20 +135,27 @@ class ConjugateLinReg(PredictorKind, Configurable):
 
 @dataclass(frozen=True)
 class Enumeration(PredictorKind):
-    support: Sequence
+    """Exact posterior over a finite support: one `Particles` block, such as a
+    prior block `spec.sample_particles(K, stream)` or hand-built arrays.
+
+    Every state this kind builds holds the one block, so its `once` memo
+    (LinRep's task pmfs) persists across replicates.  That is sound: a kept
+    statistic reads only the particles, and enumeration never resamples.
+    """
+
+    support: Particles
     prior: np.ndarray
 
     def __post_init__(self):
         p = check_pmf(self.prior, "prior")
-        if len(self.support) != len(p):
+        if self.support.size != len(p):
             raise ValueError("prior must be a pmf over the support")
         object.__setattr__(self, "prior", p)
 
     def init(self, spec, latent, stream) -> "EnsembleState":
-        """The support's one-particle latents, stacked, weighted by the prior; never resampled."""
+        """The support weighted by the prior; never resampled."""
         logp = np.where(self.prior > 0, np.log(np.maximum(self.prior, 1e-300)), -np.inf)
-        particles = Particles.stack(spec, self.support)
-        return EnsembleState(self, particles, logp - logsumexp(logp), resampler=None)
+        return EnsembleState(self, self.support, logp - logsumexp(logp), resampler=None)
 
 
 @dataclass(frozen=True)
@@ -271,7 +278,7 @@ class OracleMetaEnsemble(PredictorKind):
     """
 
     size: int = 2048
-    resample_ess_frac: float = 0.5
+    resample_ess_frac = 0.5
 
     def init(self, spec, latent, stream) -> "OracleMetaState":
         if latent is None or stream is None or not isinstance(spec, LinRep):
@@ -410,14 +417,15 @@ class EnsembleState:
     def observe(self, spec: Process, history: History, n: int) -> float:
         stat = self.particles.prior.particle_stat(self.particles, history, n)
         log_weights = self.log_weights + spec.loglik(stat, history.y[n])
-        # `logsumexp`, keeping its exp pass; np.sum, unlike a BLAS dot, gives
-        # the ESS the same bits on any thread count.
-        m = np.max(log_weights)
+        # `logsumexp`, keeping its exp pass.  The array methods are np.max's and
+        # np.sum's reductions without their Python wrapper; a sum, unlike a BLAS
+        # dot, gives the ESS the same bits on any thread count.
+        m = log_weights.max()
         e = np.exp(log_weights - m)
-        total = np.sum(e)
+        total = e.sum()
         log_norm = float(m + np.log(total)) if np.isfinite(m) else float(m)
         self.log_weights = log_weights - log_norm
-        self.ess = float(total * total / np.sum(e * e))
+        self.ess = float(total * total / (e * e).sum())
         if self.resampler is not None:
             self._maybe_resample()
         return -log_norm

@@ -128,7 +128,8 @@ class Mixture:
 class Particles:
     """Prior draws as stacked per-particle arrays.
 
-    Every latent is a one-particle `Particles`, and an ensemble is many:
+    Every latent is a one-particle `Particles`, and an ensemble or an
+    enumeration support is many:
     `prior` (a process spec, or the oracle's known-representation prior)
     gives the per-particle statistic.  Every array in `arrays` has the particle
     axis first, so resampling indexes them all alike; each is also an
@@ -159,19 +160,6 @@ class Particles:
             self._memo[key] = value = compute()
             value.flags.writeable = False
         return self._memo[key]
-
-    @classmethod
-    def stack(cls, prior, draws: List["Particles"]) -> "Particles":
-        """The draws (e.g. an enumeration support) as one Particles, in order; the
-        arrays the prior names `ragged` are zero-padded along axis 1 to the longest."""
-        arrays = {}
-        for name in draws[0].arrays:
-            rows = [row for p in draws for row in p.arrays[name]]  # one per particle
-            if name in prior.ragged:
-                width = max(map(len, rows))
-                rows = [np.concatenate([r, np.zeros((width - len(r),) + r.shape[1:])]) for r in rows]
-            arrays[name] = np.stack(rows)
-        return cls(prior, sum(p.size for p in draws), **arrays)
 
     def resample(self, indices: np.ndarray) -> "Particles":
         """The particles and kept statistics at `indices`, each in its array's
@@ -233,7 +221,6 @@ class Process(Configurable):
     """
 
     meta = False
-    ragged = ()  # arrays whose draws differ in length along axis 1; see Particles.stack
 
     def bound_params(self) -> Dict:
         return {name: getattr(self, attr) for name, attr in self.bound_args.items()}
@@ -531,10 +518,7 @@ class DirichletNet(_Iid, _Gaussian):
 
     # atoms (S, A, d) unit rows, weights (S, A), signs (S, A) +-1 and tail_mass (S,).
     # Draws differ in their atom count; A is the largest, and a shorter draw has zero
-    # weights past its own count, which add nothing to the output.  A stack pads the
-    # same way.
-    ragged = ("atoms", "weights", "signs")
-
+    # weights past its own count, which add nothing to the output.
     def sample_particles(self, size: int, stream: RngStream) -> Particles:
         weights, atoms, tail_mass = sample_stick_breaking(
             stream, size, self.scale, self.d, self.tail_tol

@@ -198,10 +198,10 @@ def test_rd_dispatch_kinds():
         "icl": {"d": 6, "r": 4, "L": 2, "K": 3, "R": 2.0, "N": 8, "M": 16, "T": 64},
     }
     for kind, p in params.items():
-        v = bnd.rd_bound_eval(kind, p, 0.01)
-        assert math.isfinite(v) and v >= 0
-    with pytest.raises(KeyError):
-        bnd.rd_bound_eval("nope", {}, 0.1)
+        [report] = bnd.evaluate_bound(f"rd_{kind}", {**p, "eps": 0.01})
+        assert math.isfinite(report.value) and report.value >= 0
+    with pytest.raises(KeyError, match="unknown bound_id: rd_nope"):
+        bnd.evaluate_bound("rd_nope", {"eps": 0.1})
 
 
 def test_eps_grid_endpoints():
@@ -337,7 +337,6 @@ BAD_PARAMETERS = [
 READ_BY_NAME = {
     "evaluate_bound": lambda p: bnd.evaluate_bound("linreg_error", {**p, "T": 100}),
     "evaluate_bound_rd": lambda p: bnd.evaluate_bound("rd_linreg_upper", {**p, "eps": 0.01}),
-    "rd_bound_eval": lambda p: bnd.rd_bound_eval("linreg_upper", p, 0.01),
     "rd_sandwich_upper": lambda p: bnd.rd_sandwich_upper("linreg_upper", p, 100),
     "rd_sandwich_lower": lambda p: bnd.rd_sandwich_lower("linreg_lower", p, 100),
 }
@@ -408,7 +407,7 @@ def test_a_horizon_or_dimension_below_one_gets_a_domain_note(bound_id, name, val
 def test_a_rate_below_one_step_or_dimension_is_refused(kind, params):
     name = "T" if "T" in params else "d"
     with pytest.raises(ValueError, match=f"^requires {name} >= 1$"):
-        bnd.rd_bound_eval(kind, params, 0.1)
+        bnd.evaluate_bound(f"rd_{kind}", {**params, "eps": 0.1})
     with pytest.raises(ValueError, match=f"^requires {name} >= 1$"):
         bnd.rd_sandwich_upper(kind, params, 100)
 
@@ -420,7 +419,7 @@ def test_a_rate_below_one_step_or_dimension_is_refused(kind, params):
 ])
 def test_a_rate_with_a_parameter_at_or_below_zero_is_refused(kind, params, eps, name):
     with pytest.raises(ValueError, match=f"^requires {name} > 0$"):
-        bnd.rd_bound_eval(kind, params, eps)
+        bnd.evaluate_bound(f"rd_{kind}", {**params, "eps": eps})
 
 
 @pytest.mark.parametrize("C", [math.inf, math.nan, -math.inf])

@@ -21,6 +21,7 @@ from infolab.estimators import (
 from infolab.harness import excess_over_omniscient, run_replicates
 from infolab.predictors import (
     ConjugateLinReg,
+    Enumeration,
     MisspecifiedConjugate,
     Omniscient,
     OracleMetaEnsemble,
@@ -30,7 +31,8 @@ from infolab.predictors import (
     predict,
 )
 from infolab.processes import (
-    BinaryARK, DeepNet, DirichletNet, LinRep, LinReg, LogReg, sample_latent, step,
+    BinaryARK, DeepNet, DirichletNet, History, LinRep, LinReg, LogReg, Particles, sample_latent,
+    step,
 )
 from infolab.rng import RngStream, SeedSpec
 from infolab import bounds as bnd
@@ -204,6 +206,32 @@ def test_count_pass_matches_sequence_oracle(model, q, T):
     assert abs(rep.information_term - mi / T) <= 1e-12
     assert abs(rep.misspecification_term - misspec) <= 1e-12
     assert abs(rep.residual) <= 1e-9
+
+
+def _cross_route_models():
+    gen = np.random.default_rng(2407)
+    return [(_random_model(gen, H, A), T) for H, A, T in [(4, 2, 10), (3, 3, 6), (6, 2, 8)]]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["4x2x10", "3x3x6", "6x2x8"])
+def test_the_enumeration_state_meets_the_count_pass(index):
+    """The rollout route and the exact route agree on one model: over every
+    label sequence, p(sequence) times the loss the `Enumeration` state over
+    Particles(model, H, h=arange(H)) returns at step t, less H(Y | theta), is
+    `per_step_info`'s I(Y_{t+1}; theta | H_t)."""
+    model, T = _cross_route_models()[index]
+    support = Particles(model, model.n_hyp, h=np.arange(model.n_hyp))
+    kind = Enumeration(support=support, prior=model.prior)
+    expected = np.zeros(T)
+    for labels in itertools.product(range(1, model.alphabet + 1), repeat=T):
+        history = History(y=np.array(labels))
+        p = model.prior @ np.prod(model.cond[:, history.y - 1], axis=1)
+        state = init_predictor(kind, model)
+        expected += p * np.array([state.observe(model, history, t) for t in range(T)])
+    conditional_entropy = -model.prior @ np.sum(model.cond * np.log(model.cond), axis=1)
+    np.testing.assert_allclose(
+        expected - conditional_entropy, per_step_info(model, T), rtol=0, atol=1e-9
+    )
 
 
 def test_count_pass_beyond_sequence_cap():
@@ -598,7 +626,7 @@ def test_bootstrap_mean_matches_plugin():
 
 
 def test_linreg_mi_mc_quadrature_oracle():
-    est, se = linreg_mi_mc(1, 1.0, 1, 4000, stream(13), prior_var=1.0)
+    est, se = linreg_mi_mc(1, 1.0, 1, 4000, stream(13))
     target, _ = quad(
         lambda x: 0.5
         * math.log1p(x * x)

@@ -28,6 +28,7 @@ from infolab.processes import (
     LinRep,
     LinReg,
     LogReg,
+    Particles,
     Transformer,
     initial_history,
     sample_latent,
@@ -35,7 +36,7 @@ from infolab.processes import (
 )
 from infolab.rng import RngStream, SeedSpec
 
-from conftest import draw
+from conftest import block, draw
 
 
 def stream(seed, *path):
@@ -188,12 +189,13 @@ def test_enumeration_weights_are_prior_times_likelihood():
         ),
     ]
     for spec, thetas, prior, draw_y in cases:
-        support = [draw(spec, theta=t) for t in thetas]
+        support = block(spec, theta=thetas)
         state = init_predictor(Enumeration(support=support, prior=prior), spec)
         logw_hand = np.log(prior)
         for _ in range(6):
             history = one(gen.normal(size=2), draw_y())
-            for h, lat in enumerate(support):
+            for h, theta in enumerate(thetas):
+                lat = draw(spec, theta=theta)
                 logw_hand[h] += spec.loglik(spec.conditional(lat, history, 0), history.y[0])
             state.observe(spec, history, 0)
             hand = np.exp(logw_hand - logsumexp(logw_hand))
@@ -206,7 +208,7 @@ def test_enumeration_weights_are_prior_times_likelihood():
 
 def test_enumeration_symmetric_prior_predicts_half():
     spec = LogReg(d=2)
-    support = [draw(spec, theta=[1.0, 1.0]), draw(spec, theta=[-1.0, -1.0])]
+    support = block(spec, theta=[[1.0, 1.0], [-1.0, -1.0]])
     state = init_predictor(Enumeration(support=support, prior=np.array([0.5, 0.5])), spec)
     pred = predict(state, spec, one([0.7, -0.2]), 0)
     assert math.exp(-log_loss(pred, 1)) == pytest.approx(0.5, abs=1e-12)
@@ -237,7 +239,7 @@ def test_enumeration_matches_conjugate_on_discretized_prior():
     from scipy.stats import norm
 
     qs = norm.ppf((np.arange(16) + 0.5) / 16)
-    support = [draw(spec, theta=[q]) for q in qs]
+    support = block(spec, theta=qs[:, None])
     enum = init_predictor(Enumeration(support=support, prior=np.full(16, 1 / 16)), spec)
     conj = init_predictor(conjugate_kind(spec), spec)
     gen = np.random.default_rng(5)
@@ -312,8 +314,7 @@ def test_ensemble_weights_normalized_and_resampling_counts():
     (LinReg(d=2, noise_var=0.1), PriorEnsemble(size=128)),
     (LogReg(d=3), PriorEnsemble(size=64, resample_ess_frac=0.9)),
     (BinaryARK(d=2, context=2), PriorEnsemble(size=64)),
-    (LogReg(d=2), Enumeration(support=[draw(LogReg(d=2), theta=[1.0, 0.0]),
-                                       draw(LogReg(d=2), theta=[0.0, 2.0])],
+    (LogReg(d=2), Enumeration(support=block(LogReg(d=2), theta=[[1.0, 0.0], [0.0, 2.0]]),
                               prior=np.array([0.7, 0.3]))),
 ], ids=["linreg", "logreg", "ark", "enumeration"])
 def test_ensemble_ess_is_the_ess_of_its_weights_after_every_observe(spec, kind):
@@ -437,7 +438,7 @@ def _family_specs():
 def test_point_mass_enumeration_matches_omniscient(index, spec):
     rep_stream = stream(31, ("family", index))
     latent = sample_latent(spec, rep_stream.derive(("latent", 0)))
-    kind = Enumeration(support=[latent], prior=np.array([1.0]))
+    kind = Enumeration(support=latent, prior=np.array([1.0]))
     losses, omni = run_replicate(spec, (kind, Omniscient()), 12, rep_stream)
     assert np.all(np.isfinite(losses))
     assert np.max(np.abs(losses - omni)) < 1e-9
@@ -498,15 +499,11 @@ def _pinned_cases():
     from infolab.predictors import OracleMetaEnsemble
     from infolab.processes import LinRep
 
-    logreg_support = [
-        draw(LogReg(d=2), theta=t) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])
-    ]
-    ark_support = [
-        draw(BinaryARK(d=2, context=2), theta=t)
-        for t in (
-            [[1.0, -0.5], [0.2, 0.3]], [[-0.4, 0.8], [0.0, -1.0]], [[0.5, 0.5], [-0.5, 0.5]]
-        )
-    ]
+    logreg_support = block(LogReg(d=2), theta=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    ark_support = block(
+        BinaryARK(d=2, context=2),
+        theta=[[[1.0, -0.5], [0.2, 0.3]], [[-0.4, 0.8], [0.0, -1.0]], [[0.5, 0.5], [-0.5, 0.5]]],
+    )
     return {
         "enumeration_logreg": (
             LogReg(d=2),
@@ -645,7 +642,7 @@ def _cache_cases():
     from infolab.predictors import OracleMetaEnsemble
     from infolab.processes import LinRep
 
-    support = [draw(LogReg(d=2), theta=t) for t in ([1.0, 0.0], [0.0, 1.0], [-1.0, -1.0])]
+    support = block(LogReg(d=2), theta=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     other_x = lambda h, i: (History(y=h.y, x=h.x + 1.0), i)
     other_task = lambda h, i: (History(y=h.y, task=(h.task + 1) % 2), i)
     # One more bit, the flip of the last, so the context differs from h's.
@@ -782,7 +779,7 @@ def _state_kinds():
 
     linreg = LinReg(d=2, noise_var=0.5)
     ark = BinaryARK(d=2, context=2)
-    support = [draw(ark, theta=t) for t in ([[1.0, 0.0], [0.0, 1.0]], [[0.5, -0.5], [-1.0, 0.2]])]
+    support = block(ark, theta=[[[1.0, 0.0], [0.0, 1.0]], [[0.5, -0.5], [-1.0, 0.2]]])
     return {
         "conjugate": (linreg, conjugate_kind(linreg)),
         "enumeration": (ark, Enumeration(support=support, prior=np.array([0.4, 0.6]))),
@@ -873,13 +870,16 @@ def test_enumeration_cumulative_loss_is_minus_the_log_evidence(spec, loglik):
 
     T, s = 40, stream(86)
     latent = sample_latent(spec, s.derive(("latent", 0)))
-    support = [latent] + [sample_latent(spec, stream(87, ("h", h))) for h in range(3)]
+    others = spec.sample_particles(3, stream(87))
+    support = Particles(spec, 4, **{
+        name: np.concatenate([latent.arrays[name], a]) for name, a in others.arrays.items()
+    })
     prior = np.array([0.0, 0.5, 0.3, 0.2])
     losses = run_replicate(spec, (Enumeration(support=support, prior=prior),), T, s)[0]
     h = step(spec, latent, T, s)  # the rollout that run_replicate scored
     steps = range(len(h.y) - T, len(h.y))
-    log_lik = [sum(loglik(spec, spec.conditional(lat, h, i), h.y[i]) for i in steps)
-               for lat in support]
+    log_lik = [sum(loglik(spec, spec.conditional(support.resample(np.array([k])), h, i), h.y[i])
+                   for i in steps) for k in range(4)]
     with np.errstate(divide="ignore"):
         evidence = reference_logsumexp(np.log(prior) + np.array(log_lik))
     assert abs(losses.sum() + evidence) <= 1e-10
@@ -891,11 +891,11 @@ def test_a_label_every_particle_forbids_costs_the_loglik_floor():
     would give +inf, and the weights stay as they were, up to rounding."""
     spec = LinRep(d=3, r=1, tasks=1)
     psi = np.array([[1.0], [0.0], [0.0]])
-    support = [draw(spec, psi=psi, xi=[[x]]) for x in (1000.0, 2000.0)]
+    support = block(spec, psi=[psi, psi], xi=[[[1000.0]], [[2000.0]]])
     h = one(y=2, task=0)
     for kind, latent in (
         (Enumeration(support=support, prior=np.array([0.3, 0.7])), None),
-        (Omniscient(), support[0]),
+        (Omniscient(), support.resample(np.array([0]))),
     ):
         state = init_predictor(kind, spec, latent=latent)
         before = getattr(state, "log_weights", None)
@@ -977,9 +977,7 @@ def test_meta_predictors_require_a_task_in_range(oracle, task):
 def test_short_ark_history_is_refused(case):
     spec = BinaryARK(d=2, context=3)
     kind = {
-        "enumeration": Enumeration(
-            support=[draw(spec, theta=np.ones((3, 2)))], prior=np.array([1.0])
-        ),
+        "enumeration": Enumeration(support=draw(spec, theta=np.ones((3, 2))), prior=np.ones(1)),
         "ensemble": PriorEnsemble(size=16),
         "omniscient": Omniscient(),
     }[case]

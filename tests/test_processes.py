@@ -330,26 +330,15 @@ def test_every_spec_writes_its_one_batched_statistic():
         assert hasattr(cls, "particle_stat") and hasattr(cls, "sample_particles"), cls
 
 
-def test_stacked_dirichlet_latents_are_zero_padded_and_resample_keeps_the_shape():
+def test_a_dirichlet_block_resamples_to_the_padded_shape():
     spec = _rollout_specs()["dirichlet"]
-    s = stream(41)
-    latents = [sample_latent(spec, s.derive(("latent", k))) for k in range(6)]
-    counts = [lat.atoms.shape[1] for lat in latents]
-    assert len(set(counts)) > 1  # the draws differ in atom count
-    stacked = Particles.stack(spec, latents)
-    A = max(counts)
-    assert stacked.atoms.shape == (6, A, spec.d) and stacked.weights.shape == (6, A)
-    assert stacked.signs.shape == (6, A) and stacked.tail_mass.shape == (6,)
-    for k, (lat, a) in enumerate(zip(latents, counts)):
-        for name in ("atoms", "weights", "signs"):
-            arr = stacked.arrays[name][k]
-            assert np.array_equal(arr[:a], lat.arrays[name][0]), name
-            assert not np.any(arr[a:]), name
-        assert stacked.tail_mass[k] == lat.tail_mass[0]
-    resampled = stacked.resample(np.array([5, 0, 0, 3]))
+    parts = spec.sample_particles(6, stream(41))
+    counts = np.count_nonzero(parts.weights, axis=1)
+    assert len(set(counts)) > 1  # the draws differ in atom count, padded to the largest
+    resampled = parts.resample(np.array([5, 0, 0, 3]))
     assert resampled.size == 4
     for name, arr in resampled.arrays.items():  # equal arrays have equal shapes
-        assert np.array_equal(arr, stacked.arrays[name][[5, 0, 0, 3]]), name
+        assert np.array_equal(arr, parts.arrays[name][[5, 0, 0, 3]]), name
 
 
 def test_resample_takes_every_array_and_kept_statistic_by_the_indices():
@@ -368,7 +357,6 @@ def test_resample_takes_every_array_and_kept_statistic_by_the_indices():
     for key, kept in resampled._memo.items():
         assert np.array_equal(kept, parts._memo[key][idx]), key
         assert not kept.flags.writeable and kept.flags.c_contiguous
-    assert Particles.stack(spec, [parts, resampled])._memo == {}
 
 
 def test_resample_keeps_each_array_layout():
@@ -397,29 +385,20 @@ def test_resample_keeps_each_array_layout():
         assert not any(kept.flags.writeable for kept in out._memo.values())
 
 
-def test_only_the_ragged_arrays_of_a_stack_are_padded():
-    """A theta of the wrong length is refused, not padded with zeros."""
-    spec = LinReg(d=3, noise_var=0.25)
-    with pytest.raises(ValueError):
-        Particles.stack(spec, [draw(spec, theta=[1.0, 2.0, 3.0]), draw(spec, theta=[1.0, 2.0])])
-
-
 @pytest.mark.parametrize("case", list(_rollout_specs()))
-def test_the_statistic_of_stacked_latents_is_each_conditional(case):
-    """Particles.stack of K latents gives, per particle, that latent's
-    conditional: bit for bit, except LinReg's and LogReg's two forms and the
-    Dirichlet net, whose atoms are zero-padded to the largest count, which
-    changes numpy's pairwise summation order."""
+def test_the_statistic_of_a_block_is_each_particles_conditional(case):
+    """Particle k's statistic in a prior block is the conditional of the
+    one-particle block at k: bit for bit, except LinReg's and LogReg's two
+    forms and DeepNet, whose particle-contiguous weights are contracted in a
+    different order for 5 particles than for 1."""
     spec = _rollout_specs()[case]
     s = stream(40)
-    latents = [sample_latent(spec, s.derive(("latent", k))) for k in range(5)]
-    stacked = Particles.stack(spec, latents)
-    assert stacked.size == 5
-    h = step(spec, latents[0], 12, s)
+    parts = spec.sample_particles(5, s.derive(("particles", 0)))
+    h = step(spec, sample_latent(spec, s.derive(("latent", 0))), 12, s)
     for n in range(len(h.y) - 12, len(h.y)):
-        stats = spec.particle_stat(stacked, h, n)
-        each = np.stack([spec.conditional(latent, h, n) for latent in latents])
-        if case in ("linreg", "logreg", "dirichlet"):
+        stats = spec.particle_stat(parts, h, n)
+        each = np.stack([spec.conditional(parts.resample(np.array([k])), h, n) for k in range(5)])
+        if case in ("linreg", "logreg", "deepnet"):
             np.testing.assert_allclose(stats, each, rtol=1e-12, atol=1e-15)
         else:
             assert np.array_equal(stats, each), n

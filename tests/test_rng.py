@@ -277,6 +277,9 @@ def _pmf_sites():
     from infolab.estimators import EnumerationModel, misspec_decomposition
     from infolab.info import entropy_pmf
     from infolab.predictors import Enumeration
+    from infolab.processes import LogReg
+
+    from conftest import block
 
     model = EnumerationModel(prior=np.array([0.5, 0.5]), cond=np.full((2, 2), 0.5))
     return {
@@ -284,7 +287,9 @@ def _pmf_sites():
         "entropy_pmf": entropy_pmf,
         "EnumerationModel": lambda p: EnumerationModel(prior=p, cond=np.full((len(p), 2), 0.5)),
         "misspec_decomposition": lambda p: misspec_decomposition(model, p, 2),
-        "Enumeration": lambda p: Enumeration(support=[None] * len(p), prior=p),
+        "Enumeration": lambda p: Enumeration(
+            support=block(LogReg(d=1), theta=np.zeros((len(p), 1))), prior=p
+        ),
     }
 
 
