@@ -337,6 +337,7 @@ BAD_PARAMETERS = [
 READ_BY_NAME = {
     "evaluate_bound": lambda p: bnd.evaluate_bound("linreg_error", {**p, "T": 100}),
     "evaluate_bound_rd": lambda p: bnd.evaluate_bound("rd_linreg_upper", {**p, "eps": 0.01}),
+    "evaluate_bound_rd_lower": lambda p: bnd.evaluate_bound("rd_linreg_lower", {**p, "eps": 0.01}),
     "rd_sandwich_upper": lambda p: bnd.rd_sandwich_upper("linreg_upper", p, 100),
     "rd_sandwich_lower": lambda p: bnd.rd_sandwich_lower("linreg_lower", p, 100),
 }
