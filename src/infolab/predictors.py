@@ -16,7 +16,8 @@ state copies it.  `predict` is a query with no side effects; `observe`
 conditions on label n and returns the log-loss that `predict` gave it
 before, so a rollout is scored by observing alone.  A kind's `score` runs a
 chunk of states along their rollouts' histories: one state at a time by
-default, all at once for the conjugate kinds.
+default, all at once for the conjugate kinds, and each history in one call
+for the omniscient (one batched statistic on an iid spec).
 """
 
 from __future__ import annotations
@@ -197,6 +198,14 @@ class Omniscient(PredictorKind, Configurable):
         if latent is None:
             raise ValueError("Omniscient requires the true latent")
         return OmniscientState(latent=latent)
+
+    def score(self, spec, states, histories, n):
+        """The default's losses, each history's in one `spec.conditional_losses`
+        call (one batched statistic for an iid spec)."""
+        losses = np.empty((len(histories), n))
+        for row, history in zip(losses, histories):
+            row[:] = spec.conditional_losses(next(states).latent, history, n)
+        return losses
 
 
 @dataclass(frozen=True)
@@ -384,22 +393,52 @@ class EnsembleState:
     each reweighting the particles are resampled when `ess` falls below
     `kind.resample_ess_frac` of the ensemble; a state without a resampler
     (exact enumeration) keeps its weights.
+
+    The ensemble has `size` slots, and a resample fills most of them with
+    copies.  The state holds each distinct particle once, as a row of `rows`,
+    and `slots` (size,) gives each slot's row; it is None, every slot its own
+    row, until the first resample, and enumeration never sets it.
+    `row_log_weights` is the log-weight that each slot of a row carries.  The
+    statistic, the likelihood and the exp pass run on the rows; the normaliser
+    and the ESS sum over the slots in slot order.  So a state gets the bits of
+    the filter that holds every copy wherever a particle's statistic has the
+    same bits in a batch of any length.  BLAS gemv (LinReg, LogReg, ARK) is
+    the exception: a single row, or rows of 8 or more entries outside a block
+    of 4 rows, can differ in the last bit.  `particles` and `log_weights` are
+    the per-slot views.
     """
 
     kind: object
-    particles: Particles
-    log_weights: np.ndarray
+    rows: Particles
+    row_log_weights: np.ndarray
     resampler: Optional[Resampler]
+    slots: Optional[np.ndarray] = None
 
     @classmethod
     def start(cls, kind, particles: Particles, resampler: Resampler) -> "EnsembleState":
         """Uniform weights over fresh particles, resampled by `resampler`."""
         return cls(
             kind=kind,
-            particles=particles,
-            log_weights=np.full(particles.size, -math.log(particles.size)),
+            rows=particles,
+            row_log_weights=np.full(particles.size, -math.log(particles.size)),
             resampler=resampler,
         )
+
+    @property
+    def size(self) -> int:
+        """The number of slots."""
+        return self.rows.size if self.slots is None else len(self.slots)
+
+    @property
+    def particles(self) -> Particles:
+        """The particle of each slot (copies included)."""
+        return self.rows if self.slots is None else self.rows.resample(self.slots)
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        """The log-weight of each slot."""
+        lw = self.row_log_weights
+        return lw if self.slots is None else lw[self.slots]
 
     @property
     def resamples(self) -> int:
@@ -407,31 +446,41 @@ class EnsembleState:
         return 0 if self.resampler is None else self.resampler.count
 
     def _maybe_resample(self) -> None:
-        size = self.particles.size
+        size = self.size
         if self.ess < self.kind.resample_ess_frac * size:
             indices = self.resampler.indices(np.exp(self.log_weights))
-            self.particles = self.particles.resample(indices)
-            self.log_weights = np.full(size, -math.log(size))
+            slots = indices if self.slots is None else self.slots[indices]
+            # The rows some slot still draws, in row order, and each slot's place among them.
+            counts = np.bincount(slots, minlength=self.rows.size)
+            kept = np.flatnonzero(counts)
+            place = np.cumsum(counts > 0) - 1
+            self.rows = self.rows.resample(kept)
+            self.slots = place[slots]
+            self.row_log_weights = np.full(len(kept), -math.log(size))
             self.ess = float(size)
 
     def observe(self, spec: Process, history: History, n: int) -> float:
-        stat = self.particles.prior.particle_stat(self.particles, history, n)
-        log_weights = self.log_weights + spec.loglik(stat, history.y[n])
+        stat = self.rows.prior.particle_stat(self.rows, history, n)
+        log_weights = self.row_log_weights + spec.loglik(stat, history.y[n])
         # `logsumexp`, keeping its exp pass.  The array methods are np.max's and
         # np.sum's reductions without their Python wrapper; a sum, unlike a BLAS
         # dot, gives the ESS the same bits on any thread count.
         m = log_weights.max()
         e = np.exp(log_weights - m)
+        if self.slots is not None:
+            e = e[self.slots]
         total = e.sum()
         log_norm = float(m + np.log(total)) if np.isfinite(m) else float(m)
-        self.log_weights = log_weights - log_norm
+        self.row_log_weights = log_weights - log_norm
         self.ess = float(total * total / (e * e).sum())
         if self.resampler is not None:
             self._maybe_resample()
         return -log_norm
 
     def predict(self, spec: Process, history: History, n: int) -> Mixture:
-        stat = self.particles.prior.particle_stat(self.particles, history, n)
+        stat = self.rows.prior.particle_stat(self.rows, history, n)
+        if self.slots is not None:
+            stat = stat[self.slots]
         return Mixture(spec, stat, self.log_weights)
 
 

@@ -232,6 +232,15 @@ class Process(Configurable):
         """The statistic of label n given the latent and the labels before it."""
         return self.particle_stat(latent, history, n)[0]
 
+    def conditional_losses(self, latent: Particles, history: "History", n: int) -> np.ndarray:
+        """(n,) log-losses of the history's last n labels, each under its
+        conditional given the latent and the labels before it: the omniscient's."""
+        end = len(history.y)
+        return np.array([
+            -self.loglik(np.asarray(self.conditional(latent, history, i))[None], history.y[i])[0]
+            for i in range(end - n, end)
+        ])
+
 
 class _Gaussian(Process):
     """Y = conditional mean + N(0, noise_var), inputs X ~ N(0, I_d)."""
@@ -285,7 +294,9 @@ class _Iid:
     `stats(latent, x)` gives the one-particle latent's statistic at an input
     (d,) or at each row of inputs (n, d), for the rollout.  It sums by
     einsum, which gives a row the same bits in any batch, so a rollout of T
-    steps is a prefix of a longer one.
+    steps is a prefix of a longer one.  The conditional is that statistic, so
+    the omniscient predicts with the rollout's own means, and its losses on a
+    history are one `stats` and one `loglik` call with the bits of n steps.
     """
 
     def rollout(self, latent, n: int, stream: RngStream) -> "History":
@@ -293,6 +304,13 @@ class _Iid:
         x = stream.derive(("inputs", 0)).gen.normal(size=(n, self.d))
         draws = self.label_draws(stream.derive(("noise", 0)), n)
         return History(y=self.label(self.stats(latent, x), draws), x=x)
+
+    def conditional(self, latent, history, n):
+        return self.stats(latent, history.x[n])
+
+    def conditional_losses(self, latent, history, n):
+        start = len(history.y) - n
+        return -self.loglik(self.stats(latent, history.x[start:]), history.y[start:])
 
 
 class _Sequence:
@@ -336,9 +354,6 @@ class _Linear(_GaussianTheta, _Iid):
     # over the inputs, which keeps a row's bits independent of the batch.
     def stats(self, latent, x):
         return np.einsum("...d,d->...", x, latent.theta[0])
-
-    def conditional(self, latent, history, n):
-        return self.stats(latent, history.x[n])
 
     # The ensemble multiplies by BLAS: at d = 3 and 4096 particles `theta @ x`
     # took 4.6 us against the einsum's 27 us (2-CPU box, numpy 2.4.6).

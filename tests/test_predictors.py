@@ -444,6 +444,25 @@ def test_point_mass_enumeration_matches_omniscient(index, spec):
     assert np.max(np.abs(losses - omni)) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "index, spec",
+    enumerate(_family_specs()),
+    ids=[type(s).__name__ for s in _family_specs()],
+)
+def test_the_omniscient_score_is_its_per_step_observes(index, spec):
+    """`Omniscient.score`, one `stats` and one `loglik` call per history for an
+    iid spec, gives the losses of the state's observes one step at a time, bit
+    for bit."""
+    from infolab.predictors import PredictorKind
+
+    T, kind = 60, Omniscient()
+    latents = [sample_latent(spec, stream(32, ("latent", r))) for r in range(3)]
+    histories = [step(spec, lat, T, stream(32, ("rep", r))) for r, lat in enumerate(latents)]
+    states = lambda: (init_predictor(kind, spec, latent=lat) for lat in latents)
+    batched = kind.score(spec, states(), histories, T)
+    assert np.array_equal(batched, PredictorKind.score(kind, spec, states(), histories, T))
+
+
 def _ensemble_rollout(spec, kind, T, seed):
     s = stream(seed)
     latent = sample_latent(spec, s.derive(("latent", 0)))
@@ -722,6 +741,118 @@ def test_memoised_statistics_match_fresh_ones_after_every_observe(oracle):
                 assert np.array_equal(kept, fresh), (i, task)
                 assert not kept.flags.writeable
     assert carried > 0
+
+
+# ---------------------------------------------------------------------------
+# a state holds each distinct particle once and gets the bits of the filter
+# that holds every copy
+# ---------------------------------------------------------------------------
+
+
+class _PerSlotFilter:
+    """The weighted-particle filter that holds and scores every copy: one
+    particle and one log-weight per slot, resampled by taking the particles at
+    the drawn indices."""
+
+    def __init__(self, particles, log_weights, resampler, frac):
+        self.particles, self.log_weights = particles, log_weights
+        self.resampler, self.frac = resampler, frac
+
+    def observe(self, spec, history, n):
+        stat = self.particles.prior.particle_stat(self.particles, history, n)
+        log_weights = self.log_weights + spec.loglik(stat, history.y[n])
+        m = log_weights.max()
+        e = np.exp(log_weights - m)
+        log_norm = float(m + np.log(e.sum()))
+        self.log_weights = log_weights - log_norm
+        self.ess = float(e.sum() ** 2 / (e * e).sum())
+        size = self.particles.size
+        if self.resampler is not None and self.ess < self.frac * size:
+            self.particles = self.particles.resample(self.resampler.indices(np.exp(self.log_weights)))
+            self.log_weights = np.full(size, -math.log(size))
+            self.ess = float(size)
+        return -log_norm
+
+
+def _compact_cases():
+    from infolab.predictors import OracleMetaEnsemble
+
+    often = dict(size=64, resample_ess_frac=0.9)
+    support = block(LogReg(d=2), theta=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    return {
+        "logreg": (LogReg(d=3), PriorEnsemble(**often), 100),
+        "ark": (BinaryARK(d=2, context=2), PriorEnsemble(**often), 100),
+        "deepnet": (_family_specs()[2], PriorEnsemble(**often), 100),
+        "dirichlet": (_family_specs()[3], PriorEnsemble(**often), 100),
+        "transformer": (_family_specs()[5], PriorEnsemble(**often), 100),
+        "misspecified_width": (
+            DirichletNet(d=2, scale=2.0, noise_var=0.1), MisspecifiedWidth(n=3, eps=0.3, **often), 100
+        ),
+        "oracle_meta": (LinRep(d=4, r=2, tasks=2), OracleMetaEnsemble(size=64), 50),
+        "enumeration": (LogReg(d=2), Enumeration(support=support, prior=np.array([0.5, 0.3, 0.2])), 40),
+    }
+
+
+def _compact_and_per_slot(spec, kind, T, seed):
+    """(state, twin, per-slot filters, history): the state and its twin built
+    alike, and the per-slot filters started from the twin's particles, weights
+    and resampler (the oracle's tasks share it, as the state's do)."""
+    s = stream(seed)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    h = step(spec, latent, T * (spec.tasks if spec.meta else 1), s)
+    state, twin = (
+        init_predictor(kind, spec, latent=latent, stream=s.derive(("pred", 0))) for _ in range(2)
+    )
+    refs = [
+        _PerSlotFilter(f.particles, f.log_weights, f.resampler, getattr(kind, "resample_ess_frac", 0))
+        for f in getattr(twin, "tasks", [twin])
+    ]
+    return state, twin, refs, h
+
+
+@pytest.mark.parametrize("case", sorted(_compact_cases()))
+def test_a_compact_state_is_the_per_slot_filter_bit_for_bit(case):
+    """Losses, ESS, resample counts, per-slot log-weights, predictive statistics
+    and particles equal those of a filter that holds every copy, at every step
+    of a run with many resamples; every row has a slot, and there are no more
+    rows than slots."""
+    spec, kind, T = _compact_cases()[case]
+    state, twin, refs, h = _compact_and_per_slot(spec, kind, T, 90)
+    filters = getattr(state, "tasks", [state])
+    for i in range(len(h.y) - T * (spec.tasks if spec.meta else 1), len(h.y)):
+        k = int(h.task[i]) if len(refs) > 1 else 0
+        pred, ref = state.predict(spec, h, i), refs[k]
+        assert np.array_equal(pred.stats, ref.particles.prior.particle_stat(ref.particles, h, i)), i
+        assert np.array_equal(pred.log_weights, ref.log_weights), i
+        assert state.observe(spec, h, i) == ref.observe(spec, h, i), i
+        assert filters[k].ess == ref.ess, i
+        assert state.resamples == twin.resamples, i
+        for f, r in zip(filters, refs):
+            assert np.array_equal(f.log_weights, r.log_weights), i
+    for f, r in zip(filters, refs):
+        for name, value in r.particles.arrays.items():
+            assert np.array_equal(f.particles.arrays[name], value), name
+        if f.slots is None:
+            assert f.resampler is None or f.resamples == 0
+        else:
+            assert f.rows.size <= f.size == len(f.slots)
+            assert np.all(np.bincount(f.slots, minlength=f.rows.size) > 0)
+    assert state.resamples >= (0 if case == "enumeration" else 5)
+
+
+def test_a_compact_state_keeps_the_per_slot_losses_where_blas_rows_depend_on_the_batch():
+    """BLAS may give a row other last bits in a batch of another length: OpenBLAS's
+    gemv does for rows of 8 or more entries outside a block of 4 rows, and numpy
+    scores a batch of one row by a dot.  A state computes LogReg's statistic at
+    d = 8 on fewer rows than slots, so the per-slot filter's bits are not
+    promised there; its losses and resample counts are kept to rounding."""
+    spec, kind, T = LogReg(d=8), PriorEnsemble(size=64, resample_ess_frac=0.9), 100
+    state, twin, (ref,), h = _compact_and_per_slot(spec, kind, T, 92)
+    for i in range(T):
+        assert state.observe(spec, h, i) == pytest.approx(ref.observe(spec, h, i), rel=1e-12), i
+        assert state.resamples == twin.resamples, i
+    np.testing.assert_allclose(state.log_weights, ref.log_weights, rtol=1e-12, atol=0)
+    assert state.resamples >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -309,10 +309,13 @@ def test_a_latent_is_the_block_of_one_particle(case):
     assert not any("sample_latent" in vars(cls) for cls in type(spec).__mro__)
 
 
-@pytest.mark.parametrize("case", [c for c in _rollout_specs() if c not in ("linreg", "logreg")])
+@pytest.mark.parametrize(
+    "case", [c for c in _rollout_specs() if c not in ("linreg", "logreg", "deepnet")]
+)
 def test_the_conditional_is_the_first_particle_statistic(case):
-    """At every step of a rollout, bit for bit.  LinReg and LogReg are exempt:
-    their conditional keeps the rollout's einsum, their particles BLAS."""
+    """At every step of a rollout, bit for bit.  LinReg, LogReg and DeepNet are
+    exempt: their conditional keeps the rollout's contraction (einsum, DeepNet's
+    in C order), while their particles use BLAS or their own layout."""
     spec = _rollout_specs()[case]
     s = stream(39)
     latent = sample_latent(spec, s.derive(("latent", 0)))
@@ -321,6 +324,19 @@ def test_the_conditional_is_the_first_particle_statistic(case):
         stat = spec.particle_stat(latent, h, n)
         assert len(stat) == 1
         assert np.array_equal(spec.conditional(latent, h, n), stat[0]), n
+
+
+@pytest.mark.parametrize("case", ["linreg", "logreg", "deepnet", "dirichlet"])
+def test_an_iid_conditional_is_the_rollout_statistic(case):
+    """The conditional of an iid spec is the statistic its rollout drew the
+    label from, stats(latent, x)[n], bit for bit."""
+    spec = _rollout_specs()[case]
+    s = stream(39)
+    latent = sample_latent(spec, s.derive(("latent", 0)))
+    h = step(spec, latent, 12, s)
+    rollout_stats = spec.stats(latent, h.x)
+    for n in range(len(h.y)):
+        assert np.array_equal(spec.conditional(latent, h, n), rollout_stats[n]), n
 
 
 def test_every_spec_writes_its_one_batched_statistic():
