@@ -367,16 +367,11 @@ def _scaling_loss(d: int, K: float, n: float, T: float) -> float:
     return est + 3.0 * K / n
 
 
-def _scaling_value(d: int, K: float, n: float, C: float) -> float:
-    """The loss bound at width n when the whole budget C buys T = C / (d n) steps."""
-    return _scaling_loss(d, K, n, C / (d * n))
-
-
 def scaling_optimal_width(d: int, K: float, C: float) -> Tuple[int, float, float]:
-    """Integer width minimizing the loss bound under the budget d * n * T <= C.
+    """First integer width minimizing the loss bound under the budget d * n * T <= C.
 
-    Golden-section search on the continuous relaxation in ln n, then an exact
-    scan over the +-8 integer neighborhood.  Returns (n_star, T_star, value).
+    With T = C / (d n) the bound is unimodal in n, so bisecting on whether n + 1
+    beats n finds the exact integer optimum.  Returns (n_star, T_star, value).
     """
     note = scaling_domain(d, K)
     if note:
@@ -386,32 +381,18 @@ def scaling_optimal_width(d: int, K: float, C: float) -> Tuple[int, float, float
     n_max = C / (3.0 * d)  # T >= 3 keeps the log arguments sane
     if n_max < 3.0:
         raise ValueError("budget too small for any feasible width")
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(3.0), math.log(n_max)
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
-    f1 = _scaling_value(d, K, math.exp(c1), C)
-    f2 = _scaling_value(d, K, math.exp(c2), C)
-    for _ in range(200):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = _scaling_value(d, K, math.exp(c1), C)
+
+    def value(n: int) -> float:
+        return _scaling_loss(d, K, float(n), C / (d * float(n)))
+
+    lo, hi = 3, int(n_max)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value(mid + 1) < value(mid):
+            lo = mid + 1
         else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = _scaling_value(d, K, math.exp(c2), C)
-        if b - a < 1e-12:
-            break
-    n_cont = math.exp(0.5 * (a + b))
-    best_n, best_v = None, math.inf
-    lo_n = max(3, int(math.floor(n_cont)) - 8)
-    hi_n = min(int(math.floor(n_max)), int(math.ceil(n_cont)) + 8)
-    for n in range(lo_n, hi_n + 1):
-        v = _scaling_value(d, K, float(n), C)
-        if v < best_v:
-            best_n, best_v = n, v
-    return best_n, C / (d * best_n), best_v
+            hi = mid
+    return lo, C / (d * lo), value(lo)
 
 
 # ---------------------------------------------------------------------------

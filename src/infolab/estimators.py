@@ -318,19 +318,17 @@ def meta_error_split(
     Replicate i is one rollout on stream path ("rep", i), ("total", 0) that
     the prior ensemble over (psi, xi) (total), the oracle-meta filter with
     the shared representation revealed (intra) and the omniscient baseline
-    of both score one after another, so one ensemble state lives at a time;
-    meta = total - intra per replicate, so its SE reflects the pairing.
+    of both score through `score_rollouts`, one state at a time; meta =
+    total - intra per replicate, so its SE reflects the pairing.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
     kinds = (
         PriorEnsemble(size=ensemble_size), OracleMetaEnsemble(size=ensemble_size), Omniscient()
     )
-    totals = np.empty(replicates)
-    intras = np.empty(replicates)
+    streams = [stream.derive(("rep", i), ("total", 0)) for i in range(replicates)]
+    total, intra, omni = score_rollouts(spec, kinds, T, streams).transpose(1, 0, 2)
     n = spec.tasks * T
-    for i in range(replicates):
-        total, intra, omni = run_replicate(spec, kinds, T, stream.derive(("rep", i), ("total", 0)))
-        totals[i] = float(np.sum(total - omni)) / n
-        intras[i] = float(np.sum(intra - omni)) / n
+    totals = np.sum(total - omni, axis=1) / n
+    intras = np.sum(intra - omni, axis=1) / n
     return MetaSplit(total=mean_se(totals), intra=mean_se(intras), meta=mean_se(totals - intras))

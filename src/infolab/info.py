@@ -94,7 +94,7 @@ def lambert_w(x: float) -> float:
     Halley iteration seeded at ln(1 + x), bisection fallback; relative
     tolerance 1e-12 on w e^w = x.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError("principal branch requires x >= 0")
     if x == 0:
         return 0.0

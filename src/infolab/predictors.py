@@ -156,7 +156,10 @@ class Enumeration(PredictorKind):
     def init(self, spec, latent, stream) -> "EnsembleState":
         """The support weighted by the prior; never resampled."""
         logp = np.where(self.prior > 0, np.log(np.maximum(self.prior, 1e-300)), -np.inf)
-        return EnsembleState(self, self.support, logp - logsumexp(logp), resampler=None)
+        slots = np.arange(self.support.size)
+        return EnsembleState(
+            self, self.support, logp - logsumexp(logp), resampler=None, slots=slots
+        )
 
 
 @dataclass(frozen=True)
@@ -396,23 +399,22 @@ class EnsembleState:
 
     The ensemble has `size` slots, and a resample fills most of them with
     copies.  The state holds each distinct particle once, as a row of `rows`,
-    and `slots` (size,) gives each slot's row; it is None, every slot its own
-    row, until the first resample, and enumeration never sets it.
-    `row_log_weights` is the log-weight that each slot of a row carries.  The
-    statistic, the likelihood and the exp pass run on the rows; the normaliser
-    and the ESS sum over the slots in slot order.  So a state gets the bits of
-    the filter that holds every copy wherever a particle's statistic has the
-    same bits in a batch of any length.  BLAS gemv (LinReg, LogReg, ARK) is
-    the exception: a single row, or rows of 8 or more entries outside a block
-    of 4 rows, can differ in the last bit.  `particles` and `log_weights` are
-    the per-slot views.
+    and `slots` (size,) gives each slot's row, from `arange(size)` at the
+    start.  `row_log_weights` is the log-weight that each slot of a row
+    carries.  The statistic, the likelihood and the exp pass run on the rows;
+    the normaliser and the ESS sum over the slots in slot order.  So a state
+    gets the bits of the filter that holds every copy wherever a particle's
+    statistic has the same bits in a batch of any length.  BLAS gemv (LinReg,
+    LogReg, ARK) is the exception: a single row, or rows of 8 or more entries
+    outside a block of 4 rows, can differ in the last bit.  `particles` and
+    `log_weights` are the per-slot views.
     """
 
     kind: object
     rows: Particles
     row_log_weights: np.ndarray
     resampler: Optional[Resampler]
-    slots: Optional[np.ndarray] = None
+    slots: np.ndarray
 
     @classmethod
     def start(cls, kind, particles: Particles, resampler: Resampler) -> "EnsembleState":
@@ -422,23 +424,23 @@ class EnsembleState:
             rows=particles,
             row_log_weights=np.full(particles.size, -math.log(particles.size)),
             resampler=resampler,
+            slots=np.arange(particles.size),
         )
 
     @property
     def size(self) -> int:
         """The number of slots."""
-        return self.rows.size if self.slots is None else len(self.slots)
+        return len(self.slots)
 
     @property
     def particles(self) -> Particles:
         """The particle of each slot (copies included)."""
-        return self.rows if self.slots is None else self.rows.resample(self.slots)
+        return self.rows.resample(self.slots)
 
     @property
     def log_weights(self) -> np.ndarray:
         """The log-weight of each slot."""
-        lw = self.row_log_weights
-        return lw if self.slots is None else lw[self.slots]
+        return self.row_log_weights[self.slots]
 
     @property
     def resamples(self) -> int:
@@ -448,8 +450,7 @@ class EnsembleState:
     def _maybe_resample(self) -> None:
         size = self.size
         if self.ess < self.kind.resample_ess_frac * size:
-            indices = self.resampler.indices(np.exp(self.log_weights))
-            slots = indices if self.slots is None else self.slots[indices]
+            slots = self.slots[self.resampler.indices(np.exp(self.log_weights))]
             # The rows some slot still draws, in row order, and each slot's place among them.
             counts = np.bincount(slots, minlength=self.rows.size)
             kept = np.flatnonzero(counts)
@@ -466,9 +467,7 @@ class EnsembleState:
         # np.sum's reductions without their Python wrapper; a sum, unlike a BLAS
         # dot, gives the ESS the same bits on any thread count.
         m = log_weights.max()
-        e = np.exp(log_weights - m)
-        if self.slots is not None:
-            e = e[self.slots]
+        e = np.exp(log_weights - m)[self.slots]
         total = e.sum()
         log_norm = float(m + np.log(total)) if np.isfinite(m) else float(m)
         self.row_log_weights = log_weights - log_norm
@@ -479,9 +478,7 @@ class EnsembleState:
 
     def predict(self, spec: Process, history: History, n: int) -> Mixture:
         stat = self.rows.prior.particle_stat(self.rows, history, n)
-        if self.slots is not None:
-            stat = stat[self.slots]
-        return Mixture(spec, stat, self.log_weights)
+        return Mixture(spec, stat[self.slots], self.log_weights)
 
 
 @dataclass

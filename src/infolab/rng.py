@@ -7,8 +7,9 @@ re-derived independently of scheduling order.
 
 The seed contract fixes which path each draw reads; results are
 reproducible from the master seed under it, and any change to a path or to
-the numbers drawn from it bumps ``SEED_CONTRACT``.  ``estimators.run_replicate``
-and ``harness.run_replicates`` share one engine, ``estimators.score_rollouts``.
+the numbers drawn from it bumps ``SEED_CONTRACT``.  ``estimators.run_replicate``,
+``estimators.meta_error_split`` and ``harness.run_replicates`` share one engine,
+``estimators.score_rollouts``.
 It first rolls out each replicate's process alone into arrays
 (``processes.History``), one block draw per path under the replicate's
 stream:
@@ -41,9 +42,9 @@ reading under each replicate's stream:
 Process and predictor draws read disjoint paths, each keyed by its own
 hash, so scoring after the rollout, the chunk size and the kinds scored
 beside a kind change no number.  ``harness.run_replicates`` gives replicate
-i the path ``("rep", i)``; ``estimators.meta_error_split`` runs replicate i
-on ``("rep", i), ("total", 0)`` as one rollout that the prior ensemble, the
-oracle-meta filter and the omniscient baseline score one after another.
+i the path ``("rep", i)``; ``estimators.meta_error_split`` gives it
+``("rep", i), ("total", 0)``, whose one rollout the prior ensemble, the
+oracle-meta filter and the omniscient baseline all score.
 """
 
 from __future__ import annotations

@@ -246,6 +246,31 @@ def test_scaling_optimal_width_matches_brute_force():
     assert t_star == pytest.approx(C / (d * n_star))
 
 
+def _scaling_at_budget(d, K, C, n):
+    return bnd.scaling_bound_eval(d, K, n, C / (d * n)).value
+
+
+@pytest.mark.parametrize("d", [1, 4, 8])
+# At K = 1e4 and C = 1e2 the optimum is the last feasible width, C / (3d).
+@pytest.mark.parametrize("K", [2.0, 4.0, 10.0, 1e4])
+@pytest.mark.parametrize("C", [1e2, 1e3, 1e4, 1e5])
+def test_scaling_optimal_width_is_the_first_minimiser_of_every_feasible_width(d, K, C):
+    ns = range(3, int(C / (3 * d)) + 1)
+    vals = [_scaling_at_budget(d, K, C, n) for n in ns]
+    i = int(np.argmin(vals))
+    assert bnd.scaling_optimal_width(d, K, C) == (ns[i], C / (d * ns[i]), vals[i])
+
+
+@pytest.mark.parametrize("d", [1, 4, 8, 100])
+@pytest.mark.parametrize("K", [2.0, 4.0, 10.0, 1e4])
+def test_scaling_optimal_width_beats_its_left_neighbour_and_ties_or_beats_its_right(d, K):
+    for C in np.geomspace(1e3, 1e16, 27):
+        n_star, _, value = bnd.scaling_optimal_width(d, K, float(C))
+        if 3 < n_star < int(C / (3 * d)):
+            assert _scaling_at_budget(d, K, C, n_star - 1) > value
+            assert value <= _scaling_at_budget(d, K, C, n_star + 1)
+
+
 def test_scaling_optimal_width_cap_and_monotonicity():
     K = 4.0
     prev = None

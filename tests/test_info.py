@@ -153,8 +153,12 @@ def test_lambert_w_known_values():
     assert lambert_w(0.0) == 0.0
     assert lambert_w(math.e) == pytest.approx(1.0, rel=1e-12)
     assert lambert_w(1.0) == pytest.approx(0.5671432904097838, rel=1e-11)
-    with pytest.raises(ValueError):
-        lambert_w(-1.0)
+
+
+@pytest.mark.parametrize("x", [-1.0, -math.inf, math.nan])
+def test_lambert_w_refuses_x_below_zero_and_nan(x):
+    with pytest.raises(ValueError, match=r"^principal branch requires x >= 0$"):
+        lambert_w(x)
 
 
 def test_lambert_w_matches_scipy():

@@ -814,11 +814,13 @@ def _compact_and_per_slot(spec, kind, T, seed):
 def test_a_compact_state_is_the_per_slot_filter_bit_for_bit(case):
     """Losses, ESS, resample counts, per-slot log-weights, predictive statistics
     and particles equal those of a filter that holds every copy, at every step
-    of a run with many resamples; every row has a slot, and there are no more
-    rows than slots."""
+    of a run with many resamples; a fresh state gives each slot its own row,
+    every row has a slot, and there are no more rows than slots."""
     spec, kind, T = _compact_cases()[case]
     state, twin, refs, h = _compact_and_per_slot(spec, kind, T, 90)
     filters = getattr(state, "tasks", [state])
+    for f in filters:
+        assert np.array_equal(f.slots, np.arange(f.size)) and f.rows.size == f.size
     for i in range(len(h.y) - T * (spec.tasks if spec.meta else 1), len(h.y)):
         k = int(h.task[i]) if len(refs) > 1 else 0
         pred, ref = state.predict(spec, h, i), refs[k]
@@ -832,11 +834,8 @@ def test_a_compact_state_is_the_per_slot_filter_bit_for_bit(case):
     for f, r in zip(filters, refs):
         for name, value in r.particles.arrays.items():
             assert np.array_equal(f.particles.arrays[name], value), name
-        if f.slots is None:
-            assert f.resampler is None or f.resamples == 0
-        else:
-            assert f.rows.size <= f.size == len(f.slots)
-            assert np.all(np.bincount(f.slots, minlength=f.rows.size) > 0)
+        assert f.rows.size <= f.size == len(f.slots)
+        assert np.all(np.bincount(f.slots, minlength=f.rows.size) > 0)
     assert state.resamples >= (0 if case == "enumeration" else 5)
 
 
