@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .info import linreg_mi_given_inputs
+from .info import linreg_mi_given_grams
 from .predictors import Omniscient, OracleMetaEnsemble, PriorEnsemble, init_predictor
 from .processes import LinRep, Process, _Categorical, mean_se, sample_latent, step
 from .rng import RngStream, check_pmf
@@ -287,14 +287,27 @@ def linreg_mi_mc(
     d: int, noise_var: float, T: int, replicates: int, stream: RngStream
 ) -> Tuple[float, float]:
     """MC mean of the exact conditional MI over input draws, with SE, under
-    the prior N(0, I_d / d)."""
+    the prior N(0, I_d / d).
+
+    Replicate i draws its (T, d) standard-normal inputs from child
+    ``("rep", i)`` and keeps only their Gram X^T X; one batched
+    ``linreg_mi_given_grams`` call then scores the (replicates, d, d) stack.
+    Memory is one draw plus replicates * d^2 floats, and every value equals
+    the per-replicate ``linreg_mi_given_inputs`` loop bit for bit.
+    """
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
-    vals = np.empty(replicates)
+    if d < 1:
+        raise ValueError("need d >= 1 input dimensions")
+    if T < 0:
+        raise ValueError("need T >= 0 steps")
+    if not noise_var > 0:
+        raise ValueError("noise variance must be positive")
+    grams = np.empty((replicates, d, d))
     for i, sub in enumerate(stream.children("rep", replicates)):
         X = sub.gen.normal(size=(T, d))
-        vals[i] = linreg_mi_given_inputs(X, 1.0 / d, noise_var)
-    return mean_se(vals)
+        grams[i] = X.T @ X
+    return mean_se(linreg_mi_given_grams(grams, 1.0 / d, noise_var))
 
 
 @dataclass

@@ -125,19 +125,32 @@ def lambert_w(x: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def linreg_mi_given_grams(grams: np.ndarray, prior_var: float, noise_var: float) -> np.ndarray:
+    """Exact I(theta; H_T) for the linear-Gaussian model, one per Gram matrix.
+
+    For a stack (..., d, d) of Grams G = X^T X returns the (...) array of
+    (1/2) ln det(I_d + prior_var G / noise_var): one batched Cholesky, then
+    the sum of the log-diagonal of each factor.  A stack gives each Gram the
+    bits it gets alone.
+    """
+    if not noise_var > 0:
+        raise ValueError("noise variance must be positive")
+    if not prior_var >= 0:
+        raise ValueError("prior variance must be non-negative")
+    grams = np.asarray(grams, dtype=float)
+    d = grams.shape[-1]
+    chol = np.linalg.cholesky(np.eye(d) + (prior_var / noise_var) * grams)
+    return np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+
+
 def linreg_mi_given_inputs(X: np.ndarray, prior_var: float, noise_var: float) -> float:
     """Exact I(theta; H_T) for the linear-Gaussian model, conditional on inputs.
 
     Equals (1/2) ln det(I_T + prior_var X X^T / noise_var), evaluated through
-    the d x d Gram form for numerical economy.
+    the d x d Gram form X^T X (``linreg_mi_given_grams``).
     """
-    if noise_var <= 0:
-        raise ValueError("noise variance must be positive")
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = X.shape[1]
-    gram = np.eye(d) + (prior_var / noise_var) * (X.T @ X)
-    chol = np.linalg.cholesky(gram)
-    return float(np.sum(np.log(np.diag(chol))))
+    return float(linreg_mi_given_grams(X.T @ X, prior_var, noise_var))
 
 
 def linreg_mi_stepwise(X: np.ndarray, prior_var: float, noise_var: float) -> float:

@@ -45,6 +45,9 @@ beside a kind change no number.  ``harness.run_replicates`` gives replicate
 i the path ``("rep", i)``; ``estimators.meta_error_split`` gives it
 ``("rep", i), ("total", 0)``, whose one rollout the prior ensemble, the
 oracle-meta filter and the omniscient baseline all score.
+
+``estimators.linreg_mi_mc`` reads child ``("rep", i)`` of the caller's
+stream for replicate i: one (T, d) standard-normal block, its inputs.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from infolab.estimators import (
     run_replicate,
 )
 from infolab.harness import excess_over_omniscient, run_replicates
+from infolab.info import linreg_mi_given_grams, linreg_mi_given_inputs
 from infolab.predictors import (
     ConjugateLinReg,
     Enumeration,
@@ -31,8 +33,8 @@ from infolab.predictors import (
     predict,
 )
 from infolab.processes import (
-    BinaryARK, DeepNet, DirichletNet, History, LinRep, LinReg, LogReg, Particles, sample_latent,
-    step,
+    BinaryARK, DeepNet, DirichletNet, History, LinRep, LinReg, LogReg, Particles, mean_se,
+    sample_latent, step,
 )
 from infolab.rng import RngStream, SeedSpec
 from infolab import bounds as bnd
@@ -647,6 +649,54 @@ def test_linreg_mi_mc_noise_swamps_signal():
 def test_linreg_mi_mc_refuses_fewer_than_two_replicates(replicates):
     with pytest.raises(ValueError, match="^need at least 2 replicates$"):
         linreg_mi_mc(2, 1.0, 4, replicates, stream(19))
+
+
+@pytest.mark.parametrize(
+    "d, noise_var, T, match",
+    [
+        (0, 1.0, 4, "^need d >= 1 input dimensions$"),
+        (-1, 1.0, 4, "^need d >= 1 input dimensions$"),
+        (2, 1.0, -1, "^need T >= 0 steps$"),
+        (2, 0.0, 4, "^noise variance must be positive$"),
+        (2, -1.0, 4, "^noise variance must be positive$"),
+        (2, math.nan, 4, "^noise variance must be positive$"),
+    ],
+)
+def test_linreg_mi_mc_refuses_bad_inputs_by_name(d, noise_var, T, match):
+    with pytest.raises(ValueError, match=match):
+        linreg_mi_mc(d, noise_var, T, 4, stream(19))
+
+
+def test_linreg_mi_mc_of_no_steps_is_zero():
+    assert linreg_mi_mc(3, 0.5, 0, 5, stream(19)) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("d, T", [(1, 1), (3, 2), (5, 20), (5, 500), (8, 3)])
+def test_linreg_mi_mc_is_the_per_replicate_loop_bit_for_bit(d, T):
+    R, noise_var = 7, 0.25
+    c = (1.0 / d) / noise_var
+    vals, Xs = np.empty(R), []
+    for i, sub in enumerate(stream(20).children("rep", R)):
+        X = sub.gen.normal(size=(T, d))
+        vals[i] = np.sum(np.log(np.diag(np.linalg.cholesky(np.eye(d) + c * (X.T @ X)))))
+        Xs.append(X)
+    assert linreg_mi_mc(d, noise_var, T, R, stream(20)) == mean_se(vals)
+    grams = np.stack([X.T @ X for X in Xs])
+    one_by_one = [linreg_mi_given_inputs(X, 1.0 / d, noise_var) for X in Xs]
+    assert np.array_equal(linreg_mi_given_grams(grams, 1.0 / d, noise_var), one_by_one)
+    assert np.array_equal(one_by_one, vals)
+
+
+def test_linreg_mi_mc_holds_grams_not_stacked_inputs():
+    # Stacked (400, 500, 5) inputs alone would take 8 MB; the Gram stack takes 80 KB.
+    linreg_mi_mc(5, 0.25, 5, 2, stream(21))  # lazy imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        linreg_mi_mc(5, 0.25, 500, 400, stream(21))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_linreg_mi_mc_inside_sandwich():

@@ -20,6 +20,7 @@ from infolab.info import (
     kl_gaussian,
     kl_pmf,
     lambert_w,
+    linreg_mi_given_grams,
     linreg_mi_given_inputs,
     linreg_mi_stepwise,
 )
@@ -204,6 +205,33 @@ def test_linreg_mi_dual_route_agrees():
 def test_linreg_mi_zero_noise_rejected():
     with pytest.raises(ValueError):
         linreg_mi_given_inputs(np.eye(2), 0.5, 0.0)
+
+
+@pytest.mark.parametrize(
+    "prior_var, noise_var, match",
+    [
+        (0.5, 0.0, "^noise variance must be positive$"),
+        (0.5, math.nan, "^noise variance must be positive$"),
+        (-0.5, 1.0, "^prior variance must be non-negative$"),
+        (math.nan, 1.0, "^prior variance must be non-negative$"),
+    ],
+)
+def test_linreg_mi_gram_form_refuses_bad_variances_by_name(prior_var, noise_var, match):
+    with pytest.raises(ValueError, match=match):
+        linreg_mi_given_grams(np.eye(2)[None], prior_var, noise_var)
+    with pytest.raises(ValueError, match=match):
+        linreg_mi_given_inputs(np.eye(2), prior_var, noise_var)
+
+
+def test_linreg_mi_gram_stack_keeps_its_shape():
+    gen = np.random.default_rng(5)
+    X = gen.normal(size=(2, 3, 6, 4))
+    grams = np.swapaxes(X, -1, -2) @ X
+    got = linreg_mi_given_grams(grams, 0.25, 0.5)
+    assert got.shape == (2, 3)
+    want = [[linreg_mi_given_inputs(x, 0.25, 0.5) for x in row] for row in X]
+    assert got == pytest.approx(np.array(want), rel=1e-14)
+    assert linreg_mi_given_grams(np.zeros((0, 4, 4)), 0.25, 0.5).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
